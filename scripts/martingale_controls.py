@@ -7,9 +7,12 @@ shows no drift. Negative control: a Stratonovich exponential driven with a
 covariance that couples rotation and translation components acquires a
 compensator drift of rate 0.8 along e3, which the drift test flags with
 very large z scores.
+
+Exits 1 when either control gives the wrong verdict.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -50,7 +53,8 @@ def main():
     )
     print(f"negative control: {'fail (expected)' if not neg.passed else 'PASSED (unexpected!)'} "
           f"(max |z| = {neg.max_abs_z:.2f})")
+    return 0 if pos.passed and not neg.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

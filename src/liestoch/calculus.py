@@ -23,12 +23,8 @@ import numpy as np
 from .connections import ConnectionFunction
 from .errors import DimensionError, GroupMismatchError
 from .groups import GroupSpec, from_matrix_coords, group_inverse
-from .linalg import DEFAULT_TOLERANCE, mat_log
-from .paths import Ensemble, GroupPath
-
-# Flattened-batch chunk size for transcendental kernels (memory control;
-# per-matrix kernels make chunking bitwise-neutral).
-_CHUNK = 1 << 18
+from .linalg import DEFAULT_TOLERANCE, map_stacked, mat_log
+from .paths import as_ensemble, like
 
 
 @dataclass(frozen=True)
@@ -49,24 +45,6 @@ class LeftInvariantOneForm:
         object.__setattr__(self, "covector", cov)
 
 
-def _map_stacked(fn, stack):
-    """Apply a per-matrix kernel over a (..., d, d) stack in memory chunks.
-
-    The kernel may return matrices or per-matrix scalars; leading axes are
-    restored either way. Chunking is bitwise-neutral because the kernels
-    treat each matrix independently.
-    """
-    d = stack.shape[-1]
-    flat = stack.reshape(-1, d, d)
-    if flat.shape[0] <= _CHUNK:
-        out = fn(flat)
-    else:
-        out = np.concatenate(
-            [fn(flat[i : i + _CHUNK]) for i in range(0, flat.shape[0], _CHUNK)]
-        )
-    return out.reshape(stack.shape[:-2] + out.shape[1:])
-
-
 def increments_from_values(spec, values, tol=DEFAULT_TOLERANCE):
     """Left-trivialized increments of stacked group values.
 
@@ -75,7 +53,7 @@ def increments_from_values(spec, values, tol=DEFAULT_TOLERANCE):
     left = values[..., :-1, :, :]
     right = values[..., 1:, :, :]
     steps_mats = group_inverse(spec, left) @ right
-    logs = _map_stacked(mat_log, steps_mats)
+    logs = map_stacked(mat_log, steps_mats)
     return from_matrix_coords(spec, logs, tol)
 
 
@@ -87,17 +65,11 @@ def mc_increments(x, tol=DEFAULT_TOLERANCE):
     and return them directly (developing and reading back are then exact
     inverses); paths built by hand are logged and projected.
     """
-    if isinstance(x, Ensemble):
-        if not x.is_group_valued:
-            raise DimensionError("mc_increments expects group-valued input")
-        if x.step_logs is not None:
-            return x.step_logs
-        return increments_from_values(x.group, x.values, tol)
-    if not isinstance(x, GroupPath):
-        raise DimensionError("mc_increments expects a GroupPath or group Ensemble")
-    if x.step_logs is not None:
-        return x.step_logs
-    return increments_from_values(x.group, x.values, tol)
+    ens = as_ensemble(x, group_valued=True)
+    dl = ens.step_logs
+    if dl is None:
+        dl = increments_from_values(ens.group, ens.values, tol)
+    return like(x, dl)
 
 
 def _require_group(form_or_conn, path):

@@ -31,45 +31,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _map_stacked, mc_increments
+from .calculus import mc_increments
 from .errors import DimensionError, GridMismatchError, GroupMismatchError, HypothesisError
 from .explog import _gate_membership, ito_exponential, ito_logarithm
 from .groups import adjoint_matrices, group_inverse, to_matrix_coords
-from .linalg import frobenius_dist, mat_exp
-from .paths import (
-    AlgebraPath,
-    Ensemble,
-    GroupPath,
-    TimeGrid,
-    brownian_ensemble,
-    null_qv_check,
-)
+from .linalg import frobenius_dist, map_stacked, mat_exp
+from .paths import TimeGrid, as_ensemble, brownian_ensemble, like, null_qv_check
 
 AD_RULES = ("ito", "midpoint")
 
 
-def _stacked_values(x, want_group):
-    """(values with a replica axis, had_replica_axis) for path or ensemble."""
-    if isinstance(x, Ensemble):
-        if x.is_group_valued != want_group:
-            raise DimensionError("ensemble has the wrong value kind")
-        return x.values, True
-    if want_group and isinstance(x, GroupPath):
-        return x.values[None], False
-    if not want_group and isinstance(x, AlgebraPath):
-        return x.values[None], False
-    raise DimensionError("expected a path or ensemble of the right kind")
-
-
-def _check_pair(x, y):
-    if x.group != y.group:
-        raise GroupMismatchError(f"mixed groups: {x.group.name} vs {y.group.name}")
-    if x.grid != y.grid:
+def _pair(x, y, x_group, y_group):
+    """Both operands stacked, checked to share group, grid and replicas."""
+    xs = as_ensemble(x, group_valued=x_group)
+    ys = as_ensemble(y, group_valued=y_group)
+    if xs.group != ys.group:
+        raise GroupMismatchError(f"mixed groups: {xs.group.name} vs {ys.group.name}")
+    if xs.grid != ys.grid:
         raise GridMismatchError("operands live on different time grids")
+    if xs.replicas != ys.replicas:
+        raise DimensionError("ensembles have different replica counts")
+    return xs, ys
 
 
-def _adjoint_stack(spec, gs):
-    return _map_stacked(lambda m: adjoint_matrices(spec, m), gs)
+def _adjoint_sum(y, values, rule, inverse):
+    """Running sum of ``Ad(Y_k) dV_k`` (of ``Ad(Y_k^-1)`` when ``inverse``).
+
+    ``y`` is a group ensemble and ``values`` stacked algebra coordinates on
+    its grid. The left-point rule takes Ad at Y_k; the midpoint rule at the
+    geometric midpoint ``Y_k exp(dL_k / 2)`` of each step (whose inverse is
+    ``exp(-dL_k / 2) Y_k^-1``).
+    """
+    if rule not in AD_RULES:
+        raise ValueError(f"rule must be one of {AD_RULES}")
+    spec = y.group
+    if inverse:
+        base = group_inverse(spec, y.values)[..., :-1, :, :]
+    else:
+        base = y.values[..., :-1, :, :]
+    if rule == "midpoint":
+        sign = -0.5 if inverse else 0.5
+        half = map_stacked(mat_exp, to_matrix_coords(spec, sign * mc_increments(y)))
+        base = half @ base if inverse else base @ half
+    admats = map_stacked(lambda m: adjoint_matrices(spec, m), base)
+    increments = np.einsum("...kij,...kj->...ki", admats, np.diff(values, axis=-2))
+    out = np.zeros(values.shape)
+    np.cumsum(increments, axis=-2, out=out[..., 1:, :])
+    return out
 
 
 def ad_integral(y, m, rule="ito"):
@@ -80,64 +88,29 @@ def ad_integral(y, m, rule="ito"):
     evaluates Ad at the geometric midpoint of each step of Y. Returns an
     object of the same kind as ``m`` (starts at 0).
     """
-    if rule not in AD_RULES:
-        raise ValueError(f"rule must be one of {AD_RULES}")
-    _check_pair(y, m)
-    spec = y.group
-    yv, y_stacked = _stacked_values(y, want_group=True)
-    mv, _ = _stacked_values(m, want_group=False)
-    if yv.shape[0] != mv.shape[0]:
-        raise DimensionError("ensembles have different replica counts")
-    dm = np.diff(mv, axis=-2)
-    base = yv[..., :-1, :, :]
-    if rule == "midpoint":
-        logs = mc_increments(y)
-        if not y_stacked:
-            logs = logs[None]
-        half = _map_stacked(mat_exp, to_matrix_coords(spec, 0.5 * logs))
-        base = base @ half
-    admats = _adjoint_stack(spec, base)
-    increments = np.einsum("...kij,...kj->...ki", admats, dm)
-    out = np.zeros(mv.shape)
-    np.cumsum(increments, axis=-2, out=out[..., 1:, :])
-    if isinstance(m, Ensemble):
-        return m.with_values(out)
-    return AlgebraPath(spec, m.grid, out[0])
+    ys, ms = _pair(y, m, True, False)
+    return like(m, ms.with_values(_adjoint_sum(ys, ms.values, rule, inverse=False)))
 
 
 def _check_hypotheses(alpha, p, q, significance, what):
+    """Raise HypothesisError unless alpha is quadratic-free and every replica
+    pair of the stacked ``p``, ``q`` passes the null quadratic variation
+    check."""
     if not alpha.is_quadratic_free():
         raise HypothesisError(
             f"{what}: hypothesis violated: alpha(A, A) != 0 "
             f"(connection {alpha.label!r} has a symmetric part)"
         )
-    if isinstance(p, Ensemble):
-        # Bonferroni across replicas keeps the ensemble-level false-alarm
-        # rate at the requested significance.
-        adj = 1.0 - (1.0 - significance) / p.replicas
-        for r in range(p.replicas):
-            res = null_qv_check(p.path(r), q.path(r), adj)
-            if not res.passed:
-                raise HypothesisError(
-                    f"{what}: hypothesis violated: replica {r} fails the null "
-                    f"quadratic variation check (worst ratio {res.worst_ratio:.2f})"
-                )
-    else:
-        res = null_qv_check(p, q, significance)
+    # Bonferroni across replicas keeps the ensemble-level false-alarm
+    # rate at the requested significance.
+    adj = 1.0 - (1.0 - significance) / p.replicas
+    for r in range(p.replicas):
+        res = null_qv_check(p.path(r), q.path(r), adj)
         if not res.passed:
             raise HypothesisError(
-                f"{what}: hypothesis violated: null quadratic variation check "
-                f"fails (worst ratio {res.worst_ratio:.2f})"
+                f"{what}: hypothesis violated: replica {r} fails the null "
+                f"quadratic variation check (worst ratio {res.worst_ratio:.2f})"
             )
-
-
-def _add_paths(m, n):
-    mv, _ = _stacked_values(m, want_group=False)
-    nv, _ = _stacked_values(n, want_group=False)
-    if isinstance(m, Ensemble):
-        # the sum is no longer a single recorded driver
-        return m.with_values(mv + nv, driver_covariance=None)
-    return AlgebraPath(m.group, m.grid, (mv + nv)[0])
 
 
 def ch_residual(m, n, alpha, rule="midpoint", significance=0.99, enforce_hypotheses=True):
@@ -151,18 +124,14 @@ def ch_residual(m, n, alpha, rule="midpoint", significance=0.99, enforce_hypothe
     Preconditions (checked unless ``enforce_hypotheses=False``): alpha is
     quadratic-free and (m, n) pass the null quadratic variation test.
     """
-    _check_pair(m, n)
+    ms, ns = _pair(m, n, False, False)
     if enforce_hypotheses:
-        _check_hypotheses(alpha, m, n, significance, "ch_residual")
-    lhs = ito_exponential(_add_paths(m, n), alpha)
-    y = ito_exponential(n, alpha)
-    integral = ad_integral(y, m, rule=rule)
-    x = ito_exponential(integral, alpha)
-    lv, _ = _stacked_values(lhs, want_group=True)
-    xv, _ = _stacked_values(x, want_group=True)
-    yv, _ = _stacked_values(y, want_group=True)
-    res = frobenius_dist(lv, xv @ yv)
-    return res if isinstance(m, Ensemble) else res[0]
+        _check_hypotheses(alpha, ms, ns, significance, "ch_residual")
+    # the sum is no longer a single recorded driver
+    lhs = ito_exponential(ms.with_values(ms.values + ns.values, driver_covariance=None), alpha)
+    y = ito_exponential(ns, alpha)
+    x = ito_exponential(ad_integral(y, ms, rule=rule), alpha)
+    return like(m, frobenius_dist(lhs.values, x.values @ y.values))
 
 
 def log_product_residual(x, y, alpha, rule="ito", significance=0.99, enforce_hypotheses=True):
@@ -171,48 +140,21 @@ def log_product_residual(x, y, alpha, rule="ito", significance=0.99, enforce_hyp
     Compares ``log(X Y)`` with ``int Ad(Y^-1) d log(X) + log(Y)`` in
     coordinates; returns the running coordinate 2-norm of the difference.
     """
-    _check_pair(x, y)
+    xs, ys = _pair(x, y, True, True)
     if enforce_hypotheses:
-        _check_hypotheses(alpha, x, y, significance, "log_product_residual")
-    if rule not in AD_RULES:
-        raise ValueError(f"rule must be one of {AD_RULES}")
-    spec = x.group
-    prod = product_path(x, y)
-    lhs = ito_logarithm(prod, alpha)
-    logx = ito_logarithm(x, alpha)
-    yv, y_stacked = _stacked_values(y, want_group=True)
-    yinv = group_inverse(spec, yv)
-    dlx = np.diff(_stacked_values(logx, want_group=False)[0], axis=-2)
-    base = yinv[..., :-1, :, :]
-    if rule == "midpoint":
-        logs = mc_increments(y)
-        if not y_stacked:
-            logs = logs[None]
-        half = _map_stacked(mat_exp, to_matrix_coords(spec, -0.5 * logs))
-        base = half @ base
-    admats = _adjoint_stack(spec, base)
-    increments = np.einsum("...kij,...kj->...ki", admats, dlx)
-    rhs = np.zeros_like(_stacked_values(lhs, want_group=False)[0])
-    np.cumsum(increments, axis=-2, out=rhs[..., 1:, :])
-    logy = ito_logarithm(y, alpha)
-    rhs += _stacked_values(logy, want_group=False)[0]
-    diff = _stacked_values(lhs, want_group=False)[0] - rhs
-    res = np.sqrt(np.einsum("...ki,...ki->...k", diff, diff))
-    return res if isinstance(x, Ensemble) else res[0]
+        _check_hypotheses(alpha, xs, ys, significance, "log_product_residual")
+    rhs = _adjoint_sum(ys, ito_logarithm(xs, alpha).values, rule, inverse=True)
+    rhs += ito_logarithm(ys, alpha).values
+    diff = ito_logarithm(product_path(xs, ys), alpha).values - rhs
+    return like(x, np.sqrt(np.einsum("...ki,...ki->...k", diff, diff)))
 
 
 def product_path(x, y):
     """Pointwise product of two group paths/ensembles on one grid."""
-    _check_pair(x, y)
-    xv, stacked = _stacked_values(x, want_group=True)
-    yv, _ = _stacked_values(y, want_group=True)
-    if xv.shape[0] != yv.shape[0]:
-        raise DimensionError("ensembles have different replica counts")
-    values = xv @ yv
-    _gate_membership(x.group, values)
-    if isinstance(x, Ensemble):
-        return x.with_values(values)
-    return GroupPath(x.group, x.grid, values[0])
+    xs, ys = _pair(x, y, True, True)
+    values = xs.values @ ys.values
+    _gate_membership(xs.group, values)
+    return like(x, xs.with_values(values))
 
 
 @dataclass(frozen=True)

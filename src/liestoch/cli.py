@@ -198,13 +198,25 @@ def _chunk_ranges(replicas, workers):
     return ranges
 
 
-def _build_ensemble(config, spec, covariance=None, drift=None):
-    """Replica-chunked ensemble construction (byte-identical to one shot)."""
+def _build_ensemble(config, spec):
+    """Replica-chunked driver ensemble (byte-identical to one shot).
+
+    ``--cov`` shapes the ``bm`` driver and ``--drift`` the ``drift`` driver;
+    a flag the chosen driver would ignore is a usage error.
+    """
     if config.replicas < 1:
         raise UsageError("--replicas must be at least 1")
     if config.seed < 0:
         raise UsageError("--seed must be a non-negative integer")
+    if config.driver not in ("bm", "drift"):
+        raise UsageError(f"unknown driver {config.driver!r}")
+    if config.drift and config.driver != "drift":
+        raise UsageError("--drift needs --driver drift")
+    if config.cov and config.driver == "drift":
+        raise UsageError("--cov applies to --driver bm; the drift driver has unit diffusion")
     grid = config.grid()
+    covariance = _load_covariance(config, spec)
+    drift = _parse_drift(config, spec)
 
     def build(chunk):
         first, size = chunk
@@ -212,13 +224,11 @@ def _build_ensemble(config, spec, covariance=None, drift=None):
             return brownian_ensemble(
                 spec, grid, config.seed, size, covariance=covariance, first_replica=first
             ).values
-        if config.driver == "drift":
-            return drift_diffusion_ensemble(
-                spec, grid, config.seed, size,
-                drift=drift, diffusion=np.eye(spec.algebra_dim),
-                first_replica=first,
-            ).values
-        raise UsageError(f"unknown driver {config.driver!r}")
+        return drift_diffusion_ensemble(
+            spec, grid, config.seed, size,
+            drift=drift, diffusion=np.eye(spec.algebra_dim),
+            first_replica=first,
+        ).values
 
     ranges = _chunk_ranges(config.replicas, config.workers)
     if len(ranges) == 1:
@@ -256,8 +266,7 @@ def _open_out(config):
 
 def _cmd_exp(config):
     spec, alpha = _connection(config)
-    cov = _load_covariance(config, spec)
-    ensemble = _build_ensemble(config, spec, covariance=cov)
+    ensemble = _build_ensemble(config, spec)
     solved = _solve(config, ensemble, alpha)
     with _open_out(config) as fh:
         dump_group_csv(solved, fh)
@@ -267,8 +276,7 @@ def _cmd_exp(config):
 
 def _cmd_log(config):
     spec, alpha = _connection(config)
-    cov = _load_covariance(config, spec)
-    ensemble = _build_ensemble(config, spec, covariance=cov)
+    ensemble = _build_ensemble(config, spec)
     solved = _solve(config, ensemble, alpha)
     logs = explog.ito_logarithm(solved, alpha)
     with _open_out(config) as fh:
@@ -278,7 +286,7 @@ def _cmd_log(config):
 
 
 def _roundtrip_errors(config, spec, alpha):
-    ensemble = _build_ensemble(config, spec, covariance=_load_covariance(config, spec))
+    ensemble = _build_ensemble(config, spec)
     solved = explog.ito_exponential(ensemble, alpha)
     back = explog.ito_logarithm(solved, alpha)
     return np.linalg.norm(back.values[:, -1] - ensemble.values[:, -1], axis=-1)
@@ -354,9 +362,7 @@ def _cmd_campbell(config):
 
 def _cmd_martingale_test(config):
     spec, alpha = _connection(config)
-    cov = _load_covariance(config, spec)
-    drift = _parse_drift(config, spec)
-    ensemble = _build_ensemble(config, spec, covariance=cov, drift=drift)
+    ensemble = _build_ensemble(config, spec)
     solved = _solve(config, ensemble, alpha)
     report = martingale.martingale_verdict(
         solved, alpha, buckets=config.buckets, z_band=_z_band(config)

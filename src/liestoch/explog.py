@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _map_stacked, mc_increments
+from .calculus import mc_increments
 from .connections import ConnectionFunction
 from .errors import (
     DimensionError,
@@ -36,8 +36,8 @@ from .errors import (
     MembershipError,
 )
 from .groups import MEMBERSHIP_GATE, GroupSpec, membership_defect, to_matrix_coords
-from .linalg import mat_exp
-from .paths import AlgebraPath, Ensemble, GroupPath
+from .linalg import map_stacked, mat_exp
+from .paths import as_ensemble, like
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def flat_connection(spec) -> AlgebraConnection:
 def _develop(spec, step_vectors):
     """Cumulative product of exp(step vectors): (..., K, n) -> (..., K+1, d, d)."""
     mats = to_matrix_coords(spec, step_vectors)
-    exps = _map_stacked(mat_exp, mats)
+    exps = map_stacked(mat_exp, mats)
     lead = step_vectors.shape[:-2]
     steps = step_vectors.shape[-2]
     d = spec.matrix_dim
@@ -89,7 +89,7 @@ def _develop(spec, step_vectors):
 
 
 def _gate_membership(spec, values):
-    defect = _map_stacked(lambda m: membership_defect(spec, m), values)
+    defect = map_stacked(lambda m: membership_defect(spec, m), values)
     worst = float(np.max(defect))
     if worst > MEMBERSHIP_GATE:
         raise IntegratorDriftError(
@@ -103,35 +103,23 @@ def _quadratic(table, v):
     return np.einsum("kij,...i,...j->...k", table, v, v)
 
 
-def _injected_steps(spec, dm, alpha, algebra_connection):
-    """Step vectors of the Ito exponential scheme."""
+def _ito_correction(spec, v, alpha, algebra_connection):
+    """Quadratic Ito correction ``1/2 Gamma(v,v) - 1/2 alpha(v,v)`` per step.
+
+    The exponential adds it to the driver increments; the logarithm
+    subtracts it from the log increments.
+    """
     if alpha.group != spec:
         raise GroupMismatchError(
-            f"connection on {alpha.group.name} used with {spec.name} driver"
+            f"connection on {alpha.group.name} used with {spec.name} paths"
         )
     conn = algebra_connection or flat_connection(spec)
     if conn.group != spec:
         raise GroupMismatchError("algebra connection group mismatch")
-    v = dm
+    correction = -0.5 * _quadratic(alpha.symmetric_part(), v)
     if not conn.is_flat:
-        v = v + 0.5 * _quadratic(conn.christoffels, dm)
-    v = v - 0.5 * _quadratic(alpha.symmetric_part(), dm)
-    return v
-
-
-def _corrected_logs(spec, dl, alpha, algebra_connection):
-    """Increment correction of the Ito logarithm scheme."""
-    if alpha.group != spec:
-        raise GroupMismatchError(
-            f"connection on {alpha.group.name} used with {spec.name} path"
-        )
-    conn = algebra_connection or flat_connection(spec)
-    if conn.group != spec:
-        raise GroupMismatchError("algebra connection group mismatch")
-    v = dl + 0.5 * _quadratic(alpha.symmetric_part(), dl)
-    if not conn.is_flat:
-        v = v - 0.5 * _quadratic(conn.christoffels, dl)
-    return v
+        correction = correction + 0.5 * _quadratic(conn.christoffels, v)
+    return correction
 
 
 def _cumulative(increments):
@@ -140,31 +128,27 @@ def _cumulative(increments):
     return out
 
 
+def _developed(ens, steps):
+    """Ensemble developed from its identity start by the given step vectors."""
+    values = _develop(ens.group, steps)
+    _gate_membership(ens.group, values)
+    return ens.with_values(values, step_logs=steps)
+
+
 def strat_exponential(m):
     """Development of an algebra path into the group (identity start).
 
     Accepts an AlgebraPath or an algebra Ensemble and returns the
     corresponding group-valued object, step logs attached.
     """
-    if isinstance(m, Ensemble):
-        if m.is_group_valued:
-            raise DimensionError("strat_exponential expects algebra-valued input")
-        dm = np.diff(m.values, axis=-2)
-        values = _develop(m.group, dm)
-        _gate_membership(m.group, values)
-        return m.with_values(values, step_logs=dm)
-    dm = m.increments()
-    values = _develop(m.group, dm)
-    _gate_membership(m.group, values)
-    return GroupPath(m.group, m.grid, values, step_logs=dm)
+    ens = as_ensemble(m, group_valued=False)
+    return like(m, _developed(ens, np.diff(ens.values, axis=-2)))
 
 
 def strat_logarithm(x):
     """Cumulative left-trivialized increments of a group path (starts at 0)."""
-    dl = mc_increments(x)
-    if isinstance(x, Ensemble):
-        return x.with_values(_cumulative(dl))
-    return AlgebraPath(x.group, x.grid, _cumulative(dl))
+    ens = as_ensemble(x, group_valued=True)
+    return like(x, ens.with_values(_cumulative(mc_increments(ens))))
 
 
 def ito_exponential(m, alpha: ConnectionFunction, algebra_connection=None):
@@ -177,19 +161,10 @@ def ito_exponential(m, alpha: ConnectionFunction, algebra_connection=None):
     quadratic correction, so the scheme is insensitive to the torsion
     normalization of the connection table.
     """
-    if isinstance(m, Ensemble):
-        if m.is_group_valued:
-            raise DimensionError("ito_exponential expects algebra-valued input")
-        dm = np.diff(m.values, axis=-2)
-        v = _injected_steps(m.group, dm, alpha, algebra_connection)
-        values = _develop(m.group, v)
-        _gate_membership(m.group, values)
-        return m.with_values(values, step_logs=v)
-    dm = m.increments()
-    v = _injected_steps(m.group, dm, alpha, algebra_connection)
-    values = _develop(m.group, v)
-    _gate_membership(m.group, values)
-    return GroupPath(m.group, m.grid, values, step_logs=v)
+    ens = as_ensemble(m, group_valued=False)
+    dm = np.diff(ens.values, axis=-2)
+    v = dm + _ito_correction(ens.group, dm, alpha, algebra_connection)
+    return like(m, _developed(ens, v))
 
 
 def ito_logarithm(x, alpha: ConnectionFunction, algebra_connection=None):
@@ -200,12 +175,10 @@ def ito_logarithm(x, alpha: ConnectionFunction, algebra_connection=None):
     connection this is exactly the Stratonovich logarithm plus half the
     running alpha-quadratic sum.
     """
-    spec = x.group
-    dl = mc_increments(x)
-    corrected = _corrected_logs(spec, dl, alpha, algebra_connection)
-    if isinstance(x, Ensemble):
-        return x.with_values(_cumulative(corrected))
-    return AlgebraPath(spec, x.grid, _cumulative(corrected))
+    ens = as_ensemble(x, group_valued=True)
+    dl = mc_increments(ens)
+    corrected = dl - _ito_correction(ens.group, dl, alpha, algebra_connection)
+    return like(x, ens.with_values(_cumulative(corrected)))
 
 
 def translate_initial(xi, x):
@@ -214,14 +187,12 @@ def translate_initial(xi, x):
     The left-trivialized increments are unchanged, so every log-type
     operator returns identical output for the translated path.
     """
-    spec = x.group
+    ens = as_ensemble(x, group_valued=True)
+    spec = ens.group
     xi = np.asarray(xi, dtype=np.float64)
     defect = float(np.max(membership_defect(spec, xi)))
     if defect > MEMBERSHIP_GATE:
         raise MembershipError(
             f"{spec.name}: translation element defect {defect:.3e} exceeds gate"
         )
-    values = xi @ x.values
-    if isinstance(x, Ensemble):
-        return x.with_values(values, step_logs=x.step_logs)
-    return GroupPath(spec, x.grid, values, step_logs=x.step_logs)
+    return like(x, ens.with_values(xi @ ens.values, step_logs=ens.step_logs))

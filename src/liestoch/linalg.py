@@ -28,6 +28,10 @@ _MAX_SQRT_LEVELS = 40
 _SQRT_MAX_ITER = 60
 _COND_LIMIT = 1e13
 
+# Flattened-batch chunk size for map_stacked (memory control; per-matrix
+# kernels make chunking bitwise-neutral).
+_CHUNK = 1 << 18
+
 _EXP_COEFFS = np.cumprod([1.0] + [1.0 / k for k in range(1, 16)])  # 1/k!, k=0..15
 
 
@@ -217,6 +221,24 @@ def mat_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
         acc += term / (2 * k + 1)
     out = (2.0 * (2.0 ** s))[:, None, None] * acc
     return out.reshape(shape)
+
+
+def map_stacked(fn, stack):
+    """Apply a per-matrix kernel over a (..., d, d) stack in memory chunks.
+
+    The kernel may return matrices or per-matrix scalars; leading axes are
+    restored either way. Chunking is bitwise-neutral because the kernels
+    treat each matrix independently.
+    """
+    d = stack.shape[-1]
+    flat = stack.reshape(-1, d, d)
+    if flat.shape[0] <= _CHUNK:
+        out = fn(flat)
+    else:
+        out = np.concatenate(
+            [fn(flat[i : i + _CHUNK]) for i in range(0, flat.shape[0], _CHUNK)]
+        )
+    return out.reshape(stack.shape[:-2] + out.shape[1:])
 
 
 def solve_linear(a, b):

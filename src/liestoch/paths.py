@@ -5,6 +5,11 @@ coordinates of shape (steps+1, n); a group-valued path stores matrices of
 shape (steps+1, d, d). Ensembles hold the replica-stacked array once and
 materialize per-replica path views on demand.
 
+Operators compute only on the stacked form. ``as_ensemble`` turns a single
+path into a one-replica ensemble on the way in and ``like`` hands the
+result back in the caller's kind on the way out, so this module is the
+only one that tells paths and ensembles apart.
+
 Seeding: replica r of base seed s draws from
 ``PCG64(SeedSequence(entropy=s, spawn_key=(r,)))``. Each replica owns an
 independent stream derived only from (s, r), so ensembles are reproducible
@@ -157,6 +162,39 @@ class Ensemble:
         )
 
 
+def as_ensemble(x, group_valued=None):
+    """Replica-stacked form of a path or ensemble.
+
+    An ensemble is returned unchanged; a path becomes a one-replica
+    ensemble (base seed 0) sharing its values and step logs. With
+    ``group_valued`` given, the value kind must match.
+    """
+    if isinstance(x, Ensemble):
+        ens = x
+    elif isinstance(x, GroupPath):
+        logs = None if x.step_logs is None else x.step_logs[None]
+        ens = Ensemble(x.group, x.grid, 0, x.values[None], step_logs=logs)
+    elif isinstance(x, AlgebraPath):
+        ens = Ensemble(x.group, x.grid, 0, x.values[None])
+    else:
+        raise DimensionError(f"expected a path or ensemble, got {type(x).__name__}")
+    if group_valued is not None and ens.is_group_valued != group_valued:
+        kind = "group" if group_valued else "algebra"
+        raise DimensionError(f"expected a {kind}-valued path or ensemble")
+    return ens
+
+
+def like(x, out):
+    """Hand a stacked result back in the kind of the operand ``x``.
+
+    ``out`` is an ensemble or an array with a leading replica axis; for a
+    path ``x`` its only replica is returned.
+    """
+    if isinstance(x, Ensemble):
+        return out
+    return out.path(0) if isinstance(out, Ensemble) else out[0]
+
+
 def derive_rng(base_seed, replica):
     """Documented seed derivation: independent stream per (seed, replica)."""
     seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(replica),))
@@ -169,15 +207,11 @@ def _gaussian_increments(rng, grid, factor):
 
 
 def brownian_driver(group, grid, seed, covariance=None, replica=0) -> AlgebraPath:
-    """Brownian path in the algebra: increments are iid N(0, covariance*dt)."""
-    n = group.algebra_dim
-    cov = np.eye(n) if covariance is None else np.asarray(covariance, dtype=np.float64)
-    if cov.shape != (n, n):
-        raise MetricError(f"covariance must be {n}x{n}")
-    factor = spd_cholesky(cov, what="covariance") * sqrt(grid.dt)
-    dm = _gaussian_increments(derive_rng(seed, replica), grid, factor)
-    values = np.vstack([np.zeros((1, n)), np.cumsum(dm, axis=0)])
-    return AlgebraPath(group, grid, values)
+    """Brownian path in the algebra: increments are iid N(0, covariance*dt).
+
+    This is replica ``replica`` of ``brownian_ensemble`` at the same seed.
+    """
+    return brownian_ensemble(group, grid, seed, 1, covariance, first_replica=replica).path(0)
 
 
 def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
@@ -200,7 +234,16 @@ def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
 
 
 def drift_diffusion_driver(group, grid, seed, drift=None, diffusion=None, replica=0) -> AlgebraPath:
-    """Path with increments b*dt + diffusion @ dW (dW standard, var dt).
+    """Replica ``replica`` of ``drift_diffusion_ensemble`` as a path."""
+    return drift_diffusion_ensemble(
+        group, grid, seed, 1, drift, diffusion, first_replica=replica
+    ).path(0)
+
+
+def drift_diffusion_ensemble(group, grid, base_seed, replicas, drift=None,
+                             diffusion=None, first_replica=0) -> Ensemble:
+    """Replicas with increments b*dt + diffusion @ dW (dW standard, var dt),
+    seeded like ``brownian_ensemble``.
 
     Not a martingale when drift is nonzero; this is the negative-control
     driver.
@@ -212,19 +255,13 @@ def drift_diffusion_driver(group, grid, seed, drift=None, diffusion=None, replic
         raise DimensionError("drift must be (n,), diffusion (n, n)")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
         raise ValueError("drift/diffusion must be finite")
-    dm = b * grid.dt + _gaussian_increments(derive_rng(seed, replica), grid, sig * sqrt(grid.dt))
-    values = np.vstack([np.zeros((1, n)), np.cumsum(dm, axis=0)])
-    return AlgebraPath(group, grid, values)
-
-
-def drift_diffusion_ensemble(group, grid, base_seed, replicas, drift=None,
-                             diffusion=None, first_replica=0) -> Ensemble:
-    values = np.zeros((replicas, grid.steps + 1, group.algebra_dim))
+    factor = sig * sqrt(grid.dt)
+    values = np.zeros((replicas, grid.steps + 1, n))
     for r in range(replicas):
-        p = drift_diffusion_driver(
-            group, grid, base_seed, drift, diffusion, replica=first_replica + r
+        dm = b * grid.dt + _gaussian_increments(
+            derive_rng(base_seed, first_replica + r), grid, factor
         )
-        values[r] = p.values
+        np.cumsum(dm, axis=0, out=values[r, 1:])
     return Ensemble(group, grid, int(base_seed), values)
 
 
@@ -347,23 +384,17 @@ def _dump_rows(fh, grid, header, stacked, first_replica):
 
 
 def dump_algebra_csv(target, fh, replica=0):
-    """CSV dump ``replica,k,t,c1..cn`` for a path or every ensemble replica."""
-    if isinstance(target, Ensemble):
-        stacked, grid, replica = target.values, target.grid, 0
-    else:
-        stacked, grid = target.values[None], target.grid
-    n = stacked.shape[-1]
+    """CSV dump ``replica,k,t,c1..cn`` of a path or every ensemble replica;
+    the first replica is numbered ``replica``."""
+    ens = as_ensemble(target, group_valued=False)
+    n = ens.values.shape[-1]
     header = ["replica", "k", "t"] + [f"c{i+1}" for i in range(n)]
-    _dump_rows(fh, grid, header, stacked, replica)
+    _dump_rows(fh, ens.grid, header, ens.values, replica)
 
 
 def dump_group_csv(target, fh, replica=0):
     """CSV dump ``replica,k,t,m11..mdd`` (row-major matrix entries)."""
-    if isinstance(target, Ensemble):
-        stacked, grid, replica = target.values, target.grid, 0
-    else:
-        stacked, grid = target.values[None], target.grid
-    d = stacked.shape[-1]
+    ens = as_ensemble(target, group_valued=True)
+    reps, points, d = ens.values.shape[:3]
     header = ["replica", "k", "t"] + [f"m{i+1}{j+1}" for i in range(d) for j in range(d)]
-    flat = stacked.reshape(stacked.shape[0], stacked.shape[1], d * d)
-    _dump_rows(fh, grid, header, flat, replica)
+    _dump_rows(fh, ens.grid, header, ens.values.reshape(reps, points, d * d), replica)

@@ -232,3 +232,46 @@ def test_covariance_file_validation(tmp_path):
         "--out", str(tmp_path / "o.csv"),
     )
     assert code == 0
+
+
+def _so3_run(command, tmp_path, name, *extra):
+    out = tmp_path / name
+    code = run_cli(
+        command, "--group", "so3", "--connection", "biinvariant", "--dt", "0.01",
+        "--steps", "10", "--replicas", "100", "--buckets", "5", "--seed", "3",
+        "--out", str(out), *extra,
+    )
+    return code, out
+
+
+def test_drift_flag_is_honoured_outside_martingale_test(tmp_path):
+    code, plain = _so3_run("exp", tmp_path, "plain.csv", "--driver", "drift")
+    assert code == 0
+    code, drifted = _so3_run("exp", tmp_path, "drifted.csv", "--driver", "drift",
+                             "--drift", "5,0,0")
+    assert code == 0
+    assert plain.read_bytes() != drifted.read_bytes()
+    # bi-invariant logarithm reads the driver back: the drift shows as 5 t in c1
+    _, plain = _so3_run("log", tmp_path, "plain_log.csv", "--driver", "drift")
+    _, drifted = _so3_run("log", tmp_path, "drifted_log.csv", "--driver", "drift",
+                          "--drift", "5,0,0")
+    a = np.loadtxt(plain, delimiter=",", skiprows=1)
+    b = np.loadtxt(drifted, delimiter=",", skiprows=1)
+    assert np.allclose(b[:, 3] - a[:, 3], 5.0 * a[:, 2], atol=1e-12)
+    assert np.allclose(b[:, 4:], a[:, 4:], atol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["exp", "martingale-test"])
+def test_drift_without_drift_driver_is_usage_error(command, tmp_path):
+    code, out = _so3_run(command, tmp_path, "x.json", "--driver", "bm", "--drift", "9,9,9")
+    assert code == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_cov_with_drift_driver_is_usage_error(tmp_path):
+    cov = tmp_path / "cov.csv"
+    np.savetxt(cov, np.eye(3), delimiter=",")
+    code, out = _so3_run("martingale-test", tmp_path, "x.json", "--driver", "drift",
+                         "--cov", str(cov))
+    assert code == EXIT_USAGE
+    assert not out.exists()
