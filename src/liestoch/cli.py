@@ -16,6 +16,7 @@ resolved configuration (schema 1). Same config + seed produces byte
 identical CSV output no matter how many workers are used: replicas own
 independent, index-derived random streams and are reassembled in order.
 
+Each subcommand accepts only the flags it reads and exits 2 on any other.
 Config files are flat ``key=value`` lines (``#`` comments allowed);
 command-line flags override file values. Exit codes: 0 success, 1 failed
 verification, 2 usage error, 3 violated precondition/hypothesis,
@@ -440,15 +441,48 @@ def _cmd_regress(config):
     return EXIT_OK if not failed else EXIT_VERIFICATION_FAILED
 
 
+# Every flag by config field: (flag, argparse keywords).
+_FLAGS = {
+    "config": ("--config", {"help": "flat key=value config file"}),
+    "group": ("--group", {}),
+    "connection": ("--connection", {"choices": ["biinvariant", "levicivita"]}),
+    "lam": ("--lambda", {"type": float}),
+    "dt": ("--dt", {"type": float}),
+    "steps": ("--steps", {"type": int}),
+    "replicas": ("--replicas", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "dts": ("--dts", {"help": "comma list of step sizes"}),
+    "driver": ("--driver", {"choices": ["bm", "drift"]}),
+    "scheme": ("--scheme", {"choices": ["ito", "strat"]}),
+    "rule": ("--rule", {"choices": ["ito", "midpoint"]}),
+    "cov": ("--cov", {"help": "covariance CSV file"}),
+    "drift": ("--drift", {"help": "comma list of drift components"}),
+    "buckets": ("--buckets", {"type": int}),
+    "significance": ("--significance", {"type": float}),
+    "workers": ("--workers", {"type": int}),
+    "out": ("--out", {}),
+    "fmt": ("--format", {"choices": ["csv", "json"]}),
+}
+
+# Flags of every command that simulates a driver ensemble (_build_ensemble).
+_ENSEMBLE = ("config", "group", "connection", "lam", "dt", "steps", "replicas",
+             "seed", "driver", "cov", "drift", "workers", "out")
+
+# Each command and the flags it reads; argparse refuses any other flag
+# (exit 2). The one exception: ``exp`` and ``log`` accept ``--buckets``
+# without reading it, so that one argument list drives ``exp``, ``log`` and
+# ``martingale-test`` alike (the test suite builds its runs that way).
 _COMMANDS = {
-    "exp": _cmd_exp,
-    "log": _cmd_log,
-    "roundtrip": _cmd_roundtrip,
-    "convergence": _cmd_convergence,
-    "campbell": _cmd_campbell,
-    "martingale-test": _cmd_martingale_test,
-    "u-table": _cmd_u_table,
-    "regress": _cmd_regress,
+    "exp": (_cmd_exp, _ENSEMBLE + ("scheme", "buckets")),
+    "log": (_cmd_log, _ENSEMBLE + ("scheme", "buckets")),
+    "roundtrip": (_cmd_roundtrip, _ENSEMBLE),
+    "convergence": (_cmd_convergence, _ENSEMBLE + ("dts",)),
+    "campbell": (_cmd_campbell, ("config", "group", "connection", "lam", "dts",
+                                 "replicas", "seed", "rule", "out", "fmt")),
+    "martingale-test": (_cmd_martingale_test,
+                        _ENSEMBLE + ("scheme", "buckets", "significance")),
+    "u-table": (_cmd_u_table, ("config", "group", "lam", "out")),
+    "regress": (_cmd_regress, ("config", "out")),
 }
 
 
@@ -459,27 +493,11 @@ def _build_parser():
                     "on matrix Lie groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--group", default=None)
-        p.add_argument("--connection", default=None, choices=["biinvariant", "levicivita"])
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--replicas", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--dts", default=None, help="comma list of step sizes")
-        p.add_argument("--driver", default=None, choices=["bm", "drift"])
-        p.add_argument("--scheme", default=None, choices=["ito", "strat"])
-        p.add_argument("--rule", default=None, choices=["ito", "midpoint"])
-        p.add_argument("--cov", default=None, help="covariance CSV file")
-        p.add_argument("--drift", default=None, help="comma list of drift components")
-        p.add_argument("--buckets", type=int, default=None)
-        p.add_argument("--significance", type=float, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", default=None, choices=["csv", "json"])
+        for field_name in flags:
+            flag, keywords = _FLAGS[field_name]
+            p.add_argument(flag, dest=field_name, default=None, **keywords)
     return parser
 
 
@@ -504,7 +522,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[config.command][0](config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,12 +7,27 @@ roots and stopping decisions are made per matrix), so results are identical
 no matter how a batch is chunked. That property is what keeps ensemble runs
 byte-reproducible under any worker split.
 
+``mat_exp`` and ``mat_log`` pick a kernel for each matrix from its own
+entries, never from a group label:
+
+- exp of an exactly skew 3x3 matrix: Rodrigues' formula;
+- exp of a 4x4 ``[[W, u], [0, 0]]`` with W exactly skew: the rigid-motion
+  closed form ``[[R, V u], [0, 1]]``;
+- log of a 3x3 rotation (orthogonal to 1e-12) by an angle below pi/2:
+  ``S / sinc(theta)`` with S the skew part;
+- every other matrix: the generic ``_taylor_exp`` (scaling-and-squaring)
+  and ``_generic_log`` (inverse scaling-and-squaring).
+
+The generic paths are the oracle the closed forms are tested against, and
+a batch that mixes kinds gives each matrix the result it gets alone.
+
 Matrices are plain float64 numpy arrays; higher-level modules enforce the
 "entries finite" contract by calling these kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +103,7 @@ def _eye_like(flat):
     return np.broadcast_to(np.eye(n), flat.shape)
 
 
-def mat_exp(a):
+def _taylor_exp(a):
     """Matrix exponential by per-matrix scaling-and-squaring.
 
     Each matrix is scaled by an exact power of two until its Frobenius norm
@@ -178,7 +193,7 @@ def _denman_beavers_sqrt(m):
     return y
 
 
-def mat_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
+def _generic_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
     """Principal matrix logarithm by inverse scaling-and-squaring.
 
     Square roots are taken per matrix until ``||M - I|| <= 0.25``, then the
@@ -221,6 +236,197 @@ def mat_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
         acc += term / (2 * k + 1)
     out = (2.0 * (2.0 ** s))[:, None, None] * acc
     return out.reshape(shape)
+
+
+# Closed forms for rotation and rigid-motion matrices. The kernels work on
+# entry rows: row n*i + j holds entry (i, j) of every matrix in the batch,
+# contiguous, so each formula is a handful of elementwise operations with no
+# stacked matmul. A matrix's result therefore does not depend on the batch
+# it arrives in, and the branch it takes is decided from its own entries.
+
+_ROTATION_LOG_GATE = 1e-12  # ||M^T M - I||_F above this: generic log
+_SERIES_ANGLE = 0.5         # below it (theta - sin theta)/theta^3 is a series
+# (-1)^k / (2k+3)!, k = 0..6: the first omitted term is below 2e-19 at 0.5
+_V_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
+
+_TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()  # entry row of (j, i)
+_DIAG3 = np.array([0, 4, 8])
+_VEE3 = np.array([7, 2, 3])                          # A21, A02, A10
+_BLOCK4 = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])     # top-left 3x3 of a 4x4
+_TRANSLATION4 = np.array([3, 7, 11])
+_BOTTOM4 = np.array([12, 13, 14, 15])
+
+
+def _entries(flat):
+    """(m, n, n) stack -> (n*n, m) entry rows."""
+    return flat.reshape(len(flat), -1).T.copy()
+
+
+def _stack(entries, n):
+    """(n*n, m) entry rows -> (m, n, n) stack."""
+    return np.ascontiguousarray(entries.T).reshape(-1, n, n)
+
+
+def _cos_angle(e):
+    """``(tr M - 1)/2``: the cosine of a 3x3 rotation's angle."""
+    return 0.5 * (e[0] + e[4] + e[8] - 1.0)
+
+
+def _squared_norm(v):
+    """Squared length of 3-vectors stored as three rows."""
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+
+
+def _rodrigues_coefficients(theta):
+    """``sin(theta)/theta`` and ``(1 - cos(theta))/theta^2``, exact at 0."""
+    half = np.sinc(theta / (2.0 * np.pi))
+    return np.sinc(theta / np.pi), 0.5 * half * half
+
+
+def _v_coefficient(theta):
+    """``(theta - sin(theta))/theta^3``, from its Taylor series below 0.5."""
+    small = theta < _SERIES_ANGLE
+    t = np.where(small, 1.0, theta)
+    direct = (t - np.sin(t)) / (t * t * t)
+    theta2 = theta * theta
+    series = np.full_like(theta, _V_SERIES[-1])
+    for coeff in _V_SERIES[-2::-1]:
+        series = series * theta2 + coeff
+    return np.where(small, series, direct)
+
+
+def _rotation(skew, w, theta2, a, b):
+    """``I + a W + b W^2`` with ``W^2 = w w^T - theta^2 I``, entry by entry."""
+    out = (w[:, None] * w[None, :]).reshape(9, -1)
+    out *= b
+    out += a * skew
+    out[_DIAG3] += 1.0 - b * theta2
+    return out
+
+
+def _rotation_exp(e):
+    """Rodrigues' formula for exactly skew 3x3 matrices."""
+    w = e[_VEE3]
+    theta2 = _squared_norm(w)
+    a, b = _rodrigues_coefficients(np.sqrt(theta2))
+    return _rotation(e, w, theta2, a, b)
+
+
+def _rigid_exp(e):
+    """``[[R, V u], [0, 1]]`` for 4x4 ``[[W, u], [0, 0]]`` with W skew."""
+    skew = e[_BLOCK4]
+    w = skew[_VEE3]
+    u = e[_TRANSLATION4]
+    theta2 = _squared_norm(w)
+    theta = np.sqrt(theta2)
+    a, b = _rodrigues_coefficients(theta)
+    c = _v_coefficient(theta)
+    # V u = u + b (w x u) + c (w (w . u) - theta^2 u)
+    w_cross_u = np.stack([
+        w[1] * u[2] - w[2] * u[1],
+        w[2] * u[0] - w[0] * u[2],
+        w[0] * u[1] - w[1] * u[0],
+    ])
+    w_dot_u = w[0] * u[0] + w[1] * u[1] + w[2] * u[2]
+    out = np.zeros_like(e)
+    out[_BLOCK4] = _rotation(skew, w, theta2, a, b)
+    out[_TRANSLATION4] = u + b * w_cross_u + c * (w * w_dot_u - theta2 * u)
+    out[15] = 1.0
+    return out
+
+
+def _rotation_log(e):
+    """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2."""
+    s = 0.5 * (e - e[_TRANSPOSE3])
+    theta = np.arctan2(np.sqrt(_squared_norm(s[_VEE3])), _cos_angle(e))
+    return s / np.sinc(theta / np.pi)
+
+
+def _is_skew(e):
+    return ~np.any(e + e[_TRANSPOSE3], axis=0)
+
+
+def _is_rigid_algebra(e):
+    return _is_skew(e[_BLOCK4]) & ~np.any(e[_BOTTOM4], axis=0)
+
+
+def _is_rotation_below_half_turn(e):
+    def gram(i, j):  # (M^T M)_ij: columns i and j dotted
+        return e[i] * e[j] + e[i + 3] * e[j + 3] + e[i + 6] * e[j + 6]
+
+    defect2 = (gram(0, 0) - 1.0) ** 2 + (gram(1, 1) - 1.0) ** 2 + (gram(2, 2) - 1.0) ** 2
+    defect2 += 2.0 * (gram(0, 1) ** 2 + gram(0, 2) ** 2 + gram(1, 2) ** 2)
+    return (np.sqrt(defect2) <= _ROTATION_LOG_GATE) & (_cos_angle(e) > 0.0)
+
+
+def _by_structure(flat, test, closed_form, generic):
+    """``closed_form`` on the matrices ``test`` accepts, ``generic`` on the rest.
+
+    ``test`` and ``closed_form`` take and give entry rows; ``generic``
+    takes and gives a stack.
+    """
+    n = flat.shape[-1]
+    e = _entries(flat)
+    take = test(e)
+    if take.all():
+        return _stack(closed_form(e), n)
+    if not take.any():
+        return generic(flat)
+    out = np.empty_like(flat)
+    out[take] = _stack(closed_form(e[:, take]), n)
+    out[~take] = generic(flat[~take])
+    return out
+
+
+def mat_exp(a):
+    """Matrix exponential, closed form where a matrix's entries allow one.
+
+    - 3x3 with ``A + A^T == 0`` exactly: Rodrigues' formula
+      ``I + sin(t)/t W + (1 - cos t)/t^2 W^2``.
+    - 4x4 whose top-left 3x3 block is exactly skew and whose bottom row is
+      exactly zero: ``[[R, V u], [0, 1]]`` with
+      ``V = I + (1 - cos t)/t^2 W + (t - sin t)/t^3 W^2``.
+    - Everything else: ``_taylor_exp`` (per-matrix scaling-and-squaring),
+      which is also the oracle the closed forms are tested against.
+
+    The choice is made per matrix, so a batch may mix branches and each
+    result is the same as for that matrix alone.
+    """
+    a = _as_square(a, "mat_exp")
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    if n == 3:
+        out = _by_structure(flat, _is_skew, _rotation_exp, _taylor_exp)
+    elif n == 4:
+        out = _by_structure(flat, _is_rigid_algebra, _rigid_exp, _taylor_exp)
+    else:
+        out = _taylor_exp(flat)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("mat_exp: result overflowed double precision")
+    return out.reshape(a.shape)
+
+
+def mat_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
+    """Principal matrix logarithm, closed form for near-identity rotations.
+
+    - 3x3 with ``||M^T M - I||_F <= 1e-12`` and ``cos t = (tr M - 1)/2 > 0``:
+      ``S / sinc(t)`` with ``S = (M - M^T)/2`` and
+      ``t = atan2(|vee S|, cos t)``.
+    - Everything else, rotations at ``t >= pi/2`` included: ``_generic_log``
+      (inverse scaling-and-squaring), which is also the oracle the closed
+      form is tested against and raises ``LogRangeError`` near ``t = pi``.
+
+    The choice is made per matrix, as in ``mat_exp``.
+    """
+    m = _as_square(m, "mat_log")
+    n = m.shape[-1]
+    if n != 3:
+        return _generic_log(m, max_sqrt_levels)
+    out = _by_structure(
+        m.reshape(-1, n, n), _is_rotation_below_half_turn, _rotation_log,
+        lambda rest: _generic_log(rest, max_sqrt_levels),
+    )
+    return out.reshape(m.shape)
 
 
 def map_stacked(fn, stack):

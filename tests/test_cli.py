@@ -275,3 +275,44 @@ def test_cov_with_drift_driver_is_usage_error(tmp_path):
                          "--cov", str(cov))
     assert code == EXIT_USAGE
     assert not out.exists()
+
+
+def _refused(*argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    return exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("extra", [
+    ("--driver", "drift", "--drift", "9,9,9", "--scheme", "strat", "--workers", "7",
+     "--significance", "0.5"),
+    ("--driver", "drift"), ("--drift", "9,9,9"), ("--scheme", "strat"),
+    ("--workers", "7"), ("--significance", "0.5"),
+])
+def test_campbell_refuses_driver_and_scheme_flags(extra, tmp_path):
+    out = tmp_path / "ch.json"
+    assert _refused("campbell", "--group", "so3", "--connection", "biinvariant",
+                    "--dts", "1e-2,5e-3", "--replicas", "16", "--seed", "4",
+                    "--out", str(out), *extra)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ("--rule", "ito", "--buckets", "3", "--dts", "1", "--format", "json"),
+    ("--rule", "ito"), ("--dts", "1"), ("--format", "json"),
+])
+def test_exp_refuses_flags_it_does_not_read(extra, tmp_path):
+    out = tmp_path / "x.csv"
+    assert _refused("exp", "--group", "so3", "--connection", "biinvariant",
+                    "--dt", "0.01", "--steps", "10", "--replicas", "2", "--seed", "0",
+                    "--out", str(out), *extra)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "convergence"])
+def test_ito_only_commands_refuse_scheme(command, tmp_path):
+    out = tmp_path / "x.csv"
+    assert _refused(command, "--group", "so3", "--connection", "biinvariant",
+                    "--dt", "0.01", "--steps", "10", "--replicas", "4", "--seed", "0",
+                    "--out", str(out), "--scheme", "strat")
+    assert not out.exists()

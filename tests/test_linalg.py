@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liestoch.errors import DimensionError, LogRangeError, SingularMatrixError
 from liestoch.groups import get_group, to_matrix_coords
+from liestoch import linalg
 from liestoch.linalg import (
     Tolerance,
+    _generic_log,
+    _taylor_exp,
     frobenius_dist,
     frobenius_norm,
     mat_exp,
@@ -17,6 +20,9 @@ from liestoch.linalg import (
 from liestoch.errors import MetricError
 
 RNG = np.random.default_rng(20260810)
+SO3 = get_group("so3")
+SE3 = get_group("se3")
+CLOSED_RNG = np.random.default_rng(20261018)  # closed-form cases; leaves RNG's stream alone
 
 
 def test_tolerance_validation():
@@ -71,6 +77,33 @@ def test_exp_batch_composition_does_not_change_results():
     alone = mat_exp(a)
     mixed = mat_exp(np.concatenate([a, big]))
     assert np.array_equal(alone, mixed[:6])
+    # closed-form matrices shuffled in with generic ones of the same size
+    skew = to_matrix_coords(SO3, 0.7 * CLOSED_RNG.standard_normal((7, 3)))
+    rigid = to_matrix_coords(SE3, CLOSED_RNG.standard_normal((7, 6)))
+    for closed, generic in ((skew, 0.3 * CLOSED_RNG.standard_normal((5, 3, 3))),
+                            (rigid, 0.3 * CLOSED_RNG.standard_normal((5, 4, 4)))):
+        assert_split_invariant(mat_exp, _taylor_exp, closed, generic)
+
+
+def assert_split_invariant(kernel, oracle, closed, generic):
+    """``kernel`` on a shuffled mix equals ``kernel`` on each part, bit for bit."""
+    batch = np.concatenate([closed, generic])
+    is_closed = np.arange(len(batch)) < len(closed)
+    order = CLOSED_RNG.permutation(len(batch))
+    batch, is_closed = batch[order], is_closed[order]
+    out = kernel(batch)
+    assert np.array_equal(out[is_closed], kernel(batch[is_closed]))
+    assert np.array_equal(out[~is_closed], kernel(batch[~is_closed]))
+    assert np.array_equal(out[~is_closed], oracle(batch[~is_closed]))
+
+
+def test_log_batch_composition_does_not_change_results():
+    rotations = mat_exp(to_matrix_coords(SO3, 0.4 * CLOSED_RNG.standard_normal((7, 3))))
+    others = np.concatenate([
+        mat_exp(to_matrix_coords(get_group(name), 0.4 * CLOSED_RNG.standard_normal((4, 3))))
+        for name in ("n3", "e11")
+    ])
+    assert_split_invariant(mat_log, _generic_log, rotations, others)
 
 
 def test_log_identity_is_zero():
@@ -156,3 +189,70 @@ def test_spd_cholesky_errors():
         spd_cholesky(np.array([[1.0, 0.5], [0.4, 1.0]]))  # not symmetric
     with pytest.raises(MetricError):
         spd_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+
+
+# Closed-form branches against the generic oracles.
+
+ORACLE_TOL = 1e-14
+LOG10_NORMS = st.floats(min_value=-9.0, max_value=float(np.log10(4.0)))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _scaled_direction(seed, dim, norm):
+    v = np.random.default_rng(seed).standard_normal(dim)
+    return norm * v / np.linalg.norm(v)
+
+
+def _oracle_gap(a, got, want):
+    return np.max(np.abs(got - want)) / max(1.0, float(frobenius_norm(a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, LOG10_NORMS)
+def test_so3_exp_matches_taylor_oracle(seed, log_norm):
+    a = to_matrix_coords(SO3, _scaled_direction(seed, 3, 10.0**log_norm))
+    assert _oracle_gap(a, mat_exp(a), _taylor_exp(a)) <= ORACLE_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, LOG10_NORMS, LOG10_NORMS)
+@example(7, float(np.log10(0.5 - 1e-9)), 0.0)
+@example(7, float(np.log10(0.5)), 0.0)
+@example(7, float(np.log10(0.5 + 1e-9)), 0.0)
+def test_se3_exp_matches_taylor_oracle(seed, log_angle, log_shift):
+    # angle and translation drawn apart, so theta lands on both sides of the
+    # 0.5 switch between the series and the direct (theta - sin)/theta^3
+    coords = np.concatenate([
+        _scaled_direction(seed, 3, 10.0**log_angle),
+        _scaled_direction(seed + 1, 3, 10.0**log_shift),
+    ])
+    a = to_matrix_coords(SE3, coords)
+    assert _oracle_gap(a, mat_exp(a), _taylor_exp(a)) <= ORACLE_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.floats(min_value=-9.0, max_value=float(np.log10(np.pi / 2 - 1e-6))))
+def test_so3_log_matches_generic_oracle(seed, log_angle):
+    a = to_matrix_coords(SO3, _scaled_direction(seed, 3, 10.0**log_angle))
+    rotation = _taylor_exp(a)
+    assert linalg._is_rotation_below_half_turn(linalg._entries(rotation[None]))[0]
+    assert _oracle_gap(a, mat_log(rotation), _generic_log(rotation)) <= ORACLE_TOL
+
+
+def test_log_outside_the_closed_form_is_the_generic_log_bit_for_bit():
+    axis = _scaled_direction(3, 3, 1.0)
+    rotation = _taylor_exp(to_matrix_coords(SO3, 0.8 * axis))
+    skewed = rotation + 1e-10 * CLOSED_RNG.standard_normal((3, 3))  # defect above 1e-12
+    past_quarter = _taylor_exp(to_matrix_coords(SO3, (np.pi / 2 + 1e-3) * axis))
+    for m in (skewed, past_quarter):
+        assert not linalg._is_rotation_below_half_turn(linalg._entries(m[None]))[0]
+        assert np.array_equal(mat_log(m), _generic_log(m))
+
+
+def test_exp_outside_the_closed_forms_is_the_taylor_exp_bit_for_bit():
+    nearly_skew = to_matrix_coords(SO3, [0.3, -0.2, 0.9])
+    nearly_skew[0, 0] = 1e-300
+    rigid_with_bottom_row = to_matrix_coords(SE3, CLOSED_RNG.standard_normal(6))
+    rigid_with_bottom_row[3, 0] = 1e-12
+    for a in (nearly_skew, rigid_with_bottom_row, to_matrix_coords(get_group("n3"), [1, 2, 3])):
+        assert np.array_equal(mat_exp(a), _taylor_exp(a))
