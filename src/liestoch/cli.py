@@ -469,12 +469,10 @@ _ENSEMBLE = ("config", "group", "connection", "lam", "dt", "steps", "replicas",
              "seed", "driver", "cov", "drift", "workers", "out")
 
 # Each command and the flags it reads; argparse refuses any other flag
-# (exit 2). The one exception: ``exp`` and ``log`` accept ``--buckets``
-# without reading it, so that one argument list drives ``exp``, ``log`` and
-# ``martingale-test`` alike (the test suite builds its runs that way).
+# (exit 2).
 _COMMANDS = {
-    "exp": (_cmd_exp, _ENSEMBLE + ("scheme", "buckets")),
-    "log": (_cmd_log, _ENSEMBLE + ("scheme", "buckets")),
+    "exp": (_cmd_exp, _ENSEMBLE + ("scheme",)),
+    "log": (_cmd_log, _ENSEMBLE + ("scheme",)),
     "roundtrip": (_cmd_roundtrip, _ENSEMBLE),
     "convergence": (_cmd_convergence, _ENSEMBLE + ("dts",)),
     "campbell": (_cmd_campbell, ("config", "group", "connection", "lam", "dts",

@@ -91,7 +91,7 @@ def _develop(spec, step_vectors):
 def _gate_membership(spec, values):
     defect = map_stacked(lambda m: membership_defect(spec, m), values)
     worst = float(np.max(defect))
-    if worst > MEMBERSHIP_GATE:
+    if not worst <= MEMBERSHIP_GATE:  # NaN fails too
         raise IntegratorDriftError(
             f"{spec.name}: integrator drifted off the group "
             f"(membership defect {worst:.3e} > {MEMBERSHIP_GATE:.1e}); "
@@ -191,7 +191,7 @@ def translate_initial(xi, x):
     spec = ens.group
     xi = np.asarray(xi, dtype=np.float64)
     defect = float(np.max(membership_defect(spec, xi)))
-    if defect > MEMBERSHIP_GATE:
+    if not defect <= MEMBERSHIP_GATE:  # NaN fails too
         raise MembershipError(
             f"{spec.name}: translation element defect {defect:.3e} exceeds gate"
         )

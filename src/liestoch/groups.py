@@ -22,12 +22,17 @@ coefficient vector in the basis above) or, for batched engine code, a raw
 array of shape (..., n). Conversion to and from matrices goes through a
 least-squares projection onto the vectorized basis with a residual check,
 which catches corrupted inputs uniformly across groups.
+
+``membership_defect``, ``group_inverse`` and the so3 ``adjoint_matrices``
+take closed-form kernels from one table keyed by group name (``_KERNELS``);
+the other groups' adjoint conjugates and projects.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,7 +44,15 @@ from .errors import (
     NotInAlgebraError,
     UnsupportedGroupError,
 )
-from .linalg import DEFAULT_TOLERANCE, Tolerance, frobenius_dist, frobenius_norm, mat_exp
+from .linalg import (
+    DEFAULT_TOLERANCE,
+    Tolerance,
+    _entries,
+    _orthogonality_defect,
+    _stack,
+    frobenius_norm,
+    mat_exp,
+)
 
 GROUP_NAMES = ("so3", "se2", "se3", "e11", "n3", "sl2r")
 
@@ -282,47 +295,188 @@ def bracket_coords(spec, x, y):
     return np.einsum("kij,...i,...j->...k", c, x, y)
 
 
-def membership_defect(spec, g):
-    """Non-negative structural defect of (batched) candidate group elements.
+# Closed-form group kernels, one table entry per group. Defect and adjoint
+# kernels work on entry rows (row d*i + j holds entry (i, j) of every
+# matrix, as in ``linalg``), so each is a few dozen elementwise operations
+# with no stacked matmul or LU; inverse kernels read and write the stack
+# entry by entry. Either way a matrix's result does not depend on the batch
+# it arrives in.
 
-    Zero for exact members; solvers gate on ``MEMBERSHIP_GATE``.
+# Matrices per entry-row chunk: 4096 4x4 matrices are 512 KB of rows, which
+# stay in cache through a kernel's passes. Whole-batch rows do not: the so3
+# and se3 defects ran 1.3-3x slower on 10^5 matrices, and the copy raised
+# product-so3's peak RSS. Chunks of 8192 were up to 1.25x faster but held
+# more memory than the stacked formulas did (export-sixgroups peak RSS +1%).
+_ROW_CHUNK = 4096
+
+
+def _by_entry_rows(flat, kernel, shape):
+    """``kernel`` (entry rows -> per-matrix results of ``shape``) over a
+    (m, d, d) stack, one cache-sized chunk at a time."""
+    out = np.empty((len(flat),) + shape)
+    for i in range(0, len(flat), _ROW_CHUNK):
+        out[i : i + _ROW_CHUNK] = kernel(_entries(flat[i : i + _ROW_CHUNK]))
+    return out
+
+
+def _cofactor(e, d, i, j):
+    """Signed (i, j) cofactor of the top-left 3x3 block of d x d entry rows."""
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return e[d * i1 + j1] * e[d * i2 + j2] - e[d * i1 + j2] * e[d * i2 + j1]
+
+
+def _rotation_defect(e, d, k):
+    """``||R^T R - I||_F + |det R - 1|`` of the top-left k x k block R (k = 2, 3)."""
+    if k == 2:
+        det = e[0] * e[d + 1] - e[1] * e[d]
+    else:
+        det = e[0] * _cofactor(e, d, 0, 0) + e[1] * _cofactor(e, d, 0, 1)
+        det += e[2] * _cofactor(e, d, 0, 2)
+    return _orthogonality_defect(e, d, k) + np.abs(det - 1.0)
+
+
+def _rigid_defect(e, d):
+    """Rotation block defect plus the distance of the bottom row from e_d."""
+    last = d * (d - 1)
+    bottom = (e[d * d - 1] - 1.0) ** 2
+    for j in range(d - 1):
+        bottom += e[last + j] ** 2
+    return _rotation_defect(e, d, d - 1) + np.sqrt(bottom)
+
+
+def _e11_defect(e):
+    p, q = e[0], e[4]
+    offblock = np.abs(e[1]) + np.abs(e[3])
+    bottom = np.abs(e[6]) + np.abs(e[7]) + np.abs(e[8] - 1.0)
+    positivity = np.maximum(0.0, -p) + np.maximum(0.0, -q)
+    return np.abs(p * q - 1.0) + offblock + bottom + positivity
+
+
+def _n3_defect(e):
+    pattern = np.abs(e[0] - 1.0) + np.abs(e[4] - 1.0) + np.abs(e[8] - 1.0)
+    lower = np.abs(e[3]) + np.abs(e[6]) + np.abs(e[7])
+    return pattern + lower
+
+
+def _sl2r_defect(e):
+    return np.abs(e[0] * e[3] - e[1] * e[2] - 1.0)
+
+
+def _so3_inverse(g):
+    return np.swapaxes(g, -1, -2)
+
+
+def _rigid_inverse(g):
+    """``[[R^T, -R^T t], [0, 1]]``."""
+    k = g.shape[-1] - 1
+    out = np.zeros_like(g)
+    rt = np.swapaxes(g[..., :k, :k], -1, -2)
+    out[..., :k, :k] = rt
+    for i in range(k):
+        moved = rt[..., i, 0] * g[..., 0, k]
+        for j in range(1, k):
+            moved += rt[..., i, j] * g[..., j, k]
+        out[..., i, k] = -moved
+    out[..., k, k] = 1.0
+    return out
+
+
+def _e11_inverse(g):
+    out = np.zeros_like(g)
+    p = g[..., 0, 0]
+    q = g[..., 1, 1]
+    out[..., 0, 0] = 1.0 / p
+    out[..., 1, 1] = 1.0 / q
+    out[..., 0, 2] = -g[..., 0, 2] / p
+    out[..., 1, 2] = -g[..., 1, 2] / q
+    out[..., 2, 2] = 1.0
+    return out
+
+
+def _n3_inverse(g):
+    out = np.zeros_like(g)
+    x, y, z = g[..., 0, 1], g[..., 1, 2], g[..., 0, 2]
+    out[..., 0, 0] = out[..., 1, 1] = out[..., 2, 2] = 1.0
+    out[..., 0, 1] = -x
+    out[..., 1, 2] = -y
+    out[..., 0, 2] = x * y - z
+    return out
+
+
+def _sl2r_inverse(g):
+    """Adjugate over ``ad - bc``."""
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    out = np.empty_like(g)
+    out[..., 0, 0] = g[..., 1, 1] / det
+    out[..., 1, 1] = g[..., 0, 0] / det
+    out[..., 0, 1] = -g[..., 0, 1] / det
+    out[..., 1, 0] = -g[..., 1, 0] / det
+    return out
+
+
+def _so3_adjoint(e):
+    """``Ad(R) = cof(R)``, the cofactor matrix, from entry rows.
+
+    ``R hat(v) R^T = hat(cof(R) v)`` holds for every 3x3 R. The generic
+    path conjugates with the structural inverse ``R^T``, so it computes
+    ``cof(R)`` up to roundoff and its span residual is roundoff: its
+    ClosureError cannot fire on finite so3 input, and skipping the
+    projection drops no check. The membership gate still runs first.
     """
+    cof = np.stack([_cofactor(e, 3, i, j) for i in range(3) for j in range(3)])
+    return _stack(cof, 3)
+
+
+@dataclass(frozen=True)
+class _GroupKernels:
+    """One group's closed forms.
+
+    ``defect``: entry rows (d*d, m) -> (m,); ``inverse``: stack -> stack;
+    ``adjoint``: entry rows of members -> (m, n, n) Ad matrices, or None
+    for the generic conjugate-and-project path with its closure check.
+    """
+
+    defect: Callable
+    inverse: Callable
+    adjoint: Callable | None = None
+
+
+_KERNELS = {
+    "so3": _GroupKernels(partial(_rotation_defect, d=3, k=3), _so3_inverse, _so3_adjoint),
+    "se2": _GroupKernels(partial(_rigid_defect, d=3), _rigid_inverse),
+    "se3": _GroupKernels(partial(_rigid_defect, d=4), _rigid_inverse),
+    "e11": _GroupKernels(_e11_defect, _e11_inverse),
+    "n3": _GroupKernels(_n3_defect, _n3_inverse),
+    "sl2r": _GroupKernels(_sl2r_defect, _sl2r_inverse),
+}
+
+
+def _group_matrices(spec, g):
     g = np.asarray(g, dtype=np.float64)
     d = spec.matrix_dim
     if g.shape[-2:] != (d, d):
         raise DimensionError(f"{spec.name}: expected {d}x{d} matrices, got {g.shape}")
+    return g
 
-    def rot_defect(r):
-        rtr = np.swapaxes(r, -1, -2) @ r
-        return frobenius_dist(rtr, np.eye(r.shape[-1])) + np.abs(
-            np.linalg.det(r) - 1.0
-        )
 
-    if spec.name == "so3":
-        return rot_defect(g)
-    if spec.name == "sl2r":
-        return np.abs(np.linalg.det(g) - 1.0)
-    if spec.name in ("se2", "se3"):
-        k = d - 1
-        bottom = np.zeros(d)
-        bottom[-1] = 1.0
-        return rot_defect(g[..., :k, :k]) + np.sqrt(
-            np.sum((g[..., -1, :] - bottom) ** 2, axis=-1)
-        )
-    if spec.name == "n3":
-        pattern = np.abs(g[..., 0, 0] - 1.0) + np.abs(g[..., 1, 1] - 1.0) + np.abs(
-            g[..., 2, 2] - 1.0
-        )
-        lower = np.abs(g[..., 1, 0]) + np.abs(g[..., 2, 0]) + np.abs(g[..., 2, 1])
-        return pattern + lower
-    if spec.name == "e11":
-        p = g[..., 0, 0]
-        q = g[..., 1, 1]
-        offblock = np.abs(g[..., 0, 1]) + np.abs(g[..., 1, 0])
-        bottom = np.abs(g[..., 2, 0]) + np.abs(g[..., 2, 1]) + np.abs(g[..., 2, 2] - 1.0)
-        positivity = np.maximum(0.0, -p) + np.maximum(0.0, -q)
-        return np.abs(p * q - 1.0) + offblock + bottom + positivity
-    raise UnsupportedGroupError(spec.name)
+def membership_defect(spec, g):
+    """Non-negative structural defect of (batched) candidate group elements.
+
+    Zero for exact members and NaN for matrices with a non-finite entry;
+    solvers gate on ``MEMBERSHIP_GATE`` and reject NaN.
+    """
+    g = _group_matrices(spec, g)
+    d = spec.matrix_dim
+    kernel = _KERNELS[spec.name].defect
+
+    def finite_defect(e):
+        defect = kernel(e)
+        # the kernels skip free entries (translations, the n3 upper triangle)
+        defect[~np.isfinite(e).all(axis=0)] = np.nan
+        return defect
+
+    defect = _by_entry_rows(g.reshape(-1, d, d), finite_defect, ())
+    return defect.reshape(g.shape[:-2])[()]  # a scalar for one matrix
 
 
 def group_inverse(spec, g):
@@ -332,63 +486,28 @@ def group_inverse(spec, g):
     members get exact inverses up to one rounding, which keeps membership
     defects flat along long paths.
     """
-    g = np.asarray(g, dtype=np.float64)
-    d = spec.matrix_dim
-    if g.shape[-2:] != (d, d):
-        raise DimensionError(f"{spec.name}: expected {d}x{d} matrices, got {g.shape}")
-    if spec.name == "so3":
-        return np.swapaxes(g, -1, -2)
-    if spec.name == "sl2r":
-        det = np.linalg.det(g)[..., None, None]
-        adj = np.empty_like(g)
-        adj[..., 0, 0] = g[..., 1, 1]
-        adj[..., 1, 1] = g[..., 0, 0]
-        adj[..., 0, 1] = -g[..., 0, 1]
-        adj[..., 1, 0] = -g[..., 1, 0]
-        return adj / det
-    if spec.name in ("se2", "se3"):
-        k = d - 1
-        rt = np.swapaxes(g[..., :k, :k], -1, -2)
-        out = np.zeros_like(g)
-        out[..., :k, :k] = rt
-        out[..., :k, -1] = -np.einsum("...ij,...j->...i", rt, g[..., :k, -1])
-        out[..., -1, -1] = 1.0
-        return out
-    if spec.name == "e11":
-        out = np.zeros_like(g)
-        p = g[..., 0, 0]
-        q = g[..., 1, 1]
-        out[..., 0, 0] = 1.0 / p
-        out[..., 1, 1] = 1.0 / q
-        out[..., 0, 2] = -g[..., 0, 2] / p
-        out[..., 1, 2] = -g[..., 1, 2] / q
-        out[..., 2, 2] = 1.0
-        return out
-    if spec.name == "n3":
-        out = np.zeros_like(g)
-        x, y, z = g[..., 0, 1], g[..., 1, 2], g[..., 0, 2]
-        out[..., 0, 0] = out[..., 1, 1] = out[..., 2, 2] = 1.0
-        out[..., 0, 1] = -x
-        out[..., 1, 2] = -y
-        out[..., 0, 2] = x * y - z
-        return out
-    raise UnsupportedGroupError(spec.name)
+    return _KERNELS[spec.name].inverse(_group_matrices(spec, g))
 
 
 def adjoint_matrices(spec, g, tol=DEFAULT_TOLERANCE, gate=MEMBERSHIP_GATE):
     """Batched adjoint action as coordinate matrices, shape (..., n, n).
 
     ``out[..., :, j]`` are the basis coordinates of ``g e_j g^-1``. Raises
-    MembershipError for non-members and ClosureError when conjugation
-    leaves the basis span.
+    MembershipError for non-members (NaN included) and ClosureError when
+    conjugation leaves the basis span.
     """
     g = np.asarray(g, dtype=np.float64)
     defect = membership_defect(spec, g)
-    if np.any(defect > gate):
+    if not np.all(defect <= gate):
         raise MembershipError(
             f"{spec.name}: membership defect {float(np.max(defect)):.3e} "
             f"exceeds gate {gate:.1e}"
         )
+    closed = _KERNELS[spec.name].adjoint
+    if closed is not None:
+        d, n = spec.matrix_dim, spec.algebra_dim
+        out = _by_entry_rows(g.reshape(-1, d, d), closed, (n, n))
+        return out.reshape(g.shape[:-2] + (n, n))
     ginv = group_inverse(spec, g)
     conj = np.einsum("...ab,nbc,...cd->...nad", g, spec.basis, ginv)
     try:

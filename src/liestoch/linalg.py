@@ -259,12 +259,25 @@ _BOTTOM4 = np.array([12, 13, 14, 15])
 
 def _entries(flat):
     """(m, n, n) stack -> (n*n, m) entry rows."""
-    return flat.reshape(len(flat), -1).T.copy()
+    return flat.reshape(-1, flat.shape[-1] ** 2).T.copy()
 
 
 def _stack(entries, n):
     """(n*n, m) entry rows -> (m, n, n) stack."""
     return np.ascontiguousarray(entries.T).reshape(-1, n, n)
+
+
+def _orthogonality_defect(e, n=3, k=3):
+    """``||R^T R - I||_F`` of the top-left k x k block R of n x n entry rows."""
+    def gram(i, j):  # (R^T R)_ij: columns i and j dotted
+        out = e[i] * e[j]
+        for r in range(1, k):
+            out += e[n * r + i] * e[n * r + j]
+        return out
+
+    diag = [(gram(i, i) - 1.0) ** 2 for i in range(k)]
+    off = [gram(i, j) ** 2 for i in range(k) for j in range(i + 1, k)]
+    return np.sqrt(sum(diag[1:], diag[0]) + 2.0 * sum(off[1:], off[0]))
 
 
 def _cos_angle(e):
@@ -351,12 +364,7 @@ def _is_rigid_algebra(e):
 
 
 def _is_rotation_below_half_turn(e):
-    def gram(i, j):  # (M^T M)_ij: columns i and j dotted
-        return e[i] * e[j] + e[i + 3] * e[j + 3] + e[i + 6] * e[j + 6]
-
-    defect2 = (gram(0, 0) - 1.0) ** 2 + (gram(1, 1) - 1.0) ** 2 + (gram(2, 2) - 1.0) ** 2
-    defect2 += 2.0 * (gram(0, 1) ** 2 + gram(0, 2) ** 2 + gram(1, 2) ** 2)
-    return (np.sqrt(defect2) <= _ROTATION_LOG_GATE) & (_cos_angle(e) > 0.0)
+    return (_orthogonality_defect(e) <= _ROTATION_LOG_GATE) & (_cos_angle(e) > 0.0)
 
 
 def _by_structure(flat, test, closed_form, generic):

@@ -5,9 +5,11 @@ doubles as the human-readable acceptance report. The same functions back the
 ``liestoch regress`` subcommand.
 """
 
+import dataclasses
+
 import numpy as np
 
-from liestoch import acceptance
+from liestoch import acceptance, groups
 from liestoch.connections import closed_form_u_variants
 
 
@@ -59,6 +61,15 @@ def test_criterion_4_campbell_hausdorff():
     result = _run(acceptance.criterion_campbell)
     assert result.details["exp_identity_mean"][-1] < 0.05
     assert result.seconds < 120.0
+
+
+def test_criterion_4_transposed_so3_adjoint_is_caught(monkeypatch):
+    kernels = groups._KERNELS["so3"]
+    transposed = lambda g: np.swapaxes(kernels.adjoint(g), -1, -2)  # noqa: E731  Ad(R^-1)
+    monkeypatch.setitem(groups._KERNELS, "so3", dataclasses.replace(kernels, adjoint=transposed))
+    result = acceptance.criterion_campbell()
+    print(result.line(), result.details)
+    assert not result.passed
 
 
 def test_criterion_5_martingale_positive_control():

@@ -11,7 +11,7 @@ from liestoch.campbell import (
     product_path,
 )
 from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_for
-from liestoch.errors import GridMismatchError, HypothesisError
+from liestoch.errors import GridMismatchError, HypothesisError, IntegratorDriftError
 from liestoch.explog import strat_exponential
 from liestoch.groups import Ad, AlgebraVector, get_group, random_group_element
 from liestoch.linalg import frobenius_dist
@@ -166,6 +166,15 @@ def test_product_path_membership_for_ensembles():
     from liestoch.groups import membership_defect
 
     assert float(np.max(membership_defect(SO3, prod.values))) < 1e-6
+
+
+def test_product_path_gate_rejects_nan():
+    grid = TimeGrid(1.0, 10)
+    ex = strat_exponential(brownian_ensemble(SO3, grid, 1, 4))
+    values = ex.values.copy()
+    values[2, 5, 1, 1] = np.nan
+    with pytest.raises(IntegratorDriftError):
+        product_path(ex.with_values(values), ex)
 
 
 def test_ch_report_validation():

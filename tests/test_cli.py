@@ -236,9 +236,10 @@ def test_covariance_file_validation(tmp_path):
 
 def _so3_run(command, tmp_path, name, *extra):
     out = tmp_path / name
+    buckets = ("--buckets", "5") if command == "martingale-test" else ()
     code = run_cli(
         command, "--group", "so3", "--connection", "biinvariant", "--dt", "0.01",
-        "--steps", "10", "--replicas", "100", "--buckets", "5", "--seed", "3",
+        "--steps", "10", "--replicas", "100", *buckets, "--seed", "3",
         "--out", str(out), *extra,
     )
     return code, out
@@ -299,7 +300,7 @@ def test_campbell_refuses_driver_and_scheme_flags(extra, tmp_path):
 
 @pytest.mark.parametrize("extra", [
     ("--rule", "ito", "--buckets", "3", "--dts", "1", "--format", "json"),
-    ("--rule", "ito"), ("--dts", "1"), ("--format", "json"),
+    ("--rule", "ito"), ("--buckets", "3"), ("--dts", "1"), ("--format", "json"),
 ])
 def test_exp_refuses_flags_it_does_not_read(extra, tmp_path):
     out = tmp_path / "x.csv"

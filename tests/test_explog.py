@@ -184,6 +184,15 @@ def test_translate_initial_rejects_non_member():
         translate_initial(2.0 * np.eye(4), x)
 
 
+def test_translate_initial_rejects_nan():
+    grid = TimeGrid(1.0, 4)
+    x = strat_exponential(brownian_driver(SE3, grid, seed=2))
+    xi = np.eye(4)
+    xi[0, 3] = np.nan  # a translation: the defect formula does not read it
+    with pytest.raises(MembershipError):
+        translate_initial(xi, x)
+
+
 def test_algebra_connection_validation_and_custom_gamma():
     with pytest.raises(ValueError):
         gamma = np.zeros((3, 3, 3))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liestoch.errors import (
+    ClosureError,
     DimensionError,
     GroupMismatchError,
     MembershipError,
@@ -12,6 +13,7 @@ from liestoch.errors import (
 )
 from liestoch.groups import (
     GROUP_NAMES,
+    MEMBERSHIP_GATE,
     Ad,
     AlgebraVector,
     adjoint_matrices,
@@ -27,9 +29,11 @@ from liestoch.groups import (
     to_matrix,
     to_matrix_coords,
 )
-from liestoch.linalg import mat_exp
+from liestoch.linalg import frobenius_dist, mat_exp
+from test_linalg import assert_split_invariant
 
 RNG = np.random.default_rng(42)
+KERNEL_RNG = np.random.default_rng(20261019)  # kernel-table cases; leaves RNG's stream alone
 
 
 def test_group_lookup_case_insensitive_and_unknown():
@@ -235,3 +239,133 @@ def test_bracket_bilinearity(seed, name):
     left = bracket_coords(spec, s * a + b, c)
     right = s * bracket_coords(spec, a, c) + bracket_coords(spec, b, c)
     assert np.max(np.abs(left - right)) < 1e-12
+
+
+# Oracles for the closed-form group kernels: the stacked formulas they
+# replaced (``R^T R`` by matmul, ``det`` by LU, conjugate and project).
+
+
+def _stacked_defect(spec, g):
+    def rot_defect(r):
+        rtr = np.swapaxes(r, -1, -2) @ r
+        return frobenius_dist(rtr, np.eye(r.shape[-1])) + np.abs(np.linalg.det(r) - 1.0)
+
+    d = spec.matrix_dim
+    if spec.name == "so3":
+        return rot_defect(g)
+    if spec.name == "sl2r":
+        return np.abs(np.linalg.det(g) - 1.0)
+    if spec.name in ("se2", "se3"):
+        bottom = np.zeros(d)
+        bottom[-1] = 1.0
+        return rot_defect(g[..., :-1, :-1]) + np.sqrt(
+            np.sum((g[..., -1, :] - bottom) ** 2, axis=-1)
+        )
+    if spec.name == "n3":
+        pattern = np.abs(g[..., 0, 0] - 1.0) + np.abs(g[..., 1, 1] - 1.0) + np.abs(
+            g[..., 2, 2] - 1.0
+        )
+        lower = np.abs(g[..., 1, 0]) + np.abs(g[..., 2, 0]) + np.abs(g[..., 2, 1])
+        return pattern + lower
+    p, q = g[..., 0, 0], g[..., 1, 1]  # e11
+    offblock = np.abs(g[..., 0, 1]) + np.abs(g[..., 1, 0])
+    bottom = np.abs(g[..., 2, 0]) + np.abs(g[..., 2, 1]) + np.abs(g[..., 2, 2] - 1.0)
+    positivity = np.maximum(0.0, -p) + np.maximum(0.0, -q)
+    return np.abs(p * q - 1.0) + offblock + bottom + positivity
+
+
+def _conjugate_and_project(spec, g):
+    conj = np.einsum("...ab,nbc,...cd->...nad", g, spec.basis, group_inverse(spec, g))
+    return np.swapaxes(from_matrix_coords(spec, conj), -1, -2)
+
+
+def _members(spec, rng, count):
+    """exp of algebra elements with coordinate norms spread over (0, 1]."""
+    coords = rng.standard_normal((count, spec.algebra_dim))
+    coords *= rng.uniform(1e-6, 1.0, (count, 1)) / np.linalg.norm(coords, axis=1, keepdims=True)
+    return mat_exp(to_matrix_coords(spec, coords))
+
+
+def _one_at_a_time(kernel):
+    return lambda batch: np.stack([kernel(m) for m in batch])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(GROUP_NAMES),
+       st.sampled_from((0.0, 1e-9, 1e-6, 1e-3)))
+def test_membership_defect_matches_stacked_oracle(seed, name, scale):
+    rng = np.random.default_rng(seed)
+    spec = get_group(name)
+    g = _members(spec, rng, 16)
+    g = g + scale * rng.standard_normal(g.shape)
+    assert np.max(np.abs(membership_defect(spec, g) - _stacked_defect(spec, g))) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0.0, 1e-9, 1e-8, 1e-7)))
+def test_so3_adjoint_matches_conjugate_and_project(seed, scale):
+    rng = np.random.default_rng(seed)
+    spec = get_group("so3")
+    g = _members(spec, rng, 32)
+    g = g + scale * rng.standard_normal(g.shape)
+    g = g[membership_defect(spec, g) <= MEMBERSHIP_GATE]  # up to the gate
+    assert len(g) > 0
+    assert np.max(np.abs(adjoint_matrices(spec, g) - _conjugate_and_project(spec, g))) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(GROUP_NAMES))
+def test_group_inverse_is_a_left_inverse(seed, name):
+    spec = get_group(name)
+    g = _members(spec, np.random.default_rng(seed), 16)
+    assert np.max(np.abs(group_inverse(spec, g) @ g - spec.identity)) < 1e-12
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_group_kernels_split_invariant(name):
+    spec = get_group(name)
+    members = _members(spec, KERNEL_RNG, 9)
+    perturbed = members + 1e-3 * KERNEL_RNG.standard_normal(members.shape)
+    for kernel in (lambda g: membership_defect(spec, g), lambda g: group_inverse(spec, g)):
+        assert_split_invariant(kernel, _one_at_a_time(kernel), members, perturbed, KERNEL_RNG)
+
+
+def test_so3_adjoint_split_invariant():
+    spec = get_group("so3")
+    members = _members(spec, KERNEL_RNG, 9)
+    near = members + 1e-8 * KERNEL_RNG.standard_normal(members.shape)
+    near = near[membership_defect(spec, near) <= MEMBERSHIP_GATE]
+    adjoint = lambda g: adjoint_matrices(spec, g)  # noqa: E731
+    assert_split_invariant(adjoint, _one_at_a_time(adjoint), members, near, KERNEL_RNG)
+
+
+def test_generic_adjoint_keeps_its_closure_check():
+    # an se2 matrix within the membership gate whose conjugates leave the span
+    spec = get_group("se2")
+    g = spec.identity
+    g[2, 0] = 1e-7
+    assert membership_defect(spec, g) <= MEMBERSHIP_GATE
+    with pytest.raises(ClosureError):
+        adjoint_matrices(spec, g)
+
+
+@pytest.mark.parametrize("name, entry", [("so3", None), ("se3", (0, 3)), ("n3", (0, 2))])
+def test_adjoint_rejects_non_finite_input(name, entry):
+    spec = get_group(name)
+    g = np.full((spec.matrix_dim,) * 2, np.nan)
+    if entry is not None:  # NaN only in an entry the defect formula does not read
+        g = spec.identity
+        g[entry] = np.nan
+    with pytest.raises(MembershipError):
+        adjoint_matrices(spec, g)
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_group_kernels_accept_an_empty_batch(name):
+    spec = get_group(name)
+    d, n = spec.matrix_dim, spec.algebra_dim
+    empty = np.zeros((0, d, d))
+    assert membership_defect(spec, empty).shape == (0,)
+    assert group_inverse(spec, empty).shape == (0, d, d)
+    assert adjoint_matrices(spec, empty).shape == (0, n, n)
+    assert mat_exp(to_matrix_coords(spec, np.zeros((0, n)))).shape == (0, d, d)

@@ -85,11 +85,11 @@ def test_exp_batch_composition_does_not_change_results():
         assert_split_invariant(mat_exp, _taylor_exp, closed, generic)
 
 
-def assert_split_invariant(kernel, oracle, closed, generic):
+def assert_split_invariant(kernel, oracle, closed, generic, rng=CLOSED_RNG):
     """``kernel`` on a shuffled mix equals ``kernel`` on each part, bit for bit."""
     batch = np.concatenate([closed, generic])
     is_closed = np.arange(len(batch)) < len(closed)
-    order = CLOSED_RNG.permutation(len(batch))
+    order = rng.permutation(len(batch))
     batch, is_closed = batch[order], is_closed[order]
     out = kernel(batch)
     assert np.array_equal(out[is_closed], kernel(batch[is_closed]))

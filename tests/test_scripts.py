@@ -1,12 +1,14 @@
 """Smoke test: the study scripts run end to end at tiny shapes."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,3 +54,107 @@ def test_martingale_controls_exit_1_on_a_wrong_verdict(monkeypatch, capsys):
                                       "--steps", "20"])
     assert script.main() == 1
     assert "PASSED (unexpected!)" in capsys.readouterr().out
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def _bench_run(pair, side, wall, rss, failed=0):
+    result = {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": {
+        "wall_s": {"value": wall, "unit": "s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+    }}
+    return {"workload": "w", "pair": pair, "seed": 100 + pair, "side": side,
+            "exit": 0, "result": result, "info": {}}
+
+
+def test_bench_pairs_summary_on_canned_lines():
+    bench = _load_script("bench_pairs")
+    spec = {"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]}
+    walls = [(1.0, 0.5), (1.2, 0.6), (0.8, 0.9), (1.1, 1.1)]  # (parent, change)
+    runs = []
+    for pair, (parent, change) in enumerate(walls):
+        runs.append(_bench_run(pair, "parent", parent, 100.0))
+        runs.append(_bench_run(pair, "change", change, 100.0 + 20.0 * pair, failed=pair // 3))
+    runs.append(dict(_bench_run(4, "parent", 0.1, 1.0), result=None, exit=1))
+    runs.append(_bench_run(4, "change", 0.1, 1.0))  # its parent failed: not a pair
+
+    summary = bench.summarize(runs, spec)["w"]
+    assert summary["pairs"] == 4
+    assert summary["failed"] == {"parent": [0, 0, 0, 0, None], "change": [0, 0, 0, 1, 0]}
+    wall = summary["metrics"]["wall_s"]
+    assert wall["parent"]["median"] == 1.05 and wall["change"]["median"] == 0.75
+    assert np.isclose(wall["parent"]["q1"], 0.95) and np.isclose(wall["parent"]["q3"], 1.125)
+    assert np.isclose(wall["parent"]["iqr"], 0.175)
+    assert wall["change_wins"] == 2  # pair 2 lost, pair 3 tied
+    assert np.isclose(wall["median_change_rel"], 0.75 / 1.05 - 1.0)
+    assert wall["within_bound"] and wall["gain_beyond_parent_iqr"]
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert rss["change_wins"] == 0 and np.isclose(rss["median_change_rel"], 0.3)
+    assert not rss["within_bound"] and not rss["gain_beyond_parent_iqr"]
+
+
+def _bench_repo(tmp_path, monkeypatch):
+    """A one-commit repository with a benchmark/ directory and BENCHMARK.json,
+    installed as the root that bench_pairs compares against."""
+    repo = tmp_path / "repo"
+    (repo / "benchmark").mkdir(parents=True)
+    (repo / "benchmark" / "run.py").write_text("")
+    spec = {"run_seconds": 7, "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run([*git, *args], cwd=repo, check=True, capture_output=True)
+    bench = _load_script("bench_pairs")
+    monkeypatch.setattr(bench, "ROOT", repo)
+    return bench, repo
+
+
+def test_bench_pairs_refuses_changed_benchmark_files(tmp_path, monkeypatch):
+    bench, repo = _bench_repo(tmp_path, monkeypatch)
+    monkeypatch.setattr(bench, "run_side", lambda *a: pytest.fail("ran a benchmark"))
+    out = tmp_path / "BENCH.json"
+    argv = ["--workload", "w", "--pairs", "1", "--seed", "1", "--out", str(out)]
+    (repo / "benchmark" / "extra.py").write_text("")  # untracked
+    assert bench.main(argv) == 2
+    (repo / "benchmark" / "extra.py").unlink()
+    (repo / "BENCHMARK.json").write_text("{}")  # tracked, modified
+    assert bench.main(argv) == 2
+    assert not out.exists()
+
+
+def test_bench_pairs_appends_at_the_benchmark_run_length(tmp_path, monkeypatch):
+    bench, repo = _bench_repo(tmp_path, monkeypatch)
+    calls = []
+
+    def run_side(tree, workload, seed, seconds):
+        calls.append((Path(tree) == repo, seed, seconds))
+        run = _bench_run(0, "parent", 1.0 if Path(tree) == repo else 2.0, 1.0)
+        return 0, {}, run["result"]
+
+    monkeypatch.setattr(bench, "run_side", run_side)
+    out = tmp_path / "BENCH.json"
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    out.write_text(json.dumps({"parent": "0" * 40, "runs": []}))
+    argv = ["--workload", "w", "--pairs", "2", "--seed", "10", "--out", str(out)]
+    assert bench.main(argv) == 2  # runs against another parent
+
+    out.write_text(json.dumps({"note": "kept", "parent": sha, "runs": []}))
+    assert bench.main(argv) == 0
+    assert bench.main([*argv[:-3], "20", "--out", str(out)]) == 0
+    assert calls == [(False, 10, 7), (True, 10, 7), (True, 11, 7), (False, 11, 7),
+                     (False, 20, 7), (True, 20, 7), (True, 21, 7), (False, 21, 7)]
+    record = json.loads(out.read_text())
+    assert record["note"] == "kept" and record["parent"] == sha
+    assert [r["pair"] for r in record["runs"]] == [0, 0, 1, 1, 2, 2, 3, 3]
+    wall = record["summary"]["w"]["metrics"]["wall_s"]
+    assert record["summary"]["w"]["pairs"] == 4 and wall["change_wins"] == 4
