@@ -22,6 +22,7 @@ from .connections import (
     alpha_levi_civita,
     closed_form_u_variants,
     metric_for,
+    regress_closed_forms,
     u_from_metric,
 )
 from .groups import GROUP_NAMES, get_group
@@ -74,21 +75,12 @@ def criterion_u_regression(closed_form_provider=closed_form_u_variants) -> Crite
     """U tables: metric solve agrees with the cross-product form on se3 for
     every lambda in {0.5, 1, 2}; the known n3 and e11 conflicts are flagged
     in the report rather than hidden."""
-    lam_grid = (0.5, 1.0, 2.0)
-    rows = []
-    for name in ("se3", "se2", "e11", "n3", "sl2r"):
-        for lam in lam_grid:
-            oracle = u_from_metric(metric_for(name, lam)).coeffs
-            for label, conn in closed_form_provider(name, lam).items():
-                diff = float(np.max(np.abs(conn.coeffs - oracle)))
-                rows.append((name, lam, label, diff))
-    se3_max = max(d for g, _, _, d in rows if g == "se3")
-    flagged = {(g, v) for g, _, v, d in rows if d > 1e-10}
+    report = regress_closed_forms(closed_form_provider=closed_form_provider)
+    se3_max = report.max_diff("se3")
+    flagged = {(r.group, r.variant) for r in report.flagged_rows}
     n3_flagged = any(g == "n3" for g, _ in flagged)
     e11_flagged = ("e11", "euclidean-norm-reading") in flagged
-    e11_literal_clean = all(
-        d <= 1e-10 for g, _, v, d in rows if (g, v) == ("e11", "pseudo-norm-as-printed")
-    )
+    e11_literal_clean = report.max_diff("e11", variant="pseudo-norm-as-printed") <= report.tol
     passed = se3_max < 1e-10 and n3_flagged and e11_flagged
     return CriterionResult(
         name="u-oracle regression (se3 agreement, n3/e11 flags)",

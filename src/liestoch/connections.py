@@ -276,20 +276,22 @@ class RegressionReport:
         return max(sel) if sel else None
 
 
-def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0), groups_=None, tol=REGRESSION_TOL):
+def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0), groups_=None, tol=REGRESSION_TOL,
+                         closed_form_provider=closed_form_u_variants):
     """Compare every closed-form U variant against the metric solve.
 
     Disagreements are reported as data (flagged rows), never patched: the
     point of the report is to make the known sign and lambda-placement
     conflicts between the printed displays visible next to the
-    authoritative solve.
+    authoritative solve. ``closed_form_provider(name, lam)`` returns the
+    variants by label.
     """
     names = list(groups_) if groups_ is not None else ["se3", "se2", "e11", "n3", "sl2r"]
     rows = []
     for name in names:
         for lam in lam_grid:
             oracle = u_from_metric(metric_for(name, lam)).coeffs
-            for label, conn in closed_form_u_variants(name, lam).items():
+            for label, conn in closed_form_provider(name, lam).items():
                 diff = np.abs(conn.coeffs - oracle)
                 worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
                 rows.append(

@@ -225,7 +225,7 @@ def from_matrix_coords(spec, mats, tol=DEFAULT_TOLERANCE):
     recon = np.einsum("...n,np->...p", coords, spec.basis.reshape(spec.algebra_dim, d * d))
     residual = np.sqrt(np.einsum("...p,...p->...", vec - recon, vec - recon))
     bound = tol.bound(frobenius_norm(mats))
-    if np.any(residual > bound):
+    if not np.all(residual <= bound):  # NaN fails closed
         raise NotInAlgebraError(
             f"{spec.name}: matrix outside the algebra span "
             f"(residual {float(np.max(residual)):.3e})"

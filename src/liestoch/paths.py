@@ -18,7 +18,6 @@ bit-for-bit under any execution order or worker split.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import erf, sqrt
 
@@ -371,16 +370,21 @@ def null_qv_check(p, q, significance=0.99) -> NullQVResult:
 
 
 def _dump_rows(fh, grid, header, stacked, first_replica):
-    """stacked: (replicas, steps+1, m) flattened component values."""
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    times = grid.times()
+    """stacked: (replicas, steps+1, m) flattened component values.
+
+    Writes what ``csv.writer`` would, byte for byte: CRLF line ends, no
+    quoting (no field holds a comma, quote or line break) and every float
+    as its shortest round-trip ``repr``. One write per replica keeps memory
+    at one replica's text.
+    """
+    fh.write(",".join(header) + "\r\n")
+    prefixes = [f"{k},{t!r}," for k, t in enumerate(grid.times().tolist())]
     for r in range(stacked.shape[0]):
-        for k in range(stacked.shape[1]):
-            writer.writerow(
-                [first_replica + r, k, repr(float(times[k]))]
-                + [repr(float(x)) for x in stacked[r, k]]
-            )
+        rid = f"{first_replica + r},"
+        fh.write("".join(
+            rid + prefix + ",".join(map(repr, row)) + "\r\n"
+            for prefix, row in zip(prefixes, stacked[r].tolist())
+        ))
 
 
 def dump_algebra_csv(target, fh, replica=0):

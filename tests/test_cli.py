@@ -6,6 +6,7 @@ import pytest
 
 from liestoch.cli import (
     EXIT_NUMERICAL,
+    EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
     ExperimentConfig,
@@ -193,6 +194,18 @@ def test_exit_codes(tmp_path):
         "--out", str(tmp_path / "y.json"),
     )
     assert code == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("command", ["exp", "log"])
+@pytest.mark.parametrize("dt, expected", [("4", EXIT_NUMERICAL), ("1", EXIT_OK)])
+def test_large_dt_is_a_numerical_failure(command, dt, expected, tmp_path):
+    # sl2r Levi-Civita steps of size 4 drift off the group
+    code = run_cli(
+        command, "--group", "sl2r", "--connection", "levicivita", "--lambda", "1",
+        "--dt", dt, "--steps", "5", "--replicas", "4", "--seed", "1",
+        "--out", str(tmp_path / "out.csv"),
+    )
+    assert code == expected
 
 
 def test_missing_output_directory_is_usage_error(tmp_path):

@@ -146,6 +146,13 @@ def test_from_matrix_rejects_off_span():
         from_matrix_coords(spec, mat)
 
 
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_from_matrix_rejects_nan(name):
+    spec = get_group(name)
+    with pytest.raises(NotInAlgebraError):
+        from_matrix_coords(spec, np.full((spec.matrix_dim,) * 2, np.nan))
+
+
 def test_membership_defects():
     for name in GROUP_NAMES:
         spec = get_group(name)

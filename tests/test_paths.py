@@ -1,14 +1,17 @@
+import csv
 import io
 
 import numpy as np
 import pytest
 
 from liestoch.errors import GridMismatchError, MetricError
-from liestoch.groups import get_group
+from liestoch.explog import strat_exponential
+from liestoch.groups import GROUP_NAMES, get_group
 from liestoch.paths import (
     AlgebraPath,
     Ensemble,
     TimeGrid,
+    as_ensemble,
     brownian_driver,
     brownian_ensemble,
     coordinate_series,
@@ -234,6 +237,70 @@ def test_csv_dumps():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].startswith("replica,k,t,m11,m12")
     assert len(lines) == 1 + 2 * 4
+
+
+def _csv_writer_dump(fh, grid, header, stacked, first_replica):
+    """The former csv.writer row-by-row dump, kept as the byte oracle."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    times = grid.times()
+    for r in range(stacked.shape[0]):
+        for k in range(stacked.shape[1]):
+            writer.writerow(
+                [first_replica + r, k, repr(float(times[k]))]
+                + [repr(float(x)) for x in stacked[r, k]]
+            )
+
+
+def _oracle_bytes(target, replica=0):
+    stacked = as_ensemble(target).values
+    reps, points = stacked.shape[:2]
+    if stacked.ndim == 4:
+        d = stacked.shape[-1]
+        header = ["replica", "k", "t"] + [f"m{i+1}{j+1}" for i in range(d) for j in range(d)]
+    else:
+        header = ["replica", "k", "t"] + [f"c{i+1}" for i in range(stacked.shape[-1])]
+    buf = io.StringIO()
+    _csv_writer_dump(buf, target.grid, header, stacked.reshape(reps, points, -1), replica)
+    return buf.getvalue()
+
+
+def _dump_bytes(dump, target, replica=0):
+    buf = io.StringIO()
+    dump(target, buf, replica=replica)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_group_csv_matches_csv_writer_bytes(name):
+    grid = TimeGrid(0.7, 25)
+    gx = strat_exponential(brownian_ensemble(get_group(name), grid, 11, 3))
+    assert _dump_bytes(dump_group_csv, gx) == _oracle_bytes(gx)
+    assert _dump_bytes(dump_group_csv, gx, replica=5) == _oracle_bytes(gx, replica=5)
+    one = gx.path(2)
+    assert _dump_bytes(dump_group_csv, one) == _oracle_bytes(one)
+    assert _dump_bytes(dump_group_csv, one, replica=2) == _oracle_bytes(one, replica=2)
+
+
+def test_algebra_csv_matches_csv_writer_bytes():
+    grid = TimeGrid(3.0, 40)
+    ens = brownian_ensemble(get_group("se3"), grid, 12, 4)
+    assert _dump_bytes(dump_algebra_csv, ens) == _oracle_bytes(ens)
+    assert _dump_bytes(dump_algebra_csv, ens, replica=7) == _oracle_bytes(ens, replica=7)
+    one = brownian_driver(SO3, grid, seed=4, replica=3)
+    assert _dump_bytes(dump_algebra_csv, one, replica=3) == _oracle_bytes(one, replica=3)
+
+
+def test_csv_float_edge_cases_match_csv_writer_bytes():
+    specials = [0.0, -0.0, 5e-324, 1e-05, 9.999e-05, 1e16, 123456789.0, 1 / 3]
+    # every value and its negative, in both replicas, on a grid with
+    # non-terminating times
+    values = np.resize(np.array(specials + [-x for x in specials]), (2, 8, 3))
+    ens = Ensemble(SO3, TimeGrid(1 / 3, 7), 0, values)
+    text = _dump_bytes(dump_algebra_csv, ens)
+    assert text == _oracle_bytes(ens)
+    for token in ("-0.0", "5e-324", "1e-05", "9.999e-05", "1e+16", "123456789.0"):
+        assert token in text
 
 
 def test_ensemble_validation():
