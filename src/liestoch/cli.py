@@ -17,7 +17,8 @@ identical CSV output no matter how many workers are used: replicas own
 independent, index-derived random streams and are reassembled in order.
 
 Each subcommand accepts only the flags it reads and exits 2 on any other.
-Config files are flat ``key=value`` lines (``#`` comments allowed);
+Config files are flat ``key=value`` lines (``#`` comments allowed) and may
+set only ``command`` and the keys of the command's own flags;
 command-line flags override file values. Exit codes: 0 success, 1 failed
 verification, 2 usage error, 3 violated precondition/hypothesis,
 4 numerical failure.
@@ -26,11 +27,10 @@ verification, 2 usage error, 3 violated precondition/hypothesis,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .paths import (
     dump_algebra_csv,
     dump_group_csv,
     normal_quantile,
+    write_table,
 )
 
 SCHEMA_VERSION = 1
@@ -95,6 +96,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_kv(cls, text, command=None):
+        """Parse a config file; with ``command`` given, a key that command
+        does not read (other than ``command``) is a usage error."""
         data = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -104,7 +107,12 @@ class ExperimentConfig:
                 raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             data[key] = value
-        return cls._coerce(data, command)
+        config = cls._coerce(data, command)
+        if command:
+            unread = [key for key in data if key not in ("command",) + _COMMANDS[command][1]]
+            if unread:
+                raise UsageError(f"{command} does not read config key {unread[0]!r}")
+        return config
 
     @classmethod
     def _coerce(cls, data, command=None):
@@ -286,22 +294,12 @@ def _cmd_log(config):
     return EXIT_OK
 
 
-def _roundtrip_errors(config, spec, alpha):
-    ensemble = _build_ensemble(config, spec)
-    solved = explog.ito_exponential(ensemble, alpha)
-    back = explog.ito_logarithm(solved, alpha)
-    return np.linalg.norm(back.values[:, -1] - ensemble.values[:, -1], axis=-1)
-
-
 def _cmd_roundtrip(config):
     spec, alpha = _connection(config)
-    err = _roundtrip_errors(config, spec, alpha)
+    err = explog.roundtrip_errors(_build_ensemble(config, spec), alpha)
     with _open_out(config) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "terminal_error"])
-        for r, value in enumerate(err):
-            writer.writerow([r, repr(float(value))])
-        writer.writerow(["mean", repr(float(np.mean(err)))])
+        write_table(fh, ["replica", "terminal_error"],
+                    [*enumerate(err), ("mean", np.mean(err))])
     _write_manifest(config.out, config)
     return EXIT_OK
 
@@ -311,14 +309,11 @@ def _cmd_convergence(config):
     rows = []
     for dt in config.dt_ladder():
         steps = max(1, int(round(config.dt * config.steps / dt)))
-        sub = ExperimentConfig(**{**asdict(config), "dt": dt, "steps": steps})
-        err = _roundtrip_errors(sub, spec, alpha)
-        rows.append((dt, float(np.mean(err)), float(np.std(err, ddof=1) / np.sqrt(len(err)))))
+        sub = replace(config, dt=dt, steps=steps)
+        err = explog.roundtrip_errors(_build_ensemble(sub, spec), alpha)
+        rows.append((dt, np.mean(err), np.std(err, ddof=1) / np.sqrt(len(err))))
     with _open_out(config) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dt", "mean_terminal_error", "stderr"])
-        for dt, mean, se in rows:
-            writer.writerow([repr(float(dt)), repr(mean), repr(se)])
+        write_table(fh, ["dt", "mean_terminal_error", "stderr"], rows)
     _write_manifest(config.out, config)
     return EXIT_OK
 
@@ -348,15 +343,11 @@ def _cmd_campbell(config):
             )
             fh.write("\n")
         else:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "rule", "dt", "mean_terminal", "max_terminal", "stderr"])
-            for rep in reports:
-                for i, dt in enumerate(rep.dt_ladder):
-                    writer.writerow([
-                        rep.kind, rep.rule, repr(dt),
-                        repr(rep.mean_terminal[i]), repr(rep.max_terminal[i]),
-                        repr(rep.stderr_terminal[i]),
-                    ])
+            write_table(
+                fh, ["kind", "rule", "dt", "mean_terminal", "max_terminal", "stderr"],
+                [(rep.kind, rep.rule, *row) for rep in reports for row in zip(
+                    rep.dt_ladder, rep.mean_terminal, rep.max_terminal, rep.stderr_terminal)],
+            )
     _write_manifest(config.out, config)
     return EXIT_OK
 
@@ -385,14 +376,10 @@ def _cmd_martingale_test(config):
         fh.write("\n")
     zpath = config.out + ".zscores.csv"
     with open(zpath, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bucket", "component", "mean", "stderr", "z"])
-        for b in range(report.buckets):
-            for c in range(report.z.shape[1]):
-                writer.writerow([
-                    b, c, repr(float(report.mean[b, c])),
-                    repr(float(report.stderr[b, c])), repr(float(report.z[b, c])),
-                ])
+        write_table(fh, ["bucket", "component", "mean", "stderr", "z"], [
+            (b, c, report.mean[b, c], report.stderr[b, c], report.z[b, c])
+            for b, c in np.ndindex(report.z.shape)
+        ])
     _write_manifest(config.out, config)
     print(f"verdict: {'pass' if report.passed else 'fail'} "
           f"(max |z| = {report.max_abs_z:.2f})")
@@ -403,16 +390,14 @@ def _cmd_u_table(config):
     spec = get_group(config.group)
     u = u_from_metric(metric_for(spec, config.lam)).coeffs
     n = spec.algebra_dim
-    rows = [["i", "j"] + [f"c{k+1}" for k in range(n)]]
-    for i in range(n):
-        for j in range(n):
-            rows.append([i + 1, j + 1] + [repr(float(u[k, i, j])) for k in range(n)])
+    header = ["i", "j"] + [f"c{k+1}" for k in range(n)]
+    rows = [(i + 1, j + 1, *u[:, i, j]) for i in range(n) for j in range(n)]
     if config.out:
         with _open_out(config) as fh:
-            csv.writer(fh).writerows(rows)
+            write_table(fh, header, rows)
         _write_manifest(config.out, config)
     else:
-        csv.writer(sys.stdout).writerows(rows)
+        write_table(sys.stdout, header, rows)
     return EXIT_OK
 
 

@@ -273,7 +273,7 @@ class RegressionReport:
             and (lam is None or r.lam == lam)
             and (variant is None or r.variant == variant)
         ]
-        return max(sel) if sel else None
+        return float(np.max(sel)) if sel else None  # NaN if any row is NaN
 
 
 def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0), groups_=None, tol=REGRESSION_TOL,
@@ -301,7 +301,7 @@ def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0), groups_=None, tol=REGRESSION_
                         variant=label,
                         max_abs_diff=float(diff[worst]),
                         worst_entry=tuple(int(w) for w in worst),
-                        flagged=bool(diff[worst] > tol),
+                        flagged=not diff[worst] <= tol,  # NaN is flagged
                     )
                 )
     return RegressionReport(rows=rows, tol=tol)

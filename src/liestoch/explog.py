@@ -181,6 +181,14 @@ def ito_logarithm(x, alpha: ConnectionFunction, algebra_connection=None):
     return like(x, ens.with_values(_cumulative(corrected)))
 
 
+def roundtrip_errors(m, alpha: ConnectionFunction):
+    """Terminal round-trip error ``|log(exp(M)) - M|`` of the Ito pair, one
+    per replica (a number for a single path)."""
+    ens = as_ensemble(m, group_valued=False)
+    back = ito_logarithm(ito_exponential(ens, alpha), alpha)
+    return like(m, np.linalg.norm(back.values[:, -1] - ens.values[:, -1], axis=-1))
+
+
 def translate_initial(xi, x):
     """Left-translate a group path (or ensemble) by a fixed group element.
 

@@ -369,15 +369,29 @@ def null_qv_check(p, q, significance=0.99) -> NullQVResult:
     )
 
 
+def _field(x):
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+
+def write_table(fh, header, rows):
+    """Write a CSV table in the one byte format of every liestoch output.
+
+    That is what ``csv.writer`` writes by default, byte for byte: CRLF line
+    ends and no quoting (no field holds a comma, quote or line break). A
+    float, numpy's included, is written as its shortest round-trip ``repr``
+    and anything else as ``str``.
+    """
+    fh.write("".join(",".join(map(_field, row)) + "\r\n" for row in [header, *rows]))
+
+
 def _dump_rows(fh, grid, header, stacked, first_replica):
     """stacked: (replicas, steps+1, m) flattened component values.
 
-    Writes what ``csv.writer`` would, byte for byte: CRLF line ends, no
-    quoting (no field holds a comma, quote or line break) and every float
-    as its shortest round-trip ``repr``. One write per replica keeps memory
-    at one replica's text.
+    The body is ``write_table``'s format written in bulk, every float
+    already a Python float. One write per replica keeps memory at one
+    replica's text.
     """
-    fh.write(",".join(header) + "\r\n")
+    write_table(fh, header, [])
     prefixes = [f"{k},{t!r}," for k, t in enumerate(grid.times().tolist())]
     for r in range(stacked.shape[0]):
         rid = f"{first_replica + r},"

@@ -102,6 +102,37 @@ def test_convergence_command(tmp_path):
     assert float(rows[0]["mean_terminal_error"]) > float(rows[1]["mean_terminal_error"])
 
 
+def test_convergence_ladder_has_one_row_per_rung(tmp_path):
+    # the se3 Levi-Civita round-trip ladder of the former convergence study
+    out = tmp_path / "conv.csv"
+    assert run_cli("convergence", "--dts", "0.04,0.02", "--replicas", "8",
+                   "--seed", "20260810", "--out", str(out)) == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["dt", "mean_terminal_error", "stderr"]
+    assert [r[0] for r in rows[1:]] == ["0.04", "0.02"]
+    assert all(float(v) > 0 for r in rows[1:] for v in r[1:])
+
+
+def test_campbell_csv_ladders_by_rule(tmp_path):
+    # the so3 bi-invariant Campbell table of the former convergence study:
+    # one run per reading of the adjoint-weighted integral
+    means = {}
+    for rule in ("ito", "midpoint"):
+        out = tmp_path / f"ch_{rule}.csv"
+        assert run_cli("campbell", "--group", "so3", "--connection", "biinvariant",
+                       "--dts", "0.04,0.02", "--replicas", "8", "--seed", "20260810",
+                       "--format", "csv", "--rule", rule, "--out", str(out)) == 0
+        rows = list(csv.DictReader(out.open()))
+        exp_rows = [r for r in rows if r["kind"] == "exponential-identity"]
+        log_rows = [r for r in rows if r["kind"] == "logarithm-identity"]
+        assert len(rows) == 4 and len(exp_rows) == len(log_rows) == 2
+        assert {r["rule"] for r in exp_rows} == {rule}
+        assert [r["dt"] for r in exp_rows] == ["0.04", "0.02"]
+        means[rule] = [float(r["mean_terminal"]) for r in exp_rows]
+    # same driver paths: the midpoint reading leaves the smaller residual
+    assert all(m < i for m, i in zip(means["midpoint"], means["ito"]))
+
+
 def test_campbell_command_csv(tmp_path):
     out = tmp_path / "ch.csv"
     code = run_cli(
@@ -329,4 +360,17 @@ def test_ito_only_commands_refuse_scheme(command, tmp_path):
     assert _refused(command, "--group", "so3", "--connection", "biinvariant",
                     "--dt", "0.01", "--steps", "10", "--replicas", "4", "--seed", "0",
                     "--out", str(out), "--scheme", "strat")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("exp", "buckets", "3"), ("campbell", "driver", "drift"), ("u-table", "replicas", "9"),
+])
+def test_config_file_refuses_keys_the_command_does_not_read(command, key, value,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command={command}\ngroup=so3\n{key}={value}\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+    assert repr(key) in capsys.readouterr().err
     assert not out.exists()

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from liestoch.connections import (
     ConnectionFunction,
     MetricSpec,
+    RegressionReport,
+    RegressionRow,
     alpha_biinvariant,
     alpha_levi_civita,
     closed_form_u,
@@ -210,6 +215,31 @@ def test_regression_report_flags():
     sl2r_lam1 = report.max_diff("sl2r", lam=1.0)
     assert sl2r_lam1 < 1e-10
     assert report.max_diff("sl2r", lam=2.0) > 1e-3
+
+
+def test_regression_flags_a_nan_table():
+    def nan_se3(name, lam):
+        variants = closed_form_u_variants(name, lam)
+        if name != "se3":
+            return variants
+        return {label: dataclasses.replace(conn, coeffs=np.full_like(conn.coeffs, np.nan))
+                for label, conn in variants.items()}
+
+    report = regress_closed_forms(closed_form_provider=nan_se3)
+    se3_rows = [r for r in report.rows if r.group == "se3"]
+    assert len(se3_rows) == 3
+    assert all(r.flagged and math.isnan(r.max_abs_diff) for r in se3_rows)
+    assert math.isnan(report.max_diff("se3"))
+    assert report.max_diff("se2") < 1e-10
+
+
+def test_regression_max_diff_propagates_nan():
+    rows = [RegressionRow("se3", lam, "as-printed", diff, (0, 0, 0), False)
+            for lam, diff in ((0.5, 1.0), (1.0, float("nan")))]
+    report = RegressionReport(rows=rows)
+    assert math.isnan(report.max_diff("se3"))
+    assert report.max_diff("se3", lam=0.5) == 1.0
+    assert report.max_diff("so3") is None
 
 
 def test_connection_function_validation():

@@ -8,6 +8,7 @@ from liestoch.explog import (
     flat_connection,
     ito_exponential,
     ito_logarithm,
+    roundtrip_errors,
     strat_exponential,
     strat_logarithm,
     translate_initial,
@@ -236,3 +237,15 @@ def test_integrator_drift_error_message():
 
     with pytest.raises(IntegratorDriftError):
         _gate_membership(SO3, values)
+
+
+def test_roundtrip_errors_per_replica():
+    alpha = alpha_levi_civita(metric_for("se3", 1.0))
+    ens = brownian_ensemble(SE3, TimeGrid(1.0, 100), 5, 4)
+    err = roundtrip_errors(ens, alpha)
+    back = ito_logarithm(ito_exponential(ens, alpha), alpha)
+    assert np.array_equal(err, np.linalg.norm(back.values[:, -1] - ens.values[:, -1], axis=-1))
+    assert err.shape == (4,) and np.all(err > 0)
+    assert roundtrip_errors(ens.path(2), alpha) == err[2]
+    # a quadratic-free connection reads the driver back to rounding
+    assert np.max(roundtrip_errors(ens, alpha_biinvariant(SE3))) < 1e-12

@@ -1,5 +1,7 @@
+import ast
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from liestoch.paths import (
     normal_quantile,
     null_qv_check,
     quadratic_covariation,
+    write_table,
 )
 
 SO3 = get_group("so3")
@@ -301,6 +304,63 @@ def test_csv_float_edge_cases_match_csv_writer_bytes():
     assert text == _oracle_bytes(ens)
     for token in ("-0.0", "5e-324", "1e-05", "9.999e-05", "1e+16", "123456789.0"):
         assert token in text
+
+
+def _csv_writer_table(header, rows):
+    """The former CLI writer, kept as the byte oracle: each float converted
+    with repr(float(x)), then csv.writer's defaults."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
+        for row in rows
+    )
+    return buf.getvalue()
+
+
+def test_write_table_matches_csv_writer_bytes():
+    specials = [0.0, -0.0, 5e-324, 1e-05, 1e16, 1 / 3]
+    floats = specials + [-x for x in specials]
+    header = ["kind", "n", "py", "np"]
+    rows = [("row", i, x, np.float64(x)) for i, x in enumerate(floats)]
+    rows.append(("mean", -7, np.float64(2.5), 0.1))
+    rows.append(("single", 0, -2.5, np.float32(1 / 3)))  # widened to a double
+    buf = io.StringIO()
+    write_table(buf, header, rows)
+    text = buf.getvalue()
+    assert text == _csv_writer_table(header, rows)
+    assert "row,1,-0.0,-0.0\r\n" in text
+    assert text.endswith("single,0,-2.5,0.3333333432674408\r\n")
+    for token in ("5e-324", "1e-05", "1e+16", "0.3333333333333333", "-1e+16"):
+        assert f",{token},{token}\r\n" in text
+
+
+def test_write_table_header_only():
+    buf = io.StringIO()
+    write_table(buf, ["replica", "terminal_error"], [])
+    assert buf.getvalue() == _csv_writer_table(["replica", "terminal_error"], [])
+    assert buf.getvalue() == "replica,terminal_error\r\n"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _imports_csv(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "csv":
+            return True
+    return False
+
+
+def test_write_table_is_the_only_csv_writer():
+    # every table goes through paths.write_table; a module that imports csv
+    # would be a second writer of the byte format
+    modules = sorted(ROOT.glob("src/liestoch/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    assert len(modules) > 10
+    assert [m.name for m in modules if _imports_csv(m)] == []
 
 
 def test_ensemble_validation():

@@ -24,15 +24,6 @@ def run_script(name, *args, cwd):
     )
 
 
-def test_convergence_study_writes_both_ladders(tmp_path):
-    proc = run_script("convergence_study.py", "--replicas", "8", "--dts", "0.04,0.02",
-                      "--outdir", str(tmp_path / "out"), cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert len((tmp_path / "out" / "roundtrip_ladder.csv").read_text().splitlines()) == 3
-    # two exponential-identity rules and one logarithm ladder, two rungs each
-    assert len((tmp_path / "out" / "campbell_ladder.csv").read_text().splitlines()) == 7
-
-
 def test_martingale_controls_pass_at_a_tiny_shape(tmp_path):
     proc = run_script("martingale_controls.py", "--replicas", "1000", "--steps", "20",
                       cwd=tmp_path)
