@@ -23,7 +23,7 @@ import numpy as np
 from .connections import ConnectionFunction
 from .errors import DimensionError, GroupMismatchError
 from .groups import GroupSpec, from_matrix_coords, group_inverse
-from .linalg import DEFAULT_TOLERANCE, map_stacked, mat_log
+from .linalg import DEFAULT_TOLERANCE, bilinear, map_stacked, mat_log
 from .paths import as_ensemble, like
 
 
@@ -106,8 +106,7 @@ def ito_integral(eta: LeftInvariantOneForm, x, alpha: ConnectionFunction):
     _require_group(eta, x)
     _require_group(alpha, x)
     dl = mc_increments(x)
-    sym = alpha.symmetric_part()
-    correction = np.einsum("kij,...i,...j->...k", sym, dl, dl)
+    correction = bilinear(alpha.symmetric_part(), dl, dl)
     return _running_sum((dl + 0.5 * correction) @ eta.covector)
 
 

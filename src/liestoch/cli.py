@@ -13,8 +13,9 @@ regress         run the whole pinned-seed verification battery
 
 Every output file gets a ``<name>.manifest.json`` sibling echoing the fully
 resolved configuration (schema 1). Same config + seed produces byte
-identical CSV output no matter how many workers are used: replicas own
-independent, index-derived random streams and are reassembled in order.
+identical output: replica r draws from its own stream, derived from the
+seed and r. ``--workers`` must be at least 1 and has no effect on output or
+scheduling; it stays accepted so existing configs and manifests still run.
 
 Each subcommand accepts only the flags it reads and exits 2 on any other.
 Config files are flat ``key=value`` lines (``#`` comments allowed) and may
@@ -29,18 +30,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import acceptance, campbell, explog, martingale
 from .connections import alpha_biinvariant, alpha_levi_civita, metric_for, u_from_metric
-from .errors import HypothesisError, LieStochError, PowerError
+from .errors import HypothesisError, LieStochError, PowerError, UnsupportedGroupError
 from .groups import get_group
 from .linalg import spd_cholesky
 from .paths import (
-    Ensemble,
     TimeGrid,
     brownian_ensemble,
     drift_diffusion_ensemble,
@@ -195,26 +194,16 @@ def _z_band(config):
     return normal_quantile(1.0 - (1.0 - config.significance) / 2.0)
 
 
-def _chunk_ranges(replicas, workers):
-    workers = max(1, min(workers, replicas))
-    base, extra = divmod(replicas, workers)
-    ranges, start = [], 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        if size:
-            ranges.append((start, size))
-        start += size
-    return ranges
-
-
 def _build_ensemble(config, spec):
-    """Replica-chunked driver ensemble (byte-identical to one shot).
+    """The driver ensemble, drawn in one call.
 
     ``--cov`` shapes the ``bm`` driver and ``--drift`` the ``drift`` driver;
     a flag the chosen driver would ignore is a usage error.
     """
     if config.replicas < 1:
         raise UsageError("--replicas must be at least 1")
+    if config.workers < 1:
+        raise UsageError("--workers must be at least 1")
     if config.seed < 0:
         raise UsageError("--seed must be a non-negative integer")
     if config.driver not in ("bm", "drift"):
@@ -227,26 +216,11 @@ def _build_ensemble(config, spec):
     covariance = _load_covariance(config, spec)
     drift = _parse_drift(config, spec)
 
-    def build(chunk):
-        first, size = chunk
-        if config.driver == "bm":
-            return brownian_ensemble(
-                spec, grid, config.seed, size, covariance=covariance, first_replica=first
-            ).values
-        return drift_diffusion_ensemble(
-            spec, grid, config.seed, size,
-            drift=drift, diffusion=np.eye(spec.algebra_dim),
-            first_replica=first,
-        ).values
-
-    ranges = _chunk_ranges(config.replicas, config.workers)
-    if len(ranges) == 1:
-        parts = [build(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(build, ranges))
-    values = np.concatenate(parts, axis=0)
-    return Ensemble(spec, grid, config.seed, values, driver_covariance=covariance)
+    if config.driver == "bm":
+        return brownian_ensemble(spec, grid, config.seed, config.replicas,
+                                 covariance=covariance)
+    return drift_diffusion_ensemble(spec, grid, config.seed, config.replicas,
+                                    drift=drift, diffusion=np.eye(spec.algebra_dim))
 
 
 def _solve(config, ensemble, alpha):
@@ -306,12 +280,15 @@ def _cmd_roundtrip(config):
 
 def _cmd_convergence(config):
     spec, alpha = _connection(config)
+    horizon = config.grid().horizon
+    rungs = [replace(config, dt=dt, steps=round(horizon / dt)) for dt in config.dt_ladder()]
+    for sub in rungs:
+        if abs(sub.steps * sub.dt - horizon) > 1e-9 * horizon:
+            raise UsageError(f"--dts rung {sub.dt!r} does not divide the horizon {horizon!r}")
     rows = []
-    for dt in config.dt_ladder():
-        steps = max(1, int(round(config.dt * config.steps / dt)))
-        sub = replace(config, dt=dt, steps=steps)
+    for sub in rungs:
         err = explog.roundtrip_errors(_build_ensemble(sub, spec), alpha)
-        rows.append((dt, np.mean(err), np.std(err, ddof=1) / np.sqrt(len(err))))
+        rows.append((sub.dt, np.mean(err), np.std(err, ddof=1) / np.sqrt(len(err))))
     with _open_out(config) as fh:
         write_table(fh, ["dt", "mean_terminal_error", "stderr"], rows)
     _write_manifest(config.out, config)
@@ -444,7 +421,8 @@ _FLAGS = {
     "drift": ("--drift", {"help": "comma list of drift components"}),
     "buckets": ("--buckets", {"type": int}),
     "significance": ("--significance", {"type": float}),
-    "workers": ("--workers", {"type": int}),
+    "workers": ("--workers", {"type": int,
+                              "help": "at least 1; no effect on output or scheduling"}),
     "out": ("--out", {}),
     "fmt": ("--format", {"choices": ["csv", "json"]}),
 }
@@ -506,7 +484,7 @@ def main(argv=None):
     try:
         config = _resolve_config(args)
         return _COMMANDS[config.command][0](config)
-    except UsageError as exc:
+    except (UsageError, UnsupportedGroupError) as exc:  # an unknown --group too
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (HypothesisError, PowerError) as exc:

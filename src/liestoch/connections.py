@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, MetricError, UnsupportedGroupError
 from .groups import AlgebraVector, GroupSpec, get_group, structure_constants
-from .linalg import solve_linear, spd_cholesky
+from .linalg import bilinear, solve_linear, spd_cholesky
 
 # Agreement threshold between closed forms and the metric solve.
 REGRESSION_TOL = 1e-10
@@ -138,7 +138,7 @@ def alpha_biinvariant(group) -> ConnectionFunction:
 
 def eval_alpha_coords(conn: ConnectionFunction, x, y):
     """Batched bilinear contraction coeffs[k,i,j] x_i y_j."""
-    return np.einsum("kij,...i,...j->...k", conn.coeffs, x, y)
+    return bilinear(conn.coeffs, x, y)
 
 
 def eval_alpha(conn: ConnectionFunction, a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:

@@ -36,7 +36,7 @@ from .errors import (
     MembershipError,
 )
 from .groups import MEMBERSHIP_GATE, GroupSpec, membership_defect, to_matrix_coords
-from .linalg import map_stacked, mat_exp
+from .linalg import bilinear, map_stacked, mat_exp
 from .paths import as_ensemble, like
 
 
@@ -99,10 +99,6 @@ def _gate_membership(spec, values):
         )
 
 
-def _quadratic(table, v):
-    return np.einsum("kij,...i,...j->...k", table, v, v)
-
-
 def _ito_correction(spec, v, alpha, algebra_connection):
     """Quadratic Ito correction ``1/2 Gamma(v,v) - 1/2 alpha(v,v)`` per step.
 
@@ -116,9 +112,9 @@ def _ito_correction(spec, v, alpha, algebra_connection):
     conn = algebra_connection or flat_connection(spec)
     if conn.group != spec:
         raise GroupMismatchError("algebra connection group mismatch")
-    correction = -0.5 * _quadratic(alpha.symmetric_part(), v)
+    correction = -0.5 * bilinear(alpha.symmetric_part(), v, v)
     if not conn.is_flat:
-        correction = correction + 0.5 * _quadratic(conn.christoffels, v)
+        correction = correction + 0.5 * bilinear(conn.christoffels, v, v)
     return correction
 
 

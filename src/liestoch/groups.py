@@ -45,11 +45,13 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .linalg import (
+    _ROW_CHUNK,
     DEFAULT_TOLERANCE,
     Tolerance,
     _entries,
     _orthogonality_defect,
     _stack,
+    bilinear,
     frobenius_norm,
     mat_exp,
 )
@@ -291,8 +293,7 @@ def structure_constants(spec) -> np.ndarray:
 
 def bracket_coords(spec, x, y):
     """Batched bracket in coordinates via the structure-constant table."""
-    c = structure_constants(spec)
-    return np.einsum("kij,...i,...j->...k", c, x, y)
+    return bilinear(structure_constants(spec), x, y)
 
 
 # Closed-form group kernels, one table entry per group. Defect and adjoint
@@ -301,14 +302,6 @@ def bracket_coords(spec, x, y):
 # with no stacked matmul or LU; inverse kernels read and write the stack
 # entry by entry. Either way a matrix's result does not depend on the batch
 # it arrives in.
-
-# Matrices per entry-row chunk: 4096 4x4 matrices are 512 KB of rows, which
-# stay in cache through a kernel's passes. Whole-batch rows do not: the so3
-# and se3 defects ran 1.3-3x slower on 10^5 matrices, and the copy raised
-# product-so3's peak RSS. Chunks of 8192 were up to 1.25x faster but held
-# more memory than the stacked formulas did (export-sixgroups peak RSS +1%).
-_ROW_CHUNK = 4096
-
 
 def _by_entry_rows(flat, kernel, shape):
     """``kernel`` (entry rows -> per-matrix results of ``shape``) over a

@@ -217,8 +217,8 @@ def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
                       first_replica=0) -> Ensemble:
     """Independent Brownian replicas, replica r seeded by derive(seed, r).
 
-    ``first_replica`` shifts the replica index range, so a run split into
-    worker chunks reproduces the single-shot ensemble exactly.
+    ``first_replica`` shifts the replica index range, so a slice of a larger
+    ensemble can be drawn alone and matches it exactly.
     """
     n = group.algebra_dim
     cov = np.eye(n) if covariance is None else np.asarray(covariance, dtype=np.float64)

@@ -113,6 +113,17 @@ def test_convergence_ladder_has_one_row_per_rung(tmp_path):
     assert all(float(v) > 0 for r in rows[1:] for v in r[1:])
 
 
+def test_convergence_refuses_a_rung_that_does_not_divide_the_horizon(tmp_path, capsys):
+    # 0.03 into a horizon of 1.0 would run 33 steps to t = 0.99
+    out = tmp_path / "conv.csv"
+    code = run_cli("convergence", "--group", "so3", "--connection", "biinvariant",
+                   "--dt", "0.01", "--steps", "100", "--dts", "0.02,0.03",
+                   "--replicas", "4", "--seed", "1", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "rung 0.03 " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_campbell_csv_ladders_by_rule(tmp_path):
     # the so3 bi-invariant Campbell table of the former convergence study:
     # one run per reading of the adjoint-weighted integral
@@ -214,10 +225,10 @@ def test_martingale_test_drift_driver_fails_verdict(tmp_path):
 def test_exit_codes(tmp_path):
     # usage: missing --out
     assert run_cli("roundtrip", "--group", "se3") == EXIT_USAGE
-    # usage: bad group name surfaces as usage-level failure via LieStochError?
-    # unknown group raises UnsupportedGroupError -> numerical bucket
+    # usage: an unknown group name is a bad flag value, not a numerical failure
     code = run_cli("roundtrip", "--group", "su9", "--out", str(tmp_path / "x.csv"))
-    assert code == EXIT_NUMERICAL
+    assert code == EXIT_USAGE
+    assert run_cli("u-table", "--group", "su9") == EXIT_USAGE
     # precondition: too few replicas for the drift test
     code = run_cli(
         "martingale-test", "--group", "so3", "--connection", "biinvariant",
@@ -239,6 +250,24 @@ def test_large_dt_is_a_numerical_failure(command, dt, expected, tmp_path):
     assert code == expected
 
 
+@pytest.mark.parametrize("drift, expected", [("690", EXIT_OK), ("720", EXIT_NUMERICAL)])
+def test_e11_near_the_positivity_boundary(drift, expected, tmp_path):
+    # an H drift drives m22 = e^(-drift t) toward 0: near 1e-300 the path
+    # still passes the membership gate; at 720, m11 = e^720 overflows and
+    # the gate's NaN defect is a numerical failure
+    out = tmp_path / "e11.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("exp", "--group", "e11", "--connection", "biinvariant",
+                       "--driver", "drift", "--drift", f"{drift},0,0", "--dt", "0.01",
+                       "--steps", "100", "--replicas", "4", "--seed", "1", "--out", str(out))
+    assert code == expected
+    if expected == EXIT_OK:
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        p, q = rows[rows[:, 1] == 100][:, [3, 7]].T  # m11, m22 at t = 1
+        assert np.all((q > 0.0) & (q < 1e-290))
+        assert np.max(np.abs(p * q - 1.0)) <= 1e-10
+
+
 def test_missing_output_directory_is_usage_error(tmp_path):
     code = run_cli(
         "roundtrip", "--group", "so3", "--connection", "biinvariant",
@@ -253,6 +282,8 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path):
             "--dt", "0.01", "--steps", "10", "--out", str(tmp_path / "x.csv")]
     assert run_cli(*base, "--replicas", "0", "--seed", "1") == EXIT_USAGE
     assert run_cli(*base, "--replicas", "2", "--seed", "-5") == EXIT_USAGE
+    assert run_cli(*base, "--replicas", "2", "--seed", "1", "--workers", "0") == EXIT_USAGE
+    assert run_cli(*base, "--replicas", "2", "--seed", "1", "--workers", "-3") == EXIT_USAGE
     assert run_cli("campbell", "--group", "so3", "--connection", "biinvariant",
                    "--dts", " , ", "--replicas", "16", "--seed", "1",
                    "--out", str(tmp_path / "c.json")) == EXIT_USAGE

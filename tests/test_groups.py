@@ -29,7 +29,7 @@ from liestoch.groups import (
     to_matrix,
     to_matrix_coords,
 )
-from liestoch.linalg import frobenius_dist, mat_exp
+from liestoch.linalg import frobenius_dist, mat_exp, mat_log
 from test_linalg import assert_split_invariant
 
 RNG = np.random.default_rng(42)
@@ -376,3 +376,41 @@ def test_group_kernels_accept_an_empty_batch(name):
     assert group_inverse(spec, empty).shape == (0, d, d)
     assert adjoint_matrices(spec, empty).shape == (0, n, n)
     assert mat_exp(to_matrix_coords(spec, np.zeros((0, n)))).shape == (0, d, d)
+
+
+@pytest.mark.parametrize("t", [0.0, 40.0, -40.0, 690.0, -690.0])
+def test_e11_positivity_near_its_boundary(t):
+    # exp(t H + translations) = [[e^t, 0, x], [0, e^-t, y], [0, 0, 1]]: at
+    # |t| = 690 one diagonal entry is ~1e-300, next to the p, q > 0 boundary
+    spec = get_group("e11")
+    g = mat_exp(to_matrix_coords(spec, [t, 0.5, -0.5]))
+    p, q = g[0, 0], g[1, 1]
+    assert p > 0.0 and q > 0.0
+    assert membership_defect(spec, g) <= MEMBERSHIP_GATE
+    adjoint_matrices(spec, g)  # a member: no MembershipError
+    # the reflection diag(-p, -q, 1) keeps pq = 1 and det = 1 but lies in
+    # the other component; positivity alone rejects it
+    reflected = g * np.array([-1.0, -1.0, 1.0])[:, None]
+    assert abs(reflected[0, 0] * reflected[1, 1] - 1.0) <= MEMBERSHIP_GATE
+    assert membership_defect(spec, reflected) > MEMBERSHIP_GATE
+    with pytest.raises(MembershipError):
+        adjoint_matrices(spec, reflected)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-10])
+@pytest.mark.parametrize("regime", [1.0, -1.0])  # hyperbolic, elliptic
+def test_sl2r_regimes_near_the_parabolic_boundary(eps, regime):
+    # A = E+ + regime * eps E- has A^2 = regime * eps I: parabolic at eps = 0
+    spec = get_group("sl2r")
+    a = to_matrix_coords(spec, [0.0, 1.0, regime * eps])
+    r = np.sqrt(eps)
+    if regime > 0:
+        even, odd = np.cosh(r), np.sinh(r) / r
+    else:
+        even, odd = np.cos(r), np.sin(r) / r
+    g = mat_exp(a)
+    assert np.max(np.abs(g - (even * np.eye(2) + odd * a))) <= 1e-15
+    assert membership_defect(spec, g) <= 1e-15 < MEMBERSHIP_GATE
+    # |tr| > 2 is hyperbolic, |tr| < 2 elliptic: the regime survives exp
+    assert np.sign(np.trace(g) - 2.0) == regime
+    assert np.max(np.abs(mat_log(g) - a)) <= 1e-12

@@ -1,17 +1,29 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liestoch.errors import DimensionError, LogRangeError, SingularMatrixError
-from liestoch.groups import get_group, to_matrix_coords
+from liestoch.connections import alpha_levi_civita, metric_for
+from liestoch.groups import (
+    GROUP_NAMES,
+    get_group,
+    membership_defect,
+    structure_constants,
+    to_matrix_coords,
+)
 from liestoch import linalg
 from liestoch.linalg import (
     Tolerance,
     _generic_log,
     _taylor_exp,
+    bilinear,
     frobenius_dist,
     frobenius_norm,
+    map_stacked,
     mat_exp,
     mat_log,
     solve_linear,
@@ -256,3 +268,91 @@ def test_exp_outside_the_closed_forms_is_the_taylor_exp_bit_for_bit():
     rigid_with_bottom_row[3, 0] = 1e-12
     for a in (nearly_skew, rigid_with_bottom_row, to_matrix_coords(get_group("n3"), [1, 2, 3])):
         assert np.array_equal(mat_exp(a), _taylor_exp(a))
+
+
+QUADRATIC = "kij,...i,...j->...k"
+
+
+def _quadratic_tables(name, rng):
+    """Structure constants, then Levi-Civita coefficients and their symmetric
+    part at lambda 0.5, 1, 2: every table the package builds. Their entries
+    are powers of two, so the last table is sparse with arbitrary entries,
+    as a user's Christoffel table may be, where the order of the two
+    products shows."""
+    spec = get_group(name)
+    tables = [structure_constants(spec)]
+    for lam in (0.5, 1.0, 2.0):
+        alpha = alpha_levi_civita(metric_for(spec, lam))
+        tables += [alpha.coeffs, alpha.symmetric_part()]
+    n = spec.algebra_dim
+    tables.append(np.where(rng.random((n, n, n)) < 0.2, rng.standard_normal((n, n, n)), 0.0))
+    return tables
+
+
+def _coordinates(rng, lead, n, log_scale, strided, zeros):
+    shape = lead + (n,)
+    x = 10.0**log_scale * rng.standard_normal(shape)
+    if zeros:  # signed zeros where the table's terms would be signed zeros too
+        hit = rng.random(shape) < 0.3
+        x[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
+    if strided:  # every other component of a wider buffer
+        wide = np.empty(lead + (2 * n,))
+        wide[..., ::2] = x
+        x = wide[..., ::2]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.sampled_from(GROUP_NAMES), st.integers(0, 7),
+       st.sampled_from([(), (5,), (3, 4)]), st.booleans(), st.booleans(), st.booleans(),
+       st.floats(min_value=-6.0, max_value=6.0))
+def test_bilinear_is_the_einsum_bit_for_bit(seed, name, which, lead, same, strided, zeros,
+                                            log_scale):
+    rng = np.random.default_rng(seed)
+    table = _quadratic_tables(name, rng)[which]
+    n = table.shape[0]
+    x = _coordinates(rng, lead, n, log_scale, strided, zeros)
+    y = x if same else _coordinates(rng, lead, n, 0.0, not strided, zeros)
+    want = np.einsum(QUADRATIC, table, x, y)
+    got = bilinear(table, x, y)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bilinear_of_a_zero_table_is_positive_zero():
+    x = np.array([[-1.0, 2.0, -0.0], [3.0, -4.0, 5.0]])
+    out = bilinear(np.zeros((3, 3, 3)), x, x)
+    assert out.tobytes() == np.zeros((2, 3)).tobytes()
+
+
+def test_no_module_contracts_the_quadratic_with_einsum():
+    # linalg.bilinear is the one kernel for table[k, i, j] x_i y_j; an
+    # einsum over the dense table is 18x the work on se3
+    root = Path(__file__).resolve().parent.parent
+    literal = re.compile("[\"']" + re.escape(QUADRATIC) + "[\"']")
+    modules = sorted(root.glob("src/liestoch/*.py"))
+    assert len(modules) > 10
+    assert [m.name for m in modules if literal.search(m.read_text())] == []
+
+
+def test_map_stacked_blocks_match_one_call_bit_for_bit():
+    # three full blocks and a short one; closed-form and generic matrices mixed
+    rng = np.random.default_rng(7)
+    m = 3 * linalg._ROW_CHUNK + 17
+    skew = to_matrix_coords(SO3, 0.5 * rng.standard_normal((m, 3)))
+    rigid = to_matrix_coords(SE3, 0.5 * rng.standard_normal((m, 6)))
+    for closed in (skew, rigid):
+        d = closed.shape[-1]
+        take = rng.random(m) < 0.6
+        batch = np.where(take[:, None, None], closed, 0.3 * rng.standard_normal((m, d, d)))
+        exps = mat_exp(batch)
+        assert map_stacked(mat_exp, batch).tobytes() == exps.tobytes()
+        assert map_stacked(mat_log, exps).tobytes() == mat_log(exps).tobytes()
+
+
+def test_map_stacked_restores_leading_axes_of_per_matrix_scalars():
+    coords = np.random.default_rng(8).standard_normal((3, linalg._ROW_CHUNK + 3, 3))
+    stack = mat_exp(to_matrix_coords(SO3, coords))
+    defect = map_stacked(lambda g: membership_defect(SO3, g), stack)
+    assert defect.shape == coords.shape[:-1]
+    assert defect.tobytes() == membership_defect(SO3, stack).tobytes()
