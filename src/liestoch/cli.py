@@ -330,6 +330,10 @@ def _cmd_campbell(config):
 
 
 def _cmd_martingale_test(config):
+    if config.buckets < 1:
+        raise UsageError(f"--buckets must be a positive integer, got {config.buckets}")
+    if config.steps % config.buckets != 0:
+        raise UsageError(f"--buckets {config.buckets} must divide --steps {config.steps}")
     spec, alpha = _connection(config)
     ensemble = _build_ensemble(config, spec)
     solved = _solve(config, ensemble, alpha)

@@ -21,6 +21,11 @@ class LogRangeError(LieStochError):
     """
 
 
+class ExpOverflowError(LieStochError):
+    """A matrix exponential overflowed double precision (the step or the
+    drift is too large for the group's coordinates)."""
+
+
 class GroupMismatchError(LieStochError):
     """Operands belong to different groups."""
 

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, LogRangeError, MetricError, SingularMatrixError
+from .errors import (
+    DimensionError,
+    ExpOverflowError,
+    LogRangeError,
+    MetricError,
+    SingularMatrixError,
+)
 
 # Norm thresholds below which the truncated exp/log series reach double
 # precision, and the series orders that achieve it.
@@ -156,7 +162,7 @@ def _taylor_exp(a):
         out[mask] = sub @ sub
         remaining[mask] -= 1
     if not np.all(np.isfinite(out)):
-        raise ValueError("mat_exp: result overflowed double precision")
+        raise ExpOverflowError("mat_exp: result overflowed double precision")
     return out.reshape(shape)
 
 
@@ -415,7 +421,7 @@ def mat_exp(a):
     else:
         out = _taylor_exp(flat)
     if not np.all(np.isfinite(out)):
-        raise ValueError("mat_exp: result overflowed double precision")
+        raise ExpOverflowError("mat_exp: result overflowed double precision")
     return out.reshape(a.shape)
 
 

@@ -86,12 +86,14 @@ def drift_test(ensemble: Ensemble, buckets=20, z_band=DEFAULT_Z_BAND,
     """
     if ensemble.is_group_valued:
         raise DimensionError("drift_test expects an algebra-valued ensemble")
-    r = ensemble.replicas
-    if r < MIN_REPLICAS:
-        raise PowerError(f"need at least {MIN_REPLICAS} replicas, got {r}")
+    if buckets < 1:
+        raise ValueError(f"buckets must be a positive integer, got {buckets}")
     steps = ensemble.grid.steps
     if steps % buckets != 0:
         raise ValueError(f"buckets ({buckets}) must divide steps ({steps})")
+    r = ensemble.replicas
+    if r < MIN_REPLICAS:
+        raise PowerError(f"need at least {MIN_REPLICAS} replicas, got {r}")
     edges = np.arange(0, steps + 1, steps // buckets)
     marks = ensemble.values[:, edges, :]          # (R, buckets+1, n)
     inc = np.diff(marks, axis=1)                  # (R, buckets, n)

@@ -11,9 +11,13 @@ result back in the caller's kind on the way out, so this module is the
 only one that tells paths and ensembles apart.
 
 Seeding: replica r of base seed s draws from
-``PCG64(SeedSequence(entropy=s, spawn_key=(r,)))``. Each replica owns an
-independent stream derived only from (s, r), so ensembles are reproducible
-bit-for-bit under any execution order or worker split.
+``PCG64(SeedSequence(entropy=s, spawn_key=(r,)))``; ``derive_rng`` is that
+definition. Each replica owns an independent stream derived only from
+(s, r), so ensembles are reproducible bit-for-bit under any execution order
+or worker split. The drivers compute the same derivation in bulk: one
+vectorised pass of SeedSequence's hash gives every replica's PCG64 seed
+words, each replica's normals land in one stacked buffer, and the
+covariance factor and running sum are applied to the whole stack at once.
 """
 
 from __future__ import annotations
@@ -195,14 +199,138 @@ def like(x, out):
 
 
 def derive_rng(base_seed, replica):
-    """Documented seed derivation: independent stream per (seed, replica)."""
+    """Documented seed derivation: independent stream per (seed, replica).
+
+    The drivers reproduce this stream in bulk (``_standard_normals``); this
+    function is its definition and the oracle it is tested against.
+    """
     seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(replica),))
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _gaussian_increments(rng, grid, factor):
-    z = rng.standard_normal((grid.steps, factor.shape[0]))
-    return z @ factor.T
+# SeedSequence's hash constants (numpy.random.bit_generator), pool size 4.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(n):
+    """Little-endian 32-bit words of a non-negative int, at least one."""
+    if n < 0:
+        raise ValueError(f"seeds and replica indices must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_seed_words(entropy):
+    """``SeedSequence.generate_state(4, uint64)`` for a batch of entropies.
+
+    ``entropy`` lists the assembled entropy words, at least the pool's
+    four, each a uint32 array of shape (m,) or (1,) for a word the batch
+    shares. Returns (m, 4) uint64.
+    Array arithmetic on uint32 wraps modulo 2**32 without a warning, which
+    is the hash's own arithmetic.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    state = np.empty((len(pool[0]), 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _replica_seed_words(base_seed, first_replica, replicas):
+    """PCG64 seed words of ``derive_rng(base_seed, r)`` for each replica
+    ``r = first_replica, ..., first_replica + replicas - 1``: (replicas, 4)
+    uint64.
+
+    The spawn key lengthens by a word at each power of 2**32, so the index
+    range is hashed in runs of equal key length.
+    """
+    run_entropy = _uint32_words(int(base_seed))
+    run_entropy += [0] * (_POOL_SIZE - len(run_entropy))
+    prefix = [np.array([w], dtype=np.uint32) for w in run_entropy]
+    first = int(first_replica)
+    stop = first + replicas
+    out = np.empty((replicas, 4), dtype=np.uint64)
+    lo = first
+    while lo < stop:
+        key_words = len(_uint32_words(lo))
+        hi = min(stop, 1 << (32 * key_words))
+        index = np.array(range(lo, hi), dtype=object)
+        spawn = [((index >> (32 * j)) & _MASK32).astype(np.uint32) for j in range(key_words)]
+        out[lo - first:hi - first] = _pcg64_seed_words(prefix + spawn)
+        lo = hi
+    return out
+
+
+def _standard_normals(base_seed, first_replica, replicas, shape):
+    """(replicas, *shape) standard normals; replica r's block is
+    ``derive_rng(base_seed, first_replica + r).standard_normal(shape)``."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _SeedWords(ISeedSequence):
+        """Precomputed output of a SeedSequence's ``generate_state``; PCG64
+        asks for exactly its four uint64 seed words."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    z = np.empty((replicas,) + tuple(shape))
+    for words, out in zip(_replica_seed_words(base_seed, first_replica, replicas), z):
+        Generator(PCG64(_SeedWords(words))).standard_normal(out=out)
+    return z
+
+
+def _driver_values(grid, base_seed, replicas, first_replica, factor, shift=None):
+    """Stacked driver path values, zero at t = 0, with increments
+    ``shift + factor @ z`` for the replicas' standard normals ``z``.
+
+    The increments are written into the values buffer and summed there in
+    place, so the normals are the only transient of the value array's size.
+    """
+    n = factor.shape[0]
+    values = np.zeros((replicas, grid.steps + 1, n))
+    dm = values[:, 1:]
+    z = _standard_normals(base_seed, first_replica, replicas, (grid.steps, n))
+    np.matmul(z, factor.T, out=dm)
+    if shift is not None:
+        dm += shift
+    np.cumsum(dm, axis=1, out=dm)
+    return values
 
 
 def brownian_driver(group, grid, seed, covariance=None, replica=0) -> AlgebraPath:
@@ -225,10 +353,7 @@ def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
     if cov.shape != (n, n):
         raise MetricError(f"covariance must be {n}x{n}")
     factor = spd_cholesky(cov, what="covariance") * sqrt(grid.dt)
-    values = np.zeros((replicas, grid.steps + 1, n))
-    for r in range(replicas):
-        dm = _gaussian_increments(derive_rng(base_seed, first_replica + r), grid, factor)
-        np.cumsum(dm, axis=0, out=values[r, 1:])
+    values = _driver_values(grid, base_seed, replicas, first_replica, factor)
     return Ensemble(group, grid, int(base_seed), values, driver_covariance=cov)
 
 
@@ -254,13 +379,8 @@ def drift_diffusion_ensemble(group, grid, base_seed, replicas, drift=None,
         raise DimensionError("drift must be (n,), diffusion (n, n)")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
         raise ValueError("drift/diffusion must be finite")
-    factor = sig * sqrt(grid.dt)
-    values = np.zeros((replicas, grid.steps + 1, n))
-    for r in range(replicas):
-        dm = b * grid.dt + _gaussian_increments(
-            derive_rng(base_seed, first_replica + r), grid, factor
-        )
-        np.cumsum(dm, axis=0, out=values[r, 1:])
+    values = _driver_values(grid, base_seed, replicas, first_replica,
+                            sig * sqrt(grid.dt), shift=b * grid.dt)
     return Ensemble(group, grid, int(base_seed), values)
 
 

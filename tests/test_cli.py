@@ -268,6 +268,36 @@ def test_e11_near_the_positivity_boundary(drift, expected, tmp_path):
         assert np.max(np.abs(p * q - 1.0)) <= 1e-10
 
 
+def test_exp_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the first e11 step exponentiates an H drift of 1e5 * 0.01 = 1000 and
+    # overflows inside mat_exp itself, before any membership gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("exp", "--group", "e11", "--connection", "biinvariant",
+                       "--driver", "drift", "--drift", "1e5,0,0", "--dt", "0.01",
+                       "--steps", "10", "--replicas", "2", "--seed", "1",
+                       "--out", str(tmp_path / "x.csv"))
+    assert code == EXIT_NUMERICAL
+    assert "overflowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("buckets, replicas", [
+    ("20", "200"), ("20", "50"), ("0", "200"), ("-5", "200"),
+])
+def test_bad_buckets_are_refused_before_the_driver_is_drawn(buckets, replicas, tmp_path,
+                                                            monkeypatch):
+    # 20 does not divide 50 steps; 50 replicas would also fail the drift
+    # test's power precondition, which must not hide the usage error
+    def never(*args, **kwargs):
+        raise AssertionError("the driver was drawn")
+
+    monkeypatch.setattr("liestoch.cli.brownian_ensemble", never)
+    code = run_cli("martingale-test", "--group", "so3", "--dt", "0.01", "--steps", "50",
+                   "--replicas", replicas, "--buckets", buckets, "--seed", "1",
+                   "--out", str(tmp_path / "m.json"))
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_missing_output_directory_is_usage_error(tmp_path):
     code = run_cli(
         "roundtrip", "--group", "so3", "--connection", "biinvariant",

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liestoch.errors import DimensionError, LogRangeError, SingularMatrixError
+from liestoch.errors import (
+    DimensionError,
+    ExpOverflowError,
+    LieStochError,
+    LogRangeError,
+    SingularMatrixError,
+)
 from liestoch.connections import alpha_levi_civita, metric_for
 from liestoch.groups import (
     GROUP_NAMES,
@@ -81,6 +87,21 @@ def test_exp_rejects_non_finite():
     bad = np.full((2, 2), np.nan)
     with pytest.raises(ValueError):
         mat_exp(bad)
+
+
+def test_exp_overflow_is_a_package_error():
+    # a library error maps to CLI exit 4. e^800 is past the largest double
+    # in the generic exp; a rigid motion whose translation is near the
+    # largest double overflows in the se3 closed form, outside _taylor_exp
+    assert issubclass(ExpOverflowError, LieStochError)
+    huge = np.diag([800.0, -800.0, 0.0])
+    rigid = np.zeros((4, 4))
+    rigid[0, 1], rigid[1, 0] = -1.0, 1.0
+    rigid[:2, 3] = 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        for exp, a in ((mat_exp, huge), (_taylor_exp, huge), (mat_exp, rigid)):
+            with pytest.raises(ExpOverflowError, match="overflowed"):
+                exp(a)
 
 
 def test_exp_batch_composition_does_not_change_results():

@@ -61,8 +61,11 @@ def test_drift_test_power_and_bucket_errors():
     with pytest.raises(PowerError):
         drift_test(ens)
     ens = brownian_ensemble(SO3, grid, 4, 120)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must divide"):
         drift_test(ens, buckets=7)
+    for buckets in (0, -5):
+        with pytest.raises(ValueError, match="positive integer"):
+            drift_test(ens, buckets=buckets)
 
 
 def test_drift_test_null_calibration():

@@ -1,6 +1,9 @@
 import ast
 import csv
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +137,71 @@ def test_derive_rng_is_order_free():
     _ = derive_rng(123, 3).standard_normal(11)
     b = derive_rng(123, 7).standard_normal(5)
     assert np.array_equal(a, b)
+
+
+SE3 = get_group("se3")
+# A non-diagonal SPD matrix: every row of the factor mixes every component.
+_MIXING = np.array([[1.0 if i == j else 0.3 / (1 + abs(i - j)) for j in range(6)]
+                    for i in range(6)])
+
+
+def _recipe(seed, replica, steps, factor, shift=None):
+    """The documented driver, one replica at a time from ``derive_rng``."""
+    dm = derive_rng(seed, replica).standard_normal((steps, factor.shape[0])) @ factor.T
+    return np.cumsum(dm if shift is None else shift + dm, axis=0)
+
+
+def _assert_recipe(ens, seed, first, factor, shift=None):
+    assert ens.values[:, 0].tobytes() == bytes(ens.values[:, 0].nbytes)  # +0.0 rows
+    for r in range(ens.replicas):
+        expected = _recipe(seed, first + r, ens.grid.steps, factor, shift)
+        assert ens.values[r, 1:].tobytes() == expected.tobytes(), (seed, first + r)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 3])
+@pytest.mark.parametrize("first, replicas", [(0, 3), (2**32 - 2, 4), (2**64 - 1, 2)])
+def test_bulk_drivers_are_the_derive_rng_recipe_bit_for_bit(seed, first, replicas):
+    # replica indices crossing 2**32 (2**64) lengthen the spawn key to two
+    # (three) words; seeds above 2**128 have more words than the hash pool
+    grid = TimeGrid(1.0, 17)
+    root_dt = np.sqrt(grid.dt)
+    for cov in (None, _MIXING):
+        ens = brownian_ensemble(SE3, grid, seed, replicas, cov, first_replica=first)
+        factor = np.linalg.cholesky(np.eye(6) if cov is None else cov) * root_dt
+        _assert_recipe(ens, seed, first, factor)
+    b = np.linspace(-1.0, 2.0, 6)
+    ens = drift_diffusion_ensemble(SE3, grid, seed, replicas, drift=b, diffusion=_MIXING,
+                                   first_replica=first)
+    _assert_recipe(ens, seed, first, _MIXING * root_dt, shift=b * grid.dt)
+
+
+@pytest.mark.parametrize("seed, first", [(-1, 0), (3, -1), (-(2**40), 5)])
+def test_negative_seed_or_replica_is_refused(seed, first):
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(ValueError):
+        brownian_ensemble(SO3, grid, seed, 2, first_replica=first)
+    with pytest.raises(ValueError):
+        drift_diffusion_ensemble(SO3, grid, seed, 2, first_replica=first)
+    with pytest.raises(ValueError):
+        derive_rng(seed, first)
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy.random costs over 10 ms to import; only drawing a driver needs it
+    code = (
+        "import importlib, pkgutil, sys, liestoch\n"
+        "for m in pkgutil.iter_modules(liestoch.__path__):\n"
+        "    importlib.import_module('liestoch.' + m.name)\n"
+        "assert 'liestoch.paths' in sys.modules and 'liestoch.cli' in sys.modules\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_quadratic_covariation_consistency():
