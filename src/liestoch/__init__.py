@@ -41,13 +41,9 @@ from .groups import (
 )
 from .linalg import Tolerance, frobenius_dist, mat_exp, mat_log, solve_linear
 from .paths import (
-    AlgebraPath,
     Ensemble,
-    GroupPath,
     TimeGrid,
-    brownian_driver,
     brownian_ensemble,
-    drift_diffusion_driver,
     drift_diffusion_ensemble,
     null_qv_check,
     quadratic_covariation,

@@ -26,7 +26,7 @@ from .connections import (
     u_from_metric,
 )
 from .groups import GROUP_NAMES, get_group
-from .paths import TimeGrid, brownian_driver, brownian_ensemble, null_qv_check
+from .paths import TimeGrid, brownian_ensemble, null_qv_check
 
 SEEDS = {
     "roundtrip": 20260810,
@@ -248,15 +248,11 @@ def criterion_null_qv_preservation() -> CriterionResult:
     grid = TimeGrid(1.0, 2000)
     both = 0
     for i in range(20):
-        mx = brownian_driver(spec, grid, SEEDS["nullqv"] + i, replica=0)
-        my = brownian_driver(spec, grid, SEEDS["nullqv"] + i, replica=1)
-        gx = explog.strat_exponential(mx)
-        gy = explog.strat_exponential(my)
-        coords_ok = null_qv_check(gx, gy, 0.99).passed
-        logs_ok = null_qv_check(
-            explog.ito_logarithm(gx, alpha), explog.ito_logarithm(gy, alpha), 0.99
-        ).passed
-        both += bool(coords_ok and logs_ok)
+        # the seed's replicas 0 and 1 are the independent pair
+        g = explog.strat_exponential(brownian_ensemble(spec, grid, SEEDS["nullqv"] + i, 2))
+        gx, gy = g.coordinates
+        lx, ly = explog.ito_logarithm(g, alpha).coordinates
+        both += bool(null_qv_check(gx, gy, 0.99).passed and null_qv_check(lx, ly, 0.99).passed)
     return CriterionResult(
         name="null-qv preservation (so3, 20 master seeds)",
         passed=bool(both >= 19),

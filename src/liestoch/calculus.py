@@ -24,7 +24,7 @@ from .connections import ConnectionFunction
 from .errors import DimensionError, GroupMismatchError
 from .groups import GroupSpec, from_matrix_coords, group_inverse
 from .linalg import DEFAULT_TOLERANCE, bilinear, map_stacked, mat_log
-from .paths import as_ensemble, like
+from .paths import expect
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,17 @@ def increments_from_values(spec, values, tol=DEFAULT_TOLERANCE):
 
 
 def mc_increments(x, tol=DEFAULT_TOLERANCE):
-    """Per-step left-trivialized increments of a group path or ensemble.
+    """Per-step left-trivialized increments of a group ensemble, shape
+    (replicas, steps, n).
 
-    Returns an array of shape (steps, n) for a path, (replicas, steps, n)
-    for an ensemble. Solver-built paths carry their injected step vectors
-    and return them directly (developing and reading back are then exact
-    inverses); paths built by hand are logged and projected.
+    Solver-built ensembles carry their injected step vectors and return
+    them directly (developing and reading back are then exact inverses);
+    values built by hand are logged and projected.
     """
-    ens = as_ensemble(x, group_valued=True)
-    dl = ens.step_logs
-    if dl is None:
-        dl = increments_from_values(ens.group, ens.values, tol)
-    return like(x, dl)
+    expect(x, group_valued=True)
+    if x.step_logs is not None:
+        return x.step_logs
+    return increments_from_values(x.group, x.values, tol)
 
 
 def _require_group(form_or_conn, path):
@@ -86,9 +85,8 @@ def _running_sum(per_step):
 
 
 def strat_integral(eta: LeftInvariantOneForm, x):
-    """Stratonovich integral of a left-invariant 1-form along a group path.
-
-    Returns the running values on the grid, shape (steps+1,) per path.
+    """Stratonovich integral of a left-invariant 1-form along a group
+    ensemble: the running values on the grid, shape (replicas, steps+1).
     """
     _require_group(eta, x)
     dl = mc_increments(x)
@@ -111,7 +109,8 @@ def ito_integral(eta: LeftInvariantOneForm, x, alpha: ConnectionFunction):
 
 
 def quadratic_integral(b, x):
-    """Running quadratic integral of an (n, n) bilinear along a group path."""
+    """Running quadratic integral of an (n, n) bilinear along a group
+    ensemble, shape (replicas, steps+1)."""
     b = np.asarray(b, dtype=np.float64)
     n = x.group.algebra_dim
     if b.shape != (n, n):

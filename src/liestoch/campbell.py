@@ -36,22 +36,22 @@ from .errors import DimensionError, GridMismatchError, GroupMismatchError, Hypot
 from .explog import _gate_membership, ito_exponential, ito_logarithm
 from .groups import adjoint_matrices, group_inverse, to_matrix_coords
 from .linalg import frobenius_dist, map_stacked, mat_exp
-from .paths import TimeGrid, as_ensemble, brownian_ensemble, like, null_qv_check
+from .paths import TimeGrid, brownian_ensemble, expect, null_qv_check
 
 AD_RULES = ("ito", "midpoint")
 
 
-def _pair(x, y, x_group, y_group):
-    """Both operands stacked, checked to share group, grid and replicas."""
-    xs = as_ensemble(x, group_valued=x_group)
-    ys = as_ensemble(y, group_valued=y_group)
-    if xs.group != ys.group:
-        raise GroupMismatchError(f"mixed groups: {xs.group.name} vs {ys.group.name}")
-    if xs.grid != ys.grid:
+def _check_pair(x, y, x_group, y_group):
+    """Check that both ensembles have the given value kinds and share
+    group, grid and replica count."""
+    expect(x, x_group)
+    expect(y, y_group)
+    if x.group != y.group:
+        raise GroupMismatchError(f"mixed groups: {x.group.name} vs {y.group.name}")
+    if x.grid != y.grid:
         raise GridMismatchError("operands live on different time grids")
-    if xs.replicas != ys.replicas:
+    if x.replicas != y.replicas:
         raise DimensionError("ensembles have different replica counts")
-    return xs, ys
 
 
 def _adjoint_sum(y, values, rule, inverse):
@@ -83,13 +83,13 @@ def _adjoint_sum(y, values, rule, inverse):
 def ad_integral(y, m, rule="ito"):
     """Adjoint-weighted integral ``int Ad(Y) dM`` along the grid.
 
-    ``y`` is a group path/ensemble, ``m`` an algebra path/ensemble on the
-    same grid. The left-point rule sums ``Ad(Y_k) dM_k``; the midpoint rule
-    evaluates Ad at the geometric midpoint of each step of Y. Returns an
-    object of the same kind as ``m`` (starts at 0).
+    ``y`` is a group ensemble, ``m`` an algebra ensemble on the same grid.
+    The left-point rule sums ``Ad(Y_k) dM_k``; the midpoint rule evaluates
+    Ad at the geometric midpoint of each step of Y. Returns an algebra
+    ensemble (starts at 0).
     """
-    ys, ms = _pair(y, m, True, False)
-    return like(m, ms.with_values(_adjoint_sum(ys, ms.values, rule, inverse=False)))
+    _check_pair(y, m, True, False)
+    return m.with_values(_adjoint_sum(y, m.values, rule, inverse=False))
 
 
 def _check_hypotheses(alpha, p, q, significance, what):
@@ -104,8 +104,8 @@ def _check_hypotheses(alpha, p, q, significance, what):
     # Bonferroni across replicas keeps the ensemble-level false-alarm
     # rate at the requested significance.
     adj = 1.0 - (1.0 - significance) / p.replicas
-    for r in range(p.replicas):
-        res = null_qv_check(p.path(r), q.path(r), adj)
+    for r, (pr, qr) in enumerate(zip(p.coordinates, q.coordinates)):
+        res = null_qv_check(pr, qr, adj)
         if not res.passed:
             raise HypothesisError(
                 f"{what}: hypothesis violated: replica {r} fails the null "
@@ -118,43 +118,43 @@ def ch_residual(m, n, alpha, rule="midpoint", significance=0.99, enforce_hypothe
 
     Both sides are driven by the same increments of (m, n). Returns the
     running Frobenius distance between ``exp(M+N)`` and
-    ``exp(int Ad(exp(N)) dM) exp(N)``: shape (steps+1,) per path,
-    (replicas, steps+1) for ensembles.
+    ``exp(int Ad(exp(N)) dM) exp(N)``, shape (replicas, steps+1).
 
     Preconditions (checked unless ``enforce_hypotheses=False``): alpha is
     quadratic-free and (m, n) pass the null quadratic variation test.
     """
-    ms, ns = _pair(m, n, False, False)
+    _check_pair(m, n, False, False)
     if enforce_hypotheses:
-        _check_hypotheses(alpha, ms, ns, significance, "ch_residual")
+        _check_hypotheses(alpha, m, n, significance, "ch_residual")
     # the sum is no longer a single recorded driver
-    lhs = ito_exponential(ms.with_values(ms.values + ns.values, driver_covariance=None), alpha)
-    y = ito_exponential(ns, alpha)
-    x = ito_exponential(ad_integral(y, ms, rule=rule), alpha)
-    return like(m, frobenius_dist(lhs.values, x.values @ y.values))
+    lhs = ito_exponential(m.with_values(m.values + n.values, driver_covariance=None), alpha)
+    y = ito_exponential(n, alpha)
+    x = ito_exponential(ad_integral(y, m, rule=rule), alpha)
+    return frobenius_dist(lhs.values, x.values @ y.values)
 
 
 def log_product_residual(x, y, alpha, rule="ito", significance=0.99, enforce_hypotheses=True):
     """Pathwise defect of the logarithm Campbell-Hausdorff identity.
 
     Compares ``log(X Y)`` with ``int Ad(Y^-1) d log(X) + log(Y)`` in
-    coordinates; returns the running coordinate 2-norm of the difference.
+    coordinates; returns the running coordinate 2-norm of the difference,
+    shape (replicas, steps+1).
     """
-    xs, ys = _pair(x, y, True, True)
+    _check_pair(x, y, True, True)
     if enforce_hypotheses:
-        _check_hypotheses(alpha, xs, ys, significance, "log_product_residual")
-    rhs = _adjoint_sum(ys, ito_logarithm(xs, alpha).values, rule, inverse=True)
-    rhs += ito_logarithm(ys, alpha).values
-    diff = ito_logarithm(product_path(xs, ys), alpha).values - rhs
-    return like(x, np.sqrt(np.einsum("...ki,...ki->...k", diff, diff)))
+        _check_hypotheses(alpha, x, y, significance, "log_product_residual")
+    rhs = _adjoint_sum(y, ito_logarithm(x, alpha).values, rule, inverse=True)
+    rhs += ito_logarithm(y, alpha).values
+    diff = ito_logarithm(product_path(x, y), alpha).values - rhs
+    return np.sqrt(np.einsum("...ki,...ki->...k", diff, diff))
 
 
 def product_path(x, y):
-    """Pointwise product of two group paths/ensembles on one grid."""
-    xs, ys = _pair(x, y, True, True)
-    values = xs.values @ ys.values
-    _gate_membership(xs.group, values)
-    return like(x, xs.with_values(values))
+    """Pointwise product of two group ensembles on one grid."""
+    _check_pair(x, y, True, True)
+    values = x.values @ y.values
+    _gate_membership(x.group, values)
+    return x.with_values(values)
 
 
 @dataclass(frozen=True)

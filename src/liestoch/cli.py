@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -136,23 +137,37 @@ class ExperimentConfig:
             raise UsageError("config does not name a command")
         return cls(**kwargs)
 
-    def dt_ladder(self):
+    def dt_ladder(self, horizon):
+        """The ``--dts`` rungs, each a positive step that divides ``horizon``,
+        so every rung runs to the same terminal time."""
         try:
             ladder = tuple(float(tok) for tok in self.dts.split(",") if tok.strip())
         except ValueError as exc:
             raise UsageError(f"bad --dts list: {self.dts!r}") from exc
-        if not ladder or any(dt <= 0 for dt in ladder):
+        if not ladder:
             raise UsageError(f"--dts needs positive entries, got {self.dts!r}")
+        for dt in ladder:
+            _positive(dt, "--dts entry")
+            if abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon:
+                raise UsageError(f"--dts rung {dt!r} does not divide the horizon {horizon!r}")
         return ladder
 
     def grid(self):
-        if self.dt <= 0 or self.steps <= 0:
-            raise UsageError("dt and steps must be positive")
+        _positive(self.dt, "--dt")
+        if self.steps <= 0:
+            raise UsageError("--steps must be positive")
         return TimeGrid(self.dt * self.steps, self.steps)
+
+
+def _positive(value, flag):
+    """Refuse a value that is not a positive finite number (NaN included)."""
+    if not (value > 0 and math.isfinite(value)):
+        raise UsageError(f"{flag} must be a positive finite number, got {value!r}")
 
 
 def _connection(config):
     spec = get_group(config.group)
+    _positive(config.lam, "--lambda")
     if config.connection == "biinvariant":
         return spec, alpha_biinvariant(spec)
     if config.connection == "levicivita":
@@ -183,6 +198,8 @@ def _parse_drift(config, spec):
         raise UsageError(f"bad --drift list: {config.drift!r}") from exc
     if vec.shape != (spec.algebra_dim,):
         raise UsageError(f"drift needs {spec.algebra_dim} components")
+    if not np.all(np.isfinite(vec)):
+        raise UsageError(f"--drift components must be finite, got {config.drift!r}")
     return vec
 
 
@@ -200,12 +217,9 @@ def _build_ensemble(config, spec):
     ``--cov`` shapes the ``bm`` driver and ``--drift`` the ``drift`` driver;
     a flag the chosen driver would ignore is a usage error.
     """
-    if config.replicas < 1:
-        raise UsageError("--replicas must be at least 1")
+    _check_draw(config)
     if config.workers < 1:
         raise UsageError("--workers must be at least 1")
-    if config.seed < 0:
-        raise UsageError("--seed must be a non-negative integer")
     if config.driver not in ("bm", "drift"):
         raise UsageError(f"unknown driver {config.driver!r}")
     if config.drift and config.driver != "drift":
@@ -221,6 +235,14 @@ def _build_ensemble(config, spec):
                                  covariance=covariance)
     return drift_diffusion_ensemble(spec, grid, config.seed, config.replicas,
                                     drift=drift, diffusion=np.eye(spec.algebra_dim))
+
+
+def _check_draw(config, min_replicas=1):
+    """The replica count and seed of a seeded driver draw."""
+    if config.replicas < min_replicas:
+        raise UsageError(f"--replicas must be at least {min_replicas}")
+    if config.seed < 0:
+        raise UsageError("--seed must be a non-negative integer")
 
 
 def _solve(config, ensemble, alpha):
@@ -281,10 +303,8 @@ def _cmd_roundtrip(config):
 def _cmd_convergence(config):
     spec, alpha = _connection(config)
     horizon = config.grid().horizon
-    rungs = [replace(config, dt=dt, steps=round(horizon / dt)) for dt in config.dt_ladder()]
-    for sub in rungs:
-        if abs(sub.steps * sub.dt - horizon) > 1e-9 * horizon:
-            raise UsageError(f"--dts rung {sub.dt!r} does not divide the horizon {horizon!r}")
+    rungs = [replace(config, dt=dt, steps=round(horizon / dt))
+             for dt in config.dt_ladder(horizon)]
     rows = []
     for sub in rungs:
         err = explog.roundtrip_errors(_build_ensemble(sub, spec), alpha)
@@ -302,7 +322,8 @@ def _report_dict(report):
 
 def _cmd_campbell(config):
     spec, alpha = _connection(config)
-    dts = config.dt_ladder()
+    _check_draw(config, min_replicas=2)  # each rung reports a standard error
+    dts = config.dt_ladder(horizon=1.0)  # the ladders' horizon
     rule = config.rule or "midpoint"
     exp_rep = campbell.ch_ladder(
         spec, alpha, dts=dts, replicas=config.replicas, base_seed=config.seed, rule=rule
@@ -369,6 +390,7 @@ def _cmd_martingale_test(config):
 
 def _cmd_u_table(config):
     spec = get_group(config.group)
+    _positive(config.lam, "--lambda")
     u = u_from_metric(metric_for(spec, config.lam)).coeffs
     n = spec.algebra_dim
     header = ["i", "j"] + [f"c{k+1}" for k in range(n)]

@@ -19,6 +19,9 @@ corrections are exactly zero arrays, so the Ito and Stratonovich operators
 coincide bit for bit. The algebra connection defaults to flat (all
 Christoffels zero), under which algebra martingales are coordinate local
 martingales.
+
+Every operator takes and returns ``paths.Ensemble`` objects, one path per
+replica; a single path is a one-replica ensemble.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
 )
 from .groups import MEMBERSHIP_GATE, GroupSpec, membership_defect, to_matrix_coords
 from .linalg import bilinear, map_stacked, mat_exp
-from .paths import as_ensemble, like
+from .paths import expect
 
 
 @dataclass(frozen=True)
@@ -132,23 +135,20 @@ def _developed(ens, steps):
 
 
 def strat_exponential(m):
-    """Development of an algebra path into the group (identity start).
-
-    Accepts an AlgebraPath or an algebra Ensemble and returns the
-    corresponding group-valued object, step logs attached.
-    """
-    ens = as_ensemble(m, group_valued=False)
-    return like(m, _developed(ens, np.diff(ens.values, axis=-2)))
+    """Development of an algebra ensemble into the group (identity start),
+    step logs attached."""
+    expect(m, group_valued=False)
+    return _developed(m, np.diff(m.values, axis=-2))
 
 
 def strat_logarithm(x):
-    """Cumulative left-trivialized increments of a group path (starts at 0)."""
-    ens = as_ensemble(x, group_valued=True)
-    return like(x, ens.with_values(_cumulative(mc_increments(ens))))
+    """Cumulative left-trivialized increments of a group ensemble (starts at 0)."""
+    dl = mc_increments(x)
+    return x.with_values(_cumulative(dl))
 
 
 def ito_exponential(m, alpha: ConnectionFunction, algebra_connection=None):
-    """Solve the Ito development equation for a driving algebra path.
+    """Solve the Ito development equation for a driving algebra ensemble.
 
     One-step scheme: inject ``exp(dM + 1/2 Gamma(dM,dM) - 1/2 alpha(dM,dM))``.
     The group-side correction makes the compensated logarithm of the output
@@ -157,46 +157,43 @@ def ito_exponential(m, alpha: ConnectionFunction, algebra_connection=None):
     quadratic correction, so the scheme is insensitive to the torsion
     normalization of the connection table.
     """
-    ens = as_ensemble(m, group_valued=False)
-    dm = np.diff(ens.values, axis=-2)
-    v = dm + _ito_correction(ens.group, dm, alpha, algebra_connection)
-    return like(m, _developed(ens, v))
+    expect(m, group_valued=False)
+    dm = np.diff(m.values, axis=-2)
+    return _developed(m, dm + _ito_correction(m.group, dm, alpha, algebra_connection))
 
 
 def ito_logarithm(x, alpha: ConnectionFunction, algebra_connection=None):
-    """Compensated logarithm of a group path (starts at 0).
+    """Compensated logarithm of a group ensemble (starts at 0).
 
     Returns the cumulative sum of ``dL + 1/2 alpha(dL,dL) - 1/2 Gamma(dL,dL)``
     over the left-trivialized increments dL; with the flat algebra
     connection this is exactly the Stratonovich logarithm plus half the
     running alpha-quadratic sum.
     """
-    ens = as_ensemble(x, group_valued=True)
-    dl = mc_increments(ens)
-    corrected = dl - _ito_correction(ens.group, dl, alpha, algebra_connection)
-    return like(x, ens.with_values(_cumulative(corrected)))
+    dl = mc_increments(x)
+    corrected = dl - _ito_correction(x.group, dl, alpha, algebra_connection)
+    return x.with_values(_cumulative(corrected))
 
 
 def roundtrip_errors(m, alpha: ConnectionFunction):
     """Terminal round-trip error ``|log(exp(M)) - M|`` of the Ito pair, one
-    per replica (a number for a single path)."""
-    ens = as_ensemble(m, group_valued=False)
-    back = ito_logarithm(ito_exponential(ens, alpha), alpha)
-    return like(m, np.linalg.norm(back.values[:, -1] - ens.values[:, -1], axis=-1))
+    per replica."""
+    back = ito_logarithm(ito_exponential(m, alpha), alpha)
+    return np.linalg.norm(back.values[:, -1] - m.values[:, -1], axis=-1)
 
 
 def translate_initial(xi, x):
-    """Left-translate a group path (or ensemble) by a fixed group element.
+    """Left-translate a group ensemble by a fixed group element.
 
     The left-trivialized increments are unchanged, so every log-type
-    operator returns identical output for the translated path.
+    operator returns identical output for the translated ensemble.
     """
-    ens = as_ensemble(x, group_valued=True)
-    spec = ens.group
+    expect(x, group_valued=True)
+    spec = x.group
     xi = np.asarray(xi, dtype=np.float64)
     defect = float(np.max(membership_defect(spec, xi)))
     if not defect <= MEMBERSHIP_GATE:  # NaN fails too
         raise MembershipError(
             f"{spec.name}: translation element defect {defect:.3e} exceeds gate"
         )
-    return like(x, ens.with_values(xi @ ens.values, step_logs=ens.step_logs))
+    return x.with_values(xi @ x.values, step_logs=x.step_logs)

@@ -409,17 +409,20 @@ def mat_exp(a):
       which is also the oracle the closed forms are tested against.
 
     The choice is made per matrix, so a batch may mix branches and each
-    result is the same as for that matrix alone.
+    result is the same as for that matrix alone. The kernels run with
+    numpy's overflow warnings off: a non-finite result raises
+    ``ExpOverflowError`` instead.
     """
     a = _as_square(a, "mat_exp")
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
-    if n == 3:
-        out = _by_structure(flat, _is_skew, _rotation_exp, _taylor_exp)
-    elif n == 4:
-        out = _by_structure(flat, _is_rigid_algebra, _rigid_exp, _taylor_exp)
-    else:
-        out = _taylor_exp(flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 3:
+            out = _by_structure(flat, _is_skew, _rotation_exp, _taylor_exp)
+        elif n == 4:
+            out = _by_structure(flat, _is_rigid_algebra, _rigid_exp, _taylor_exp)
+        else:
+            out = _taylor_exp(flat)
     if not np.all(np.isfinite(out)):
         raise ExpOverflowError("mat_exp: result overflowed double precision")
     return out.reshape(a.shape)

@@ -24,7 +24,7 @@ from .calculus import quadratic_integral
 from .connections import ConnectionFunction, MetricSpec
 from .errors import DimensionError, HypothesisError, PowerError
 from .explog import ito_logarithm
-from .paths import Ensemble
+from .paths import Ensemble, expect
 
 DEFAULT_Z_BAND = 4.0
 DEFAULT_CELL_FRACTION = 0.95
@@ -84,8 +84,7 @@ def drift_test(ensemble: Ensemble, buckets=20, z_band=DEFAULT_Z_BAND,
     reduced with numpy's pairwise summation over the fixed replica order,
     so verdicts do not depend on how replicas were produced or scheduled.
     """
-    if ensemble.is_group_valued:
-        raise DimensionError("drift_test expects an algebra-valued ensemble")
+    expect(ensemble, group_valued=False)
     if buckets < 1:
         raise ValueError(f"buckets must be a positive integer, got {buckets}")
     steps = ensemble.grid.steps
@@ -125,8 +124,7 @@ def martingale_verdict(ensemble: Ensemble, alpha: ConnectionFunction,
                        z_band=DEFAULT_Z_BAND,
                        min_cell_fraction=DEFAULT_CELL_FRACTION) -> DriftReport:
     """Drift test applied to the compensators of a group-valued ensemble."""
-    if not ensemble.is_group_valued:
-        raise DimensionError("martingale_verdict expects a group-valued ensemble")
+    expect(ensemble, group_valued=True)
     comp = compensator(ensemble, alpha, algebra_connection)
     return drift_test(
         comp,
@@ -166,8 +164,7 @@ def qv_linearity_check(ensemble: Ensemble, metric: MetricSpec, tolerance=0.05,
     ``n * horizon`` on average. ``check_driver`` enforces that covariance
     precondition from the ensemble's recorded driver.
     """
-    if not ensemble.is_group_valued:
-        raise DimensionError("qv_linearity_check expects a group-valued ensemble")
+    expect(ensemble, group_valued=True)
     n = ensemble.group.algebra_dim
     if check_driver:
         if ensemble.driver_covariance is None:

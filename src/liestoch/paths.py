@@ -1,14 +1,11 @@
 """Discrete-time path model, seeded stochastic drivers, covariation tests.
 
-Paths live on uniform grids. An algebra-valued path stores basis
-coordinates of shape (steps+1, n); a group-valued path stores matrices of
-shape (steps+1, d, d). Ensembles hold the replica-stacked array once and
-materialize per-replica path views on demand.
-
-Operators compute only on the stacked form. ``as_ensemble`` turns a single
-path into a one-replica ensemble on the way in and ``like`` hands the
-result back in the caller's kind on the way out, so this module is the
-only one that tells paths and ensembles apart.
+Paths live on uniform grids and are always replica-stacked: an
+``Ensemble`` holds algebra coordinates of shape (replicas, steps+1, n) or
+group matrices of shape (replicas, steps+1, d, d), and a single path is a
+one-replica ensemble. Every operator takes and returns ensembles;
+``expect`` is the operand check they share. The covariation tests compare
+two paths as (steps+1, m) coordinate arrays (``Ensemble.coordinates[r]``).
 
 Seeding: replica r of base seed s draws from
 ``PCG64(SeedSequence(entropy=s, spawn_key=(r,)))``; ``derive_rng`` is that
@@ -63,65 +60,17 @@ def _check_values(values, expected_shape, what):
 
 
 @dataclass(frozen=True)
-class AlgebraPath:
-    """Algebra-valued path: coordinates at each grid point."""
-
-    group: GroupSpec
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.steps + 1, self.group.algebra_dim)
-        object.__setattr__(self, "values", _check_values(self.values, shape, "AlgebraPath"))
-
-    def increments(self):
-        return np.diff(self.values, axis=0)
-
-    @property
-    def terminal(self):
-        return self.values[-1]
-
-
-@dataclass(frozen=True)
-class GroupPath:
-    """Group-valued path: one matrix per grid point.
-
-    Constructors only check shape/finiteness; the membership-defect gate is
-    enforced by the solvers that produce these paths. Solvers also attach
-    ``step_logs``, the left-trivialized step vectors they injected, making
-    log-type readbacks and left translation exact rather than asymptotic.
-    """
-
-    group: GroupSpec
-    grid: TimeGrid
-    values: np.ndarray
-    step_logs: np.ndarray | None = None
-
-    def __post_init__(self):
-        d = self.group.matrix_dim
-        shape = (self.grid.steps + 1, d, d)
-        object.__setattr__(self, "values", _check_values(self.values, shape, "GroupPath"))
-        if self.step_logs is not None:
-            logs = _check_values(
-                self.step_logs,
-                (self.grid.steps, self.group.algebra_dim),
-                "GroupPath.step_logs",
-            )
-            object.__setattr__(self, "step_logs", logs)
-
-    @property
-    def terminal(self):
-        return self.values[-1]
-
-
-@dataclass(frozen=True)
 class Ensemble:
-    """Replica-stacked collection of paths sharing one grid.
+    """Replica-stacked paths sharing one grid; a single path is one replica.
 
     ``values`` has shape (replicas, steps+1, n) for algebra ensembles or
-    (replicas, steps+1, d, d) for group ensembles. ``driver_covariance``
-    records the increment covariance when the ensemble came from a Brownian
-    driver (consumed by preconditions downstream).
+    (replicas, steps+1, d, d) for group ensembles, every entry finite.
+    ``driver_covariance`` records the increment covariance when the ensemble
+    came from a Brownian driver (consumed by preconditions downstream).
+    Solvers attach ``step_logs``, the (replicas, steps, n) left-trivialized
+    step vectors they injected, making log-type readbacks and left
+    translation exact rather than asymptotic. The membership-defect gate is
+    enforced by the solvers, not here.
     """
 
     group: GroupSpec
@@ -132,10 +81,15 @@ class Ensemble:
     step_logs: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim not in (3, 4) or values.shape[1] != self.grid.steps + 1:
-            raise DimensionError(f"Ensemble: bad stacked shape {values.shape}")
-        object.__setattr__(self, "values", values)
+        values = np.asarray(self.values)
+        n, d = self.group.algebra_dim, self.group.matrix_dim
+        lead = (values.shape[0] if values.ndim else 0, self.grid.steps + 1)
+        shape = lead + ((d, d) if values.ndim == 4 else (n,))
+        object.__setattr__(self, "values", _check_values(values, shape, "Ensemble"))
+        if self.step_logs is not None:
+            logs = _check_values(self.step_logs, (lead[0], self.grid.steps, n),
+                                 "Ensemble.step_logs")
+            object.__setattr__(self, "step_logs", logs)
 
     @property
     def replicas(self):
@@ -145,15 +99,11 @@ class Ensemble:
     def is_group_valued(self):
         return self.values.ndim == 4
 
-    def path(self, r):
-        if self.is_group_valued:
-            logs = None if self.step_logs is None else self.step_logs[r]
-            return GroupPath(self.group, self.grid, self.values[r], step_logs=logs)
-        return AlgebraPath(self.group, self.grid, self.values[r])
-
     @property
-    def paths(self):
-        return [self.path(r) for r in range(self.replicas)]
+    def coordinates(self):
+        """(replicas, steps+1, m) real components: the basis coordinates of
+        an algebra ensemble, the row-major matrix entries of a group one."""
+        return self.values.reshape(self.values.shape[:2] + (-1,))
 
     def with_values(self, values, driver_covariance=_KEEP, step_logs=None):
         """Derived ensemble with new values; driver lineage is kept unless
@@ -165,37 +115,11 @@ class Ensemble:
         )
 
 
-def as_ensemble(x, group_valued=None):
-    """Replica-stacked form of a path or ensemble.
-
-    An ensemble is returned unchanged; a path becomes a one-replica
-    ensemble (base seed 0) sharing its values and step logs. With
-    ``group_valued`` given, the value kind must match.
-    """
-    if isinstance(x, Ensemble):
-        ens = x
-    elif isinstance(x, GroupPath):
-        logs = None if x.step_logs is None else x.step_logs[None]
-        ens = Ensemble(x.group, x.grid, 0, x.values[None], step_logs=logs)
-    elif isinstance(x, AlgebraPath):
-        ens = Ensemble(x.group, x.grid, 0, x.values[None])
-    else:
-        raise DimensionError(f"expected a path or ensemble, got {type(x).__name__}")
-    if group_valued is not None and ens.is_group_valued != group_valued:
+def expect(x, group_valued):
+    """Refuse an operand that is not an ensemble of the given value kind."""
+    if not isinstance(x, Ensemble) or x.is_group_valued != group_valued:
         kind = "group" if group_valued else "algebra"
-        raise DimensionError(f"expected a {kind}-valued path or ensemble")
-    return ens
-
-
-def like(x, out):
-    """Hand a stacked result back in the kind of the operand ``x``.
-
-    ``out`` is an ensemble or an array with a leading replica axis; for a
-    path ``x`` its only replica is returned.
-    """
-    if isinstance(x, Ensemble):
-        return out
-    return out.path(0) if isinstance(out, Ensemble) else out[0]
+        raise DimensionError(f"expected a {kind}-valued Ensemble")
 
 
 def derive_rng(base_seed, replica):
@@ -333,14 +257,6 @@ def _driver_values(grid, base_seed, replicas, first_replica, factor, shift=None)
     return values
 
 
-def brownian_driver(group, grid, seed, covariance=None, replica=0) -> AlgebraPath:
-    """Brownian path in the algebra: increments are iid N(0, covariance*dt).
-
-    This is replica ``replica`` of ``brownian_ensemble`` at the same seed.
-    """
-    return brownian_ensemble(group, grid, seed, 1, covariance, first_replica=replica).path(0)
-
-
 def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
                       first_replica=0) -> Ensemble:
     """Independent Brownian replicas, replica r seeded by derive(seed, r).
@@ -355,13 +271,6 @@ def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
     factor = spd_cholesky(cov, what="covariance") * sqrt(grid.dt)
     values = _driver_values(grid, base_seed, replicas, first_replica, factor)
     return Ensemble(group, grid, int(base_seed), values, driver_covariance=cov)
-
-
-def drift_diffusion_driver(group, grid, seed, drift=None, diffusion=None, replica=0) -> AlgebraPath:
-    """Replica ``replica`` of ``drift_diffusion_ensemble`` as a path."""
-    return drift_diffusion_ensemble(
-        group, grid, seed, 1, drift, diffusion, first_replica=replica
-    ).path(0)
 
 
 def drift_diffusion_ensemble(group, grid, base_seed, replicas, drift=None,
@@ -384,43 +293,26 @@ def drift_diffusion_ensemble(group, grid, base_seed, replicas, drift=None,
     return Ensemble(group, grid, int(base_seed), values)
 
 
-def _require_same_grid(p, q):
-    if p.grid != q.grid:
-        raise GridMismatchError(f"grids differ: {p.grid} vs {q.grid}")
-
-
-def coordinate_series(path):
-    """Coordinate representation of a path: (steps+1, m) real components.
-
-    Algebra paths use their basis coordinates; group paths use the flat
-    matrix entries (the coordinates of the matrix embedding).
-    """
-    if isinstance(path, AlgebraPath):
-        return path.values
-    if isinstance(path, GroupPath):
-        k = path.grid.steps + 1
-        return path.values.reshape(k, -1)
-    arr = np.asarray(path, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError("expected a path or a (steps+1, m) array")
-    return arr
+def _coordinate_increments(p, q):
+    """Step increments of two (steps+1, m) coordinate arrays on one grid."""
+    a = np.asarray(p, dtype=np.float64)
+    b = np.asarray(q, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError("expected two (steps+1, m) coordinate arrays")
+    if a.shape[0] != b.shape[0]:
+        raise GridMismatchError("paths have different numbers of grid points")
+    return np.diff(a, axis=0), np.diff(b, axis=0)
 
 
 def quadratic_covariation(p, q):
-    """Running realized covariation sum_{m<k} dP^i_m dQ^j_m.
+    """Running realized covariation sum_{m<k} dP^i_m dQ^j_m of two
+    (steps+1, m) coordinate arrays, such as rows of ``Ensemble.coordinates``.
 
     Returns shape (steps+1, n_p, n_q); entry 0 is zero.
     """
-    if isinstance(p, (AlgebraPath, GroupPath)) and isinstance(q, (AlgebraPath, GroupPath)):
-        _require_same_grid(p, q)
-    a = coordinate_series(p)
-    b = coordinate_series(q)
-    if a.shape[0] != b.shape[0]:
-        raise GridMismatchError("paths have different numbers of grid points")
-    da = np.diff(a, axis=0)
-    db = np.diff(b, axis=0)
+    da, db = _coordinate_increments(p, q)
     prods = np.einsum("ki,kj->kij", da, db)
-    out = np.zeros((a.shape[0],) + prods.shape[1:])
+    out = np.zeros((da.shape[0] + 1,) + prods.shape[1:])
     np.cumsum(prods, axis=0, out=out[1:])
     return out
 
@@ -455,7 +347,8 @@ class NullQVResult:
 
 
 def null_qv_check(p, q, significance=0.99) -> NullQVResult:
-    """Test whether two paths have vanishing cross quadratic variation.
+    """Test whether two paths, given as (steps+1, m) coordinate arrays, have
+    vanishing cross quadratic variation.
 
     Self-normalized CLT band per cell: the variance of the terminal
     realized cross-covariation is estimated by the running sum of squared
@@ -463,14 +356,7 @@ def null_qv_check(p, q, significance=0.99) -> NullQVResult:
     ``|C_T| <= z * sqrt(Vhat) + floor`` with z Bonferroni-adjusted across
     cells so that the whole check has the requested significance.
     """
-    if isinstance(p, (AlgebraPath, GroupPath)) and isinstance(q, (AlgebraPath, GroupPath)):
-        _require_same_grid(p, q)
-    a = coordinate_series(p)
-    b = coordinate_series(q)
-    if a.shape[0] != b.shape[0]:
-        raise GridMismatchError("paths have different numbers of grid points")
-    da = np.diff(a, axis=0)
-    db = np.diff(b, axis=0)
+    da, db = _coordinate_increments(p, q)
     terminal = np.einsum("ki,kj->ij", da, db)
     var_hat = np.einsum("ki,kj->ij", da * da, db * db)
     cells = terminal.size
@@ -504,7 +390,7 @@ def write_table(fh, header, rows):
     fh.write("".join(",".join(map(_field, row)) + "\r\n" for row in [header, *rows]))
 
 
-def _dump_rows(fh, grid, header, stacked, first_replica):
+def _dump_rows(fh, grid, header, stacked):
     """stacked: (replicas, steps+1, m) flattened component values.
 
     The body is ``write_table``'s format written in bulk, every float
@@ -514,25 +400,23 @@ def _dump_rows(fh, grid, header, stacked, first_replica):
     write_table(fh, header, [])
     prefixes = [f"{k},{t!r}," for k, t in enumerate(grid.times().tolist())]
     for r in range(stacked.shape[0]):
-        rid = f"{first_replica + r},"
+        rid = f"{r},"
         fh.write("".join(
             rid + prefix + ",".join(map(repr, row)) + "\r\n"
             for prefix, row in zip(prefixes, stacked[r].tolist())
         ))
 
 
-def dump_algebra_csv(target, fh, replica=0):
-    """CSV dump ``replica,k,t,c1..cn`` of a path or every ensemble replica;
-    the first replica is numbered ``replica``."""
-    ens = as_ensemble(target, group_valued=False)
-    n = ens.values.shape[-1]
-    header = ["replica", "k", "t"] + [f"c{i+1}" for i in range(n)]
-    _dump_rows(fh, ens.grid, header, ens.values, replica)
+def dump_algebra_csv(ens, fh):
+    """CSV dump ``replica,k,t,c1..cn`` of every replica of an algebra ensemble."""
+    expect(ens, group_valued=False)
+    header = ["replica", "k", "t"] + [f"c{i+1}" for i in range(ens.values.shape[-1])]
+    _dump_rows(fh, ens.grid, header, ens.values)
 
 
-def dump_group_csv(target, fh, replica=0):
+def dump_group_csv(ens, fh):
     """CSV dump ``replica,k,t,m11..mdd`` (row-major matrix entries)."""
-    ens = as_ensemble(target, group_valued=True)
-    reps, points, d = ens.values.shape[:3]
+    expect(ens, group_valued=True)
+    d = ens.values.shape[-1]
     header = ["replica", "k", "t"] + [f"m{i+1}{j+1}" for i in range(d) for j in range(d)]
-    _dump_rows(fh, ens.grid, header, ens.values.reshape(reps, points, d * d), replica)
+    _dump_rows(fh, ens.grid, header, ens.coordinates)

@@ -20,7 +20,7 @@ from liestoch.errors import DimensionError, GroupMismatchError
 from liestoch.explog import strat_exponential
 from liestoch.groups import get_group, to_matrix_coords
 from liestoch.linalg import mat_exp
-from liestoch.paths import AlgebraPath, GroupPath, TimeGrid, brownian_driver
+from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
 
 SO3 = get_group("so3")
 SE3 = get_group("se3")
@@ -29,12 +29,12 @@ RNG = np.random.default_rng(11)
 
 def line_path(spec, grid, direction):
     values = np.outer(grid.times(), direction)
-    return AlgebraPath(spec, grid, values)
+    return Ensemble(spec, grid, 0, values[None])
 
 
 def constant_group_path(spec, grid, g):
     values = np.broadcast_to(g, (grid.steps + 1,) + g.shape).copy()
-    return GroupPath(spec, grid, values)
+    return Ensemble(spec, grid, 0, values[None])
 
 
 def test_increments_constant_path():
@@ -48,16 +48,16 @@ def test_increments_one_parameter_subgroup():
     grid = TimeGrid(2.0, 40)
     a = np.array([0.4, 0.2, -0.3])
     values = mat_exp(to_matrix_coords(SO3, np.outer(grid.times(), a)))
-    path = GroupPath(SO3, grid, values)
-    dl = mc_increments(path)
+    path = Ensemble(SO3, grid, 0, values[None])
+    dl = mc_increments(path)[0]
     assert np.max(np.abs(dl - grid.dt * a)) < 1e-12
 
 
 def test_increments_recover_driver():
     grid = TimeGrid(1.0, 300)
-    bm = brownian_driver(SO3, grid, seed=1)
+    bm = brownian_ensemble(SO3, grid, 1, 1)
     x = strat_exponential(bm)
-    assert np.max(np.abs(np.cumsum(mc_increments(x), axis=0) - bm.values[1:])) < 1e-12
+    assert np.max(np.abs(np.cumsum(mc_increments(x)[0], axis=0) - bm.values[0, 1:])) < 1e-12
     # recomputation from the matrices agrees with the cached injected steps
     recomputed = increments_from_values(SO3, x.values)
     assert np.max(np.abs(recomputed - x.step_logs)) < 1e-12
@@ -71,7 +71,7 @@ def test_strat_integral_cases():
     assert np.max(np.abs(strat_integral(zero, x))) == 0.0
     eta = LeftInvariantOneForm(SO3, np.array([1.0, 2.0, -1.0]))
     running = strat_integral(eta, x)
-    assert abs(running[-1] - grid.horizon * eta.covector @ a) < 1e-12
+    assert abs(running[0, -1] - grid.horizon * eta.covector @ a) < 1e-12
     # linearity in the form
     eta2 = LeftInvariantOneForm(SO3, RNG.standard_normal(3))
     combined = LeftInvariantOneForm(SO3, eta.covector + 3.0 * eta2.covector)
@@ -87,16 +87,16 @@ def test_strat_integral_loop_returns_to_zero():
     half = grid.steps // 2
     profile = np.minimum(np.arange(grid.steps + 1), grid.steps - np.arange(grid.steps + 1))
     values = mat_exp(to_matrix_coords(SO3, np.outer(profile * grid.dt, a)))
-    loop = GroupPath(SO3, grid, values)
+    loop = Ensemble(SO3, grid, 0, values[None])
     eta = LeftInvariantOneForm(SO3, RNG.standard_normal(3))
     running = strat_integral(eta, loop)
-    assert abs(running[-1]) < 1e-10
-    assert abs(running[half]) > 0.01  # it does leave zero on the way
+    assert abs(running[0, -1]) < 1e-10
+    assert abs(running[0, half]) > 0.01  # it does leave zero on the way
 
 
 def test_ito_equals_strat_for_biinvariant():
     grid = TimeGrid(1.0, 200)
-    x = strat_exponential(brownian_driver(SO3, grid, seed=3))
+    x = strat_exponential(brownian_ensemble(SO3, grid, 3, 1))
     eta = LeftInvariantOneForm(SO3, RNG.standard_normal(3))
     alpha = alpha_biinvariant(SO3)
     assert np.array_equal(ito_integral(eta, x, alpha), strat_integral(eta, x))
@@ -110,28 +110,28 @@ def test_ito_minus_strat_vanishes_for_smooth_path():
     for steps in (50, 200):
         grid = TimeGrid(1.0, steps)
         x = strat_exponential(line_path(SE3, grid, a))
-        diffs.append(abs(ito_integral(eta, x, alpha)[-1] - strat_integral(eta, x)[-1]))
+        diffs.append(abs(ito_integral(eta, x, alpha)[0, -1] - strat_integral(eta, x)[0, -1]))
     assert diffs[1] < diffs[0] / 2.0  # O(dt)
 
 
 def test_ito_correction_matches_closed_form():
     grid = TimeGrid(1.0, 400)
-    bm = brownian_driver(SE3, grid, seed=8)
+    bm = brownian_ensemble(SE3, grid, 8, 1)
     x = strat_exponential(bm)
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
     eta = LeftInvariantOneForm(SE3, RNG.standard_normal(6))
     correction = ito_integral(eta, x, alpha) - strat_integral(eta, x)
     # recompute independently through the closed cross-product form
     u = closed_form_u("se3", 1.0)
-    dl = mc_increments(x)
+    dl = mc_increments(x)[0]
     per_step = eval_alpha_coords(u, dl, dl) @ eta.covector
-    recomputed = np.concatenate([[0.0], 0.5 * np.cumsum(per_step)])
+    recomputed = np.concatenate([[0.0], 0.5 * np.cumsum(per_step)])[None]
     assert np.max(np.abs(correction - recomputed)) < 1e-10
 
 
 def test_conversion_identity_every_step():
     grid = TimeGrid(1.0, 250)
-    bm = brownian_driver(SE3, grid, seed=12)
+    bm = brownian_ensemble(SE3, grid, 12, 1)
     x = strat_exponential(bm)
     alpha = alpha_levi_civita(metric_for("se3", 0.8))
     eta = LeftInvariantOneForm(SE3, RNG.standard_normal(6))
@@ -153,7 +153,7 @@ def test_conversion_identity_property():
         rng = np.random.default_rng(seed)
         spec = get_group(name)
         grid = TimeGrid(0.5, 40)
-        x = strat_exponential(brownian_driver(spec, grid, seed=seed))
+        x = strat_exponential(brownian_ensemble(spec, grid, seed, 1))
         alpha = alpha_levi_civita(metric_for(name, float(rng.uniform(0.5, 2.0))))
         eta = LeftInvariantOneForm(spec, rng.standard_normal(spec.algebra_dim))
         b = np.einsum("k,kij->ij", eta.covector, alpha.coeffs)
@@ -166,32 +166,32 @@ def test_conversion_identity_property():
 
 def test_quadratic_integral_cases():
     grid = TimeGrid(1.0, 10_000)
-    x = strat_exponential(brownian_driver(SO3, grid, seed=4))
+    x = strat_exponential(brownian_ensemble(SO3, grid, 4, 1))
     assert np.max(np.abs(quadratic_integral(np.zeros((3, 3)), x))) == 0.0
     # identity bilinear on a standard Brownian driver: terminal near n * T
     running = quadratic_integral(np.eye(3), x)
-    assert abs(running[-1] - 3.0) < 0.15
+    assert abs(running[0, -1] - 3.0) < 0.15
     with pytest.raises(DimensionError):
         quadratic_integral(np.eye(4), x)
 
 
 def test_integral_additivity_over_concatenation():
     grid = TimeGrid(1.0, 100)
-    bm = brownian_driver(SO3, grid, seed=6)
+    bm = brownian_ensemble(SO3, grid, 6, 1)
     x = strat_exponential(bm)
     eta = LeftInvariantOneForm(SO3, RNG.standard_normal(3))
     running = strat_integral(eta, x)
     # restriction to the first half, then the second half from its start
     half = 50
-    first = GroupPath(SO3, TimeGrid(0.5, half), x.values[: half + 1])
-    second = GroupPath(SO3, TimeGrid(0.5, half), x.values[half:])
-    total = strat_integral(eta, first)[-1] + strat_integral(eta, second)[-1]
-    assert abs(total - running[-1]) < 1e-12
+    first = Ensemble(SO3, TimeGrid(0.5, half), 0, x.values[0, : half + 1][None])
+    second = Ensemble(SO3, TimeGrid(0.5, half), 0, x.values[0, half:][None])
+    total = strat_integral(eta, first)[0, -1] + strat_integral(eta, second)[0, -1]
+    assert abs(total - running[0, -1]) < 1e-12
 
 
 def test_group_mismatch_errors():
     grid = TimeGrid(1.0, 10)
-    x = strat_exponential(brownian_driver(SO3, grid, seed=0))
+    x = strat_exponential(brownian_ensemble(SO3, grid, 0, 1))
     eta = LeftInvariantOneForm(SE3, np.zeros(6))
     with pytest.raises(GroupMismatchError):
         strat_integral(eta, x)

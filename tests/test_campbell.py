@@ -15,7 +15,7 @@ from liestoch.errors import GridMismatchError, HypothesisError, IntegratorDriftE
 from liestoch.explog import strat_exponential
 from liestoch.groups import Ad, AlgebraVector, get_group, random_group_element
 from liestoch.linalg import frobenius_dist
-from liestoch.paths import AlgebraPath, GroupPath, TimeGrid, brownian_driver, brownian_ensemble
+from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
 
 SO3 = get_group("so3")
 N3 = get_group("n3")
@@ -23,18 +23,19 @@ RNG = np.random.default_rng(29)
 
 
 def line_path(spec, grid, direction):
-    return AlgebraPath(spec, grid, np.outer(grid.times(), direction))
+    return Ensemble(spec, grid, 0, np.outer(grid.times(), direction)[None])
 
 
 def identity_path(spec, grid):
-    return GroupPath(
-        spec, grid, np.broadcast_to(spec.identity, (grid.steps + 1,) + spec.identity.shape).copy()
+    return Ensemble(
+        spec, grid, 0,
+        np.broadcast_to(spec.identity, (grid.steps + 1,) + spec.identity.shape).copy()[None],
     )
 
 
 def test_ad_integral_identity_path_returns_driver():
     grid = TimeGrid(1.0, 60)
-    m = brownian_driver(SO3, grid, seed=1)
+    m = brownian_ensemble(SO3, grid, 1, 1)
     out = ad_integral(identity_path(SO3, grid), m)
     assert np.max(np.abs(out.values - m.values)) < 1e-14
 
@@ -43,18 +44,18 @@ def test_ad_integral_constant_conjugator_on_line():
     grid = TimeGrid(1.0, 50)
     a = np.array([0.7, -0.2, 0.4])
     g = random_group_element(SO3, RNG, 0.9)
-    const = GroupPath(SO3, grid, np.broadcast_to(g, (51, 3, 3)).copy())
+    const = Ensemble(SO3, grid, 0, np.broadcast_to(g, (51, 3, 3)).copy()[None])
     out = ad_integral(const, line_path(SO3, grid, a))
     expected = np.outer(grid.times(), Ad(g, AlgebraVector(SO3, a)).coords)
-    assert np.max(np.abs(out.values - expected)) < 1e-12
+    assert np.max(np.abs(out.values[0] - expected)) < 1e-12
 
 
 def test_ad_integral_linearity_in_driver():
     grid = TimeGrid(1.0, 40)
-    y = strat_exponential(brownian_driver(SO3, grid, seed=3))
-    m1 = brownian_driver(SO3, grid, seed=4, replica=0)
-    m2 = brownian_driver(SO3, grid, seed=4, replica=1)
-    combined = AlgebraPath(SO3, grid, 2.0 * m1.values + m2.values)
+    y = strat_exponential(brownian_ensemble(SO3, grid, 3, 1))
+    m1 = brownian_ensemble(SO3, grid, 4, 1, first_replica=0)
+    m2 = brownian_ensemble(SO3, grid, 4, 1, first_replica=1)
+    combined = Ensemble(SO3, grid, 0, (2.0 * m1.values[0] + m2.values[0])[None])
     lhs = ad_integral(y, combined).values
     rhs = 2.0 * ad_integral(y, m1).values + ad_integral(y, m2).values
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -62,11 +63,11 @@ def test_ad_integral_linearity_in_driver():
 
 def test_ad_integral_rejects_bad_rule_and_grid():
     grid = TimeGrid(1.0, 10)
-    y = strat_exponential(brownian_driver(SO3, grid, seed=0))
-    m = brownian_driver(SO3, grid, seed=1)
+    y = strat_exponential(brownian_ensemble(SO3, grid, 0, 1))
+    m = brownian_ensemble(SO3, grid, 1, 1)
     with pytest.raises(ValueError):
         ad_integral(y, m, rule="simpson")
-    other = brownian_driver(SO3, TimeGrid(1.0, 20), seed=1)
+    other = brownian_ensemble(SO3, TimeGrid(1.0, 20), 1, 1)
     with pytest.raises(GridMismatchError):
         ad_integral(y, other)
 
@@ -74,8 +75,8 @@ def test_ad_integral_rejects_bad_rule_and_grid():
 def test_ch_residual_vanishes_when_second_driver_is_zero():
     grid = TimeGrid(1.0, 30)
     alpha = alpha_biinvariant(SO3)
-    m = brownian_driver(SO3, grid, seed=5)
-    zero = AlgebraPath(SO3, grid, np.zeros((31, 3)))
+    m = brownian_ensemble(SO3, grid, 5, 1)
+    zero = Ensemble(SO3, grid, 0, np.zeros((31, 3))[None])
     res = ch_residual(m, zero, alpha, enforce_hypotheses=False)
     assert np.max(res) < 1e-12
 
@@ -95,8 +96,8 @@ def test_ch_residual_requires_quadratic_free_alpha():
     grid = TimeGrid(1.0, 20)
     se3 = get_group("se3")
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    m = brownian_driver(se3, grid, seed=1, replica=0)
-    n = brownian_driver(se3, grid, seed=1, replica=1)
+    m = brownian_ensemble(se3, grid, 1, 1, first_replica=0)
+    n = brownian_ensemble(se3, grid, 1, 1, first_replica=1)
     with pytest.raises(HypothesisError, match="alpha"):
         ch_residual(m, n, alpha)
 
@@ -104,7 +105,7 @@ def test_ch_residual_requires_quadratic_free_alpha():
 def test_ch_residual_requires_null_qv():
     grid = TimeGrid(1.0, 2000)
     alpha = alpha_biinvariant(SO3)
-    m = brownian_driver(SO3, grid, seed=2)
+    m = brownian_ensemble(SO3, grid, 2, 1)
     with pytest.raises(HypothesisError, match="quadratic variation"):
         ch_residual(m, m, alpha)
     # override runs anyway
@@ -115,8 +116,8 @@ def test_ch_residual_requires_null_qv():
 def test_ch_residual_deterministic_reproducibility():
     grid = TimeGrid(1.0, 100)
     alpha = alpha_biinvariant(SO3)
-    m = brownian_driver(SO3, grid, seed=6, replica=0)
-    n = brownian_driver(SO3, grid, seed=6, replica=1)
+    m = brownian_ensemble(SO3, grid, 6, 1, first_replica=0)
+    n = brownian_ensemble(SO3, grid, 6, 1, first_replica=1)
     r1 = ch_residual(m, n, alpha, enforce_hypotheses=False)
     r2 = ch_residual(m, n, alpha, enforce_hypotheses=False)
     assert np.array_equal(r1, r2)
@@ -135,7 +136,7 @@ def test_ch_ladder_midpoint_beats_leftpoint():
 def test_log_product_residual_identity_cases():
     grid = TimeGrid(1.0, 40)
     alpha = alpha_biinvariant(SO3)
-    x = strat_exponential(brownian_driver(SO3, grid, seed=7))
+    x = strat_exponential(brownian_ensemble(SO3, grid, 7, 1))
     e = identity_path(SO3, grid)
     assert np.max(log_product_residual(x, e, alpha, enforce_hypotheses=False)) < 1e-12
     assert np.max(log_product_residual(e, x, alpha, enforce_hypotheses=False)) < 1e-12
@@ -150,10 +151,10 @@ def test_log_product_ladder_monotone():
 
 def test_product_path_cases():
     grid = TimeGrid(1.0, 80)
-    x = strat_exponential(brownian_driver(SO3, grid, seed=8))
+    x = strat_exponential(brownian_ensemble(SO3, grid, 8, 1))
     e = identity_path(SO3, grid)
     assert np.array_equal(product_path(x, e).values, x.values)
-    inv = GroupPath(SO3, grid, np.swapaxes(x.values, -1, -2))
+    inv = Ensemble(SO3, grid, 0, np.swapaxes(x.values[0], -1, -2)[None])
     prod = product_path(x, inv)
     assert float(np.max(frobenius_dist(prod.values, np.eye(3)))) < 1e-12
 
@@ -169,12 +170,17 @@ def test_product_path_membership_for_ensembles():
 
 
 def test_product_path_gate_rejects_nan():
+    # an ensemble refuses NaN values, so the product's own NaN comes from
+    # overflow: entries near 1e200 multiply to inf, and inf - inf is NaN
     grid = TimeGrid(1.0, 10)
     ex = strat_exponential(brownian_ensemble(SO3, grid, 1, 4))
     values = ex.values.copy()
     values[2, 5, 1, 1] = np.nan
-    with pytest.raises(IntegratorDriftError):
-        product_path(ex.with_values(values), ex)
+    with pytest.raises(ValueError, match="non-finite"):
+        ex.with_values(values)
+    values[2, 5, 1, 1] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegratorDriftError):
+        product_path(ex.with_values(values), ex.with_values(values))
 
 
 def test_ch_report_validation():

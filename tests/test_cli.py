@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,34 @@ def test_convergence_refuses_a_rung_that_does_not_divide_the_horizon(tmp_path, c
                    "--replicas", "4", "--seed", "1", "--out", str(out))
     assert code == EXIT_USAGE
     assert "rung 0.03 " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_campbell_refuses_a_rung_that_does_not_divide_the_horizon(tmp_path, capsys):
+    # 0.03 would run round(1 / 0.03) = 33 steps, i.e. dt = 1/33, while the
+    # report recorded 0.03
+    out = tmp_path / "ch.json"
+    code = run_cli("campbell", "--group", "so3", "--connection", "biinvariant",
+                   "--dts", "0.03", "--replicas", "4", "--seed", "1",
+                   "--format", "json", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "rung 0.03 " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("replicas, seed, flag", [
+    ("0", "1", "--replicas"), ("1", "1", "--replicas"), ("4", "-1", "--seed"),
+])
+def test_campbell_refuses_too_few_replicas_or_a_negative_seed(replicas, seed, flag,
+                                                               tmp_path, capsys):
+    # 0 replicas divided by zero, 1 replica wrote a NaN standard error and a
+    # negative seed reached SeedSequence
+    out = tmp_path / "ch.json"
+    code = run_cli("campbell", "--group", "so3", "--connection", "biinvariant",
+                   "--dts", "0.02", "--replicas", replicas, "--seed", seed,
+                   "--format", "json", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -280,6 +312,24 @@ def test_exp_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert "overflowed" in capsys.readouterr().err
 
 
+def test_exp_overflow_prints_only_the_cli_message(tmp_path):
+    # numpy's overflow warning from the squaring loop used to precede it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liestoch.cli", "exp", "--group", "e11",
+         "--connection", "biinvariant", "--driver", "drift", "--drift", "1e5,0,0",
+         "--dt", "0.01", "--steps", "10", "--replicas", "2", "--seed", "1",
+         "--out", str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
+
+
 @pytest.mark.parametrize("buckets, replicas", [
     ("20", "200"), ("20", "50"), ("0", "200"), ("-5", "200"),
 ])
@@ -317,6 +367,33 @@ def test_bad_numeric_flags_are_usage_errors(tmp_path):
     assert run_cli("campbell", "--group", "so3", "--connection", "biinvariant",
                    "--dts", " , ", "--replicas", "16", "--seed", "1",
                    "--out", str(tmp_path / "c.json")) == EXIT_USAGE
+
+
+_RUN = ["--group", "so3", "--dt", "0.01", "--steps", "10", "--replicas", "2", "--seed", "1"]
+_LADDER = ["--group", "so3", "--connection", "biinvariant", "--replicas", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["u-table", "--group", "se3", "--lambda", "0"], "--lambda"),
+    (["u-table", "--group", "se3", "--lambda", "-1"], "--lambda"),
+    (["u-table", "--group", "se3", "--lambda", "nan"], "--lambda"),
+    (["exp", *_RUN, "--lambda", "0"], "--lambda"),
+    (["exp", *_RUN, "--lambda", "-1"], "--lambda"),
+    (["exp", *_RUN, "--lambda", "nan"], "--lambda"),
+    (["exp", "--dt", "nan", "--steps", "10", "--replicas", "2"], "--dt"),
+    (["exp", "--dt", "inf", "--steps", "10", "--replicas", "2"], "--dt"),
+    (["exp", *_RUN, "--driver", "drift", "--drift", "nan,0,0"], "--drift"),
+    (["convergence", *_RUN, "--dts", "0.02,nan"], "--dts"),
+    (["campbell", *_LADDER, "--dts", "nan"], "--dts"),
+])
+def test_non_positive_or_non_finite_numbers_name_their_flag(argv, flag, tmp_path, capsys):
+    # lambda <= 0 used to exit 4 from the metric; NaN and inf passed the
+    # "<= 0" checks and ended in a traceback
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+    assert not out.exists()
 
 
 def test_covariance_file_validation(tmp_path):

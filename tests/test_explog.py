@@ -15,7 +15,7 @@ from liestoch.explog import (
 )
 from liestoch.groups import get_group, membership_defect, random_group_element, to_matrix_coords
 from liestoch.linalg import frobenius_dist, mat_exp
-from liestoch.paths import AlgebraPath, TimeGrid, brownian_driver, brownian_ensemble
+from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
 
 SO3 = get_group("so3")
 SE3 = get_group("se3")
@@ -23,14 +23,14 @@ RNG = np.random.default_rng(23)
 
 
 def line_path(spec, grid, direction):
-    return AlgebraPath(spec, grid, np.outer(grid.times(), direction))
+    return Ensemble(spec, grid, 0, np.outer(grid.times(), direction)[None])
 
 
 def test_strat_exponential_of_zero_is_identity_path():
     grid = TimeGrid(1.0, 12)
-    zero = AlgebraPath(SO3, grid, np.zeros((13, 3)))
+    zero = Ensemble(SO3, grid, 0, np.zeros((13, 3))[None])
     x = strat_exponential(zero)
-    assert np.array_equal(x.values, np.broadcast_to(np.eye(3), (13, 3, 3)))
+    assert np.array_equal(x.values[0], np.broadcast_to(np.eye(3), (13, 3, 3)))
 
 
 def test_strat_exponential_line_is_one_parameter_subgroup():
@@ -38,30 +38,30 @@ def test_strat_exponential_line_is_one_parameter_subgroup():
     a = np.array([0.2, -0.4, 0.1])
     x = strat_exponential(line_path(SO3, grid, a))
     expected = mat_exp(to_matrix_coords(SO3, np.outer(grid.times(), a)))
-    assert np.max(np.abs(x.values - expected)) < 1e-12
+    assert np.max(np.abs(x.values[0] - expected)) < 1e-12
 
 
 def test_strat_operators_are_inverse():
     grid = TimeGrid(1.0, 500)
-    bm = brownian_driver(SO3, grid, seed=7)
+    bm = brownian_ensemble(SO3, grid, 7, 1)
     back = strat_logarithm(strat_exponential(bm))
     assert np.max(np.abs(back.values - bm.values)) < 1e-12
 
 
 def test_strat_logarithm_of_identity_and_line():
     grid = TimeGrid(1.0, 10)
-    x = strat_exponential(AlgebraPath(SO3, grid, np.zeros((11, 3))))
+    x = strat_exponential(Ensemble(SO3, grid, 0, np.zeros((11, 3))[None]))
     assert np.max(np.abs(strat_logarithm(x).values)) == 0.0
     a = np.array([0.3, 0.1, -0.2])
     lx = strat_logarithm(strat_exponential(line_path(SO3, grid, a)))
-    assert np.max(np.abs(lx.values - np.outer(grid.times(), a))) < 1e-12
+    assert np.max(np.abs(lx.values[0] - np.outer(grid.times(), a))) < 1e-12
 
 
 def test_membership_gate_on_solver_outputs():
     grid = TimeGrid(1.0, 200)
     for name in ("so3", "se2", "se3", "e11", "n3", "sl2r"):
         spec = get_group(name)
-        x = strat_exponential(brownian_driver(spec, grid, seed=3))
+        x = strat_exponential(brownian_ensemble(spec, grid, 3, 1))
         assert float(np.max(membership_defect(spec, x.values))) < 1e-6
 
 
@@ -69,7 +69,7 @@ def test_ito_exponential_biinvariant_coincides_bitwise():
     grid = TimeGrid(1.0, 300)
     for name in ("so3", "se2", "se3", "e11", "n3", "sl2r"):
         spec = get_group(name)
-        bm = brownian_driver(spec, grid, seed=5)
+        bm = brownian_ensemble(spec, grid, 5, 1)
         alpha = alpha_biinvariant(spec)
         assert np.max(np.abs(alpha.symmetric_part())) == 0.0
         x = strat_exponential(bm)
@@ -80,9 +80,9 @@ def test_ito_exponential_biinvariant_coincides_bitwise():
 def test_ito_exponential_of_zero_driver():
     grid = TimeGrid(1.0, 8)
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    zero = AlgebraPath(SE3, grid, np.zeros((9, 6)))
+    zero = Ensemble(SE3, grid, 0, np.zeros((9, 6))[None])
     x = ito_exponential(zero, alpha)
-    assert np.array_equal(x.values, np.broadcast_to(np.eye(4), (9, 4, 4)))
+    assert np.array_equal(x.values[0], np.broadcast_to(np.eye(4), (9, 4, 4)))
 
 
 def test_ito_roundtrip_converges():
@@ -106,9 +106,9 @@ def test_roundtrip_defect_is_cubic_in_step():
     errs = []
     for h in (0.2, 0.1, 0.05):
         grid = TimeGrid(1.0, 1)
-        m = AlgebraPath(SE3, grid, np.stack([np.zeros(6), h * base]))
+        m = Ensemble(SE3, grid, 0, np.stack([np.zeros(6), h * base])[None])
         back = ito_logarithm(ito_exponential(m, alpha), alpha)
-        errs.append(np.linalg.norm(back.values[-1] - m.values[-1]))
+        errs.append(np.linalg.norm(back.values[0, -1] - m.values[0, -1]))
     assert errs[0] / errs[1] > 6.0  # ratio 8 expected for cubic order
     assert errs[1] / errs[2] > 6.0
 
@@ -118,7 +118,7 @@ def test_reverse_roundtrip_exp_of_log():
     worst = []
     for steps in (250, 500, 1000):
         grid = TimeGrid(1.0, steps)
-        x = strat_exponential(brownian_driver(SE3, grid, seed=31))
+        x = strat_exponential(brownian_ensemble(SE3, grid, 31, 1))
         rebuilt = ito_exponential(ito_logarithm(x, alpha), alpha)
         worst.append(float(np.max(frobenius_dist(rebuilt.values, x.values))))
     # compensation applied then removed: distance shrinks with the step
@@ -132,9 +132,9 @@ def test_roundtrip_all_groups_smoke():
         spec = get_group(name)
         alpha = alpha_levi_civita(metric_for(name, 1.3))
         grid = TimeGrid(1.0, 500)
-        bm = brownian_driver(spec, grid, seed=47)
+        bm = brownian_ensemble(spec, grid, 47, 1)
         back = ito_logarithm(ito_exponential(bm, alpha), alpha)
-        err = np.linalg.norm(back.values[-1] - bm.values[-1])
+        err = np.linalg.norm(back.values[0, -1] - bm.values[0, -1])
         assert err < 0.1, (name, err)
 
 
@@ -148,26 +148,26 @@ def test_ito_logarithm_deterministic_line_bound():
     alpha_aa = np.linalg.norm(
         np.einsum("kij,i,j->k", alpha.symmetric_part(), a, a)
     )
-    deviation = np.linalg.norm(lx.values[-1] - a)
+    deviation = np.linalg.norm(lx.values[0, -1] - a)
     assert deviation <= 2.0 * grid.dt * grid.horizon * max(alpha_aa, 1e-12) + 1e-12
 
 
 def test_compensator_identity_exact_per_step():
     grid = TimeGrid(1.0, 300)
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    x = strat_exponential(brownian_driver(SE3, grid, seed=17))
+    x = strat_exponential(brownian_ensemble(SE3, grid, 17, 1))
     lhs = ito_logarithm(x, alpha)
-    dl = np.diff(strat_logarithm(x).values, axis=0)
+    dl = np.diff(strat_logarithm(x).values[0], axis=0)
     quad = np.einsum("kij,si,sj->sk", alpha.symmetric_part(), dl, dl)
-    rhs = strat_logarithm(x).values.copy()
+    rhs = strat_logarithm(x).values[0].copy()
     rhs[1:] += 0.5 * np.cumsum(quad, axis=0)
-    assert np.max(np.abs(lhs.values - rhs)) < 1e-14
+    assert np.max(np.abs(lhs.values[0] - rhs)) < 1e-14
 
 
 def test_translate_initial_identity_and_bitwise_invariance():
     grid = TimeGrid(1.0, 120)
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    x = ito_exponential(brownian_driver(SE3, grid, seed=13), alpha)
+    x = ito_exponential(brownian_ensemble(SE3, grid, 13, 1), alpha)
     same = translate_initial(np.eye(4), x)
     assert np.array_equal(same.values, x.values)
     xi = random_group_element(SE3, RNG, 0.6)
@@ -180,14 +180,14 @@ def test_translate_initial_identity_and_bitwise_invariance():
 
 def test_translate_initial_rejects_non_member():
     grid = TimeGrid(1.0, 4)
-    x = strat_exponential(brownian_driver(SE3, grid, seed=2))
+    x = strat_exponential(brownian_ensemble(SE3, grid, 2, 1))
     with pytest.raises(MembershipError):
         translate_initial(2.0 * np.eye(4), x)
 
 
 def test_translate_initial_rejects_nan():
     grid = TimeGrid(1.0, 4)
-    x = strat_exponential(brownian_driver(SE3, grid, seed=2))
+    x = strat_exponential(brownian_ensemble(SE3, grid, 2, 1))
     xi = np.eye(4)
     xi[0, 3] = np.nan  # a translation: the defect formula does not read it
     with pytest.raises(MembershipError):
@@ -206,13 +206,13 @@ def test_algebra_connection_validation_and_custom_gamma():
     gamma[2, 0, 0] = 1.0
     conn = AlgebraConnection(SO3, gamma)
     grid = TimeGrid(1.0, 50)
-    bm = brownian_driver(SO3, grid, seed=41)
+    bm = brownian_ensemble(SO3, grid, 41, 1)
     alpha = alpha_biinvariant(SO3)
     with_gamma = ito_exponential(bm, alpha, conn)
     plain = ito_exponential(bm, alpha)
-    dm = np.diff(bm.values, axis=0)
+    dm = np.diff(bm.values[0], axis=0)
     expected_shift = 0.5 * np.einsum("kij,si,sj->sk", gamma, dm, dm)
-    got = with_gamma.step_logs - plain.step_logs
+    got = with_gamma.step_logs[0] - plain.step_logs[0]
     assert np.max(np.abs(got - expected_shift)) < 1e-15
 
 
@@ -224,6 +224,12 @@ def test_solver_rejects_wrong_value_kind():
         strat_exponential(x)
     with pytest.raises(DimensionError):
         ito_exponential(x, alpha_biinvariant(SO3))
+    # bare arrays are not paths
+    for op in (strat_exponential, strat_logarithm):
+        with pytest.raises(DimensionError):
+            op(x.values[0])
+    with pytest.raises(DimensionError):
+        strat_logarithm(ens)
 
 
 def test_integrator_drift_error_message():
@@ -246,6 +252,7 @@ def test_roundtrip_errors_per_replica():
     back = ito_logarithm(ito_exponential(ens, alpha), alpha)
     assert np.array_equal(err, np.linalg.norm(back.values[:, -1] - ens.values[:, -1], axis=-1))
     assert err.shape == (4,) and np.all(err > 0)
-    assert roundtrip_errors(ens.path(2), alpha) == err[2]
+    one = brownian_ensemble(SE3, ens.grid, 5, 1, first_replica=2)
+    assert np.array_equal(roundtrip_errors(one, alpha), err[2:3])
     # a quadratic-free connection reads the driver back to rounding
     assert np.max(roundtrip_errors(ens, alpha_biinvariant(SE3))) < 1e-12

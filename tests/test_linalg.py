@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,20 @@ def test_exp_overflow_is_a_package_error():
         for exp, a in ((mat_exp, huge), (_taylor_exp, huge), (mat_exp, rigid)):
             with pytest.raises(ExpOverflowError, match="overflowed"):
                 exp(a)
+
+
+def test_exp_overflow_raises_without_a_numpy_warning():
+    # the kernels run under np.errstate, so with warnings as errors the
+    # caller still sees only the package error
+    huge = np.diag([800.0, -800.0, 0.0])
+    rigid = np.zeros((4, 4))
+    rigid[0, 1], rigid[1, 0] = -1.0, 1.0
+    rigid[:2, 3] = 1.7e308
+    with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (huge, np.diag([800.0, 0.0]), rigid):
+            with pytest.raises(ExpOverflowError, match="overflowed"):
+                mat_exp(a)
 
 
 def test_exp_batch_composition_does_not_change_results():

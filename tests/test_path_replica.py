@@ -1,5 +1,6 @@
-"""A single path is a one-replica ensemble: every operator must give a path
-exactly (bit for bit) what it gives the matching replica of an ensemble."""
+"""A single path is a one-replica ensemble: every operator must give a
+one-replica slice exactly (bit for bit) what it gives that replica of the
+whole ensemble."""
 
 import io
 
@@ -20,9 +21,7 @@ from liestoch.groups import GROUP_NAMES, get_group, to_matrix_coords
 from liestoch.linalg import mat_exp
 from liestoch.paths import (
     TimeGrid,
-    brownian_driver,
     brownian_ensemble,
-    drift_diffusion_driver,
     drift_diffusion_ensemble,
     dump_algebra_csv,
     dump_group_csv,
@@ -43,18 +42,24 @@ def _assert_bitwise(a, b, what):
     assert a.shape == b.shape and a.tobytes() == b.tobytes(), what
 
 
+def _replica(ens, r):
+    """Replica r of an ensemble, alone, as a one-replica ensemble."""
+    logs = None if ens.step_logs is None else ens.step_logs[r:r + 1]
+    return ens.with_values(ens.values[r:r + 1], step_logs=logs)
+
+
 def _assert_path_matches_replicas(op, *ensembles, what):
     stacked = _arrays(op(*ensembles))
     for r in range(REPLICAS):
-        single = _arrays(op(*(e.path(r) for e in ensembles)))
+        single = _arrays(op(*(_replica(e, r) for e in ensembles)))
         assert len(single) == len(stacked), what
         for a, b in zip(single, stacked):
-            _assert_bitwise(a, b[r], f"{what}, replica {r}")
+            _assert_bitwise(a, b[r:r + 1], f"{what}, replica {r}")
 
 
-def _dump_lines(dump, target, **kwargs):
+def _dump_lines(dump, target):
     buf = io.StringIO()
-    dump(target, buf, **kwargs)
+    dump(target, buf)
     return buf.getvalue().splitlines()
 
 
@@ -72,11 +77,11 @@ def test_path_result_is_its_replica_of_the_ensemble_result(name):
     diffusion = 0.5 * np.eye(n)
     dd = drift_diffusion_ensemble(spec, grid, 7, REPLICAS, drift=drift, diffusion=diffusion)
     for r in range(REPLICAS):
-        _assert_bitwise(brownian_driver(spec, grid, 5, replica=r).values, m.values[r],
-                        "brownian_driver")
+        _assert_bitwise(brownian_ensemble(spec, grid, 5, 1, first_replica=r).values,
+                        m.values[r:r + 1], "brownian_ensemble")
         _assert_bitwise(
-            drift_diffusion_driver(spec, grid, 7, drift, diffusion, replica=r).values,
-            dd.values[r], "drift_diffusion_driver",
+            drift_diffusion_ensemble(spec, grid, 7, 1, drift, diffusion, first_replica=r).values,
+            dd.values[r:r + 1], "drift_diffusion_ensemble",
         )
 
     _assert_path_matches_replicas(strat_exponential, m, what="strat_exponential")
@@ -116,6 +121,8 @@ def test_path_result_is_its_replica_of_the_ensemble_result(name):
         whole = _dump_lines(dump, target)
         rows = grid.steps + 1
         for r in range(REPLICAS):
-            single = _dump_lines(dump, target.path(r), replica=r)
+            # the slice's one replica is numbered 0
+            single = _dump_lines(dump, _replica(target, r))
+            block = whole[1 + r * rows : 1 + (r + 1) * rows]
             assert single[0] == whole[0]
-            assert single[1:] == whole[1 + r * rows : 1 + (r + 1) * rows], dump.__name__
+            assert single[1:] == ["0" + line[len(str(r)):] for line in block], dump.__name__

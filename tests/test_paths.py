@@ -9,19 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liestoch.errors import GridMismatchError, MetricError
+from liestoch.errors import DimensionError, GridMismatchError, MetricError
 from liestoch.explog import strat_exponential
 from liestoch.groups import GROUP_NAMES, get_group
 from liestoch.paths import (
-    AlgebraPath,
     Ensemble,
     TimeGrid,
-    as_ensemble,
-    brownian_driver,
     brownian_ensemble,
-    coordinate_series,
     derive_rng,
-    drift_diffusion_driver,
     drift_diffusion_ensemble,
     dump_algebra_csv,
     dump_group_csv,
@@ -52,19 +47,19 @@ def test_normal_quantile():
 
 def test_brownian_seed_determinism():
     grid = TimeGrid(1.0, 100)
-    p1 = brownian_driver(SO3, grid, seed=5)
-    p2 = brownian_driver(SO3, grid, seed=5)
-    p3 = brownian_driver(SO3, grid, seed=6)
+    p1 = brownian_ensemble(SO3, grid, 5, 1)
+    p2 = brownian_ensemble(SO3, grid, 5, 1)
+    p3 = brownian_ensemble(SO3, grid, 6, 1)
     assert np.array_equal(p1.values, p2.values)
     assert not np.array_equal(p1.values, p3.values)
-    assert np.array_equal(p1.values[0], np.zeros(3))
+    assert np.array_equal(p1.values[0, 0], np.zeros(3))
 
 
 def test_brownian_increment_variance():
     # sample variance of increments matches cov * dt within 3 standard errors
     grid = TimeGrid(1.0, 100_000)
-    path = brownian_driver(SO3, grid, seed=11)
-    inc = path.increments()
+    path = brownian_ensemble(SO3, grid, 11, 1)
+    inc = np.diff(path.values[0], axis=0)
     var = inc.var(axis=0, ddof=1)
     se = np.sqrt(2.0 / (grid.steps - 1)) * grid.dt
     assert np.all(np.abs(var - grid.dt) < 3.0 * se)
@@ -73,16 +68,17 @@ def test_brownian_increment_variance():
 def test_brownian_rejects_bad_covariance():
     grid = TimeGrid(1.0, 10)
     with pytest.raises(MetricError):
-        brownian_driver(SO3, grid, seed=0, covariance=np.zeros((3, 3)))
+        brownian_ensemble(SO3, grid, 0, 1, covariance=np.zeros((3, 3)))
     with pytest.raises(MetricError):
-        brownian_driver(SO3, grid, seed=0, covariance=np.eye(4))
+        brownian_ensemble(SO3, grid, 0, 1, covariance=np.eye(4))
 
 
 def test_brownian_increment_normality():
     # skew and excess kurtosis of 1e6 pooled increments stay small
     grid = TimeGrid(1.0, 500_000)
     values = np.concatenate(
-        [brownian_driver(SO3, grid, seed=21, replica=r).increments() for r in range(2)]
+        [np.diff(brownian_ensemble(SO3, grid, 21, 1, first_replica=r).values[0], axis=0)
+         for r in range(2)]
     )
     z = values / np.sqrt(grid.dt)
     for c in range(3):
@@ -96,9 +92,9 @@ def test_brownian_increment_normality():
 def test_drift_diffusion_driver_cases():
     grid = TimeGrid(2.0, 50)
     b = np.array([0.0, 0.0, 1.0])
-    line = drift_diffusion_driver(SO3, grid, seed=3, drift=b, diffusion=np.zeros((3, 3)))
-    assert np.allclose(line.values, np.outer(grid.times(), b), atol=1e-12)
-    flat = drift_diffusion_driver(SO3, grid, seed=3)
+    line = drift_diffusion_ensemble(SO3, grid, 3, 1, drift=b, diffusion=np.zeros((3, 3)))
+    assert np.allclose(line.values[0], np.outer(grid.times(), b), atol=1e-12)
+    flat = drift_diffusion_ensemble(SO3, grid, 3, 1)
     assert np.max(np.abs(flat.values)) == 0.0
 
 
@@ -106,10 +102,10 @@ def test_drift_diffusion_matches_brownian_moments():
     grid = TimeGrid(1.0, 20_000)
     cov = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 2.0]])
     factor = np.linalg.cholesky(cov)
-    bm = brownian_driver(SO3, grid, seed=9, covariance=cov)
-    dd = drift_diffusion_driver(SO3, grid, seed=10, diffusion=factor)
-    cb = np.cov(bm.increments().T)
-    cd = np.cov(dd.increments().T)
+    bm = brownian_ensemble(SO3, grid, 9, 1, covariance=cov)
+    dd = drift_diffusion_ensemble(SO3, grid, 10, 1, diffusion=factor)
+    cb = np.cov(np.diff(bm.values[0], axis=0).T)
+    cd = np.cov(np.diff(dd.values[0], axis=0).T)
     assert np.max(np.abs(cb - cd)) < 6.0 * grid.dt * np.sqrt(2.0 / grid.steps) * 10
 
 
@@ -119,9 +115,9 @@ def test_ensemble_replica_streams_and_chunking():
     head = brownian_ensemble(SO3, grid, base_seed=77, replicas=4)
     tail = brownian_ensemble(SO3, grid, base_seed=77, replicas=6, first_replica=4)
     assert np.array_equal(np.concatenate([head.values, tail.values]), full.values)
-    single = brownian_driver(SO3, grid, seed=77, replica=3)
-    assert np.array_equal(full.values[3], single.values)
-    assert full.path(3).values.base is full.values  # views, not copies
+    single = brownian_ensemble(SO3, grid, 77, 1, first_replica=3)
+    assert np.array_equal(full.values[3], single.values[0])
+    assert full.coordinates.base is full.values  # views, not copies
 
 
 def test_drift_ensemble_chunking():
@@ -206,7 +202,7 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
 
 def test_quadratic_covariation_consistency():
     grid = TimeGrid(1.0, 10_000)
-    p = brownian_driver(SO3, grid, seed=1)
+    p = brownian_ensemble(SO3, grid, 1, 1).values[0]
     qv = quadratic_covariation(p, p)
     # realized variance of each component approximates t within 5%
     for c in range(3):
@@ -219,8 +215,8 @@ def test_quadratic_covariation_smooth_path_vanishes():
     for steps in (100, 400):
         grid = TimeGrid(1.0, steps)
         t = grid.times()
-        smooth = AlgebraPath(SO3, grid, np.stack([np.sin(t), t**2, t], axis=1))
-        bm = brownian_driver(SO3, grid, seed=2)
+        smooth = np.stack([np.sin(t), t**2, t], axis=1)
+        bm = brownian_ensemble(SO3, grid, 2, 1).values[0]
         qv = quadratic_covariation(smooth, bm)
         values.append(np.max(np.abs(qv[-1])))
     assert values[0] < 0.05
@@ -229,8 +225,8 @@ def test_quadratic_covariation_smooth_path_vanishes():
 
 def test_quadratic_covariation_independent_paths_band():
     grid = TimeGrid(1.0, 10_000)
-    p = brownian_driver(SO3, grid, seed=100)
-    q = brownian_driver(SO3, grid, seed=200)
+    p = brownian_ensemble(SO3, grid, 100, 1).values[0]
+    q = brownian_ensemble(SO3, grid, 200, 1).values[0]
     qv = quadratic_covariation(p, q)
     band = 4.0 * np.sqrt(2.0 * grid.horizon * grid.dt)
     assert np.max(np.abs(qv[-1])) < band
@@ -245,7 +241,7 @@ def test_quadratic_covariation_converges_to_covariance():
         grid = TimeGrid(1.0, steps)
         agg = 0.0
         for r in range(6):
-            p = brownian_driver(SO3, grid, seed=55, replica=r, covariance=cov)
+            p = brownian_ensemble(SO3, grid, 55, 1, cov, first_replica=r).values[0]
             qv = quadratic_covariation(p, p)
             agg += np.max(np.abs(qv[-1] - cov))
         errs.append(agg / 6.0)
@@ -253,18 +249,22 @@ def test_quadratic_covariation_converges_to_covariance():
 
 
 def test_quadratic_covariation_grid_mismatch():
-    p = brownian_driver(SO3, TimeGrid(1.0, 10), seed=0)
-    q = brownian_driver(SO3, TimeGrid(1.0, 20), seed=0)
+    p = brownian_ensemble(SO3, TimeGrid(1.0, 10), 0, 1).values[0]
+    q = brownian_ensemble(SO3, TimeGrid(1.0, 20), 0, 1).values[0]
     with pytest.raises(GridMismatchError):
         quadratic_covariation(p, q)
+    with pytest.raises(GridMismatchError):
+        null_qv_check(p, q)
+    with pytest.raises(DimensionError):  # a whole stack is not one path
+        null_qv_check(p[None], p[None])
 
 
 def test_null_qv_trivial_cases():
     grid = TimeGrid(1.0, 5_000)
-    p = brownian_driver(SO3, grid, seed=4)
+    p = brownian_ensemble(SO3, grid, 4, 1).values[0]
     assert not null_qv_check(p, p, 0.99).passed
     t = grid.times()
-    smooth = AlgebraPath(SO3, grid, np.stack([t, np.sin(t), np.zeros_like(t)], axis=1))
+    smooth = np.stack([t, np.sin(t), np.zeros_like(t)], axis=1)
     assert null_qv_check(p, smooth, 0.99).passed
 
 
@@ -274,33 +274,29 @@ def test_null_qv_calibration():
     passes = 0
     trials = 40
     for i in range(trials):
-        p = brownian_driver(SO3, grid, seed=1000 + i, replica=0)
-        q = brownian_driver(SO3, grid, seed=1000 + i, replica=1)
+        p, q = brownian_ensemble(SO3, grid, 1000 + i, 2).values
         passes += null_qv_check(p, q, 0.99).passed
     assert passes >= int(0.95 * trials) - 1
 
 
 def test_coordinate_series_shapes():
     grid = TimeGrid(1.0, 8)
-    p = brownian_driver(SO3, grid, seed=0)
-    assert coordinate_series(p).shape == (9, 3)
+    p = brownian_ensemble(SO3, grid, 0, 1)
+    assert p.coordinates.shape == (1, 9, 3)
     ens = brownian_ensemble(SO3, grid, 1, 2)
-    from liestoch.explog import strat_exponential
-
-    g = strat_exponential(ens).path(0)
-    assert coordinate_series(g).shape == (9, 9)
+    g = strat_exponential(ens)
+    assert g.coordinates.shape == (2, 9, 9)
+    assert np.array_equal(g.coordinates[1, 4], g.values[1, 4].ravel())
 
 
 def test_csv_dumps():
     grid = TimeGrid(1.0, 3)
-    p = brownian_driver(SO3, grid, seed=1)
+    p = brownian_ensemble(SO3, grid, 1, 1)
     buf = io.StringIO()
     dump_algebra_csv(p, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "replica,k,t,c1,c2,c3"
     assert len(lines) == 1 + 4
-
-    from liestoch.explog import strat_exponential
 
     ens = brownian_ensemble(SO3, grid, 2, 2)
     buf = io.StringIO()
@@ -323,8 +319,8 @@ def _csv_writer_dump(fh, grid, header, stacked, first_replica):
             )
 
 
-def _oracle_bytes(target, replica=0):
-    stacked = as_ensemble(target).values
+def _oracle_bytes(target):
+    stacked = target.values
     reps, points = stacked.shape[:2]
     if stacked.ndim == 4:
         d = stacked.shape[-1]
@@ -332,13 +328,13 @@ def _oracle_bytes(target, replica=0):
     else:
         header = ["replica", "k", "t"] + [f"c{i+1}" for i in range(stacked.shape[-1])]
     buf = io.StringIO()
-    _csv_writer_dump(buf, target.grid, header, stacked.reshape(reps, points, -1), replica)
+    _csv_writer_dump(buf, target.grid, header, stacked.reshape(reps, points, -1), 0)
     return buf.getvalue()
 
 
-def _dump_bytes(dump, target, replica=0):
+def _dump_bytes(dump, target):
     buf = io.StringIO()
-    dump(target, buf, replica=replica)
+    dump(target, buf)
     return buf.getvalue()
 
 
@@ -347,19 +343,16 @@ def test_group_csv_matches_csv_writer_bytes(name):
     grid = TimeGrid(0.7, 25)
     gx = strat_exponential(brownian_ensemble(get_group(name), grid, 11, 3))
     assert _dump_bytes(dump_group_csv, gx) == _oracle_bytes(gx)
-    assert _dump_bytes(dump_group_csv, gx, replica=5) == _oracle_bytes(gx, replica=5)
-    one = gx.path(2)
+    one = Ensemble(gx.group, grid, 0, gx.values[2][None])
     assert _dump_bytes(dump_group_csv, one) == _oracle_bytes(one)
-    assert _dump_bytes(dump_group_csv, one, replica=2) == _oracle_bytes(one, replica=2)
 
 
 def test_algebra_csv_matches_csv_writer_bytes():
     grid = TimeGrid(3.0, 40)
     ens = brownian_ensemble(get_group("se3"), grid, 12, 4)
     assert _dump_bytes(dump_algebra_csv, ens) == _oracle_bytes(ens)
-    assert _dump_bytes(dump_algebra_csv, ens, replica=7) == _oracle_bytes(ens, replica=7)
-    one = brownian_driver(SO3, grid, seed=4, replica=3)
-    assert _dump_bytes(dump_algebra_csv, one, replica=3) == _oracle_bytes(one, replica=3)
+    one = brownian_ensemble(SO3, grid, 4, 1, first_replica=3)
+    assert _dump_bytes(dump_algebra_csv, one) == _oracle_bytes(one)
 
 
 def test_csv_float_edge_cases_match_csv_writer_bytes():
@@ -435,17 +428,58 @@ def test_ensemble_validation():
     grid = TimeGrid(1.0, 4)
     with pytest.raises(Exception):
         Ensemble(SO3, grid, 0, np.zeros((3, 9, 3)))  # wrong steps axis
+    # value shape from the group's dims, finite entries, (R, K, n) step logs
+    eye = np.broadcast_to(np.eye(3), (2, 5, 3, 3))
+    assert Ensemble(SO3, grid, 0, np.zeros((2, 5, 3))).replicas == 2
+    assert Ensemble(SO3, grid, 0, eye, step_logs=np.zeros((2, 4, 3))).is_group_valued
+    for bad in (np.zeros((2, 5, 4)), np.zeros((2, 5, 4, 4)), np.zeros((5, 3)),
+                np.zeros((2, 5, 3, 1))):
+        with pytest.raises(DimensionError):
+            Ensemble(SO3, grid, 0, bad)
+    for logs in (np.zeros((2, 5, 3)), np.zeros((1, 4, 3)), np.zeros((2, 4, 9))):
+        with pytest.raises(DimensionError):
+            Ensemble(SO3, grid, 0, eye, step_logs=logs)
+    for value in (np.nan, np.inf, -np.inf):
+        values = np.zeros((2, 5, 3))
+        values[1, 3, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Ensemble(SO3, grid, 0, values)
+        logs = np.zeros((2, 4, 3))
+        logs[0, 1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Ensemble(SO3, grid, 0, eye, step_logs=logs)
+
+
+def test_operators_refuse_the_wrong_kind_or_a_bare_array():
+    from liestoch.calculus import mc_increments
+    from liestoch.campbell import ad_integral
+    from liestoch.connections import alpha_biinvariant
+    from liestoch.martingale import drift_test, martingale_verdict
+
+    m = brownian_ensemble(SO3, TimeGrid(1.0, 4), 1, 2)
+    x = strat_exponential(m)
+    cases = [
+        (strat_exponential, x, "algebra"), (strat_exponential, m.values, "algebra"),
+        (mc_increments, m, "group"), (mc_increments, x.values, "group"),
+        (lambda a: ad_integral(x, a), x, "algebra"), (lambda a: ad_integral(a, m), m, "group"),
+        (drift_test, x, "algebra"),
+        (lambda a: martingale_verdict(a, alpha_biinvariant(SO3)), m, "group"),
+        (lambda a: dump_algebra_csv(a, io.StringIO()), x, "algebra"),
+        (lambda a: dump_group_csv(a, io.StringIO()), m, "group"),
+    ]
+    for op, arg, kind in cases:
+        with pytest.raises(DimensionError, match=f"expected a {kind}-valued Ensemble"):
+            op(arg)
 
 
 def test_ensemble_step_log_wiring():
     from liestoch.calculus import mc_increments
-    from liestoch.explog import strat_exponential
 
     grid = TimeGrid(1.0, 20)
     ens = brownian_ensemble(SO3, grid, 31, 3)
     gx = strat_exponential(ens)
     assert gx.step_logs is not None and gx.step_logs.shape == (3, 20, 3)
-    # per-replica views carry their own slice of the cache
-    p1 = gx.path(1)
-    assert np.array_equal(p1.step_logs, gx.step_logs[1])
-    assert np.array_equal(mc_increments(p1), gx.step_logs[1])
+    # a one-replica slice carries its own slice of the cache
+    p1 = Ensemble(SO3, grid, 0, gx.values[1][None], step_logs=gx.step_logs[1][None])
+    assert np.array_equal(p1.step_logs[0], gx.step_logs[1])
+    assert np.array_equal(mc_increments(p1)[0], gx.step_logs[1])
