@@ -13,14 +13,12 @@ from .connections import (
     alpha_levi_civita,
     closed_form_u,
     closed_form_u_variants,
-    eval_alpha,
     metric_for,
     regress_closed_forms,
     u_from_metric,
 )
 from .explog import (
     AlgebraConnection,
-    flat_connection,
     ito_exponential,
     ito_logarithm,
     strat_exponential,
@@ -29,15 +27,10 @@ from .explog import (
 )
 from .groups import (
     GROUP_NAMES,
-    Ad,
-    AlgebraVector,
     GroupSpec,
-    bracket,
-    from_matrix,
     get_group,
     membership_defect,
     structure_constants,
-    to_matrix,
 )
 from .linalg import Tolerance, frobenius_dist, mat_exp, mat_log, solve_linear
 from .paths import (

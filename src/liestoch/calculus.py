@@ -23,7 +23,7 @@ import numpy as np
 from .connections import ConnectionFunction
 from .errors import DimensionError, GroupMismatchError
 from .groups import GroupSpec, from_matrix_coords, group_inverse
-from .linalg import DEFAULT_TOLERANCE, bilinear, map_stacked, mat_log
+from .linalg import bilinear, map_stacked, mat_log
 from .paths import expect
 
 
@@ -45,7 +45,7 @@ class LeftInvariantOneForm:
         object.__setattr__(self, "covector", cov)
 
 
-def increments_from_values(spec, values, tol=DEFAULT_TOLERANCE):
+def increments_from_values(spec, values):
     """Left-trivialized increments of stacked group values.
 
     values: (..., steps+1, d, d) -> coordinates (..., steps, n).
@@ -54,10 +54,10 @@ def increments_from_values(spec, values, tol=DEFAULT_TOLERANCE):
     right = values[..., 1:, :, :]
     steps_mats = group_inverse(spec, left) @ right
     logs = map_stacked(mat_log, steps_mats)
-    return from_matrix_coords(spec, logs, tol)
+    return from_matrix_coords(spec, logs)
 
 
-def mc_increments(x, tol=DEFAULT_TOLERANCE):
+def mc_increments(x):
     """Per-step left-trivialized increments of a group ensemble, shape
     (replicas, steps, n).
 
@@ -68,7 +68,7 @@ def mc_increments(x, tol=DEFAULT_TOLERANCE):
     expect(x, group_valued=True)
     if x.step_logs is not None:
         return x.step_logs
-    return increments_from_values(x.group, x.values, tol)
+    return increments_from_values(x.group, x.values)
 
 
 def _require_group(form_or_conn, path):
@@ -88,6 +88,7 @@ def strat_integral(eta: LeftInvariantOneForm, x):
     """Stratonovich integral of a left-invariant 1-form along a group
     ensemble: the running values on the grid, shape (replicas, steps+1).
     """
+    expect(x, group_valued=True)
     _require_group(eta, x)
     dl = mc_increments(x)
     return _running_sum(dl @ eta.covector)
@@ -101,6 +102,7 @@ def ito_integral(eta: LeftInvariantOneForm, x, alpha: ConnectionFunction):
     contributes; it is contracted as such, so a bi-invariant alpha gives
     the Stratonovich integral back exactly.
     """
+    expect(x, group_valued=True)
     _require_group(eta, x)
     _require_group(alpha, x)
     dl = mc_increments(x)
@@ -111,6 +113,7 @@ def ito_integral(eta: LeftInvariantOneForm, x, alpha: ConnectionFunction):
 def quadratic_integral(b, x):
     """Running quadratic integral of an (n, n) bilinear along a group
     ensemble, shape (replicas, steps+1)."""
+    expect(x, group_valued=True)
     b = np.asarray(b, dtype=np.float64)
     n = x.group.algebra_dim
     if b.shape != (n, n):

@@ -152,7 +152,8 @@ def log_product_residual(x, y, alpha, rule="ito", significance=0.99, enforce_hyp
 def product_path(x, y):
     """Pointwise product of two group ensembles on one grid."""
     _check_pair(x, y, True, True)
-    values = x.values @ y.values
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate reports it
+        values = x.values @ y.values
     _gate_membership(x.group, values)
     return x.with_values(values)
 

@@ -2,8 +2,9 @@
 
 A left-invariant affine connection is encoded by its connection function, a
 bilinear map on the algebra stored densely as a rank-3 coefficient table
-``coeffs[k, i, j]`` meaning ``alpha(e_i, e_j) = sum_k coeffs[k, i, j] e_k``.
-Two constructions are provided:
+``coeffs[k, i, j]`` meaning ``alpha(e_i, e_j) = sum_k coeffs[k, i, j] e_k``;
+on (..., n) coordinate arrays, ``alpha(x, y)`` is
+``linalg.bilinear(conn.coeffs, x, y)``. Two constructions are provided:
 
 * the torsion-free bi-invariant connection, ``alpha = 1/2 [.,.]``;
 * the Levi-Civita connection of a left-invariant metric,
@@ -22,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GroupMismatchError, MetricError, UnsupportedGroupError
-from .groups import AlgebraVector, GroupSpec, get_group, structure_constants
-from .linalg import bilinear, solve_linear, spd_cholesky
+from .errors import MetricError, UnsupportedGroupError
+from .groups import GroupSpec, get_group, structure_constants
+from .linalg import solve_linear, spd_cholesky
 
 # Agreement threshold between closed forms and the metric solve.
 REGRESSION_TOL = 1e-10
@@ -134,21 +135,6 @@ def alpha_biinvariant(group) -> ConnectionFunction:
     return ConnectionFunction(
         spec, 0.5 * structure_constants(spec), label="bi-invariant"
     )
-
-
-def eval_alpha_coords(conn: ConnectionFunction, x, y):
-    """Batched bilinear contraction coeffs[k,i,j] x_i y_j."""
-    return bilinear(conn.coeffs, x, y)
-
-
-def eval_alpha(conn: ConnectionFunction, a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
-    """Evaluate the connection function on two algebra vectors."""
-    if a.group != conn.group or b.group != conn.group:
-        raise GroupMismatchError(
-            f"connection on {conn.group.name} applied to "
-            f"{a.group.name}/{b.group.name} vectors"
-        )
-    return AlgebraVector(conn.group, eval_alpha_coords(conn, a.coords, b.coords))
 
 
 def _polarize(spec, diagonal_map) -> np.ndarray:

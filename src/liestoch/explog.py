@@ -71,10 +71,6 @@ class AlgebraConnection:
         return not np.any(self.christoffels)
 
 
-def flat_connection(spec) -> AlgebraConnection:
-    return AlgebraConnection(spec)
-
-
 def _develop(spec, step_vectors):
     """Cumulative product of exp(step vectors): (..., K, n) -> (..., K+1, d, d)."""
     mats = to_matrix_coords(spec, step_vectors)
@@ -85,15 +81,17 @@ def _develop(spec, step_vectors):
     out = np.empty(lead + (steps + 1, d, d))
     out[..., 0, :, :] = np.eye(d)
     cur = np.broadcast_to(np.eye(d), lead + (d, d))
-    for k in range(steps):
-        cur = cur @ exps[..., k, :, :]
-        out[..., k + 1, :, :] = cur
+    # an overflowing product turns into inf or NaN, which the membership
+    # gate reports as a numerical failure; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            cur = cur @ exps[..., k, :, :]
+            out[..., k + 1, :, :] = cur
     return out
 
 
 def _gate_membership(spec, values):
-    defect = map_stacked(lambda m: membership_defect(spec, m), values)
-    worst = float(np.max(defect))
+    worst = float(np.max(membership_defect(spec, values)))
     if not worst <= MEMBERSHIP_GATE:  # NaN fails too
         raise IntegratorDriftError(
             f"{spec.name}: integrator drifted off the group "
@@ -112,7 +110,7 @@ def _ito_correction(spec, v, alpha, algebra_connection):
         raise GroupMismatchError(
             f"connection on {alpha.group.name} used with {spec.name} paths"
         )
-    conn = algebra_connection or flat_connection(spec)
+    conn = algebra_connection or AlgebraConnection(spec)
     if conn.group != spec:
         raise GroupMismatchError("algebra connection group mismatch")
     correction = -0.5 * bilinear(alpha.symmetric_part(), v, v)

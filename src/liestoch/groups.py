@@ -17,11 +17,12 @@ Homogeneous groups (se2, se3, e11, n3) use the affine convention: algebra
 elements carry 0 in the bottom-right slot so that exp maps the algebra into
 the group.
 
-Coordinates: an algebra element is either an ``AlgebraVector`` (group +
-coefficient vector in the basis above) or, for batched engine code, a raw
-array of shape (..., n). Conversion to and from matrices goes through a
-least-squares projection onto the vectorized basis with a residual check,
-which catches corrupted inputs uniformly across groups.
+Coordinates: an algebra element is an array of shape (..., n) holding its
+coefficients in the basis above; the bracket is ``bracket_coords`` and the
+adjoint action ``adjoint_matrices(spec, g) @ x``. Conversion to and from
+matrices goes through a least-squares projection onto the vectorized basis
+with a residual check, which catches corrupted inputs uniformly across
+groups.
 
 ``membership_defect``, ``group_inverse`` and the so3 ``adjoint_matrices``
 take closed-form kernels from one table keyed by group name (``_KERNELS``);
@@ -39,13 +40,11 @@ import numpy as np
 from .errors import (
     ClosureError,
     DimensionError,
-    GroupMismatchError,
     MembershipError,
     NotInAlgebraError,
     UnsupportedGroupError,
 )
 from .linalg import (
-    _ROW_CHUNK,
     DEFAULT_TOLERANCE,
     Tolerance,
     _entries,
@@ -53,6 +52,7 @@ from .linalg import (
     _stack,
     bilinear,
     frobenius_norm,
+    map_stacked,
     mat_exp,
 )
 
@@ -95,22 +95,6 @@ class GroupSpec:
 
     def __eq__(self, other):
         return isinstance(other, GroupSpec) and self.name == other.name
-
-
-@dataclass(frozen=True)
-class AlgebraVector:
-    """Algebra element as coefficients in the group's declared basis."""
-
-    group: GroupSpec
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.shape != (self.group.algebra_dim,):
-            raise DimensionError(
-                f"coords must have shape ({self.group.algebra_dim},), got {coords.shape}"
-            )
-        object.__setattr__(self, "coords", coords)
 
 
 def _so3_basis():
@@ -235,51 +219,18 @@ def from_matrix_coords(spec, mats, tol=DEFAULT_TOLERANCE):
     return coords
 
 
-def to_matrix(vector: AlgebraVector):
-    """Matrix realization of an algebra vector."""
-    return to_matrix_coords(vector.group, vector.coords)
-
-
-def from_matrix(spec, mat, tol=DEFAULT_TOLERANCE) -> AlgebraVector:
-    """Project a single matrix onto the algebra basis."""
-    return AlgebraVector(spec, from_matrix_coords(spec, mat, tol))
-
-
-def _require_same_group(a: AlgebraVector, b: AlgebraVector):
-    if a.group != b.group:
-        raise GroupMismatchError(
-            f"mixed groups: {a.group.name} vs {b.group.name}"
-        )
-
-
-def bracket_matrices(spec, a_mats, b_mats):
-    """Commutator AB - BA of batched algebra matrices."""
-    return a_mats @ b_mats - b_mats @ a_mats
-
-
-def bracket(a: AlgebraVector, b: AlgebraVector, tol=DEFAULT_TOLERANCE) -> AlgebraVector:
-    """Lie bracket [A, B], computed as the projected matrix commutator."""
-    _require_same_group(a, b)
-    comm = bracket_matrices(a.group, to_matrix(a), to_matrix(b))
-    try:
-        coords = from_matrix_coords(a.group, comm, tol)
-    except NotInAlgebraError as exc:
-        raise ClosureError(f"{a.group.name}: bracket left the basis span") from exc
-    return AlgebraVector(a.group, coords)
-
-
 @lru_cache(maxsize=None)
 def structure_constants(spec) -> np.ndarray:
     """Table c[k, i, j] with [e_i, e_j] = sum_k c[k, i, j] e_k.
 
-    Built through the same commutator-plus-projection path as ``bracket``,
-    so the two agree exactly. The projection of an exactly negated
-    commutator is an exactly negated coordinate vector, hence the table is
-    antisymmetric in (i, j) to the bit.
+    Built by projecting the basis commutators ``e_i e_j - e_j e_i`` onto
+    the basis. The projection of an exactly negated commutator is an
+    exactly negated coordinate vector, hence the table is antisymmetric in
+    (i, j) to the bit.
     """
-    basis = spec.basis
+    a, b = spec.basis[:, None], spec.basis[None, :]
     n = spec.algebra_dim
-    comms = bracket_matrices(spec, basis[:, None], basis[None, :])  # (n, n, d, d)
+    comms = a @ b - b @ a  # (n, n, d, d)
     coords = from_matrix_coords(
         spec, comms.reshape(n * n, spec.matrix_dim, spec.matrix_dim),
         _CLOSURE_TOLERANCE,
@@ -301,16 +252,8 @@ def bracket_coords(spec, x, y):
 # matrix, as in ``linalg``), so each is a few dozen elementwise operations
 # with no stacked matmul or LU; inverse kernels read and write the stack
 # entry by entry. Either way a matrix's result does not depend on the batch
-# it arrives in.
-
-def _by_entry_rows(flat, kernel, shape):
-    """``kernel`` (entry rows -> per-matrix results of ``shape``) over a
-    (m, d, d) stack, one cache-sized chunk at a time."""
-    out = np.empty((len(flat),) + shape)
-    for i in range(0, len(flat), _ROW_CHUNK):
-        out[i : i + _ROW_CHUNK] = kernel(_entries(flat[i : i + _ROW_CHUNK]))
-    return out
-
+# it arrives in, and ``linalg.map_stacked`` runs the entry-row kernels one
+# cache-sized block at a time.
 
 def _cofactor(e, d, i, j):
     """Signed (i, j) cofactor of the top-left 3x3 block of d x d entry rows."""
@@ -459,17 +402,19 @@ def membership_defect(spec, g):
     solvers gate on ``MEMBERSHIP_GATE`` and reject NaN.
     """
     g = _group_matrices(spec, g)
-    d = spec.matrix_dim
     kernel = _KERNELS[spec.name].defect
 
-    def finite_defect(e):
+    def finite_defect(flat):
+        e = _entries(flat)
         defect = kernel(e)
         # the kernels skip free entries (translations, the n3 upper triangle)
         defect[~np.isfinite(e).all(axis=0)] = np.nan
         return defect
 
-    defect = _by_entry_rows(g.reshape(-1, d, d), finite_defect, ())
-    return defect.reshape(g.shape[:-2])[()]  # a scalar for one matrix
+    # huge or non-finite entries give an inf or NaN defect, which every gate
+    # rejects; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        return map_stacked(finite_defect, g)[()]  # a scalar for one matrix
 
 
 def group_inverse(spec, g):
@@ -482,7 +427,7 @@ def group_inverse(spec, g):
     return _KERNELS[spec.name].inverse(_group_matrices(spec, g))
 
 
-def adjoint_matrices(spec, g, tol=DEFAULT_TOLERANCE, gate=MEMBERSHIP_GATE):
+def adjoint_matrices(spec, g):
     """Batched adjoint action as coordinate matrices, shape (..., n, n).
 
     ``out[..., :, j]`` are the basis coordinates of ``g e_j g^-1``. Raises
@@ -491,20 +436,18 @@ def adjoint_matrices(spec, g, tol=DEFAULT_TOLERANCE, gate=MEMBERSHIP_GATE):
     """
     g = np.asarray(g, dtype=np.float64)
     defect = membership_defect(spec, g)
-    if not np.all(defect <= gate):
+    if not np.all(defect <= MEMBERSHIP_GATE):
         raise MembershipError(
             f"{spec.name}: membership defect {float(np.max(defect)):.3e} "
-            f"exceeds gate {gate:.1e}"
+            f"exceeds gate {MEMBERSHIP_GATE:.1e}"
         )
     closed = _KERNELS[spec.name].adjoint
     if closed is not None:
-        d, n = spec.matrix_dim, spec.algebra_dim
-        out = _by_entry_rows(g.reshape(-1, d, d), closed, (n, n))
-        return out.reshape(g.shape[:-2] + (n, n))
+        return map_stacked(lambda flat: closed(_entries(flat)), g)
     ginv = group_inverse(spec, g)
     conj = np.einsum("...ab,nbc,...cd->...nad", g, spec.basis, ginv)
     try:
-        coords = from_matrix_coords(spec, conj, tol)  # (..., n, n): [j, k]
+        coords = from_matrix_coords(spec, conj)  # (..., n, n): [j, k]
     except NotInAlgebraError as exc:
         raise ClosureError(
             f"{spec.name}: adjoint image left the basis span"
@@ -512,17 +455,6 @@ def adjoint_matrices(spec, g, tol=DEFAULT_TOLERANCE, gate=MEMBERSHIP_GATE):
     return np.swapaxes(coords, -1, -2)  # out[..., k, j]
 
 
-def Ad(g, vector: AlgebraVector, tol=DEFAULT_TOLERANCE) -> AlgebraVector:
-    """Adjoint action g A g^-1 of a group element on an algebra vector."""
-    mats = adjoint_matrices(vector.group, g, tol)
-    return AlgebraVector(vector.group, mats @ vector.coords)
-
-
-def random_algebra_coords(spec, rng, scale=1.0):
-    """Convenience sampler used by tests and negative controls."""
-    return scale * rng.standard_normal(spec.algebra_dim)
-
-
 def random_group_element(spec, rng, scale=0.5):
     """exp of a random small algebra element (always a member)."""
-    return mat_exp(to_matrix_coords(spec, random_algebra_coords(spec, rng, scale)))
+    return mat_exp(to_matrix_coords(spec, scale * rng.standard_normal(spec.algebra_dim)))

@@ -204,7 +204,7 @@ def _denman_beavers_sqrt(m):
     return y
 
 
-def _generic_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
+def _generic_log(m):
     """Principal matrix logarithm by inverse scaling-and-squaring.
 
     Square roots are taken per matrix until ``||M - I|| <= 0.25``, then the
@@ -223,7 +223,7 @@ def _generic_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
 
     eye = _eye_like(flat)
     s = np.zeros(flat.shape[0], dtype=np.int64)
-    for _ in range(max_sqrt_levels):
+    for _ in range(_MAX_SQRT_LEVELS):
         far = frobenius_dist(flat, eye) > _LOG_RADIUS
         if not far.any():
             break
@@ -232,7 +232,7 @@ def _generic_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
     if np.any(frobenius_dist(flat, eye) > _LOG_RADIUS):
         raise LogRangeError(
             "mat_log: input stayed far from the identity after "
-            f"{max_sqrt_levels} square roots (use a smaller dt)"
+            f"{_MAX_SQRT_LEVELS} square roots (use a smaller dt)"
         )
 
     try:
@@ -428,7 +428,7 @@ def mat_exp(a):
     return out.reshape(a.shape)
 
 
-def mat_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
+def mat_log(m):
     """Principal matrix logarithm, closed form for near-identity rotations.
 
     - 3x3 with ``||M^T M - I||_F <= 1e-12`` and ``cos t = (tr M - 1)/2 > 0``:
@@ -443,10 +443,9 @@ def mat_log(m, max_sqrt_levels=_MAX_SQRT_LEVELS):
     m = _as_square(m, "mat_log")
     n = m.shape[-1]
     if n != 3:
-        return _generic_log(m, max_sqrt_levels)
+        return _generic_log(m)
     out = _by_structure(
-        m.reshape(-1, n, n), _is_rotation_below_half_turn, _rotation_log,
-        lambda rest: _generic_log(rest, max_sqrt_levels),
+        m.reshape(-1, n, n), _is_rotation_below_half_turn, _rotation_log, _generic_log
     )
     return out.reshape(m.shape)
 
@@ -483,9 +482,16 @@ def bilinear(table, x, y):
     quadratic tables of this package (structure constants, connection
     coefficients) are mostly zeros: se3's Levi-Civita table at lambda = 1
     has 12 nonzero entries of 216.
+
+    Raises DimensionError unless ``x`` ends in ``table.shape[1]`` and ``y``
+    in ``table.shape[2]`` entries, as the einsum does.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if x.shape[-1:] != table.shape[1:2] or y.shape[-1:] != table.shape[2:3]:
+        raise DimensionError(
+            f"bilinear: table {table.shape} does not take operands {x.shape}, {y.shape}"
+        )
     out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (len(table),))
     for k, i, j in zip(*np.nonzero(table)):
         out[..., k] += (table[k, i, j] * x[..., i]) * y[..., j]

@@ -1,12 +1,13 @@
 """Finite-sample martingale verification for group-valued ensembles.
 
 A group path is a martingale for a left-invariant connection exactly when
-its compensated logarithm (Stratonovich logarithm plus half the running
-alpha-quadratic sum) is a local martingale in the algebra. The finite-
-sample rendering used here: split the grid into time buckets and test, per
-bucket and per coordinate, that the ensemble mean increment is zero.
+its compensated logarithm, ``explog.ito_logarithm`` (Stratonovich
+logarithm plus half the running alpha-quadratic sum), is a local
+martingale in the algebra. The finite-sample rendering used here: split
+the grid into time buckets and test, per bucket and per coordinate, that
+the ensemble mean increment is zero.
 
-The default decision rule: a cell fails when its mean is more than
+The decision rule: a cell fails when its mean is more than
 ``z_band = 4`` standard errors from zero, and the ensemble verdict is
 "pass" when at least 95% of the buckets-by-components cells are within the
 band. This keeps the false-failure rate of a true martingale ensemble well
@@ -29,17 +30,7 @@ from .paths import Ensemble, expect
 DEFAULT_Z_BAND = 4.0
 DEFAULT_CELL_FRACTION = 0.95
 MIN_REPLICAS = 100
-
-
-def compensator(x, alpha: ConnectionFunction, algebra_connection=None):
-    """Compensated logarithm of a group path or ensemble.
-
-    This is the Ito logarithm with the flat algebra connection unless one
-    is supplied: the Stratonovich logarithm plus half the running
-    alpha(dL, dL) sum. A group path is a martingale for the connection
-    behind ``alpha`` precisely when this object is drift-free.
-    """
-    return ito_logarithm(x, alpha, algebra_connection)
+QV_TOLERANCE = 0.05  # relative band of the trace-condition ratio
 
 
 @dataclass(frozen=True)
@@ -75,7 +66,7 @@ class DriftReport:
 
 
 def drift_test(ensemble: Ensemble, buckets=20, z_band=DEFAULT_Z_BAND,
-               min_cell_fraction=DEFAULT_CELL_FRACTION, connection_label="") -> DriftReport:
+               connection_label="") -> DriftReport:
     """Zero-drift test on an algebra-valued ensemble.
 
     Increments are pooled into ``buckets`` equal time windows; per window
@@ -103,7 +94,7 @@ def drift_test(ensemble: Ensemble, buckets=20, z_band=DEFAULT_Z_BAND,
     z[nonzero] = mean[nonzero] / stderr[nonzero]
     z[~nonzero & (mean != 0)] = np.inf
     within = int(np.count_nonzero(np.abs(z) <= z_band))
-    passed = within >= min_cell_fraction * z.size
+    passed = within >= DEFAULT_CELL_FRACTION * z.size
     return DriftReport(
         group=ensemble.group.name,
         connection=connection_label,
@@ -113,26 +104,19 @@ def drift_test(ensemble: Ensemble, buckets=20, z_band=DEFAULT_Z_BAND,
         stderr=stderr,
         z=z,
         z_band=z_band,
-        min_cell_fraction=min_cell_fraction,
+        min_cell_fraction=DEFAULT_CELL_FRACTION,
         cells_within=within,
         passed=bool(passed),
     )
 
 
-def martingale_verdict(ensemble: Ensemble, alpha: ConnectionFunction,
-                       algebra_connection=None, buckets=20,
-                       z_band=DEFAULT_Z_BAND,
-                       min_cell_fraction=DEFAULT_CELL_FRACTION) -> DriftReport:
-    """Drift test applied to the compensators of a group-valued ensemble."""
+def martingale_verdict(ensemble: Ensemble, alpha: ConnectionFunction, buckets=20,
+                       z_band=DEFAULT_Z_BAND) -> DriftReport:
+    """Drift test applied to the compensated logarithms of a group-valued
+    ensemble, under the flat algebra connection."""
     expect(ensemble, group_valued=True)
-    comp = compensator(ensemble, alpha, algebra_connection)
-    return drift_test(
-        comp,
-        buckets=buckets,
-        z_band=z_band,
-        min_cell_fraction=min_cell_fraction,
-        connection_label=alpha.label,
-    )
+    comp = ito_logarithm(ensemble, alpha)
+    return drift_test(comp, buckets=buckets, z_band=z_band, connection_label=alpha.label)
 
 
 @dataclass(frozen=True)
@@ -154,29 +138,27 @@ class QVLinearityReport:
         return self.passed
 
 
-def qv_linearity_check(ensemble: Ensemble, metric: MetricSpec, tolerance=0.05,
-                       check_driver=True) -> QVLinearityReport:
+def qv_linearity_check(ensemble: Ensemble, metric: MetricSpec) -> QVLinearityReport:
     """Check that the realized Gram quadratic integral grows like n*t.
 
     For group paths developed from a Brownian driver whose covariance is
     the inverse Gram matrix (the metric's Brownian motion in left
     trivialization), the quadratic integral of the Gram bilinear must hit
-    ``n * horizon`` on average. ``check_driver`` enforces that covariance
-    precondition from the ensemble's recorded driver.
+    ``n * horizon`` on average, within ``QV_TOLERANCE``. The covariance
+    precondition is checked against the ensemble's recorded driver.
     """
     expect(ensemble, group_valued=True)
     n = ensemble.group.algebra_dim
-    if check_driver:
-        if ensemble.driver_covariance is None:
-            raise HypothesisError(
-                "qv_linearity_check: ensemble does not record a Brownian driver"
-            )
-        expected_cov = np.linalg.inv(metric.gram)
-        if not np.allclose(ensemble.driver_covariance, expected_cov, atol=1e-9):
-            raise HypothesisError(
-                "qv_linearity_check: driver covariance is not the inverse Gram "
-                "matrix of the metric"
-            )
+    if ensemble.driver_covariance is None:
+        raise HypothesisError(
+            "qv_linearity_check: ensemble does not record a Brownian driver"
+        )
+    expected_cov = np.linalg.inv(metric.gram)
+    if not np.allclose(ensemble.driver_covariance, expected_cov, atol=1e-9):
+        raise HypothesisError(
+            "qv_linearity_check: driver covariance is not the inverse Gram "
+            "matrix of the metric"
+        )
     running = quadratic_integral(metric.gram, ensemble)
     terminal = running[..., -1]
     mean_terminal = float(np.mean(terminal))
@@ -190,6 +172,6 @@ def qv_linearity_check(ensemble: Ensemble, metric: MetricSpec, tolerance=0.05,
         mean_terminal=mean_terminal,
         expected_terminal=expected,
         ratio=ratio,
-        tolerance=tolerance,
-        passed=bool(abs(ratio - 1.0) <= tolerance),
+        tolerance=QV_TOLERANCE,
+        passed=bool(abs(ratio - 1.0) <= QV_TOLERANCE),
     )

@@ -13,13 +13,12 @@ from liestoch.connections import (
     alpha_biinvariant,
     alpha_levi_civita,
     closed_form_u,
-    eval_alpha_coords,
     metric_for,
 )
 from liestoch.errors import DimensionError, GroupMismatchError
 from liestoch.explog import strat_exponential
 from liestoch.groups import get_group, to_matrix_coords
-from liestoch.linalg import mat_exp
+from liestoch.linalg import bilinear, mat_exp
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
 
 SO3 = get_group("so3")
@@ -124,7 +123,7 @@ def test_ito_correction_matches_closed_form():
     # recompute independently through the closed cross-product form
     u = closed_form_u("se3", 1.0)
     dl = mc_increments(x)[0]
-    per_step = eval_alpha_coords(u, dl, dl) @ eta.covector
+    per_step = bilinear(u.coeffs, dl, dl) @ eta.covector
     recomputed = np.concatenate([[0.0], 0.5 * np.cumsum(per_step)])[None]
     assert np.max(np.abs(correction - recomputed)) < 1e-10
 

@@ -288,10 +288,9 @@ def test_e11_near_the_positivity_boundary(drift, expected, tmp_path):
     # still passes the membership gate; at 720, m11 = e^720 overflows and
     # the gate's NaN defect is a numerical failure
     out = tmp_path / "e11.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli("exp", "--group", "e11", "--connection", "biinvariant",
-                       "--driver", "drift", "--drift", f"{drift},0,0", "--dt", "0.01",
-                       "--steps", "100", "--replicas", "4", "--seed", "1", "--out", str(out))
+    code = run_cli("exp", "--group", "e11", "--connection", "biinvariant",
+                   "--driver", "drift", "--drift", f"{drift},0,0", "--dt", "0.01",
+                   "--steps", "100", "--replicas", "4", "--seed", "1", "--out", str(out))
     assert code == expected
     if expected == EXIT_OK:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
@@ -313,21 +312,24 @@ def test_exp_overflow_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_exp_overflow_prints_only_the_cli_message(tmp_path):
-    # numpy's overflow warning from the squaring loop used to precede it
+    # numpy's overflow warnings used to precede it: from mat_exp's squaring
+    # loop (a step of 1e5 * 0.01) and from the develop product (steps of
+    # 7.2 whose running product reaches e^720)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "liestoch.cli", "exp", "--group", "e11",
-         "--connection", "biinvariant", "--driver", "drift", "--drift", "1e5,0,0",
-         "--dt", "0.01", "--steps", "10", "--replicas", "2", "--seed", "1",
-         "--out", str(tmp_path / "x.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == EXIT_NUMERICAL
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
+    for drift, steps, replicas in (("1e5", "10", "2"), ("720", "100", "4")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "liestoch.cli", "exp", "--group", "e11",
+             "--connection", "biinvariant", "--driver", "drift", "--drift", f"{drift},0,0",
+             "--dt", "0.01", "--steps", steps, "--replicas", replicas, "--seed", "1",
+             "--out", str(tmp_path / "x.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
 
 
 @pytest.mark.parametrize("buckets, replicas", [

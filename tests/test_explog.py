@@ -5,7 +5,6 @@ from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_fo
 from liestoch.errors import DimensionError, IntegratorDriftError, MembershipError
 from liestoch.explog import (
     AlgebraConnection,
-    flat_connection,
     ito_exponential,
     ito_logarithm,
     roundtrip_errors,
@@ -199,7 +198,7 @@ def test_algebra_connection_validation_and_custom_gamma():
         gamma = np.zeros((3, 3, 3))
         gamma[0, 1, 2] = 1.0  # not symmetric in (i, j)
         AlgebraConnection(SO3, gamma)
-    flat = flat_connection(SO3)
+    flat = AlgebraConnection(SO3)
     assert flat.is_flat
     # constant symmetric Christoffels shift the correction as specified
     gamma = np.zeros((3, 3, 3))

@@ -17,6 +17,7 @@ from liestoch.errors import (
 from liestoch.connections import alpha_levi_civita, metric_for
 from liestoch.groups import (
     GROUP_NAMES,
+    bracket_coords,
     get_group,
     membership_defect,
     structure_constants,
@@ -359,6 +360,24 @@ def test_bilinear_of_a_zero_table_is_positive_zero():
     x = np.array([[-1.0, 2.0, -0.0], [3.0, -4.0, 5.0]])
     out = bilinear(np.zeros((3, 3, 3)), x, x)
     assert out.tobytes() == np.zeros((2, 3)).tobytes()
+
+
+def test_bilinear_refuses_operands_the_table_does_not_take():
+    # the einsum refuses them too; an so3 bracket of two 4-vectors used to
+    # drop their 4th entries and return [0, 0, 1]
+    four, three = np.array([1.0, 0.0, 0.0, 5.0]), np.ones(3)
+    so3 = structure_constants(SO3)
+    wide = np.ones((2, 3, 4))  # takes a 3-vector and a 4-vector
+    cases = [(so3, four, [0.0, 1.0, 0.0, 7.0]), (so3, four, three), (so3, three, four),
+             (so3, np.float64(1.0), three), (wide, three, three), (wide, four, four)]
+    for table, x, y in cases:
+        with pytest.raises(ValueError):
+            np.einsum(QUADRATIC, table, x, y)
+        with pytest.raises(DimensionError):
+            bilinear(table, x, y)
+    with pytest.raises(DimensionError):
+        bracket_coords(SO3, four, [0.0, 1.0, 0.0, 7.0])
+    assert bilinear(wide, three, np.ones(4)).shape == (2,)
 
 
 def test_no_module_contracts_the_quadratic_with_einsum():

@@ -6,15 +6,14 @@ from liestoch.connections import (
     alpha_biinvariant,
     alpha_levi_civita,
     closed_form_u,
-    eval_alpha_coords,
     metric_for,
     u_from_metric,
 )
 from liestoch.errors import DimensionError, HypothesisError, PowerError
-from liestoch.explog import ito_exponential, strat_exponential, strat_logarithm
+from liestoch.explog import ito_exponential, ito_logarithm, strat_exponential, strat_logarithm
 from liestoch.groups import get_group
+from liestoch.linalg import bilinear
 from liestoch.martingale import (
-    compensator,
     drift_test,
     martingale_verdict,
     qv_linearity_check,
@@ -82,7 +81,7 @@ def test_compensator_biinvariant_is_strat_log():
     grid = TimeGrid(1.0, 150)
     alpha = alpha_biinvariant(SO3)
     x = strat_exponential(brownian_ensemble(SO3, grid, 5, 4))
-    comp = compensator(x, alpha)
+    comp = ito_logarithm(x, alpha)
     assert np.array_equal(comp.values, strat_logarithm(x).values)
 
 
@@ -94,7 +93,7 @@ def test_compensator_constant_path_is_zero():
             np.zeros((2, 21, 6)), driver_covariance=None
         )
     )
-    comp = compensator(zero, alpha)
+    comp = ito_logarithm(zero, alpha)
     assert np.max(np.abs(comp.values)) == 0.0
 
 
@@ -105,11 +104,11 @@ def test_compensator_correction_matches_closed_form():
     metric = metric_for("se3", 1.0)
     alpha = alpha_levi_civita(metric)
     x = strat_exponential(brownian_ensemble(SE3, grid, 7, 3))
-    comp = compensator(x, alpha)
+    comp = ito_logarithm(x, alpha)
     plain = strat_logarithm(x)
     u = closed_form_u("se3", 1.0)
     dl = mc_increments(x)
-    quad = eval_alpha_coords(u, dl, dl)
+    quad = bilinear(u.coeffs, dl, dl)
     expected = np.zeros_like(plain.values)
     np.cumsum(0.5 * quad, axis=-2, out=expected[:, 1:, :])
     assert np.max(np.abs(comp.values - plain.values - expected)) < 1e-10
@@ -121,7 +120,7 @@ def test_martingale_verdict_matches_drift_test_wiring():
     ens = brownian_ensemble(SE3, grid, 8, 200)
     gx = ito_exponential(ens, alpha)
     verdict = martingale_verdict(gx, alpha)
-    direct = drift_test(compensator(gx, alpha), connection_label=alpha.label)
+    direct = drift_test(ito_logarithm(gx, alpha), connection_label=alpha.label)
     assert verdict.passed == direct.passed
     assert np.array_equal(verdict.z, direct.z)
 
@@ -156,7 +155,7 @@ def test_negative_control_drift_matches_prediction():
     predicted = 0.5 * np.einsum("kij,ij->k", u, cov)
     grid = TimeGrid(1.0, 100)
     ens = brownian_ensemble(SE3, grid, 321, 4000, covariance=cov)
-    comp = compensator(strat_exponential(ens), alpha)
+    comp = ito_logarithm(strat_exponential(ens), alpha)
     empirical = comp.values[:, -1, :].mean(axis=0) / grid.horizon
     se = comp.values[:, -1, :].std(axis=0, ddof=1) / np.sqrt(ens.replicas)
     assert np.all(np.abs(empirical - predicted) < 4.0 * se + 1e-3)
@@ -187,10 +186,12 @@ def test_qv_linearity_cases():
     rep2 = qv_linearity_check(strat_exponential(ens2), metric)
     assert abs(rep2.mean_terminal / report.mean_terminal - 2.0) < 0.2
 
-    # deterministic paths: terminal is O(dt), nowhere near n * T
+    # deterministic paths: terminal is O(dt), nowhere near n * T; tagged
+    # with the metric's driver covariance so that the law, not the
+    # precondition, decides
     flat = drift_diffusion_ensemble(spec, grid, 10, 4, drift=np.array([0.5, 0.2, 0.0]))
-    gflat = strat_exponential(flat)
-    rep3 = qv_linearity_check(gflat, metric, check_driver=False)
+    gflat = strat_exponential(flat.with_values(flat.values, driver_covariance=cov))
+    rep3 = qv_linearity_check(gflat, metric)
     assert rep3.mean_terminal < 0.01
     assert not rep3.passed
 
