@@ -12,6 +12,9 @@ basis. For a left-invariant 1-form eta:
 The conversion identity (Ito = Stratonovich + half the alpha-contracted
 quadratic integral) then holds at every step by construction, up to
 floating-point roundoff.
+
+Group values are (R, K+1, d, d) arrays and increments (R, K, n); the
+readback from values runs over the tiles of ``linalg.tiles``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .connections import ConnectionFunction
 from .errors import DimensionError, GroupMismatchError
 from .groups import GroupSpec, from_matrix_coords, group_inverse
-from .linalg import bilinear, map_stacked, mat_log
+from .linalg import bilinear, mat_log, tiles
 from .paths import expect
 
 
@@ -48,13 +51,16 @@ class LeftInvariantOneForm:
 def increments_from_values(spec, values):
     """Left-trivialized increments of stacked group values.
 
-    values: (..., steps+1, d, d) -> coordinates (..., steps, n).
+    values: (R, K+1, d, d) -> coordinates (R, K, n), read back tile by tile
+    (``linalg.tiles``): inverse, product, ``mat_log`` and projection.
     """
-    left = values[..., :-1, :, :]
-    right = values[..., 1:, :, :]
-    steps_mats = group_inverse(spec, left) @ right
-    logs = map_stacked(mat_log, steps_mats)
-    return from_matrix_coords(spec, logs)
+    replicas, count = values.shape[0], values.shape[1] - 1
+    out = np.empty((replicas, count, spec.algebra_dim))
+    for r, k in tiles(replicas, count):
+        left = values[r, k]
+        right = values[r, k.start + 1 : k.stop + 1]
+        out[r, k] = from_matrix_coords(spec, mat_log(group_inverse(spec, left) @ right))
+    return out
 
 
 def mc_increments(x):

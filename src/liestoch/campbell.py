@@ -35,7 +35,7 @@ from .calculus import mc_increments
 from .errors import DimensionError, GridMismatchError, GroupMismatchError, HypothesisError
 from .explog import _gate_membership, ito_exponential, ito_logarithm
 from .groups import adjoint_matrices, group_inverse, to_matrix_coords
-from .linalg import frobenius_dist, map_stacked, mat_exp
+from .linalg import frobenius_dist, mat_exp, tiles
 from .paths import TimeGrid, brownian_ensemble, expect, null_qv_check
 
 AD_RULES = ("ito", "midpoint")
@@ -60,23 +60,29 @@ def _adjoint_sum(y, values, rule, inverse):
     ``y`` is a group ensemble and ``values`` stacked algebra coordinates on
     its grid. The left-point rule takes Ad at Y_k; the midpoint rule at the
     geometric midpoint ``Y_k exp(dL_k / 2)`` of each step (whose inverse is
-    ``exp(-dL_k / 2) Y_k^-1``).
+    ``exp(-dL_k / 2) Y_k^-1``). The half-step exponential, the adjoint and
+    the contraction run tile by tile (``linalg.tiles``).
     """
     if rule not in AD_RULES:
         raise ValueError(f"rule must be one of {AD_RULES}")
     spec = y.group
-    if inverse:
-        base = group_inverse(spec, y.values)[..., :-1, :, :]
-    else:
-        base = y.values[..., :-1, :, :]
-    if rule == "midpoint":
-        sign = -0.5 if inverse else 0.5
-        half = map_stacked(mat_exp, to_matrix_coords(spec, sign * mc_increments(y)))
-        base = half @ base if inverse else base @ half
-    admats = map_stacked(lambda m: adjoint_matrices(spec, m), base)
-    increments = np.einsum("...kij,...kj->...ki", admats, np.diff(values, axis=-2))
+    dl = mc_increments(y) if rule == "midpoint" else None
+    sign = -0.5 if inverse else 0.5
     out = np.zeros(values.shape)
-    np.cumsum(increments, axis=-2, out=out[..., 1:, :])
+    steps = out[:, 1:]
+    for r, k in tiles(y.replicas, y.grid.steps):
+        base = y.values[r, k]
+        if inverse:
+            base = group_inverse(spec, base)
+        if dl is not None:
+            half = mat_exp(to_matrix_coords(spec, sign * dl[r, k]))
+            base = half @ base if inverse else base @ half
+        # the generic adjoint is a transposed view, and einsum rounds it
+        # differently from a contiguous copy: contract the copy on every tile
+        admats = np.ascontiguousarray(adjoint_matrices(spec, base))
+        dv = values[r, k.start + 1 : k.stop + 1] - values[r, k]
+        steps[r, k] = np.einsum("...kij,...kj->...ki", admats, dv)
+    np.cumsum(steps, axis=1, out=steps)
     return out
 
 

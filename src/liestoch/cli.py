@@ -356,8 +356,8 @@ def _cmd_martingale_test(config):
     if config.steps % config.buckets != 0:
         raise UsageError(f"--buckets {config.buckets} must divide --steps {config.steps}")
     spec, alpha = _connection(config)
-    ensemble = _build_ensemble(config, spec)
-    solved = _solve(config, ensemble, alpha)
+    # the driver ensemble is dropped before the verdict runs
+    solved = _solve(config, _build_ensemble(config, spec), alpha)
     report = martingale.martingale_verdict(
         solved, alpha, buckets=config.buckets, z_band=_z_band(config)
     )

@@ -21,7 +21,12 @@ Christoffels zero), under which algebra martingales are coordinate local
 martingales.
 
 Every operator takes and returns ``paths.Ensemble`` objects, one path per
-replica; a single path is a one-replica ensemble.
+replica; a single path is a one-replica ensemble. Values are
+(R, K+1, d, d) group matrices or (R, K+1, n) coordinates, and step vectors
+(R, K, n). Each per-step stage (the Ito correction, the exponentials and
+their product, the logarithm's correction) runs over the tiles of
+``linalg.tiles`` into one preallocated output, so only outputs are ever
+full size; the membership gate reads the full values.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .errors import (
     MembershipError,
 )
 from .groups import MEMBERSHIP_GATE, GroupSpec, membership_defect, to_matrix_coords
-from .linalg import bilinear, map_stacked, mat_exp
+from .linalg import bilinear, mat_exp, tiles
 from .paths import expect
 
 
@@ -71,22 +76,29 @@ class AlgebraConnection:
         return not np.any(self.christoffels)
 
 
-def _develop(spec, step_vectors):
-    """Cumulative product of exp(step vectors): (..., K, n) -> (..., K+1, d, d)."""
-    mats = to_matrix_coords(spec, step_vectors)
-    exps = map_stacked(mat_exp, mats)
-    lead = step_vectors.shape[:-2]
-    steps = step_vectors.shape[-2]
+def _develop(spec, steps):
+    """Cumulative product of exp(step vectors): (R, K, n) -> (R, K+1, d, d).
+
+    Tile by tile (``linalg.tiles``): the tile's steps are exponentiated, then
+    each of its steps is one stacked product into the output.
+    """
+    replicas, count, _ = steps.shape
     d = spec.matrix_dim
-    out = np.empty(lead + (steps + 1, d, d))
-    out[..., 0, :, :] = np.eye(d)
-    cur = np.broadcast_to(np.eye(d), lead + (d, d))
-    # an overflowing product turns into inf or NaN, which the membership
-    # gate reports as a numerical failure; numpy need not warn first
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            cur = cur @ exps[..., k, :, :]
-            out[..., k + 1, :, :] = cur
+    out = np.empty((replicas, count + 1, d, d))
+    out[:, 0] = np.eye(d)
+    for r, k in tiles(replicas, count):
+        # einsum on a strided tile view runs about 2x slower than on a copy
+        exps = mat_exp(to_matrix_coords(spec, np.ascontiguousarray(steps[r, k])))
+        prod = np.empty((r.stop - r.start, d, d))
+        # an overflowing product turns into inf or NaN, which the membership
+        # gate reports as a numerical failure; numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k.start, k.stop):
+                # a product written straight into the strided output runs
+                # about 2x slower than into a contiguous buffer and a copy
+                np.matmul(out[r, j], exps[:, j - k.start], out=prod)
+                out[r, j + 1] = prod
+        del exps  # not live while the next tile's are made
     return out
 
 
@@ -100,8 +112,9 @@ def _gate_membership(spec, values):
         )
 
 
-def _ito_correction(spec, v, alpha, algebra_connection):
-    """Quadratic Ito correction ``1/2 Gamma(v,v) - 1/2 alpha(v,v)`` per step.
+def _ito_correction(spec, alpha, algebra_connection):
+    """The quadratic Ito correction ``v -> 1/2 Gamma(v,v) - 1/2 alpha(v,v)``
+    per step, its tables checked and built once per operator call.
 
     The exponential adds it to the driver increments; the logarithm
     subtracts it from the log increments.
@@ -113,9 +126,15 @@ def _ito_correction(spec, v, alpha, algebra_connection):
     conn = algebra_connection or AlgebraConnection(spec)
     if conn.group != spec:
         raise GroupMismatchError("algebra connection group mismatch")
-    correction = -0.5 * bilinear(alpha.symmetric_part(), v, v)
-    if not conn.is_flat:
-        correction = correction + 0.5 * bilinear(conn.christoffels, v, v)
+    alpha_sym = alpha.symmetric_part()
+    gamma = None if conn.is_flat else conn.christoffels
+
+    def correction(v):
+        out = -0.5 * bilinear(alpha_sym, v, v)
+        if gamma is not None:
+            out += 0.5 * bilinear(gamma, v, v)
+        return out
+
     return correction
 
 
@@ -156,8 +175,11 @@ def ito_exponential(m, alpha: ConnectionFunction, algebra_connection=None):
     normalization of the connection table.
     """
     expect(m, group_valued=False)
+    correction = _ito_correction(m.group, alpha, algebra_connection)
     dm = np.diff(m.values, axis=-2)
-    return _developed(m, dm + _ito_correction(m.group, dm, alpha, algebra_connection))
+    for tile in tiles(*dm.shape[:2]):
+        dm[tile] += correction(np.ascontiguousarray(dm[tile]))
+    return _developed(m, dm)
 
 
 def ito_logarithm(x, alpha: ConnectionFunction, algebra_connection=None):
@@ -169,8 +191,15 @@ def ito_logarithm(x, alpha: ConnectionFunction, algebra_connection=None):
     running alpha-quadratic sum.
     """
     dl = mc_increments(x)
-    corrected = dl - _ito_correction(x.group, dl, alpha, algebra_connection)
-    return x.with_values(_cumulative(corrected))
+    correction = _ito_correction(x.group, alpha, algebra_connection)
+    replicas, count, n = dl.shape
+    out = np.zeros((replicas, count + 1, n))
+    steps = out[:, 1:]
+    for tile in tiles(replicas, count):
+        v = np.ascontiguousarray(dl[tile])
+        np.subtract(v, correction(v), out=steps[tile])
+    np.cumsum(steps, axis=1, out=steps)
+    return x.with_values(out)
 
 
 def roundtrip_errors(m, alpha: ConnectionFunction):

@@ -6,7 +6,9 @@ treated as a batch of matrices over the leading axes. Each matrix is
 processed independently of the rest of the batch (scaling levels, square
 roots and stopping decisions are made per matrix), so results are identical
 no matter how a batch is chunked. That property is what lets
-``map_stacked`` run a kernel over cache-sized blocks without changing a bit.
+``map_stacked`` run a kernel over cache-sized blocks, and the passes of
+``explog``, ``calculus`` and ``campbell`` run over the cache-sized tiles of
+``tiles``, without changing a bit.
 
 ``mat_exp`` and ``mat_log`` pick a kernel for each matrix from its own
 entries, never from a group label:
@@ -50,12 +52,16 @@ _MAX_SQRT_LEVELS = 40
 _SQRT_MAX_ITER = 60
 _COND_LIMIT = 1e13
 
-# Matrices per block, for ``map_stacked`` and for the entry-row kernels in
-# ``groups``: 4096 4x4 matrices are 512 KB of entry rows, which stay in
-# cache through a kernel's passes. Whole-batch rows do not: on 2x10^5 se3
+# Matrices per block of ``map_stacked`` (the entry-row kernels in
+# ``groups``) and per tile of ``tiles`` (the develop, readback and adjoint
+# passes): 4096 4x4 matrices are 512 KB of entry rows, which stay in cache
+# through a kernel's passes. Whole-batch rows do not: on 2x10^5 se3
 # matrices exp ran 2x slower in one block, and the so3 and se3 defects
 # 1.3-3x slower on 10^5. Blocks of 8192 were up to 1.25x faster for the
-# defects but held more memory (export-sixgroups peak RSS +1%).
+# defects but held more memory (export-sixgroups peak RSS +1%). The bound
+# also caps the scratch of a tiled pass: on se3 at 2000 x 100 steps,
+# ``ito_exponential`` holds 3.2 MB above its 35.5 MB of output, where
+# full-size temporaries of every stage held 61 MB (by tracemalloc).
 _ROW_CHUNK = 4096
 
 _EXP_COEFFS = np.cumprod([1.0] + [1.0 / k for k in range(1, 16)])  # 1/k!, k=0..15
@@ -170,9 +176,10 @@ def _denman_beavers_sqrt(m):
     """Principal square root of a batch, Denman-Beavers iteration.
 
     Per-matrix stopping: a matrix freezes once its own update stagnates, so
-    its result never depends on the rest of the batch.
+    its result never depends on the rest of the batch. The iterate is built
+    in ``m`` itself, so the caller passes a batch it no longer needs.
     """
-    y = m.copy()
+    y = m
     z = _eye_like(m).copy()
     active = np.ones(m.shape[0], dtype=bool)
     for _ in range(_SQRT_MAX_ITER):
@@ -187,12 +194,17 @@ def _denman_beavers_sqrt(m):
                 "matrix square root iteration hit a singular iterate; "
                 "input is outside the admissible region (use a smaller dt)"
             ) from exc
+        # each temporary is dropped once used, which keeps a tile's log
+        # within 4 MB of scratch on se3
         ynew = 0.5 * (ya + zinv)
-        znew = 0.5 * (za + yinv)
+        del zinv
         step = frobenius_norm(ynew - ya)
         scale = frobenius_norm(ynew)
+        del ya
         y[active] = ynew
-        z[active] = znew
+        del ynew
+        z[active] = 0.5 * (za + yinv)
+        del za, yinv
         sub_done = step <= 1e-14 * np.maximum(scale, 1.0)
         idx = np.flatnonzero(active)
         active[idx[sub_done]] = False
@@ -239,6 +251,7 @@ def _generic_log(m):
         z = np.linalg.solve(flat + eye, flat - eye)
     except np.linalg.LinAlgError as exc:
         raise LogRangeError("mat_log: I + M^(1/2^s) is singular") from exc
+    del flat  # the series does not read it; one batch less at its peak
     z2 = z @ z
     term = z
     acc = z.copy()
@@ -468,6 +481,25 @@ def map_stacked(fn, stack):
         for i in range(_ROW_CHUNK, len(flat), _ROW_CHUNK):
             out[i : i + _ROW_CHUNK] = fn(flat[i : i + _ROW_CHUNK])
     return out.reshape(stack.shape[:-2] + out.shape[1:])
+
+
+def tiles(replicas, steps):
+    """Tiles of a (replicas, steps) grid of matrices, as index slice pairs.
+
+    A tile holds ``rows = min(replicas, _ROW_CHUNK)`` replicas by
+    ``cols = max(1, _ROW_CHUNK // rows)`` steps, so at most ``_ROW_CHUNK``
+    matrices, and a pass over the tiles keeps only its outputs full size.
+    Tiles come replica block by replica block, each block's steps in order,
+    so a per-replica recursion over steps may run across them; with up to
+    ``_ROW_CHUNK`` replicas there is one block and a step costs one stacked
+    call. Both slices stop inside the grid. Tiling is bitwise-neutral for
+    the kernels of this package, which treat each matrix independently.
+    """
+    rows = max(1, min(replicas, _ROW_CHUNK))
+    cols = max(1, _ROW_CHUNK // rows)
+    for r in range(0, replicas, rows):
+        for k in range(0, steps, cols):
+            yield slice(r, min(r + rows, replicas)), slice(k, min(k + cols, steps))
 
 
 def bilinear(table, x, y):

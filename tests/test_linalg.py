@@ -36,6 +36,7 @@ from liestoch.linalg import (
     mat_log,
     solve_linear,
     spd_cholesky,
+    tiles,
 )
 from liestoch.errors import MetricError
 
@@ -411,3 +412,19 @@ def test_map_stacked_restores_leading_axes_of_per_matrix_scalars():
     defect = map_stacked(lambda g: membership_defect(SO3, g), stack)
     assert defect.shape == coords.shape[:-1]
     assert defect.tobytes() == membership_defect(SO3, stack).tobytes()
+
+
+@pytest.mark.parametrize("replicas, steps",
+                         [(1, 4099), (4095, 3), (4096, 2), (4097, 2), (3, 1400), (0, 4), (5, 0)])
+def test_tiles_cover_the_grid_once_in_step_order(replicas, steps):
+    seen = np.zeros((replicas, steps), dtype=int)
+    last_stop = {}
+    for r, k in tiles(replicas, steps):
+        assert (r.stop - r.start) * (k.stop - k.start) <= linalg._ROW_CHUNK
+        # a replica block's steps come in order, so a recursion can run on
+        assert last_stop.get(r.start, 0) == k.start
+        last_stop[r.start] = k.stop
+        seen[r, k] += 1
+    assert np.all(seen == 1)
+    if steps and 0 < replicas <= linalg._ROW_CHUNK:
+        assert list(last_stop) == [0]  # one block: one stacked product per step

@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from liestoch.calculus import mc_increments
+from liestoch.calculus import increments_from_values, mc_increments
 from liestoch.campbell import ad_integral, ch_residual, log_product_residual, product_path
 from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_for
 from liestoch.explog import (
@@ -18,8 +18,9 @@ from liestoch.explog import (
     translate_initial,
 )
 from liestoch.groups import GROUP_NAMES, get_group, to_matrix_coords
-from liestoch.linalg import mat_exp
+from liestoch.linalg import _ROW_CHUNK, mat_exp
 from liestoch.paths import (
+    Ensemble,
     TimeGrid,
     brownian_ensemble,
     drift_diffusion_ensemble,
@@ -28,6 +29,7 @@ from liestoch.paths import (
 )
 
 REPLICAS = 3
+SO3 = get_group("so3")
 
 
 def _arrays(out):
@@ -48,9 +50,9 @@ def _replica(ens, r):
     return ens.with_values(ens.values[r:r + 1], step_logs=logs)
 
 
-def _assert_path_matches_replicas(op, *ensembles, what):
+def _assert_path_matches_replicas(op, *ensembles, what, replicas=range(REPLICAS)):
     stacked = _arrays(op(*ensembles))
-    for r in range(REPLICAS):
+    for r in replicas:
         single = _arrays(op(*(_replica(e, r) for e in ensembles)))
         assert len(single) == len(stacked), what
         for a, b in zip(single, stacked):
@@ -126,3 +128,64 @@ def test_path_result_is_its_replica_of_the_ensemble_result(name):
             block = whole[1 + r * rows : 1 + (r + 1) * rows]
             assert single[0] == whole[0]
             assert single[1:] == ["0" + line[len(str(r)):] for line in block], dump.__name__
+
+
+# linalg.tiles runs the develop, readback and adjoint passes over tiles of at
+# most _ROW_CHUNK (4096) matrices: min(R, 4096) replicas by 4096 // rows
+# steps. The shapes sit on its edges: replica counts around one tile's rows
+# (one step a tile), one replica over more steps than a tile holds, and step
+# counts that a tile's columns (1365 and 4) do not divide.
+TILE_EDGES = [(1, 4099), (4095, 2), (4096, 2), (4097, 2), (3, 1400), (1000, 10)]
+
+
+@pytest.mark.parametrize("replicas, steps", TILE_EDGES)
+@pytest.mark.parametrize("name", ["so3", "se3"])
+def test_tiled_passes_match_one_replica_runs_at_tile_edges(name, replicas, steps):
+    assert _ROW_CHUNK == 4096
+    spec = get_group(name)
+    grid = TimeGrid(0.01 * steps, steps)  # dt = 0.01 keeps the readback cheap
+    alpha = alpha_levi_civita(metric_for(spec, 1.0))
+    biinv = alpha_biinvariant(spec)
+    m = brownian_ensemble(spec, grid, 9, replicas)
+    q = brownian_ensemble(spec, grid, 10, replicas)
+    # the first and last replica of each tile row block, and one inside
+    checked = sorted({0, replicas // 2, replicas - 1} | {r for r in (4095, 4096) if r < replicas})
+    for r in checked:
+        _assert_bitwise(brownian_ensemble(spec, grid, 9, 1, first_replica=r).values,
+                        m.values[r:r + 1], "brownian_ensemble")
+
+    x = ito_exponential(m, alpha)
+    y = ito_exponential(q, biinv)
+    x_bare, y_bare = x.with_values(x.values), y.with_values(y.values)
+    cases = [
+        (lambda a: ito_exponential(a, alpha), (m,), "ito_exponential"),
+        (mc_increments, (x_bare,), "mc_increments, readback"),
+        (lambda a: ito_logarithm(a, alpha), (x,), "ito_logarithm, step logs"),
+        (lambda a: ito_logarithm(a, alpha), (x_bare,), "ito_logarithm, readback"),
+        (lambda a, b: ad_integral(a, b, rule="midpoint"), (y_bare, m), "ad_integral"),
+        (lambda a, b: log_product_residual(a, b, biinv, rule="midpoint",
+                                           enforce_hypotheses=False),
+         (y, y_bare), "log_product_residual"),
+    ]
+    for op, args, what in cases:
+        _assert_path_matches_replicas(op, *args, what=what, replicas=checked)
+
+    # a bi-invariant connection has no Ito correction, on every tile
+    strat = strat_exponential(q)
+    _assert_bitwise(y.values, strat.values, "ito_exponential == strat_exponential")
+    _assert_bitwise(ito_logarithm(y_bare, biinv).values, strat_logarithm(y_bare).values,
+                    "ito_logarithm == strat_logarithm")
+
+
+def test_readback_switches_log_branch_within_one_tile():
+    # so3 steps of 0.3 and 2.0 rad: mat_log takes the closed form below
+    # pi/2 and the generic kernel above, interleaved inside one tile
+    angles = np.array([[0.3, 2.0, 0.3, 2.0, 2.0, 0.3], [2.0, 0.3, 0.3, 2.0, 0.3, 2.0]])
+    axes = np.random.default_rng(4).standard_normal(angles.shape + (3,))
+    steps = axes / np.linalg.norm(axes, axis=-1, keepdims=True) * angles[..., None]
+    values = np.concatenate([np.zeros((2, 1, 3)), np.cumsum(steps, axis=1)], axis=1)
+    x = strat_exponential(Ensemble(SO3, TimeGrid(1.0, 6), 0, values))
+    bare = x.with_values(x.values)
+    _assert_path_matches_replicas(mc_increments, bare, what="readback", replicas=range(2))
+    # below pi the principal log is the step itself, on either branch
+    assert np.max(np.abs(increments_from_values(SO3, x.values) - steps)) < 1e-12
