@@ -18,7 +18,6 @@ from .connections import (
     u_from_metric,
 )
 from .explog import (
-    AlgebraConnection,
     ito_exponential,
     ito_logarithm,
     strat_exponential,

@@ -1,17 +1,14 @@
-"""Stochastic line integrals along group paths, in left trivialization.
+"""Left-trivialized increments of group paths and their quadratic integrals.
 
-Every integral here is driven by the left-trivialized one-step increments
+Everything here is driven by the one-step increments
 ``dL_k = log(X_k^-1 X_{k+1})`` of a group path, projected onto the algebra
-basis. For a left-invariant 1-form eta:
-
-* Stratonovich integral: running sum of ``eta(dL_k)``;
-* Ito integral w.r.t. a connection function alpha: running sum of
-  ``eta(dL_k + 1/2 alpha(dL_k, dL_k))``;
-* quadratic integral of a bilinear b: running sum of ``b(dL_k, dL_k)``.
-
-The conversion identity (Ito = Stratonovich + half the alpha-contracted
-quadratic integral) then holds at every step by construction, up to
-floating-point roundoff.
+basis: ``mc_increments`` returns them and ``quadratic_integral`` sums
+``b(dL_k, dL_k)`` for a bilinear b. Line integrals of a left-invariant
+1-form with covector eta need no function of their own: they are the
+contracted logarithms ``explog.strat_logarithm(x).values @ eta`` and
+``explog.ito_logarithm(x, alpha).values @ eta``, so the conversion identity
+(Ito = Stratonovich + half the quadratic integral of ``eta . alpha``) holds
+at every step up to roundoff.
 
 Group values are (R, K+1, d, d) arrays and increments (R, K, n); the
 readback from values runs over the tiles of ``linalg.tiles``.
@@ -19,33 +16,12 @@ readback from values runs over the tiles of ``linalg.tiles``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .connections import ConnectionFunction
-from .errors import DimensionError, GroupMismatchError
-from .groups import GroupSpec, from_matrix_coords, group_inverse
-from .linalg import bilinear, mat_log, tiles
+from .errors import DimensionError
+from .groups import from_matrix_coords, group_inverse
+from .linalg import mat_log, tiles
 from .paths import expect
-
-
-@dataclass(frozen=True)
-class LeftInvariantOneForm:
-    """Left-invariant 1-form, given by its covector on the algebra basis."""
-
-    group: GroupSpec
-    covector: np.ndarray
-
-    def __post_init__(self):
-        cov = np.asarray(self.covector, dtype=np.float64)
-        if cov.shape != (self.group.algebra_dim,):
-            raise DimensionError(
-                f"covector must have shape ({self.group.algebra_dim},), got {cov.shape}"
-            )
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("covector must be finite")
-        object.__setattr__(self, "covector", cov)
 
 
 def increments_from_values(spec, values):
@@ -77,45 +53,6 @@ def mc_increments(x):
     return increments_from_values(x.group, x.values)
 
 
-def _require_group(form_or_conn, path):
-    if form_or_conn.group != path.group:
-        raise GroupMismatchError(
-            f"{form_or_conn.group.name} object applied to a {path.group.name} path"
-        )
-
-
-def _running_sum(per_step):
-    out = np.zeros(per_step.shape[:-1] + (per_step.shape[-1] + 1,))
-    np.cumsum(per_step, axis=-1, out=out[..., 1:])
-    return out
-
-
-def strat_integral(eta: LeftInvariantOneForm, x):
-    """Stratonovich integral of a left-invariant 1-form along a group
-    ensemble: the running values on the grid, shape (replicas, steps+1).
-    """
-    expect(x, group_valued=True)
-    _require_group(eta, x)
-    dl = mc_increments(x)
-    return _running_sum(dl @ eta.covector)
-
-
-def ito_integral(eta: LeftInvariantOneForm, x, alpha: ConnectionFunction):
-    """Ito integral of a left-invariant 1-form w.r.t. a connection function.
-
-    Equals the Stratonovich integral plus half the running quadratic
-    correction ``eta(alpha(dL, dL))``. Only the symmetric part of alpha
-    contributes; it is contracted as such, so a bi-invariant alpha gives
-    the Stratonovich integral back exactly.
-    """
-    expect(x, group_valued=True)
-    _require_group(eta, x)
-    _require_group(alpha, x)
-    dl = mc_increments(x)
-    correction = bilinear(alpha.symmetric_part(), dl, dl)
-    return _running_sum((dl + 0.5 * correction) @ eta.covector)
-
-
 def quadratic_integral(b, x):
     """Running quadratic integral of an (n, n) bilinear along a group
     ensemble, shape (replicas, steps+1)."""
@@ -125,4 +62,7 @@ def quadratic_integral(b, x):
     if b.shape != (n, n):
         raise DimensionError(f"bilinear table must be {n}x{n}, got {b.shape}")
     dl = mc_increments(x)
-    return _running_sum(np.einsum("ij,...ki,...kj->...k", b, dl, dl))
+    per_step = np.einsum("ij,...ki,...kj->...k", b, dl, dl)
+    out = np.zeros(per_step.shape[:-1] + (per_step.shape[-1] + 1,))
+    np.cumsum(per_step, axis=-1, out=out[..., 1:])
+    return out

@@ -77,9 +77,7 @@ def _adjoint_sum(y, values, rule, inverse):
         if dl is not None:
             half = mat_exp(to_matrix_coords(spec, sign * dl[r, k]))
             base = half @ base if inverse else base @ half
-        # the generic adjoint is a transposed view, and einsum rounds it
-        # differently from a contiguous copy: contract the copy on every tile
-        admats = np.ascontiguousarray(adjoint_matrices(spec, base))
+        admats = adjoint_matrices(spec, base)
         dv = values[r, k.start + 1 : k.stop + 1] - values[r, k]
         steps[r, k] = np.einsum("...kij,...kj->...ki", admats, dv)
     np.cumsum(steps, axis=1, out=steps)

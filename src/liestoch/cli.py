@@ -87,13 +87,6 @@ class ExperimentConfig:
     out: str = ""
     fmt: str = "csv"
 
-    def to_kv(self):
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            lines.append(f"{f.name}={v!r}" if isinstance(v, float) else f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_kv(cls, text, command=None):
         """Parse a config file; with ``command`` given, a key that command

@@ -80,9 +80,9 @@ class ConnectionFunction:
     def antisymmetric_part(self):
         return 0.5 * (self.coeffs - np.swapaxes(self.coeffs, 1, 2))
 
-    def is_quadratic_free(self, tol=1e-12):
+    def is_quadratic_free(self):
         """True when alpha(A, A) = 0 identically (symmetric part vanishes)."""
-        return float(np.max(np.abs(self.symmetric_part()))) <= tol
+        return float(np.max(np.abs(self.symmetric_part()))) <= 1e-12
 
 
 def metric_for(group, lam=1.0) -> MetricSpec:
@@ -262,7 +262,7 @@ class RegressionReport:
         return float(np.max(sel)) if sel else None  # NaN if any row is NaN
 
 
-def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0), groups_=None, tol=REGRESSION_TOL,
+def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0),
                          closed_form_provider=closed_form_u_variants):
     """Compare every closed-form U variant against the metric solve.
 
@@ -272,9 +272,8 @@ def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0), groups_=None, tol=REGRESSION_
     authoritative solve. ``closed_form_provider(name, lam)`` returns the
     variants by label.
     """
-    names = list(groups_) if groups_ is not None else ["se3", "se2", "e11", "n3", "sl2r"]
     rows = []
-    for name in names:
+    for name in ("se3", "se2", "e11", "n3", "sl2r"):
         for lam in lam_grid:
             oracle = u_from_metric(metric_for(name, lam)).coeffs
             for label, conn in closed_form_provider(name, lam).items():
@@ -287,7 +286,7 @@ def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0), groups_=None, tol=REGRESSION_
                         variant=label,
                         max_abs_diff=float(diff[worst]),
                         worst_entry=tuple(int(w) for w in worst),
-                        flagged=not diff[worst] <= tol,  # NaN is flagged
+                        flagged=not diff[worst] <= REGRESSION_TOL,  # NaN is flagged
                     )
                 )
-    return RegressionReport(rows=rows, tol=tol)
+    return RegressionReport(rows=rows)

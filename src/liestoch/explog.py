@@ -7,18 +7,20 @@ structural, not approximate):
 
 * ``strat_exponential``: X_{k+1} = X_k exp(dM_k) -- the midpoint-type
   development, inverse of ``strat_logarithm`` (cumulative log increments).
-* ``ito_exponential`` w.r.t. a connection function alpha on the group side
-  and an optional algebra connection: each injected step is
-  ``dM + 1/2 Gamma(dM, dM) - 1/2 alpha(dM, dM)``, i.e. the left-point
-  reading with its quadratic-variation compensation placed inside the
-  exponent. ``ito_logarithm`` applies the reverse correction
-  ``dL + 1/2 alpha(dL, dL) - 1/2 Gamma(dL, dL)`` to the log increments.
+* ``ito_exponential`` w.r.t. a connection function alpha on the group
+  side: each injected step is ``dM - 1/2 alpha(dM, dM)``, i.e. the
+  left-point reading with its quadratic-variation compensation placed
+  inside the exponent. ``ito_logarithm`` applies the reverse correction
+  ``dL + 1/2 alpha(dL, dL)`` to the log increments.
 
 With a quadratic-free alpha (alpha(A, A) = 0, e.g. bi-invariant) the
 corrections are exactly zero arrays, so the Ito and Stratonovich operators
-coincide bit for bit. The algebra connection defaults to flat (all
-Christoffels zero), under which algebra martingales are coordinate local
-martingales.
+coincide bit for bit. The algebra carries the flat connection, under which
+algebra martingales are coordinate local martingales; that is what makes
+the coordinate zero-mean test of ``martingale`` the right criterion. The
+Ito or Stratonovich integral of a left-invariant 1-form with covector
+``eta`` is the contracted logarithm ``ito_logarithm(x, alpha).values @ eta``
+or ``strat_logarithm(x).values @ eta``.
 
 Every operator takes and returns ``paths.Ensemble`` objects, one path per
 replica; a single path is a one-replica ensemble. Values are
@@ -31,49 +33,14 @@ full size; the membership gate reads the full values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calculus import mc_increments
 from .connections import ConnectionFunction
-from .errors import (
-    DimensionError,
-    GroupMismatchError,
-    IntegratorDriftError,
-    MembershipError,
-)
-from .groups import MEMBERSHIP_GATE, GroupSpec, membership_defect, to_matrix_coords
+from .errors import GroupMismatchError, IntegratorDriftError, MembershipError
+from .groups import MEMBERSHIP_GATE, membership_defect, to_matrix_coords
 from .linalg import bilinear, mat_exp, tiles
 from .paths import expect
-
-
-@dataclass(frozen=True)
-class AlgebraConnection:
-    """Constant-coefficient symmetric connection on the algebra.
-
-    ``christoffels[k, i, j]`` are the coefficients of Gamma(e_i, e_j); the
-    default (zero) table is the flat connection.
-    """
-
-    group: GroupSpec
-    christoffels: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = self.group.algebra_dim
-        gamma = self.christoffels
-        gamma = np.zeros((n, n, n)) if gamma is None else np.asarray(gamma, dtype=np.float64)
-        if gamma.shape != (n, n, n):
-            raise DimensionError(f"christoffels must be {n}x{n}x{n}, got {gamma.shape}")
-        if np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2))) > 1e-12:
-            raise ValueError("christoffels must be symmetric in the lower indices")
-        gamma = gamma.copy()
-        gamma.setflags(write=False)
-        object.__setattr__(self, "christoffels", gamma)
-
-    @property
-    def is_flat(self):
-        return not np.any(self.christoffels)
 
 
 def _develop(spec, steps):
@@ -112,9 +79,9 @@ def _gate_membership(spec, values):
         )
 
 
-def _ito_correction(spec, alpha, algebra_connection):
-    """The quadratic Ito correction ``v -> 1/2 Gamma(v,v) - 1/2 alpha(v,v)``
-    per step, its tables checked and built once per operator call.
+def _ito_correction(spec, alpha):
+    """The quadratic Ito correction ``v -> -1/2 alpha(v,v)`` per step, its
+    table checked and built once per operator call.
 
     The exponential adds it to the driver increments; the logarithm
     subtracts it from the log increments.
@@ -123,19 +90,8 @@ def _ito_correction(spec, alpha, algebra_connection):
         raise GroupMismatchError(
             f"connection on {alpha.group.name} used with {spec.name} paths"
         )
-    conn = algebra_connection or AlgebraConnection(spec)
-    if conn.group != spec:
-        raise GroupMismatchError("algebra connection group mismatch")
     alpha_sym = alpha.symmetric_part()
-    gamma = None if conn.is_flat else conn.christoffels
-
-    def correction(v):
-        out = -0.5 * bilinear(alpha_sym, v, v)
-        if gamma is not None:
-            out += 0.5 * bilinear(gamma, v, v)
-        return out
-
-    return correction
+    return lambda v: -0.5 * bilinear(alpha_sym, v, v)
 
 
 def _cumulative(increments):
@@ -164,10 +120,10 @@ def strat_logarithm(x):
     return x.with_values(_cumulative(dl))
 
 
-def ito_exponential(m, alpha: ConnectionFunction, algebra_connection=None):
+def ito_exponential(m, alpha: ConnectionFunction):
     """Solve the Ito development equation for a driving algebra ensemble.
 
-    One-step scheme: inject ``exp(dM + 1/2 Gamma(dM,dM) - 1/2 alpha(dM,dM))``.
+    One-step scheme: inject ``exp(dM - 1/2 alpha(dM,dM))``.
     The group-side correction makes the compensated logarithm of the output
     a drift-free readback of M (strong order 1/2 in general, exact when
     alpha is quadratic-free). Only the symmetric part of alpha enters the
@@ -175,23 +131,22 @@ def ito_exponential(m, alpha: ConnectionFunction, algebra_connection=None):
     normalization of the connection table.
     """
     expect(m, group_valued=False)
-    correction = _ito_correction(m.group, alpha, algebra_connection)
+    correction = _ito_correction(m.group, alpha)
     dm = np.diff(m.values, axis=-2)
     for tile in tiles(*dm.shape[:2]):
         dm[tile] += correction(np.ascontiguousarray(dm[tile]))
     return _developed(m, dm)
 
 
-def ito_logarithm(x, alpha: ConnectionFunction, algebra_connection=None):
+def ito_logarithm(x, alpha: ConnectionFunction):
     """Compensated logarithm of a group ensemble (starts at 0).
 
-    Returns the cumulative sum of ``dL + 1/2 alpha(dL,dL) - 1/2 Gamma(dL,dL)``
-    over the left-trivialized increments dL; with the flat algebra
-    connection this is exactly the Stratonovich logarithm plus half the
+    Returns the cumulative sum of ``dL + 1/2 alpha(dL,dL)`` over the
+    left-trivialized increments dL: the Stratonovich logarithm plus half the
     running alpha-quadratic sum.
     """
     dl = mc_increments(x)
-    correction = _ito_correction(x.group, alpha, algebra_connection)
+    correction = _ito_correction(x.group, alpha)
     replicas, count, n = dl.shape
     out = np.zeros((replicas, count + 1, n))
     steps = out[:, 1:]

@@ -452,9 +452,10 @@ def adjoint_matrices(spec, g):
         raise ClosureError(
             f"{spec.name}: adjoint image left the basis span"
         ) from exc
-    return np.swapaxes(coords, -1, -2)  # out[..., k, j]
+    # out[..., k, j], contiguous: einsum rounds a transposed view differently
+    return np.ascontiguousarray(np.swapaxes(coords, -1, -2))
 
 
-def random_group_element(spec, rng, scale=0.5):
+def random_group_element(spec, rng):
     """exp of a random small algebra element (always a member)."""
-    return mat_exp(to_matrix_coords(spec, scale * rng.standard_normal(spec.algebra_dim)))
+    return mat_exp(to_matrix_coords(spec, 0.5 * rng.standard_normal(spec.algebra_dim)))

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from liestoch.calculus import (
-    LeftInvariantOneForm,
-    increments_from_values,
-    ito_integral,
-    mc_increments,
-    quadratic_integral,
-    strat_integral,
-)
+from liestoch.calculus import increments_from_values, mc_increments, quadratic_integral
 from liestoch.connections import (
     alpha_biinvariant,
     alpha_levi_civita,
@@ -16,7 +9,7 @@ from liestoch.connections import (
     metric_for,
 )
 from liestoch.errors import DimensionError, GroupMismatchError
-from liestoch.explog import strat_exponential
+from liestoch.explog import ito_logarithm, strat_exponential, strat_logarithm
 from liestoch.groups import get_group, to_matrix_coords
 from liestoch.linalg import bilinear, mat_exp
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
@@ -62,19 +55,27 @@ def test_increments_recover_driver():
     assert np.max(np.abs(recomputed - x.step_logs)) < 1e-12
 
 
+# The Stratonovich and Ito integrals of a left-invariant 1-form with
+# covector eta are the logarithms contracted with eta.
+def strat_integral(eta, x):
+    return strat_logarithm(x).values @ eta
+
+
+def ito_integral(eta, x, alpha):
+    return ito_logarithm(x, alpha).values @ eta
+
+
 def test_strat_integral_cases():
     grid = TimeGrid(1.5, 30)
     a = np.array([0.5, -0.1, 0.8])
     x = strat_exponential(line_path(SO3, grid, a))
-    zero = LeftInvariantOneForm(SO3, np.zeros(3))
-    assert np.max(np.abs(strat_integral(zero, x))) == 0.0
-    eta = LeftInvariantOneForm(SO3, np.array([1.0, 2.0, -1.0]))
+    assert np.max(np.abs(strat_integral(np.zeros(3), x))) == 0.0
+    eta = np.array([1.0, 2.0, -1.0])
     running = strat_integral(eta, x)
-    assert abs(running[0, -1] - grid.horizon * eta.covector @ a) < 1e-12
+    assert abs(running[0, -1] - grid.horizon * eta @ a) < 1e-12
     # linearity in the form
-    eta2 = LeftInvariantOneForm(SO3, RNG.standard_normal(3))
-    combined = LeftInvariantOneForm(SO3, eta.covector + 3.0 * eta2.covector)
-    lhs = strat_integral(combined, x)
+    eta2 = RNG.standard_normal(3)
+    lhs = strat_integral(eta + 3.0 * eta2, x)
     rhs = strat_integral(eta, x) + 3.0 * strat_integral(eta2, x)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -87,7 +88,7 @@ def test_strat_integral_loop_returns_to_zero():
     profile = np.minimum(np.arange(grid.steps + 1), grid.steps - np.arange(grid.steps + 1))
     values = mat_exp(to_matrix_coords(SO3, np.outer(profile * grid.dt, a)))
     loop = Ensemble(SO3, grid, 0, values[None])
-    eta = LeftInvariantOneForm(SO3, RNG.standard_normal(3))
+    eta = RNG.standard_normal(3)
     running = strat_integral(eta, loop)
     assert abs(running[0, -1]) < 1e-10
     assert abs(running[0, half]) > 0.01  # it does leave zero on the way
@@ -96,14 +97,14 @@ def test_strat_integral_loop_returns_to_zero():
 def test_ito_equals_strat_for_biinvariant():
     grid = TimeGrid(1.0, 200)
     x = strat_exponential(brownian_ensemble(SO3, grid, 3, 1))
-    eta = LeftInvariantOneForm(SO3, RNG.standard_normal(3))
+    eta = RNG.standard_normal(3)
     alpha = alpha_biinvariant(SO3)
     assert np.array_equal(ito_integral(eta, x, alpha), strat_integral(eta, x))
 
 
 def test_ito_minus_strat_vanishes_for_smooth_path():
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    eta = LeftInvariantOneForm(SE3, RNG.standard_normal(6))
+    eta = RNG.standard_normal(6)
     a = RNG.standard_normal(6) / 4.0
     diffs = []
     for steps in (50, 200):
@@ -118,12 +119,12 @@ def test_ito_correction_matches_closed_form():
     bm = brownian_ensemble(SE3, grid, 8, 1)
     x = strat_exponential(bm)
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    eta = LeftInvariantOneForm(SE3, RNG.standard_normal(6))
+    eta = RNG.standard_normal(6)
     correction = ito_integral(eta, x, alpha) - strat_integral(eta, x)
     # recompute independently through the closed cross-product form
     u = closed_form_u("se3", 1.0)
     dl = mc_increments(x)[0]
-    per_step = bilinear(u.coeffs, dl, dl) @ eta.covector
+    per_step = bilinear(u.coeffs, dl, dl) @ eta
     recomputed = np.concatenate([[0.0], 0.5 * np.cumsum(per_step)])[None]
     assert np.max(np.abs(correction - recomputed)) < 1e-10
 
@@ -133,9 +134,9 @@ def test_conversion_identity_every_step():
     bm = brownian_ensemble(SE3, grid, 12, 1)
     x = strat_exponential(bm)
     alpha = alpha_levi_civita(metric_for("se3", 0.8))
-    eta = LeftInvariantOneForm(SE3, RNG.standard_normal(6))
+    eta = RNG.standard_normal(6)
     # eta composed with alpha as an (n, n) bilinear
-    b = np.einsum("k,kij->ij", eta.covector, alpha.coeffs)
+    b = np.einsum("k,kij->ij", eta, alpha.coeffs)
     lhs = ito_integral(eta, x, alpha)
     rhs = strat_integral(eta, x) + 0.5 * quadratic_integral(b, x)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
@@ -154,8 +155,8 @@ def test_conversion_identity_property():
         grid = TimeGrid(0.5, 40)
         x = strat_exponential(brownian_ensemble(spec, grid, seed, 1))
         alpha = alpha_levi_civita(metric_for(name, float(rng.uniform(0.5, 2.0))))
-        eta = LeftInvariantOneForm(spec, rng.standard_normal(spec.algebra_dim))
-        b = np.einsum("k,kij->ij", eta.covector, alpha.coeffs)
+        eta = rng.standard_normal(spec.algebra_dim)
+        b = np.einsum("k,kij->ij", eta, alpha.coeffs)
         lhs = ito_integral(eta, x, alpha)
         rhs = strat_integral(eta, x) + 0.5 * quadratic_integral(b, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -178,7 +179,7 @@ def test_integral_additivity_over_concatenation():
     grid = TimeGrid(1.0, 100)
     bm = brownian_ensemble(SO3, grid, 6, 1)
     x = strat_exponential(bm)
-    eta = LeftInvariantOneForm(SO3, RNG.standard_normal(3))
+    eta = RNG.standard_normal(3)
     running = strat_integral(eta, x)
     # restriction to the first half, then the second half from its start
     half = 50
@@ -191,16 +192,5 @@ def test_integral_additivity_over_concatenation():
 def test_group_mismatch_errors():
     grid = TimeGrid(1.0, 10)
     x = strat_exponential(brownian_ensemble(SO3, grid, 0, 1))
-    eta = LeftInvariantOneForm(SE3, np.zeros(6))
     with pytest.raises(GroupMismatchError):
-        strat_integral(eta, x)
-    with pytest.raises(GroupMismatchError):
-        ito_integral(LeftInvariantOneForm(SO3, np.zeros(3)), x,
-                     alpha_levi_civita(metric_for("se3", 1.0)))
-
-
-def test_one_form_validation():
-    with pytest.raises(DimensionError):
-        LeftInvariantOneForm(SO3, np.zeros(4))
-    with pytest.raises(ValueError):
-        LeftInvariantOneForm(SO3, np.array([np.nan, 0.0, 0.0]))
+        ito_integral(np.zeros(3), x, alpha_levi_civita(metric_for("se3", 1.0)))

@@ -43,7 +43,7 @@ def test_ad_integral_identity_path_returns_driver():
 def test_ad_integral_constant_conjugator_on_line():
     grid = TimeGrid(1.0, 50)
     a = np.array([0.7, -0.2, 0.4])
-    g = random_group_element(SO3, RNG, 0.9)
+    g = random_group_element(SO3, RNG)
     const = Ensemble(SO3, grid, 0, np.broadcast_to(g, (51, 3, 3)).copy()[None])
     out = ad_integral(const, line_path(SO3, grid, a))
     expected = np.outer(grid.times(), adjoint_matrices(SO3, g) @ a)

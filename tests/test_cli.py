@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from liestoch.acceptance import NEGATIVE_CONTROL_COV
 from liestoch.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -17,6 +19,7 @@ from liestoch.cli import (
     UsageError,
     main,
 )
+from liestoch.connections import metric_for, u_from_metric
 
 
 def run_cli(*argv):
@@ -24,12 +27,37 @@ def run_cli(*argv):
 
 
 def test_config_kv_roundtrip():
-    config = ExperimentConfig(
-        command="roundtrip", group="se3", lam=0.75, dt=2.5e-3, steps=400,
-        replicas=12, seed=99, out="x.csv",
+    text = """# every field, none at its default
+command=convergence
+group=so3
+connection=biinvariant
+lam=0.75
+dt=2.5e-3
+steps=400
+replicas=12
+seed=99
+dts=4e-3,2e-3
+driver=drift
+scheme=strat
+rule=midpoint
+cov=cov.csv
+drift=0.1,0.2,0.3
+buckets=8
+significance=0.99
+workers=2
+out=x.csv
+fmt=json
+"""
+    parsed = ExperimentConfig.from_kv(text)
+    assert parsed == ExperimentConfig(
+        command="convergence", group="so3", connection="biinvariant", lam=0.75,
+        dt=2.5e-3, steps=400, replicas=12, seed=99, dts="4e-3,2e-3", driver="drift",
+        scheme="strat", rule="midpoint", cov="cov.csv", drift="0.1,0.2,0.3", buckets=8,
+        significance=0.99, workers=2, out="x.csv", fmt="json",
     )
-    parsed = ExperimentConfig.from_kv(config.to_kv())
-    assert parsed == config
+    default = ExperimentConfig(command="exp")
+    for f in fields(ExperimentConfig):
+        assert getattr(parsed, f.name) != getattr(default, f.name), f.name
 
 
 def test_config_kv_errors():
@@ -252,6 +280,27 @@ def test_martingale_test_drift_driver_fails_verdict(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["passed"] is False
     assert payload["max_abs_z"] > 4.0
+
+
+def test_martingale_test_controls_on_se3(tmp_path):
+    """The se3 martingale controls through the command line: Ito development
+    with Levi-Civita passes the verdict; Stratonovich development driven with
+    criterion 6's rotation/translation covariance fails it, its largest |z|
+    on e3, the direction of the predicted compensator drift."""
+    cov = tmp_path / "cov.csv"
+    np.savetxt(cov, NEGATIVE_CONTROL_COV, delimiter=",")
+    args = ["martingale-test", "--group", "se3", "--connection", "levicivita",
+            "--dt", "0.05", "--steps", "20", "--replicas", "1000", "--seed", "16180339"]
+    pos, neg = tmp_path / "pos.json", tmp_path / "neg.json"
+    assert run_cli(*args, "--out", str(pos)) == EXIT_OK
+    assert json.loads(pos.read_text())["passed"] is True
+    assert run_cli(*args, "--scheme", "strat", "--cov", str(cov), "--out", str(neg)) == EXIT_OK
+    assert json.loads(neg.read_text())["passed"] is False
+    zrows = list(csv.DictReader(open(str(neg) + ".zscores.csv")))
+    worst = max(zrows, key=lambda row: abs(float(row["z"])))
+    u = u_from_metric(metric_for("se3", 1.0)).coeffs
+    drift = 0.5 * np.einsum("kij,ij->k", u, NEGATIVE_CONTROL_COV)
+    assert int(worst["component"]) == int(np.argmax(np.abs(drift))) == 5
 
 
 def test_exit_codes(tmp_path):

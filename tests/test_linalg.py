@@ -315,7 +315,7 @@ def _quadratic_tables(name, rng):
     """Structure constants, then Levi-Civita coefficients and their symmetric
     part at lambda 0.5, 1, 2: every table the package builds. Their entries
     are powers of two, so the last table is sparse with arbitrary entries,
-    as a user's Christoffel table may be, where the order of the two
+    as a user's connection table may be, where the order of the two
     products shows."""
     spec = get_group(name)
     tables = [structure_constants(spec)]

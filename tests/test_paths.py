@@ -451,23 +451,17 @@ def test_ensemble_validation():
 
 
 def test_operators_refuse_the_wrong_kind_or_a_bare_array():
-    from liestoch.calculus import (
-        LeftInvariantOneForm,
-        ito_integral,
-        mc_increments,
-        quadratic_integral,
-        strat_integral,
-    )
+    from liestoch.calculus import mc_increments, quadratic_integral
     from liestoch.campbell import ad_integral
     from liestoch.connections import alpha_biinvariant
+    from liestoch.explog import ito_logarithm, strat_logarithm
     from liestoch.martingale import drift_test, martingale_verdict
 
     m = brownian_ensemble(SO3, TimeGrid(1.0, 4), 1, 2)
     x = strat_exponential(m)
-    eta = LeftInvariantOneForm(SO3, np.ones(3))
     cases = [
-        (lambda a: strat_integral(eta, a), x.values, "group"),
-        (lambda a: ito_integral(eta, a, alpha_biinvariant(SO3)), x.values, "group"),
+        (strat_logarithm, x.values, "group"),
+        (lambda a: ito_logarithm(a, alpha_biinvariant(SO3)), x.values, "group"),
         (lambda a: quadratic_integral(np.eye(3), a), x.values, "group"),
         (strat_exponential, x, "algebra"), (strat_exponential, m.values, "algebra"),
         (mc_increments, m, "group"), (mc_increments, x.values, "group"),

@@ -14,3 +14,20 @@ def test_readme_python_blocks_run():
     namespace = {}
     for i, code in enumerate(blocks):
         exec(compile(code, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+def test_readme_layout_names_every_module_and_script():
+    # the first fenced block after "## Layout": a directory line ends in "/",
+    # and each indented line under it starts with one file name
+    text = README.read_text()
+    block = text.split("## Layout", 1)[1].split("```")[1]
+    listed, directory = {}, None
+    for line in block.splitlines():
+        if line and not line[0].isspace():
+            directory = line.split()[0]
+            listed.setdefault(directory, set())
+        elif line.startswith("  ") and not line.startswith("   "):
+            listed[directory].add(line.split()[0])
+    root = README.parent
+    assert listed["src/liestoch/"] == {p.name for p in (root / "src" / "liestoch").glob("*.py")}
+    assert listed["scripts/"] == {p.name for p in (root / "scripts").iterdir() if p.is_file()}
