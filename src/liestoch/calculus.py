@@ -11,7 +11,8 @@ contracted logarithms ``explog.strat_logarithm(x).values @ eta`` and
 at every step up to roundoff.
 
 Group values are (R, K+1, d, d) arrays and increments (R, K, n); the
-readback from values runs over the tiles of ``linalg.tiles``.
+readback from values runs over the contiguous replica slabs of
+``linalg.slabs``.
 """
 
 from __future__ import annotations
@@ -20,19 +21,19 @@ import numpy as np
 
 from .errors import DimensionError
 from .groups import from_matrix_coords, group_inverse
-from .linalg import mat_log, tiles
+from .linalg import mat_log, slabs
 from .paths import expect
 
 
 def increments_from_values(spec, values):
     """Left-trivialized increments of stacked group values.
 
-    values: (R, K+1, d, d) -> coordinates (R, K, n), read back tile by tile
-    (``linalg.tiles``): inverse, product, ``mat_log`` and projection.
+    values: (R, K+1, d, d) -> coordinates (R, K, n), read back slab by slab
+    (``linalg.slabs``): inverse, product, ``mat_log`` and projection.
     """
     replicas, count = values.shape[0], values.shape[1] - 1
     out = np.empty((replicas, count, spec.algebra_dim))
-    for r, k in tiles(replicas, count):
+    for r, k in slabs(replicas, count):
         left = values[r, k]
         right = values[r, k.start + 1 : k.stop + 1]
         out[r, k] = from_matrix_coords(spec, mat_log(group_inverse(spec, left) @ right))

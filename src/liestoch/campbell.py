@@ -35,7 +35,7 @@ from .calculus import mc_increments
 from .errors import DimensionError, GridMismatchError, GroupMismatchError, HypothesisError
 from .explog import _gate_membership, ito_exponential, ito_logarithm
 from .groups import adjoint_matrices, group_inverse, to_matrix_coords
-from .linalg import frobenius_dist, mat_exp, tiles
+from .linalg import frobenius_dist, mat_exp, slabs
 from .paths import TimeGrid, brownian_ensemble, expect, null_qv_check
 
 AD_RULES = ("ito", "midpoint")
@@ -61,7 +61,8 @@ def _adjoint_sum(y, values, rule, inverse):
     its grid. The left-point rule takes Ad at Y_k; the midpoint rule at the
     geometric midpoint ``Y_k exp(dL_k / 2)`` of each step (whose inverse is
     ``exp(-dL_k / 2) Y_k^-1``). The half-step exponential, the adjoint and
-    the contraction run tile by tile (``linalg.tiles``).
+    the contraction run slab by slab (``linalg.slabs``), each step on its
+    own; only the running sum crosses steps.
     """
     if rule not in AD_RULES:
         raise ValueError(f"rule must be one of {AD_RULES}")
@@ -70,7 +71,7 @@ def _adjoint_sum(y, values, rule, inverse):
     sign = -0.5 if inverse else 0.5
     out = np.zeros(values.shape)
     steps = out[:, 1:]
-    for r, k in tiles(y.replicas, y.grid.steps):
+    for r, k in slabs(y.replicas, y.grid.steps):
         base = y.values[r, k]
         if inverse:
             base = group_inverse(spec, base)

@@ -25,10 +25,12 @@ or ``strat_logarithm(x).values @ eta``.
 Every operator takes and returns ``paths.Ensemble`` objects, one path per
 replica; a single path is a one-replica ensemble. Values are
 (R, K+1, d, d) group matrices or (R, K+1, n) coordinates, and step vectors
-(R, K, n). Each per-step stage (the Ito correction, the exponentials and
-their product, the logarithm's correction) runs over the tiles of
-``linalg.tiles`` into one preallocated output, so only outputs are ever
-full size; the membership gate reads the full values.
+(R, K, n). Each per-step stage writes into one preallocated output, so
+only outputs are ever full size. The develop's product recursion runs over
+the tiles of ``linalg.tiles`` in step-major order; the passes that treat
+each step on its own (both Ito corrections, the logarithms' increments)
+run over the contiguous replica slabs of ``linalg.slabs``. The membership
+gate reads the full values.
 """
 
 from __future__ import annotations
@@ -39,32 +41,43 @@ from .calculus import mc_increments
 from .connections import ConnectionFunction
 from .errors import GroupMismatchError, IntegratorDriftError, MembershipError
 from .groups import MEMBERSHIP_GATE, membership_defect, to_matrix_coords
-from .linalg import bilinear, mat_exp, tiles
+from .linalg import bilinear, mat_exp, slabs, tiles
 from .paths import expect
 
 
 def _develop(spec, steps):
     """Cumulative product of exp(step vectors): (R, K, n) -> (R, K+1, d, d).
 
-    Tile by tile (``linalg.tiles``): the tile's steps are exponentiated, then
-    each of its steps is one stacked product into the output.
+    Tile by tile (``linalg.tiles``), in step-major order: a tile's steps
+    are exponentiated as a (cols, rows) stack, and the product recursion
+    runs in one contiguous (cols+1, rows, d, d) scratch, one stacked matmul
+    per step, before the finished tile is copied into the replica-major
+    output. The scratch is allocated once per call.
     """
-    replicas, count, _ = steps.shape
+    replicas, count, n = steps.shape
     d = spec.matrix_dim
     out = np.empty((replicas, count + 1, d, d))
     out[:, 0] = np.eye(d)
+    coords_buf = prod_buf = None
     for r, k in tiles(replicas, count):
-        # einsum on a strided tile view runs about 2x slower than on a copy
-        exps = mat_exp(to_matrix_coords(spec, np.ascontiguousarray(steps[r, k])))
-        prod = np.empty((r.stop - r.start, d, d))
+        rows, cols = r.stop - r.start, k.stop - k.start
+        if prod_buf is None:  # the first tile is the largest
+            coords_buf = np.empty(cols * rows * n)
+            prod_buf = np.empty((cols + 1) * rows * d * d)
+        coords = coords_buf[: cols * rows * n].reshape(cols, rows, n)
+        prod = prod_buf[: (cols + 1) * rows * d * d].reshape(cols + 1, rows, d, d)
+        np.copyto(coords, steps[r, k].transpose(1, 0, 2))
+        exps = mat_exp(to_matrix_coords(spec, coords))
+        # a block's first tile starts at the identity, the others where
+        # the previous tile ended
+        prod[0] = np.eye(d) if k.start == 0 else carry
         # an overflowing product turns into inf or NaN, which the membership
         # gate reports as a numerical failure; numpy need not warn first
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(k.start, k.stop):
-                # a product written straight into the strided output runs
-                # about 2x slower than into a contiguous buffer and a copy
-                np.matmul(out[r, j], exps[:, j - k.start], out=prod)
-                out[r, j + 1] = prod
+            for j in range(cols):
+                np.matmul(prod[j], exps[j], out=prod[j + 1])
+        out[r, k.start + 1 : k.stop + 1] = prod[1:].transpose(1, 0, 2, 3)
+        carry = prod[cols]
         del exps  # not live while the next tile's are made
     return out
 
@@ -94,10 +107,20 @@ def _ito_correction(spec, alpha):
     return lambda v: -0.5 * bilinear(alpha_sym, v, v)
 
 
-def _cumulative(increments):
-    out = np.zeros(increments.shape[:-2] + (increments.shape[-2] + 1, increments.shape[-1]))
-    np.cumsum(increments, axis=-2, out=out[..., 1:, :])
-    return out
+def _logarithm(x, dl, correction=None):
+    """Cumulative sum of the log increments ``dl`` of ``x`` (starts at 0),
+    each less ``correction(dl)`` when one is given, slab by slab
+    (``linalg.slabs``)."""
+    replicas, count, n = dl.shape
+    out = np.zeros((replicas, count + 1, n))
+    steps = out[:, 1:]
+    if correction is not None:
+        for slab in slabs(replicas, count):
+            v = dl[slab]
+            np.subtract(v, correction(v), out=steps[slab])
+        dl = steps
+    np.cumsum(dl, axis=1, out=steps)
+    return x.with_values(out)
 
 
 def _developed(ens, steps):
@@ -116,8 +139,7 @@ def strat_exponential(m):
 
 def strat_logarithm(x):
     """Cumulative left-trivialized increments of a group ensemble (starts at 0)."""
-    dl = mc_increments(x)
-    return x.with_values(_cumulative(dl))
+    return _logarithm(x, mc_increments(x))
 
 
 def ito_exponential(m, alpha: ConnectionFunction):
@@ -133,8 +155,8 @@ def ito_exponential(m, alpha: ConnectionFunction):
     expect(m, group_valued=False)
     correction = _ito_correction(m.group, alpha)
     dm = np.diff(m.values, axis=-2)
-    for tile in tiles(*dm.shape[:2]):
-        dm[tile] += correction(np.ascontiguousarray(dm[tile]))
+    for slab in slabs(*dm.shape[:2]):
+        dm[slab] += correction(dm[slab])
     return _developed(m, dm)
 
 
@@ -146,15 +168,7 @@ def ito_logarithm(x, alpha: ConnectionFunction):
     running alpha-quadratic sum.
     """
     dl = mc_increments(x)
-    correction = _ito_correction(x.group, alpha)
-    replicas, count, n = dl.shape
-    out = np.zeros((replicas, count + 1, n))
-    steps = out[:, 1:]
-    for tile in tiles(replicas, count):
-        v = np.ascontiguousarray(dl[tile])
-        np.subtract(v, correction(v), out=steps[tile])
-    np.cumsum(steps, axis=1, out=steps)
-    return x.with_values(out)
+    return _logarithm(x, dl, _ito_correction(x.group, alpha))
 
 
 def roundtrip_errors(m, alpha: ConnectionFunction):

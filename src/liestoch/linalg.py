@@ -6,9 +6,10 @@ treated as a batch of matrices over the leading axes. Each matrix is
 processed independently of the rest of the batch (scaling levels, square
 roots and stopping decisions are made per matrix), so results are identical
 no matter how a batch is chunked. That property is what lets
-``map_stacked`` run a kernel over cache-sized blocks, and the passes of
-``explog``, ``calculus`` and ``campbell`` run over the cache-sized tiles of
-``tiles``, without changing a bit.
+``map_stacked`` run a kernel over cache-sized blocks, the develop of
+``explog`` run over the cache-sized tiles of ``tiles``, and the per-step
+passes of ``explog``, ``calculus`` and ``campbell`` run over the contiguous
+slabs of ``slabs``, without changing a bit.
 
 ``mat_exp`` and ``mat_log`` pick a kernel for each matrix from its own
 entries, never from a group label:
@@ -53,15 +54,16 @@ _SQRT_MAX_ITER = 60
 _COND_LIMIT = 1e13
 
 # Matrices per block of ``map_stacked`` (the entry-row kernels in
-# ``groups``) and per tile of ``tiles`` (the develop, readback and adjoint
-# passes): 4096 4x4 matrices are 512 KB of entry rows, which stay in cache
-# through a kernel's passes. Whole-batch rows do not: on 2x10^5 se3
-# matrices exp ran 2x slower in one block, and the so3 and se3 defects
-# 1.3-3x slower on 10^5. Blocks of 8192 were up to 1.25x faster for the
-# defects but held more memory (export-sixgroups peak RSS +1%). The bound
-# also caps the scratch of a tiled pass: on se3 at 2000 x 100 steps,
-# ``ito_exponential`` holds 3.2 MB above its 35.5 MB of output, where
-# full-size temporaries of every stage held 61 MB (by tracemalloc).
+# ``groups``), per tile of ``tiles`` (the develop's product) and per slab of
+# ``slabs`` (the other per-step passes): 4096 4x4 matrices are 512 KB of
+# entry rows, which stay in cache through a kernel's passes. Whole-batch
+# rows do not: on 2x10^5 se3 matrices exp ran 2x slower in one block, and
+# the so3 and se3 defects 1.3-3x slower on 10^5. Blocks of 8192 were up to
+# 1.25x faster for the defects but held more memory (export-sixgroups peak
+# RSS +1%). The bound also caps the scratch of a pass: on se3 at 2000 x 100
+# steps (by tracemalloc), ``ito_exponential`` holds 3.2 MB above its
+# 35.5 MB of output, ``ito_logarithm`` 1.2 MB above 9.7 MB and the readback
+# 3.5 MB above 9.6 MB.
 _ROW_CHUNK = 4096
 
 _EXP_COEFFS = np.cumprod([1.0] + [1.0 / k for k in range(1, 16)])  # 1/k!, k=0..15
@@ -276,9 +278,6 @@ _V_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
 _TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()  # entry row of (j, i)
 _DIAG3 = np.array([0, 4, 8])
 _VEE3 = np.array([7, 2, 3])                          # A21, A02, A10
-_BLOCK4 = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])     # top-left 3x3 of a 4x4
-_TRANSLATION4 = np.array([3, 7, 11])
-_BOTTOM4 = np.array([12, 13, 14, 15])
 
 
 def _entries(flat):
@@ -314,22 +313,47 @@ def _squared_norm(v):
     return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
 
 
+def _sinc(x):
+    """``np.sinc(x)`` by its own operations, in place on ``x``."""
+    x *= np.pi
+    np.copyto(x, np.finfo(x.dtype).eps, where=x == 0)
+    out = np.sin(x)
+    out /= x
+    return out
+
+
 def _rodrigues_coefficients(theta):
     """``sin(theta)/theta`` and ``(1 - cos(theta))/theta^2``, exact at 0."""
-    half = np.sinc(theta / (2.0 * np.pi))
-    return np.sinc(theta / np.pi), 0.5 * half * half
+    half = _sinc(theta / (2.0 * np.pi))
+    b = 0.5 * half
+    b *= half
+    return _sinc(theta / np.pi), b
 
 
-def _v_coefficient(theta):
-    """``(theta - sin(theta))/theta^3``, from its Taylor series below 0.5."""
-    small = theta < _SERIES_ANGLE
-    t = np.where(small, 1.0, theta)
-    direct = (t - np.sin(t)) / (t * t * t)
+def _v_series(theta):
+    """The Taylor series of ``(theta - sin(theta))/theta^3`` by Horner's rule."""
     theta2 = theta * theta
     series = np.full_like(theta, _V_SERIES[-1])
     for coeff in _V_SERIES[-2::-1]:
-        series = series * theta2 + coeff
-    return np.where(small, series, direct)
+        series *= theta2
+        series += coeff
+    return series
+
+
+def _v_coefficient(theta):
+    """``(theta - sin(theta))/theta^3``, from its Taylor series below 0.5.
+
+    Each branch runs only on the angles that take it.
+    """
+    small = theta < _SERIES_ANGLE
+    if small.all():
+        return _v_series(theta)
+    out = np.empty_like(theta)
+    big = ~small  # NaN included
+    t = theta[big]
+    out[big] = (t - np.sin(t)) / (t * t * t)
+    out[small] = _v_series(theta[small])
+    return out
 
 
 def _rotation(skew, w, theta2, a, b):
@@ -350,24 +374,45 @@ def _rotation_exp(e):
 
 
 def _rigid_exp(e):
-    """``[[R, V u], [0, 1]]`` for 4x4 ``[[W, u], [0, 0]]`` with W skew."""
-    skew = e[_BLOCK4]
-    w = skew[_VEE3]
-    u = e[_TRANSLATION4]
+    """``[[R, V u], [0, 1]]`` for 4x4 ``[[W, u], [0, 0]]`` with W skew.
+
+    Reads w and u as views of their entry rows and writes each entry row of
+    the result in place, in the operation order of ``_rotation`` and of
+    ``u + b (w x u) + c (w (w . u) - theta^2 u)``.
+    """
+    w = (e[9], e[2], e[4])    # A21, A02, A10
+    u = (e[3], e[7], e[11])
     theta2 = _squared_norm(w)
     theta = np.sqrt(theta2)
     a, b = _rodrigues_coefficients(theta)
     c = _v_coefficient(theta)
-    # V u = u + b (w x u) + c (w (w . u) - theta^2 u)
-    w_cross_u = np.stack([
-        w[1] * u[2] - w[2] * u[1],
-        w[2] * u[0] - w[0] * u[2],
-        w[0] * u[1] - w[1] * u[0],
-    ])
-    w_dot_u = w[0] * u[0] + w[1] * u[1] + w[2] * u[2]
-    out = np.zeros_like(e)
-    out[_BLOCK4] = _rotation(skew, w, theta2, a, b)
-    out[_TRANSLATION4] = u + b * w_cross_u + c * (w * w_dot_u - theta2 * u)
+    diag = b * theta2
+    np.subtract(1.0, diag, out=diag)
+    out = np.empty_like(e)
+    tmp = np.empty_like(theta)
+    for i in range(3):
+        for j in range(3):
+            row = out[4 * i + j]
+            np.multiply(w[i], w[j], out=row)
+            row *= b
+            row += np.multiply(a, e[4 * i + j], out=tmp)
+            if i == j:
+                row += diag
+    w_dot_u = w[0] * u[0]
+    w_dot_u += np.multiply(w[1], u[1], out=tmp)
+    w_dot_u += np.multiply(w[2], u[2], out=tmp)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        row = out[4 * i + 3]
+        np.multiply(w[j], u[k], out=row)  # (w x u)_i
+        row -= np.multiply(w[k], u[j], out=tmp)
+        row *= b
+        row += u[i]
+        cross = np.multiply(w[i], w_dot_u, out=tmp)
+        cross -= theta2 * u[i]
+        cross *= c
+        row += cross
+    out[12:15] = 0.0
     out[15] = 1.0
     return out
 
@@ -379,12 +424,18 @@ def _rotation_log(e):
     return s / np.sinc(theta / np.pi)
 
 
-def _is_skew(e):
-    return ~np.any(e + e[_TRANSPOSE3], axis=0)
+def _is_skew(e, n=3):
+    """Whether the top-left 3x3 block of n x n entry rows is exactly skew:
+    ``A_ij + A_ji == 0`` for each pair of rows, read in place."""
+    out = np.ones(e.shape[1:], dtype=bool)
+    for i in range(3):
+        for j in range(i, 3):
+            out &= (e[n * i + j] + e[n * j + i]) == 0  # NaN fails
+    return out
 
 
 def _is_rigid_algebra(e):
-    return _is_skew(e[_BLOCK4]) & ~np.any(e[_BOTTOM4], axis=0)
+    return _is_skew(e, 4) & ~np.any(e[12:], axis=0)
 
 
 def _is_rotation_below_half_turn(e):
@@ -483,23 +534,41 @@ def map_stacked(fn, stack):
     return out.reshape(stack.shape[:-2] + out.shape[1:])
 
 
-def tiles(replicas, steps):
-    """Tiles of a (replicas, steps) grid of matrices, as index slice pairs.
-
-    A tile holds ``rows = min(replicas, _ROW_CHUNK)`` replicas by
-    ``cols = max(1, _ROW_CHUNK // rows)`` steps, so at most ``_ROW_CHUNK``
-    matrices, and a pass over the tiles keeps only its outputs full size.
-    Tiles come replica block by replica block, each block's steps in order,
-    so a per-replica recursion over steps may run across them; with up to
-    ``_ROW_CHUNK`` replicas there is one block and a step costs one stacked
-    call. Both slices stop inside the grid. Tiling is bitwise-neutral for
-    the kernels of this package, which treat each matrix independently.
-    """
-    rows = max(1, min(replicas, _ROW_CHUNK))
-    cols = max(1, _ROW_CHUNK // rows)
+def _grid(replicas, steps, rows, cols):
     for r in range(0, replicas, rows):
         for k in range(0, steps, cols):
             yield slice(r, min(r + rows, replicas)), slice(k, min(k + cols, steps))
+
+
+def tiles(replicas, steps):
+    """Tiles of a (replicas, steps) grid of matrices, as index slice pairs,
+    for a per-replica recursion over steps (the develop's product).
+
+    A tile holds ``rows = min(replicas, _ROW_CHUNK)`` replicas by
+    ``cols = max(1, _ROW_CHUNK // rows)`` steps, so at most ``_ROW_CHUNK``
+    matrices. Tiles come replica block by replica block, each block's steps
+    in order, so the recursion may run across them; with up to
+    ``_ROW_CHUNK`` replicas there is one block and a step costs one stacked
+    call. The first tile is the largest. Both slices stop inside the grid.
+    """
+    rows = max(1, min(replicas, _ROW_CHUNK))
+    return _grid(replicas, steps, rows, max(1, _ROW_CHUNK // rows))
+
+
+def slabs(replicas, steps):
+    """Slabs of a (replicas, steps) grid of matrices, as index slice pairs,
+    for a pass that treats each step on its own.
+
+    A slab holds ``max(1, _ROW_CHUNK // steps)`` whole replicas, or, when a
+    replica has more than ``_ROW_CHUNK`` steps, ``_ROW_CHUNK`` steps of one
+    replica: at most ``_ROW_CHUNK`` matrices that lie together in a
+    C-ordered (replicas, steps, ...) array, so a slab of it is a contiguous
+    view. Slabs come in memory order and stop inside the grid. Like
+    tiling, slabbing is bitwise-neutral for the kernels of this package,
+    which treat each matrix independently.
+    """
+    cols = max(1, min(steps, _ROW_CHUNK))
+    return _grid(replicas, steps, max(1, _ROW_CHUNK // cols), cols)
 
 
 def bilinear(table, x, y):

@@ -20,6 +20,7 @@ covariance factor and running sum are applied to the whole stack at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import erf, sqrt
 
 import numpy as np
@@ -317,8 +318,13 @@ def quadratic_covariation(p, q):
     return out
 
 
+@lru_cache(maxsize=None)
 def normal_quantile(p):
-    """Inverse standard normal CDF (bisection on erf; no scipy needed)."""
+    """Inverse standard normal CDF (bisection on erf; no scipy needed).
+
+    Memoised: the Campbell checks ask for the same few quantiles once per
+    replica.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("quantile probability must be in (0, 1)")
     lo, hi = -1e2, 1e2

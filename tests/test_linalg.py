@@ -35,6 +35,7 @@ from liestoch.linalg import (
     mat_exp,
     mat_log,
     solve_linear,
+    slabs,
     spd_cholesky,
     tiles,
 )
@@ -428,3 +429,89 @@ def test_tiles_cover_the_grid_once_in_step_order(replicas, steps):
     assert np.all(seen == 1)
     if steps and 0 < replicas <= linalg._ROW_CHUNK:
         assert list(last_stop) == [0]  # one block: one stacked product per step
+
+
+@pytest.mark.parametrize("replicas, steps",
+                         [(1, 4099), (41, 100), (8, 1000), (33, 128), (4097, 2), (0, 4), (5, 0)])
+def test_slabs_cover_the_grid_once_in_memory_order(replicas, steps):
+    seen = np.zeros((replicas, steps), dtype=int)
+    flat = np.arange(replicas * steps).reshape(replicas, steps)
+    stop = 0
+    for r, k in slabs(replicas, steps):
+        slab = flat[r, k]
+        assert 0 < slab.size <= linalg._ROW_CHUNK
+        # whole replicas, or one replica's steps: a contiguous run of the grid
+        assert r.stop - r.start == 1 or (k.start, k.stop) == (0, steps)
+        assert np.array_equal(slab.ravel(), np.arange(stop, stop + slab.size))
+        stop += slab.size
+        seen[r, k] += 1
+    assert np.all(seen == 1)
+
+
+def _v_coefficient_two_branch(theta):
+    """``linalg._v_coefficient`` as first written: both branches on every
+    angle, picked by ``np.where``."""
+    small = theta < linalg._SERIES_ANGLE
+    t = np.where(small, 1.0, theta)
+    direct = (t - np.sin(t)) / (t * t * t)
+    theta2 = theta * theta
+    series = np.full_like(theta, linalg._V_SERIES[-1])
+    for coeff in linalg._V_SERIES[-2::-1]:
+        series = series * theta2 + coeff
+    return np.where(small, series, direct)
+
+
+HALF = linalg._SERIES_ANGLE
+ANGLES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, np.nextafter(HALF, 0.0), HALF,
+                     np.nextafter(HALF, 1.0), 4.0]),
+    st.floats(min_value=0.0, max_value=4.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ANGLES, min_size=1, max_size=12))
+@example([0.0, 5e-324, np.nextafter(HALF, 0.0), HALF, np.nextafter(HALF, 1.0), 4.0])
+@example([0.1, 0.2])  # every angle on the series branch
+@example([1.0, 4.0])  # every angle on the direct branch
+def test_v_coefficient_is_the_two_branch_form_bit_for_bit(angles):
+    theta = np.array(angles)
+    assert linalg._v_coefficient(theta).tobytes() == _v_coefficient_two_branch(theta).tobytes()
+
+
+# 3x3 and 4x4 entry rows; the gather forms below are the kernels' first
+# versions (a transposed copy of the rows, a fancy-indexed block)
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf, 1e308, -1e308])
+TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()
+BLOCK4 = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
+
+
+def _is_skew_gathered(e):
+    return ~np.any(e + e[TRANSPOSE3], axis=0)
+
+
+def _skew_batch(data, d, m):
+    """m random d x d matrices as entry rows, each either exactly skew in
+    its top-left 3x3 block or with entries drawn from ENTRIES, after four
+    fixed ones: skew with -0.0 and with +-1e308, and an inf or NaN pair."""
+    flat = np.array(data.draw(st.lists(ENTRIES, min_size=d * d * m, max_size=d * d * m)))
+    mats = np.concatenate([np.zeros((4, d, d)), flat.reshape(m, d, d)])
+    for i, (a, diag) in enumerate([(1.0, -0.0), (1e308, 0.0), (np.inf, 0.0), (1.0, np.nan)]):
+        mats[i, 0, 1], mats[i, 1, 0], mats[i, 2, 2] = a, -a, diag
+    for i in range(4, 4 + m):
+        if data.draw(st.booleans()):  # skew block, one side negated
+            block = mats[i, :3, :3]
+            mats[i, :3, :3] = np.triu(block, 1) - np.triu(block, 1).T
+    return linalg._entries(mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_skew_tests_are_the_gather_forms(data, m):
+    e3 = _skew_batch(data, 3, m)
+    e4 = _skew_batch(data, 4, m)
+    # mat_exp runs the tests with these warnings off: 1e308 + 1e308 is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(linalg._is_skew(e3), _is_skew_gathered(e3))
+        gathered = _is_skew_gathered(e4[BLOCK4]) & ~np.any(e4[[12, 13, 14, 15]], axis=0)
+        assert np.array_equal(linalg._is_rigid_algebra(e4), gathered)

@@ -1,6 +1,7 @@
-"""Scratch memory of the tiled passes (``linalg.tiles``): each keeps only
-its outputs full size, so its peak stays within the output bytes plus a
-few tiles. numpy reports its allocations to tracemalloc."""
+"""Scratch memory of the tiled and slabbed passes (``linalg.tiles``,
+``linalg.slabs``): each keeps only its outputs full size, so its peak
+stays within the output bytes plus a few tiles. numpy reports its
+allocations to tracemalloc."""
 
 import tracemalloc
 
@@ -15,6 +16,7 @@ from liestoch.paths import TimeGrid, brownian_ensemble
 
 SE3 = get_group("se3")
 ALPHA = alpha_levi_civita(metric_for(SE3, 1.0))
+OPS = ["ito_exponential", "ito_logarithm", "increments_from_values"]
 # Above the outputs. A tile of 4096 se3 matrices is 512 KB; full-size
 # temporaries at the shape below were 9.6 MB (steps) and 26 MB (matrices).
 SCRATCH_BYTES = 4 * 10**6
@@ -48,12 +50,29 @@ def _nbytes(out):
     return out.values.nbytes + (0 if out.step_logs is None else out.step_logs.nbytes)
 
 
-@pytest.mark.parametrize("op", ["ito_exponential", "ito_logarithm", "increments_from_values"])
-def test_peak_is_output_plus_a_few_tiles(driver, developed, op):
+def _assert_peak_is_output_plus_a_few_tiles(op, driver, alpha, developed):
+    spec = driver.group
     call = {
-        "ito_exponential": lambda: ito_exponential(driver, ALPHA),
-        "ito_logarithm": lambda: ito_logarithm(developed, ALPHA),
-        "increments_from_values": lambda: increments_from_values(SE3, developed.values),
+        "ito_exponential": lambda: ito_exponential(driver, alpha),
+        "ito_logarithm": lambda: ito_logarithm(developed, alpha),
+        "increments_from_values": lambda: increments_from_values(spec, developed.values),
     }[op]
     out, peak = _peak_above_start(call)
     assert peak <= _nbytes(out) + SCRATCH_BYTES, (peak, _nbytes(out))
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_peak_is_output_plus_a_few_tiles(driver, developed, op):
+    _assert_peak_is_output_plus_a_few_tiles(op, driver, ALPHA, developed)
+
+
+# Few replicas, long paths: a develop tile spans 128 (so3) and 512 (se3)
+# steps, and a slab 4 replicas.
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("name, replicas", [("so3", 32), ("se3", 8)])
+def test_peak_at_few_replicas_over_long_paths(name, replicas, op):
+    spec = get_group(name)
+    alpha = alpha_levi_civita(metric_for(spec, 1.0))
+    driver = brownian_ensemble(spec, TimeGrid(1.0, 1000), 4, replicas)
+    developed = ito_exponential(driver, alpha)
+    _assert_peak_is_output_plus_a_few_tiles(op, driver, alpha, developed)

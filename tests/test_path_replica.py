@@ -130,26 +130,16 @@ def test_path_result_is_its_replica_of_the_ensemble_result(name):
             assert single[1:] == ["0" + line[len(str(r)):] for line in block], dump.__name__
 
 
-# linalg.tiles runs the develop, readback and adjoint passes over tiles of at
-# most _ROW_CHUNK (4096) matrices: min(R, 4096) replicas by 4096 // rows
-# steps. The shapes sit on its edges: replica counts around one tile's rows
-# (one step a tile), one replica over more steps than a tile holds, and step
-# counts that a tile's columns (1365 and 4) do not divide.
-TILE_EDGES = [(1, 4099), (4095, 2), (4096, 2), (4097, 2), (3, 1400), (1000, 10)]
-
-
-@pytest.mark.parametrize("replicas, steps", TILE_EDGES)
-@pytest.mark.parametrize("name", ["so3", "se3"])
-def test_tiled_passes_match_one_replica_runs_at_tile_edges(name, replicas, steps):
-    assert _ROW_CHUNK == 4096
+def _assert_passes_match_one_replica_runs(name, replicas, steps, checked):
+    """Every tiled or slabbed pass on ``replicas`` x ``steps``, replica by
+    replica for the ``checked`` replicas (and the first, middle and last)."""
     spec = get_group(name)
     grid = TimeGrid(0.01 * steps, steps)  # dt = 0.01 keeps the readback cheap
     alpha = alpha_levi_civita(metric_for(spec, 1.0))
     biinv = alpha_biinvariant(spec)
     m = brownian_ensemble(spec, grid, 9, replicas)
     q = brownian_ensemble(spec, grid, 10, replicas)
-    # the first and last replica of each tile row block, and one inside
-    checked = sorted({0, replicas // 2, replicas - 1} | {r for r in (4095, 4096) if r < replicas})
+    checked = sorted({0, replicas // 2, replicas - 1} | {r for r in checked if r < replicas})
     for r in checked:
         _assert_bitwise(brownian_ensemble(spec, grid, 9, 1, first_replica=r).values,
                         m.values[r:r + 1], "brownian_ensemble")
@@ -160,8 +150,11 @@ def test_tiled_passes_match_one_replica_runs_at_tile_edges(name, replicas, steps
     cases = [
         (lambda a: ito_exponential(a, alpha), (m,), "ito_exponential"),
         (mc_increments, (x_bare,), "mc_increments, readback"),
+        (lambda a: increments_from_values(spec, a.values), (x,), "increments_from_values"),
         (lambda a: ito_logarithm(a, alpha), (x,), "ito_logarithm, step logs"),
         (lambda a: ito_logarithm(a, alpha), (x_bare,), "ito_logarithm, readback"),
+        (strat_logarithm, (x,), "strat_logarithm, step logs"),
+        (strat_logarithm, (x_bare,), "strat_logarithm, readback"),
         (lambda a, b: ad_integral(a, b, rule="midpoint"), (y_bare, m), "ad_integral"),
         (lambda a, b: log_product_residual(a, b, biinv, rule="midpoint",
                                            enforce_hypotheses=False),
@@ -170,11 +163,58 @@ def test_tiled_passes_match_one_replica_runs_at_tile_edges(name, replicas, steps
     for op, args, what in cases:
         _assert_path_matches_replicas(op, *args, what=what, replicas=checked)
 
-    # a bi-invariant connection has no Ito correction, on every tile
+    # a bi-invariant connection has no Ito correction, on every tile and slab
     strat = strat_exponential(q)
     _assert_bitwise(y.values, strat.values, "ito_exponential == strat_exponential")
     _assert_bitwise(ito_logarithm(y_bare, biinv).values, strat_logarithm(y_bare).values,
                     "ito_logarithm == strat_logarithm")
+
+
+# linalg.tiles runs the develop's product over tiles of at most _ROW_CHUNK
+# (4096) matrices: min(R, 4096) replicas by 4096 // rows steps. The shapes
+# sit on its edges: replica counts around one tile's rows (one step a
+# tile), one replica over more steps than a tile holds, and step counts
+# that a tile's columns (1365 and 4) do not divide.
+TILE_EDGES = [(1, 4099), (4095, 2), (4096, 2), (4097, 2), (3, 1400), (1000, 10)]
+
+
+@pytest.mark.parametrize("replicas, steps", TILE_EDGES)
+@pytest.mark.parametrize("name", ["so3", "se3"])
+def test_tiled_passes_match_one_replica_runs_at_tile_edges(name, replicas, steps):
+    assert _ROW_CHUNK == 4096
+    # the first and last replica of each tile row block
+    _assert_passes_match_one_replica_runs(name, replicas, steps, (4095, 4096))
+
+
+# linalg.slabs runs the per-step passes (the Ito corrections, the readback,
+# the adjoint sum) over slabs of 4096 // K whole replicas, or of 4096 steps
+# of one replica when K > 4096. At these shapes the slabs leave a
+# remainder: 40 + 1, 4096 + 3 steps, 4 + 4, 32 + 1 and 2048 + 2048 + 1.
+SLAB_EDGES = [(41, 100), (1, 4099), (8, 1000), (33, 128), (4097, 2)]
+
+
+@pytest.mark.parametrize("replicas, steps", SLAB_EDGES)
+@pytest.mark.parametrize("name", ["so3", "se3"])
+def test_slabbed_passes_match_one_replica_runs_at_slab_edges(name, replicas, steps):
+    assert _ROW_CHUNK == 4096
+    rows = max(1, _ROW_CHUNK // steps)
+    # the first and last replica of each slab
+    edges = {b + side for b in range(rows, replicas, rows) for side in (-1, 0)}
+    _assert_passes_match_one_replica_runs(name, replicas, steps, edges)
+    if steps <= _ROW_CHUNK:
+        return
+    # a long replica's slabs split its steps: a short path over the split
+    # gets the same per-step results
+    spec = get_group(name)
+    alpha = alpha_levi_civita(metric_for(spec, 1.0))
+    m = brownian_ensemble(spec, TimeGrid(0.01 * steps, steps), 9, replicas)
+    x = ito_exponential(m, alpha)
+    w = slice(_ROW_CHUNK - 3, _ROW_CHUNK + 3)
+    short = Ensemble(spec, TimeGrid(0.06, 6), 9, m.values[:, w.start : w.stop + 1])
+    _assert_bitwise(ito_exponential(short, alpha).step_logs, x.step_logs[:, w],
+                    "Ito-corrected steps across a slab split")
+    _assert_bitwise(increments_from_values(spec, x.values[:, w.start : w.stop + 1]),
+                    increments_from_values(spec, x.values)[:, w], "readback across a slab split")
 
 
 def test_readback_switches_log_branch_within_one_tile():

@@ -45,6 +45,18 @@ def test_normal_quantile():
     assert abs(normal_quantile(0.995) - 2.575829) < 1e-5
 
 
+def test_normal_quantile_repeats_are_the_same_float():
+    p = 1.0 - 0.01 / 64
+    first = normal_quantile(p)
+    hits = normal_quantile.cache_info().hits
+    assert normal_quantile(p) == first and type(normal_quantile(p)) is float
+    assert normal_quantile.cache_info().hits == hits + 2
+    normal_quantile.cache_clear()
+    assert normal_quantile(p) == first  # recomputed, the same bits
+    with pytest.raises(ValueError):
+        normal_quantile(1.0)
+
+
 def test_brownian_seed_determinism():
     grid = TimeGrid(1.0, 100)
     p1 = brownian_ensemble(SO3, grid, 5, 1)
