@@ -36,7 +36,6 @@ from .paths import (
     Ensemble,
     TimeGrid,
     brownian_ensemble,
-    drift_diffusion_ensemble,
     null_qv_check,
     quadratic_covariation,
 )

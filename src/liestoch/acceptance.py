@@ -303,12 +303,11 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(echo=print):
+def run_all():
     """Run every criterion, printing one pass/fail line each."""
     results = []
     for fn in ALL_CRITERIA:
         result = fn()
         results.append(result)
-        if echo is not None:
-            echo(result.line())
+        print(result.line())
     return results

@@ -36,9 +36,11 @@ from .errors import DimensionError, GridMismatchError, GroupMismatchError, Hypot
 from .explog import _gate_membership, ito_exponential, ito_logarithm
 from .groups import adjoint_matrices, group_inverse, to_matrix_coords
 from .linalg import frobenius_dist, mat_exp, slabs
-from .paths import TimeGrid, brownian_ensemble, expect, null_qv_check
+from .paths import Ensemble, TimeGrid, brownian_ensemble, expect, null_qv_check
 
 AD_RULES = ("ito", "midpoint")
+
+HORIZON = 1.0  # the terminal time of every rung of the ladders
 
 
 def _check_pair(x, y, x_group, y_group):
@@ -132,7 +134,7 @@ def ch_residual(m, n, alpha, rule="midpoint", significance=0.99, enforce_hypothe
     if enforce_hypotheses:
         _check_hypotheses(alpha, m, n, significance, "ch_residual")
     # the sum is no longer a single recorded driver
-    lhs = ito_exponential(m.with_values(m.values + n.values, driver_covariance=None), alpha)
+    lhs = ito_exponential(Ensemble(m.group, m.grid, m.values + n.values), alpha)
     y = ito_exponential(n, alpha)
     x = ito_exponential(ad_integral(y, m, rule=rule), alpha)
     return frobenius_dist(lhs.values, x.values @ y.values)
@@ -194,11 +196,10 @@ class CHReport:
         )
 
 
-def _ladder(kind, group, alpha, dts, horizon, replicas, base_seed, rule, significance):
+def _ladder(kind, group, alpha, dts, replicas, base_seed, rule, significance):
     means, maxes, ses = [], [], []
     for idx, dt in enumerate(dts):
-        steps = int(round(horizon / dt))
-        grid = TimeGrid(horizon, steps)
+        grid = TimeGrid(HORIZON, int(round(HORIZON / dt)))
         # disjoint seed blocks per rung and per side of the pair
         m_ens = brownian_ensemble(group, grid, base_seed + 2 * idx, replicas)
         n_ens = brownian_ensemble(group, grid, base_seed + 2 * idx + 1, replicas)
@@ -230,15 +231,15 @@ def _ladder(kind, group, alpha, dts, horizon, replicas, base_seed, rule, signifi
     )
 
 
-def ch_ladder(group, alpha, dts=(4e-3, 2e-3, 1e-3), horizon=1.0, replicas=256,
-              base_seed=0, rule="midpoint", significance=0.99):
+def ch_ladder(group, alpha, dts=(4e-3, 2e-3, 1e-3), replicas=256, base_seed=0,
+              rule="midpoint", significance=0.99):
     """Exponential-identity residual ladder over a list of step sizes."""
-    return _ladder("exponential-identity", group, alpha, dts, horizon,
-                   replicas, base_seed, rule, significance)
+    return _ladder("exponential-identity", group, alpha, dts, replicas, base_seed,
+                   rule, significance)
 
 
-def log_product_ladder(group, alpha, dts=(4e-3, 2e-3, 1e-3), horizon=1.0,
-                       replicas=256, base_seed=0, rule="ito", significance=0.99):
+def log_product_ladder(group, alpha, dts=(4e-3, 2e-3, 1e-3), replicas=256, base_seed=0,
+                       rule="ito", significance=0.99):
     """Logarithm-identity residual ladder over a list of step sizes."""
-    return _ladder("logarithm-identity", group, alpha, dts, horizon,
-                   replicas, base_seed, rule, significance)
+    return _ladder("logarithm-identity", group, alpha, dts, replicas, base_seed,
+                   rule, significance)

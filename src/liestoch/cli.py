@@ -11,6 +11,10 @@ martingale-test drift verdict for a driver/scheme combination (JSON + z CSV)
 u-table         Levi-Civita U coefficients per basis pair (CSV)
 regress         run the whole pinned-seed verification battery
 
+Drivers are one ``paths.brownian_ensemble`` call: ``--driver bm`` is a
+Brownian motion of covariance ``--cov``, ``--driver drift`` one of unit
+covariance plus the constant ``--drift``.
+
 Every output file gets a ``<name>.manifest.json`` sibling echoing the fully
 resolved configuration (schema 1). Same config + seed produces byte
 identical output: replica r draws from its own stream, derived from the
@@ -19,10 +23,10 @@ scheduling; it stays accepted so existing configs and manifests still run.
 
 Each subcommand accepts only the flags it reads and exits 2 on any other.
 Config files are flat ``key=value`` lines (``#`` comments allowed) and may
-set only ``command`` and the keys of the command's own flags;
-command-line flags override file values. Exit codes: 0 success, 1 failed
-verification, 2 usage error, 3 violated precondition/hypothesis,
-4 numerical failure.
+set only ``command`` and the keys of the command's own flags, each to a
+value its flag accepts; command-line flags override file values. Exit
+codes: 0 success, 1 failed verification, 2 usage error, 3 violated
+precondition/hypothesis, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .linalg import spd_cholesky
 from .paths import (
     TimeGrid,
     brownian_ensemble,
-    drift_diffusion_ensemble,
     dump_algebra_csv,
     dump_group_csv,
     normal_quantile,
@@ -124,6 +127,9 @@ class ExperimentConfig:
                     kwargs[key] = str(value)
             except ValueError as exc:
                 raise UsageError(f"bad value for {key!r}: {value!r}") from exc
+            choices = _FLAGS.get(key, (None, {}))[1].get("choices")
+            if choices is not None and kwargs[key] not in choices:
+                raise UsageError(f"bad value for {key!r}: {value!r}, choose from {choices}")
         if command is not None:
             kwargs["command"] = command
         if "command" not in kwargs:
@@ -163,9 +169,7 @@ def _connection(config):
     _positive(config.lam, "--lambda")
     if config.connection == "biinvariant":
         return spec, alpha_biinvariant(spec)
-    if config.connection == "levicivita":
-        return spec, alpha_levi_civita(metric_for(spec, config.lam))
-    raise UsageError(f"unknown connection {config.connection!r}")
+    return spec, alpha_levi_civita(metric_for(spec, config.lam))
 
 
 def _load_covariance(config, spec):
@@ -183,8 +187,9 @@ def _load_covariance(config, spec):
 
 
 def _parse_drift(config, spec):
+    """The ``--drift`` vector of the drift driver, zero when unset."""
     if not config.drift:
-        return None
+        return np.zeros(spec.algebra_dim)
     try:
         vec = np.array([float(tok) for tok in config.drift.split(",")])
     except ValueError as exc:
@@ -197,7 +202,7 @@ def _parse_drift(config, spec):
 
 
 def _z_band(config):
-    if config.significance <= 0.0:
+    if config.significance == 0.0:  # unset
         return martingale.DEFAULT_Z_BAND
     if not 0.0 < config.significance < 1.0:
         raise UsageError("--significance must be a confidence level in (0, 1)")
@@ -213,21 +218,15 @@ def _build_ensemble(config, spec):
     _check_draw(config)
     if config.workers < 1:
         raise UsageError("--workers must be at least 1")
-    if config.driver not in ("bm", "drift"):
-        raise UsageError(f"unknown driver {config.driver!r}")
     if config.drift and config.driver != "drift":
         raise UsageError("--drift needs --driver drift")
     if config.cov and config.driver == "drift":
         raise UsageError("--cov applies to --driver bm; the drift driver has unit diffusion")
     grid = config.grid()
     covariance = _load_covariance(config, spec)
-    drift = _parse_drift(config, spec)
-
-    if config.driver == "bm":
-        return brownian_ensemble(spec, grid, config.seed, config.replicas,
-                                 covariance=covariance)
-    return drift_diffusion_ensemble(spec, grid, config.seed, config.replicas,
-                                    drift=drift, diffusion=np.eye(spec.algebra_dim))
+    drift = _parse_drift(config, spec) if config.driver == "drift" else None
+    return brownian_ensemble(spec, grid, config.seed, config.replicas,
+                             covariance=covariance, drift=drift)
 
 
 def _check_draw(config, min_replicas=1):
@@ -241,9 +240,7 @@ def _check_draw(config, min_replicas=1):
 def _solve(config, ensemble, alpha):
     if config.scheme == "ito":
         return explog.ito_exponential(ensemble, alpha)
-    if config.scheme == "strat":
-        return explog.strat_exponential(ensemble)
-    raise UsageError(f"unknown scheme {config.scheme!r}")
+    return explog.strat_exponential(ensemble)
 
 
 def _write_manifest(out, config):
@@ -316,7 +313,7 @@ def _report_dict(report):
 def _cmd_campbell(config):
     spec, alpha = _connection(config)
     _check_draw(config, min_replicas=2)  # each rung reports a standard error
-    dts = config.dt_ladder(horizon=1.0)  # the ladders' horizon
+    dts = config.dt_ladder(campbell.HORIZON)
     rule = config.rule or "midpoint"
     exp_rep = campbell.ch_ladder(
         spec, alpha, dts=dts, replicas=config.replicas, base_seed=config.seed, rule=rule
@@ -348,11 +345,12 @@ def _cmd_martingale_test(config):
         raise UsageError(f"--buckets must be a positive integer, got {config.buckets}")
     if config.steps % config.buckets != 0:
         raise UsageError(f"--buckets {config.buckets} must divide --steps {config.steps}")
+    z_band = _z_band(config)
     spec, alpha = _connection(config)
     # the driver ensemble is dropped before the verdict runs
     solved = _solve(config, _build_ensemble(config, spec), alpha)
     report = martingale.martingale_verdict(
-        solved, alpha, buckets=config.buckets, z_band=_z_band(config)
+        solved, alpha, buckets=config.buckets, z_band=z_band
     )
     payload = {
         "schema": SCHEMA_VERSION,

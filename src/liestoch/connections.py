@@ -29,6 +29,8 @@ from .linalg import solve_linear, spd_cholesky
 
 # Agreement threshold between closed forms and the metric solve.
 REGRESSION_TOL = 1e-10
+# Metric scales at which the closed forms are compared with the solve.
+REGRESSION_LAMBDAS = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -262,19 +264,18 @@ class RegressionReport:
         return float(np.max(sel)) if sel else None  # NaN if any row is NaN
 
 
-def regress_closed_forms(lam_grid=(0.5, 1.0, 2.0),
-                         closed_form_provider=closed_form_u_variants):
+def regress_closed_forms(closed_form_provider=closed_form_u_variants):
     """Compare every closed-form U variant against the metric solve.
 
     Disagreements are reported as data (flagged rows), never patched: the
     point of the report is to make the known sign and lambda-placement
     conflicts between the printed displays visible next to the
     authoritative solve. ``closed_form_provider(name, lam)`` returns the
-    variants by label.
+    variants by label. Every group is compared at each of ``REGRESSION_LAMBDAS``.
     """
     rows = []
     for name in ("se3", "se2", "e11", "n3", "sl2r"):
-        for lam in lam_grid:
+        for lam in REGRESSION_LAMBDAS:
             oracle = u_from_metric(metric_for(name, lam)).coeffs
             for label, conn in closed_form_provider(name, lam).items():
                 diff = np.abs(conn.coeffs - oracle)

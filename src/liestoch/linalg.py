@@ -421,7 +421,7 @@ def _rotation_log(e):
     """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2."""
     s = 0.5 * (e - e[_TRANSPOSE3])
     theta = np.arctan2(np.sqrt(_squared_norm(s[_VEE3])), _cos_angle(e))
-    return s / np.sinc(theta / np.pi)
+    return s / _sinc(theta / np.pi)
 
 
 def _is_skew(e, n=3):

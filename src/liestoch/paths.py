@@ -10,11 +10,11 @@ two paths as (steps+1, m) coordinate arrays (``Ensemble.coordinates[r]``).
 Seeding: replica r of base seed s draws from
 ``PCG64(SeedSequence(entropy=s, spawn_key=(r,)))``; ``derive_rng`` is that
 definition. Each replica owns an independent stream derived only from
-(s, r), so ensembles are reproducible bit-for-bit under any execution order
-or worker split. The drivers compute the same derivation in bulk: one
-vectorised pass of SeedSequence's hash gives every replica's PCG64 seed
-words, each replica's normals land in one stacked buffer, and the
-covariance factor and running sum are applied to the whole stack at once.
+(s, r), so ensembles are reproducible bit-for-bit under any execution
+order. The driver computes the same derivation in bulk: one vectorised pass
+of SeedSequence's hash gives every replica's PCG64 seed words, each
+replica's normals land in one stacked buffer, and the covariance factor,
+drift and running sum are applied to the whole stack at once.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import numpy as np
 from .errors import DimensionError, GridMismatchError, MetricError
 from .groups import GroupSpec
 from .linalg import spd_cholesky
-
-_KEEP = object()  # sentinel: inherit the driver lineage in with_values
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class Ensemble:
     ``values`` has shape (replicas, steps+1, n) for algebra ensembles or
     (replicas, steps+1, d, d) for group ensembles, every entry finite.
     ``driver_covariance`` records the increment covariance when the ensemble
-    came from a Brownian driver (consumed by preconditions downstream).
+    came from ``brownian_ensemble`` (consumed by preconditions downstream).
     Solvers attach ``step_logs``, the (replicas, steps, n) left-trivialized
     step vectors they injected, making log-type readbacks and left
     translation exact rather than asymptotic. The membership-defect gate is
@@ -76,7 +74,6 @@ class Ensemble:
 
     group: GroupSpec
     grid: TimeGrid
-    base_seed: int
     values: np.ndarray
     driver_covariance: np.ndarray | None = None
     step_logs: np.ndarray | None = None
@@ -106,14 +103,9 @@ class Ensemble:
         an algebra ensemble, the row-major matrix entries of a group one."""
         return self.values.reshape(self.values.shape[:2] + (-1,))
 
-    def with_values(self, values, driver_covariance=_KEEP, step_logs=None):
-        """Derived ensemble with new values; driver lineage is kept unless
-        overridden."""
-        if driver_covariance is _KEEP:
-            driver_covariance = self.driver_covariance
-        return Ensemble(
-            self.group, self.grid, self.base_seed, values, driver_covariance, step_logs
-        )
+    def with_values(self, values, step_logs=None):
+        """Derived ensemble with new values that keeps the driver covariance."""
+        return Ensemble(self.group, self.grid, values, self.driver_covariance, step_logs)
 
 
 def expect(x, group_valued):
@@ -126,7 +118,7 @@ def expect(x, group_valued):
 def derive_rng(base_seed, replica):
     """Documented seed derivation: independent stream per (seed, replica).
 
-    The drivers reproduce this stream in bulk (``_standard_normals``); this
+    The driver reproduces this stream in bulk (``_standard_normals``); this
     function is its definition and the oracle it is tested against.
     """
     seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(replica),))
@@ -144,7 +136,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 def _uint32_words(n):
     """Little-endian 32-bit words of a non-negative int, at least one."""
     if n < 0:
-        raise ValueError(f"seeds and replica indices must be non-negative, got {n}")
+        raise ValueError(f"seeds must be non-negative, got {n}")
     words = [n & _MASK32]
     while n > _MASK32:
         n >>= 32
@@ -193,34 +185,14 @@ def _pcg64_seed_words(entropy):
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _replica_seed_words(base_seed, first_replica, replicas):
-    """PCG64 seed words of ``derive_rng(base_seed, r)`` for each replica
-    ``r = first_replica, ..., first_replica + replicas - 1``: (replicas, 4)
-    uint64.
-
-    The spawn key lengthens by a word at each power of 2**32, so the index
-    range is hashed in runs of equal key length.
-    """
-    run_entropy = _uint32_words(int(base_seed))
-    run_entropy += [0] * (_POOL_SIZE - len(run_entropy))
-    prefix = [np.array([w], dtype=np.uint32) for w in run_entropy]
-    first = int(first_replica)
-    stop = first + replicas
-    out = np.empty((replicas, 4), dtype=np.uint64)
-    lo = first
-    while lo < stop:
-        key_words = len(_uint32_words(lo))
-        hi = min(stop, 1 << (32 * key_words))
-        index = np.array(range(lo, hi), dtype=object)
-        spawn = [((index >> (32 * j)) & _MASK32).astype(np.uint32) for j in range(key_words)]
-        out[lo - first:hi - first] = _pcg64_seed_words(prefix + spawn)
-        lo = hi
-    return out
-
-
-def _standard_normals(base_seed, first_replica, replicas, shape):
+def _standard_normals(base_seed, replicas, shape):
     """(replicas, *shape) standard normals; replica r's block is
-    ``derive_rng(base_seed, first_replica + r).standard_normal(shape)``."""
+    ``derive_rng(base_seed, r).standard_normal(shape)``.
+
+    The seed's words, padded to the pool size, are the entropy every
+    replica shares, and its index r is its one spawn-key word: an ensemble
+    of 2**32 replicas or more could not be held in memory.
+    """
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -234,64 +206,42 @@ def _standard_normals(base_seed, first_replica, replicas, shape):
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
+    entropy = _uint32_words(int(base_seed))
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    seed_words = _pcg64_seed_words([np.array([w], dtype=np.uint32) for w in entropy]
+                                   + [np.arange(replicas, dtype=np.uint32)])
     z = np.empty((replicas,) + tuple(shape))
-    for words, out in zip(_replica_seed_words(base_seed, first_replica, replicas), z):
+    for words, out in zip(seed_words, z):
         Generator(PCG64(_SeedWords(words))).standard_normal(out=out)
     return z
 
 
-def _driver_values(grid, base_seed, replicas, first_replica, factor, shift=None):
-    """Stacked driver path values, zero at t = 0, with increments
-    ``shift + factor @ z`` for the replicas' standard normals ``z``.
-
-    The increments are written into the values buffer and summed there in
-    place, so the normals are the only transient of the value array's size.
-    """
-    n = factor.shape[0]
-    values = np.zeros((replicas, grid.steps + 1, n))
-    dm = values[:, 1:]
-    z = _standard_normals(base_seed, first_replica, replicas, (grid.steps, n))
-    np.matmul(z, factor.T, out=dm)
-    if shift is not None:
-        dm += shift
-    np.cumsum(dm, axis=1, out=dm)
-    return values
-
-
 def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
-                      first_replica=0) -> Ensemble:
-    """Independent Brownian replicas, replica r seeded by derive(seed, r).
+                      drift=None) -> Ensemble:
+    """Independent Brownian replicas, replica r seeded by
+    ``derive_rng(base_seed, r)``.
 
-    ``first_replica`` shifts the replica index range, so a slice of a larger
-    ensemble can be drawn alone and matches it exactly.
+    Each increment is ``drift * dt + L dW``, for the Cholesky factor L of
+    ``covariance`` (the identity by default) and a standard dW of variance
+    dt. With a nonzero drift the replicas are not martingales: that is the
+    negative-control driver. The increments are written into the values
+    buffer and summed there in place, so the normals are the only transient
+    of the value array's size.
     """
     n = group.algebra_dim
     cov = np.eye(n) if covariance is None else np.asarray(covariance, dtype=np.float64)
     if cov.shape != (n, n):
         raise MetricError(f"covariance must be {n}x{n}")
     factor = spd_cholesky(cov, what="covariance") * sqrt(grid.dt)
-    values = _driver_values(grid, base_seed, replicas, first_replica, factor)
-    return Ensemble(group, grid, int(base_seed), values, driver_covariance=cov)
-
-
-def drift_diffusion_ensemble(group, grid, base_seed, replicas, drift=None,
-                             diffusion=None, first_replica=0) -> Ensemble:
-    """Replicas with increments b*dt + diffusion @ dW (dW standard, var dt),
-    seeded like ``brownian_ensemble``.
-
-    Not a martingale when drift is nonzero; this is the negative-control
-    driver.
-    """
-    n = group.algebra_dim
-    b = np.zeros(n) if drift is None else np.asarray(drift, dtype=np.float64)
-    sig = np.zeros((n, n)) if diffusion is None else np.asarray(diffusion, dtype=np.float64)
-    if b.shape != (n,) or sig.shape != (n, n):
-        raise DimensionError("drift must be (n,), diffusion (n, n)")
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
-        raise ValueError("drift/diffusion must be finite")
-    values = _driver_values(grid, base_seed, replicas, first_replica,
-                            sig * sqrt(grid.dt), shift=b * grid.dt)
-    return Ensemble(group, grid, int(base_seed), values)
+    if drift is not None:
+        drift = _check_values(drift, (n,), "drift")
+    values = np.zeros((replicas, grid.steps + 1, n))
+    dm = values[:, 1:]
+    np.matmul(_standard_normals(base_seed, replicas, (grid.steps, n)), factor.T, out=dm)
+    if drift is not None:
+        dm += drift * grid.dt
+    np.cumsum(dm, axis=1, out=dm)
+    return Ensemble(group, grid, values, driver_covariance=cov)
 
 
 def _coordinate_increments(p, q):

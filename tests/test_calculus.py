@@ -21,12 +21,12 @@ RNG = np.random.default_rng(11)
 
 def line_path(spec, grid, direction):
     values = np.outer(grid.times(), direction)
-    return Ensemble(spec, grid, 0, values[None])
+    return Ensemble(spec, grid, values[None])
 
 
 def constant_group_path(spec, grid, g):
     values = np.broadcast_to(g, (grid.steps + 1,) + g.shape).copy()
-    return Ensemble(spec, grid, 0, values[None])
+    return Ensemble(spec, grid, values[None])
 
 
 def test_increments_constant_path():
@@ -40,7 +40,7 @@ def test_increments_one_parameter_subgroup():
     grid = TimeGrid(2.0, 40)
     a = np.array([0.4, 0.2, -0.3])
     values = mat_exp(to_matrix_coords(SO3, np.outer(grid.times(), a)))
-    path = Ensemble(SO3, grid, 0, values[None])
+    path = Ensemble(SO3, grid, values[None])
     dl = mc_increments(path)[0]
     assert np.max(np.abs(dl - grid.dt * a)) < 1e-12
 
@@ -87,7 +87,7 @@ def test_strat_integral_loop_returns_to_zero():
     half = grid.steps // 2
     profile = np.minimum(np.arange(grid.steps + 1), grid.steps - np.arange(grid.steps + 1))
     values = mat_exp(to_matrix_coords(SO3, np.outer(profile * grid.dt, a)))
-    loop = Ensemble(SO3, grid, 0, values[None])
+    loop = Ensemble(SO3, grid, values[None])
     eta = RNG.standard_normal(3)
     running = strat_integral(eta, loop)
     assert abs(running[0, -1]) < 1e-10
@@ -183,8 +183,8 @@ def test_integral_additivity_over_concatenation():
     running = strat_integral(eta, x)
     # restriction to the first half, then the second half from its start
     half = 50
-    first = Ensemble(SO3, TimeGrid(0.5, half), 0, x.values[0, : half + 1][None])
-    second = Ensemble(SO3, TimeGrid(0.5, half), 0, x.values[0, half:][None])
+    first = Ensemble(SO3, TimeGrid(0.5, half), x.values[0, : half + 1][None])
+    second = Ensemble(SO3, TimeGrid(0.5, half), x.values[0, half:][None])
     total = strat_integral(eta, first)[0, -1] + strat_integral(eta, second)[0, -1]
     assert abs(total - running[0, -1]) < 1e-12
 

@@ -23,12 +23,17 @@ RNG = np.random.default_rng(29)
 
 
 def line_path(spec, grid, direction):
-    return Ensemble(spec, grid, 0, np.outer(grid.times(), direction)[None])
+    return Ensemble(spec, grid, np.outer(grid.times(), direction)[None])
+
+
+def _replicas(ens):
+    """Each replica of an ensemble as a one-replica ensemble."""
+    return [ens.with_values(ens.values[r:r + 1]) for r in range(ens.replicas)]
 
 
 def identity_path(spec, grid):
     return Ensemble(
-        spec, grid, 0,
+        spec, grid,
         np.broadcast_to(spec.identity, (grid.steps + 1,) + spec.identity.shape).copy()[None],
     )
 
@@ -44,7 +49,7 @@ def test_ad_integral_constant_conjugator_on_line():
     grid = TimeGrid(1.0, 50)
     a = np.array([0.7, -0.2, 0.4])
     g = random_group_element(SO3, RNG)
-    const = Ensemble(SO3, grid, 0, np.broadcast_to(g, (51, 3, 3)).copy()[None])
+    const = Ensemble(SO3, grid, np.broadcast_to(g, (51, 3, 3)).copy()[None])
     out = ad_integral(const, line_path(SO3, grid, a))
     expected = np.outer(grid.times(), adjoint_matrices(SO3, g) @ a)
     assert np.max(np.abs(out.values[0] - expected)) < 1e-12
@@ -53,9 +58,8 @@ def test_ad_integral_constant_conjugator_on_line():
 def test_ad_integral_linearity_in_driver():
     grid = TimeGrid(1.0, 40)
     y = strat_exponential(brownian_ensemble(SO3, grid, 3, 1))
-    m1 = brownian_ensemble(SO3, grid, 4, 1, first_replica=0)
-    m2 = brownian_ensemble(SO3, grid, 4, 1, first_replica=1)
-    combined = Ensemble(SO3, grid, 0, (2.0 * m1.values[0] + m2.values[0])[None])
+    m1, m2 = _replicas(brownian_ensemble(SO3, grid, 4, 2))
+    combined = Ensemble(SO3, grid, (2.0 * m1.values[0] + m2.values[0])[None])
     lhs = ad_integral(y, combined).values
     rhs = 2.0 * ad_integral(y, m1).values + ad_integral(y, m2).values
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -76,7 +80,7 @@ def test_ch_residual_vanishes_when_second_driver_is_zero():
     grid = TimeGrid(1.0, 30)
     alpha = alpha_biinvariant(SO3)
     m = brownian_ensemble(SO3, grid, 5, 1)
-    zero = Ensemble(SO3, grid, 0, np.zeros((31, 3))[None])
+    zero = Ensemble(SO3, grid, np.zeros((31, 3))[None])
     res = ch_residual(m, zero, alpha, enforce_hypotheses=False)
     assert np.max(res) < 1e-12
 
@@ -96,8 +100,7 @@ def test_ch_residual_requires_quadratic_free_alpha():
     grid = TimeGrid(1.0, 20)
     se3 = get_group("se3")
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    m = brownian_ensemble(se3, grid, 1, 1, first_replica=0)
-    n = brownian_ensemble(se3, grid, 1, 1, first_replica=1)
+    m, n = _replicas(brownian_ensemble(se3, grid, 1, 2))
     with pytest.raises(HypothesisError, match="alpha"):
         ch_residual(m, n, alpha)
 
@@ -116,8 +119,7 @@ def test_ch_residual_requires_null_qv():
 def test_ch_residual_deterministic_reproducibility():
     grid = TimeGrid(1.0, 100)
     alpha = alpha_biinvariant(SO3)
-    m = brownian_ensemble(SO3, grid, 6, 1, first_replica=0)
-    n = brownian_ensemble(SO3, grid, 6, 1, first_replica=1)
+    m, n = _replicas(brownian_ensemble(SO3, grid, 6, 2))
     r1 = ch_residual(m, n, alpha, enforce_hypotheses=False)
     r2 = ch_residual(m, n, alpha, enforce_hypotheses=False)
     assert np.array_equal(r1, r2)
@@ -154,7 +156,7 @@ def test_product_path_cases():
     x = strat_exponential(brownian_ensemble(SO3, grid, 8, 1))
     e = identity_path(SO3, grid)
     assert np.array_equal(product_path(x, e).values, x.values)
-    inv = Ensemble(SO3, grid, 0, np.swapaxes(x.values[0], -1, -2)[None])
+    inv = Ensemble(SO3, grid, np.swapaxes(x.values[0], -1, -2)[None])
     prod = product_path(x, inv)
     assert float(np.max(frobenius_dist(prod.values, np.eye(3)))) < 1e-12
 

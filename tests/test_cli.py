@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -563,3 +564,441 @@ def test_config_file_refuses_keys_the_command_does_not_read(command, key, value,
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
+
+
+
+@pytest.mark.parametrize("command, key", [
+    ("exp", "connection"), ("exp", "driver"), ("exp", "scheme"),
+    ("campbell", "rule"), ("campbell", "fmt"),
+])
+def test_config_file_values_outside_the_flag_choices_are_refused(command, key, tmp_path,
+                                                                 capsys):
+    """A config-file value meets the same ``choices`` as its flag: exit 2,
+    naming the key, before anything is written."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"group=so3\nreplicas=4\n{key}=xml\n")
+    out = tmp_path / "x.out"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("significance", ["-0.5", "-1e-300", "1", "nan"])
+def test_significance_outside_the_unit_interval_is_refused(significance, tmp_path):
+    code, out = _so3_run("martingale-test", tmp_path, "x.json",
+                         f"--significance={significance}")
+    assert code == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_unset_significance_is_the_default_band(tmp_path):
+    code, out = _so3_run("martingale-test", tmp_path, "x.json", "--significance", "0")
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["z_band"] == 4.0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["config"]["significance"] == 0.0
+
+
+_PIN_GROUPS = {"so3": 3, "se2": 3, "se3": 6, "e11": 3, "n3": 3, "sl2r": 3}
+
+
+def _pinned_runs():
+    """(output name, argv) of every run whose bytes are pinned, on all six
+    groups: ``exp`` under each driver, ``log``, ``martingale-test`` under
+    both schemes and under each driver, ``roundtrip``, ``convergence`` and
+    ``campbell`` in both formats; and on se3 a correlated ``--cov`` draw and
+    a seed above 2**128."""
+    for group, n in _PIN_GROUPS.items():
+        base = ["--group", group, "--dt", "0.01", "--steps", "10", "--replicas", "3",
+                "--seed", "11"]
+        drift = ",".join(repr(0.25 * (i + 1) * (-1) ** i) for i in range(n))
+        yield f"exp-bm-{group}", ["exp", *base]
+        yield f"exp-drift-{group}", ["exp", *base, "--driver", "drift"]
+        yield f"exp-drifted-{group}", ["exp", *base, "--driver", "drift", "--drift", drift]
+        yield f"log-{group}", ["log", *base, "--connection", "biinvariant"]
+        mt = ["martingale-test", *base, "--replicas", "100", "--buckets", "5"]
+        for scheme in ("ito", "strat"):
+            yield f"mt-{scheme}-{group}", [*mt, "--scheme", scheme]
+        yield f"mt-drift-{group}", [*mt, "--driver", "drift"]
+        yield f"mt-drifted-{group}", [*mt, "--driver", "drift", "--drift", drift]
+        yield f"roundtrip-{group}", ["roundtrip", *base]
+        yield f"convergence-{group}", ["convergence", *base, "--dts", "0.02,0.01"]
+        for fmt in ("csv", "json"):
+            yield f"campbell-{fmt}-{group}", [
+                "campbell", "--group", group, "--connection", "biinvariant",
+                "--dts", "0.02,0.01", "--replicas", "3", "--seed", "11", "--format", fmt]
+    se3 = ["exp", "--group", "se3", "--dt", "0.01", "--steps", "10", "--replicas", "3"]
+    yield "exp-cov-se3", [*se3, "--seed", "11", "--cov", "cov.csv"]
+    yield "exp-bigseed-se3", [*se3, "--seed", str(2**130 + 3)]
+
+
+def _output_digests(directory):
+    """sha256 of every file the pinned runs write in ``directory``, which
+    becomes the working directory so that each manifest records a relative
+    ``out``."""
+    os.chdir(directory)
+    np.savetxt("cov.csv", NEGATIVE_CONTROL_COV, delimiter=",")
+    digests = {}
+    for name, argv in _pinned_runs():
+        assert main([*argv, "--out", name]) == EXIT_OK, name
+        for path in sorted(Path(".").glob(name + "*")):
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+# Taken with numpy 2.4.6 (Python 3.11.7); the CSV and JSON floats are
+# shortest round-trip reprs, so another numpy may change a digest.
+_PINNED_DIGESTS = {
+    "exp-bm-so3":
+        "1766ea9dd3e36ebf364ea8c815eba8b2f1275e5ef0d0449079335b4cbd0f7f9c",
+    "exp-bm-so3.manifest.json":
+        "15bd9b346332f122f1071f1037dd5473670899b03dac6de99eb3c22d1ce3cbc5",
+    "exp-drift-so3":
+        "1766ea9dd3e36ebf364ea8c815eba8b2f1275e5ef0d0449079335b4cbd0f7f9c",
+    "exp-drift-so3.manifest.json":
+        "75fcf345a296b94d60f562e2664430fa8156092c415fb6f73dd847672bd3d66d",
+    "exp-drifted-so3":
+        "0ef2deb2fbcc27306bdb1b06a087725ab4a5b7b90262ec8f5ace175f7bdb96b1",
+    "exp-drifted-so3.manifest.json":
+        "52545e152faa1a0afebadbbd5d683cbca680f06c81fa68704a9638817fe282f7",
+    "log-so3":
+        "dc89d75c8288fd71e25a2066594d1b9b17818f03d948311c07e31244e65e4bf5",
+    "log-so3.manifest.json":
+        "4f90c75bac114648c38a41ef462b516c5b2cea15ed937cc5aa507be9ba8c4ef5",
+    "mt-ito-so3":
+        "681fa4310fa4f565a19eb2a7bc317947df1a7bb0984cca31b9023c3023aa5158",
+    "mt-ito-so3.manifest.json":
+        "febc9b6f8c9c57f87a1269fca8d586b89043ac6d55d8e3aed9a9bae695b276d5",
+    "mt-ito-so3.zscores.csv":
+        "9d9573fa4196c0f9c842ad25c7775e468dcf3de242c4bfcb695e49d7f3a7af9b",
+    "mt-strat-so3":
+        "681fa4310fa4f565a19eb2a7bc317947df1a7bb0984cca31b9023c3023aa5158",
+    "mt-strat-so3.manifest.json":
+        "3e7016258808113f7c407c9d42a3717dd8ef9efa98d9c15d33474b0d7880c4a9",
+    "mt-strat-so3.zscores.csv":
+        "9d9573fa4196c0f9c842ad25c7775e468dcf3de242c4bfcb695e49d7f3a7af9b",
+    "mt-drift-so3":
+        "681fa4310fa4f565a19eb2a7bc317947df1a7bb0984cca31b9023c3023aa5158",
+    "mt-drift-so3.manifest.json":
+        "6966073d3280b33d9a6cd1dcdd914573d3e979612a596b67a23c1cc14ab7457d",
+    "mt-drift-so3.zscores.csv":
+        "9d9573fa4196c0f9c842ad25c7775e468dcf3de242c4bfcb695e49d7f3a7af9b",
+    "mt-drifted-so3":
+        "4dd19bd493d5d05865397c5937b73cabca88459f0740073c506168091e064281",
+    "mt-drifted-so3.manifest.json":
+        "75088ea751b2f6702bd2826d639abd2d8c87eb94fd72730643856192da0a0662",
+    "mt-drifted-so3.zscores.csv":
+        "833636b1f308c3839ea6ffc73b42c2252926cd594021bbe7dcbcb5a842f6fbff",
+    "roundtrip-so3":
+        "058885c0f5333256f98e6aa7ad6fb5fd2166b744ddd8fe5e01a1ede59a3c5f04",
+    "roundtrip-so3.manifest.json":
+        "b3052b56a415c0501e00f96e3a1e366f63ee42fb90ed2973a34c9fbda90a21b3",
+    "convergence-so3":
+        "739d34d6559776689eda4c77a7d8da56102f9351938550b0ff8fd592df8cec3c",
+    "convergence-so3.manifest.json":
+        "1a20e848d897b3c51e0c15bba2d3e20d64b34178143564841f13fd9182ac6788",
+    "campbell-csv-so3":
+        "a89b3301e4dc2a26f8b8f7316249d77045e6f106dd586abdbd1687a446a180c5",
+    "campbell-csv-so3.manifest.json":
+        "a29ec1232c900b58af1a30b90747f1df6bad9c33346d87fdeafb41c1c795417c",
+    "campbell-json-so3":
+        "0a2dcea519c4e4fb6a335e2fd9f020384c753ebf2de235a2b7f0339ed508ea46",
+    "campbell-json-so3.manifest.json":
+        "40ff79e3afd113d65fd3493652679b2b6e258e754324ff7059fd511458f4ab0c",
+    "exp-bm-se2":
+        "fe1586fe69342131c82d572ff9aa02c143fcadc9d54674270a2daefff834ab09",
+    "exp-bm-se2.manifest.json":
+        "308f8c8fac7545aed5f4fc5265bbacf912e10b1ebe97b54091b7e2e9f1fb2524",
+    "exp-drift-se2":
+        "fe1586fe69342131c82d572ff9aa02c143fcadc9d54674270a2daefff834ab09",
+    "exp-drift-se2.manifest.json":
+        "15971b4aaeea51493cead39871069aa5b21222aee448895183165bd5c1a5f353",
+    "exp-drifted-se2":
+        "4815ed7efb6f815291c83a14eedb4d134910d156f1ef463c7fb91ff455c66717",
+    "exp-drifted-se2.manifest.json":
+        "befb42477ae0ab5ad6ddc6deb529300f0eb42c8d9395e69effd0e91c0d3f4393",
+    "log-se2":
+        "dc89d75c8288fd71e25a2066594d1b9b17818f03d948311c07e31244e65e4bf5",
+    "log-se2.manifest.json":
+        "93385f62524788efb4eaf3e67bfa85a3180ebbe666396663303e65241e6a3df6",
+    "mt-ito-se2":
+        "349da80085cbbb0ffdb08a80d299e3fb024b27ade10cfdda765df282f583a2c1",
+    "mt-ito-se2.manifest.json":
+        "a8d86f19eda7f13955aeeaeff3fa913f7ca5909c527a8d95fc288360b346f272",
+    "mt-ito-se2.zscores.csv":
+        "c3916e6dfe50489789b1f5f56b66a6cde867f60d1ac92da5a5637bdcce1ab653",
+    "mt-strat-se2":
+        "88e2508289e886b62a2945f6a080f66bdbe1b42b52e257354f2ea727828c2946",
+    "mt-strat-se2.manifest.json":
+        "448b6104bf07fe365e559ff20226f93bedf0530d075ad39139f68d2d837917c1",
+    "mt-strat-se2.zscores.csv":
+        "5007934b18de4db9d83e5e283a5363c03244aebb6b512aac2da6eff3acecc298",
+    "mt-drift-se2":
+        "349da80085cbbb0ffdb08a80d299e3fb024b27ade10cfdda765df282f583a2c1",
+    "mt-drift-se2.manifest.json":
+        "894a54b43c1c8d7456bfa959b1426f6cd8e7e397b2cd217db3f7a859d124b960",
+    "mt-drift-se2.zscores.csv":
+        "c3916e6dfe50489789b1f5f56b66a6cde867f60d1ac92da5a5637bdcce1ab653",
+    "mt-drifted-se2":
+        "7cce4ffbd7eb9fe0ef1cadf75a93834394aed239fc4c5599927f3e16d2096a0d",
+    "mt-drifted-se2.manifest.json":
+        "d117f9acb004ceac838ea3256627b564b6498036ed307b745f9abca364197cdb",
+    "mt-drifted-se2.zscores.csv":
+        "58f123add0169c1e9cd8b673004b1efee036b6aa295a05b91c6e2d88348290c7",
+    "roundtrip-se2":
+        "b9ca042f4b203a51a666a02f773ef782522c5515b3a34cda2ec15c6578ead4e1",
+    "roundtrip-se2.manifest.json":
+        "1abbddab988d9d2d749ad82d2092ae18bec60e76bd56beb587b627533340e05b",
+    "convergence-se2":
+        "f66718d04a5fcc106713041917a46d5bd609cde2eaf37a46f07ca7e007122fc9",
+    "convergence-se2.manifest.json":
+        "ac5db7e07118edb4c14ccaf7509f03216945f9078e41606fd934bc0232f3744a",
+    "campbell-csv-se2":
+        "adeaf6c8e76e2e82a1e5313d99456d2895a8b6b56d26de1cc729acd4d223834a",
+    "campbell-csv-se2.manifest.json":
+        "252f667a52e70f3e41d4df814a923ad56efcaa52e4c9768c05c1c161eacaca70",
+    "campbell-json-se2":
+        "9def6c8de42d1d4bcd59b63b2167a948f8a42d2eef6607a4aee74e322a0d0d26",
+    "campbell-json-se2.manifest.json":
+        "dba150e734a746e906b0e375e5b0b809dba06feee8c999972f3b3b88a61ec11c",
+    "exp-bm-se3":
+        "2b1ce06e7e654e4de64f48f6aeb534d5432e8e780188f598e465ec885f08c2a0",
+    "exp-bm-se3.manifest.json":
+        "42d15eb0687c323a614231df0036e4c34ae1803598008c913d117976ec9e2b7d",
+    "exp-drift-se3":
+        "2b1ce06e7e654e4de64f48f6aeb534d5432e8e780188f598e465ec885f08c2a0",
+    "exp-drift-se3.manifest.json":
+        "0e6fe33448a6419b2306eeef4f20d14a256ac18c96a58c2e2aba9e6f90227c4b",
+    "exp-drifted-se3":
+        "5da993a654e70105f8e2e0358eb3862d0df57aa1ab5fc33276e496ad2f665767",
+    "exp-drifted-se3.manifest.json":
+        "21b1f05453884bc42d61643043e28a52e610b990bbaab303211ed96678229418",
+    "log-se3":
+        "5b53a8a52ef1787d9e8c0ed2875d79be53992f4111be54b4ea1997e0fd7c0d3b",
+    "log-se3.manifest.json":
+        "a9e5f436946b582a24c9fb82b8bda1b201e47389c84498e1bdc6aecb8bacf3cc",
+    "mt-ito-se3":
+        "606e6f143299152ffc8cea283809c315139bcc4025f01f456f77fcb9198bbfc1",
+    "mt-ito-se3.manifest.json":
+        "1c56d624853368a441107d28c051b6263e14141524e619d75773b534cad8eb32",
+    "mt-ito-se3.zscores.csv":
+        "382c1784319b2d70c6b88a5b97e1073a531c71cf525dda77df16bdc61e3b4fd0",
+    "mt-strat-se3":
+        "606e6f143299152ffc8cea283809c315139bcc4025f01f456f77fcb9198bbfc1",
+    "mt-strat-se3.manifest.json":
+        "b1cd68ca22414e4f173d9c83415bdd5195765315208f450c108783f6e90720bd",
+    "mt-strat-se3.zscores.csv":
+        "53ecd53bb3cb2ec6fdd86d60e5499cb25935155f6326b717d6475c869c1f2d50",
+    "mt-drift-se3":
+        "606e6f143299152ffc8cea283809c315139bcc4025f01f456f77fcb9198bbfc1",
+    "mt-drift-se3.manifest.json":
+        "306dd9a33b1d4b88398da8d9bba665c6d253536c4a411f35b4cd703d268ff6c8",
+    "mt-drift-se3.zscores.csv":
+        "382c1784319b2d70c6b88a5b97e1073a531c71cf525dda77df16bdc61e3b4fd0",
+    "mt-drifted-se3":
+        "4f94a3c5ab20243fa6e6c38dd7e45f8f0b7877a323498b6c24d824793a88be27",
+    "mt-drifted-se3.manifest.json":
+        "3e779f425e2bc9e3d835521cc7cb341651cba9e14e4dc5f4190ad91bfe4ec929",
+    "mt-drifted-se3.zscores.csv":
+        "290c558983df4766994368eb025f070f3e131de3f21f839784b29d3f5fddcdee",
+    "roundtrip-se3":
+        "ad8a82547bb915cd0599495da98b5e233d48589950a1f823319151b4b4f44881",
+    "roundtrip-se3.manifest.json":
+        "ff274b356dd5cbe34c73cbe15c0c14604c8077f467d5760ebe7b7e1d7b6003ca",
+    "convergence-se3":
+        "18b4ec7ac79b2c65d5d50ab9ba3f98be4b33086a4f92dec09ae273d1581b8646",
+    "convergence-se3.manifest.json":
+        "5210aa8bf7a959f41da45a6f96d227a53a5d7810ba812e7bec5f360e4f7c60e3",
+    "campbell-csv-se3":
+        "f68065f5ee8af3d3b5cead96d5fdafa152c50be0c3caf1bb9f564dd550b7ef3e",
+    "campbell-csv-se3.manifest.json":
+        "3c8c5c9184b30fde16aa7b0fec850c50a9986edc8ec9bcff5155c19ddbda1daf",
+    "campbell-json-se3":
+        "538a5f16c795a036046c6015271e0ce817540ed1fbb331ad7ce05c12d55979b2",
+    "campbell-json-se3.manifest.json":
+        "977a0f3458e6983f5931750bfec230a2aba87e2819702f2ab45f7a9c6ea8c19c",
+    "exp-bm-e11":
+        "811369fd1bd40531165ff338849a35fc1e3f606529f307d966524051efc0f6c9",
+    "exp-bm-e11.manifest.json":
+        "9c68240485285b6b5511727617701d533df2f4433e64f41b04aec4a19dce62bd",
+    "exp-drift-e11":
+        "811369fd1bd40531165ff338849a35fc1e3f606529f307d966524051efc0f6c9",
+    "exp-drift-e11.manifest.json":
+        "789adb459f96821401c6ee8ce109e6846cafc5a37d49515dbee4464b68e133d1",
+    "exp-drifted-e11":
+        "5ff12eef13154ce62af0ac4e3154d42d248b23f989e96d56b8787da0a0196284",
+    "exp-drifted-e11.manifest.json":
+        "e8f058c69b12aafad86faee770dd2609e8d654a127aeabe1d0d3386b7bfa4c7f",
+    "log-e11":
+        "dc89d75c8288fd71e25a2066594d1b9b17818f03d948311c07e31244e65e4bf5",
+    "log-e11.manifest.json":
+        "2a2a9480003f9f6a94290b90efb9ff7a4e62736fadd42f320c202a29710a0f30",
+    "mt-ito-e11":
+        "bf77781254a848acf9d7b9ff9322f0c709f95ea5cd64663a1a38e874ccf1e8ea",
+    "mt-ito-e11.manifest.json":
+        "faa1f1db06b92e1b2e964e38361e32e09b1985d2f876388609a8a8717228decb",
+    "mt-ito-e11.zscores.csv":
+        "da34218ad151b04e1f1646227ffcd876929441fdb5953e645d54e17103329eb7",
+    "mt-strat-e11":
+        "d09de9b458dd9c2453645ea3c7f705a7ff6c6c87c0aa7788ffe14182e635e37a",
+    "mt-strat-e11.manifest.json":
+        "5f1f380ce5f4db0cc88d591ead0a3b9fc604f7e75b5af9683a9e232ae959ab10",
+    "mt-strat-e11.zscores.csv":
+        "d122d87ad40f5cbb71689f8eeab07e6ad322cf4be0e1a415a07a1abadea6ae50",
+    "mt-drift-e11":
+        "bf77781254a848acf9d7b9ff9322f0c709f95ea5cd64663a1a38e874ccf1e8ea",
+    "mt-drift-e11.manifest.json":
+        "44f9b8d084dedb4e8fe36f33bd725a9e53fb29b1eb6d04993fd5acf4cfbdb67e",
+    "mt-drift-e11.zscores.csv":
+        "da34218ad151b04e1f1646227ffcd876929441fdb5953e645d54e17103329eb7",
+    "mt-drifted-e11":
+        "159028e1c63e8d66ee1bc2a49c9f859e4f4f93a9d2e2bf6839ba2e4cb252fa80",
+    "mt-drifted-e11.manifest.json":
+        "e35c6aa8e5873f43ea2a3dc8fde62b448ce2c464e2fa2b1814f12a83851a1f35",
+    "mt-drifted-e11.zscores.csv":
+        "433cb18903d6444918241f797d2acbab66749c00705207cad4f4c3f853869b57",
+    "roundtrip-e11":
+        "9bacceae32cadc69da640ded85fea49878c4f935c99b943bacba3a17dba4534a",
+    "roundtrip-e11.manifest.json":
+        "0bc6acf6df81e3e902f75803ed674197f760b76fdda09591d832dd3a2b20d186",
+    "convergence-e11":
+        "81b2b42abb73c4795c2e77ecef113931d051aeb4bbf7efbe1fda5ee9dc3b6f84",
+    "convergence-e11.manifest.json":
+        "a76c1abbe10c4e47dc54e3e97dc3a41ef2318aca796c09651997ce6031cc9e26",
+    "campbell-csv-e11":
+        "52997555c889afeea06edb0c296c070d7b567ed7f3a3413a0959d1d2931c137d",
+    "campbell-csv-e11.manifest.json":
+        "7e5fd009c6ed56cd992720e7766b35538c70f54310c717678cc59b3028b6138c",
+    "campbell-json-e11":
+        "187ff93818719cd24d68296d05c57721f60d3299e0c46ec9f672d970d0d03c42",
+    "campbell-json-e11.manifest.json":
+        "b956bf07d118a961b30823c69afece631d6ba45d123dee9821d39cb20dee4bb9",
+    "exp-bm-n3":
+        "b89779f78b5e89d4ee15681b44be0f07876d572629a3ba3950e3b469e748fb1f",
+    "exp-bm-n3.manifest.json":
+        "b369a9b2fe8f8b3d00ffae94d5026055ea8e1ddff9941b6ce85ec07ad82d991e",
+    "exp-drift-n3":
+        "b89779f78b5e89d4ee15681b44be0f07876d572629a3ba3950e3b469e748fb1f",
+    "exp-drift-n3.manifest.json":
+        "0ed8972da17cd2cdf6c54aa6839fb8a312c5dd0e5e7f0456ed7281a9b0b2179f",
+    "exp-drifted-n3":
+        "58df5ba233ff859523f6d237049bb7144ef0bf20b694f39e68bb7be7b9cc3183",
+    "exp-drifted-n3.manifest.json":
+        "b29dc25e21d907931e9fe7f994cef700d07a24f5347511e2a8a9197049437647",
+    "log-n3":
+        "dc89d75c8288fd71e25a2066594d1b9b17818f03d948311c07e31244e65e4bf5",
+    "log-n3.manifest.json":
+        "da5252bf86ab3d11049d8aa6ae8c4c6565b6297e8004e6e0feba313d8f26fa72",
+    "mt-ito-n3":
+        "0cc5658af64754913fb2bf464e8b634fc8eb4ff8327c2e28d65a6480280a4ac5",
+    "mt-ito-n3.manifest.json":
+        "4c9a5c4ea882b86c9786e712ae5be6c003818ad7f5550fc87ac95bce900cc0c8",
+    "mt-ito-n3.zscores.csv":
+        "9e742b7d3dcdf4eea88310745da21a7d5dd9c2cb55f496edd9ffd39738c0de86",
+    "mt-strat-n3":
+        "0cc5658af64754913fb2bf464e8b634fc8eb4ff8327c2e28d65a6480280a4ac5",
+    "mt-strat-n3.manifest.json":
+        "66c2b135c92a1ef709ba6d22a4d3dde6ae967da3ab1c8f8f5c018568589e38ba",
+    "mt-strat-n3.zscores.csv":
+        "0705879e19421d70bebaa0d5ee8e1109fde5ffd08aead1c737ffb6bde9b81d2a",
+    "mt-drift-n3":
+        "0cc5658af64754913fb2bf464e8b634fc8eb4ff8327c2e28d65a6480280a4ac5",
+    "mt-drift-n3.manifest.json":
+        "35c4eeecc7a1e2205158bd06215723ac734d54262465dfcc4713318a36daf53c",
+    "mt-drift-n3.zscores.csv":
+        "9e742b7d3dcdf4eea88310745da21a7d5dd9c2cb55f496edd9ffd39738c0de86",
+    "mt-drifted-n3":
+        "f4cb74e8b5bf2b0656b1930f889802c57b25baaf7c1229aa11fa8555126968b3",
+    "mt-drifted-n3.manifest.json":
+        "517e3fe34a1b920dd5d259c7f120e1aa974288441c1befc9a4f4a163f098d4c1",
+    "mt-drifted-n3.zscores.csv":
+        "9381aa6bd544008ae7fb5a7c739fb82d13cf6e0587991b4147ccc7614cb57137",
+    "roundtrip-n3":
+        "003472fec4114baf57fbfdeee8ef6aa2fbdaecb4bbcc5b510abba992aa98300b",
+    "roundtrip-n3.manifest.json":
+        "42dcb872e92c35e7639ed8f8853ad6fe76458f9828d4574dcd68c13905a02743",
+    "convergence-n3":
+        "da620e99de905d9a996a9110af83d8fb6c66b1d5e98b219b727e22f7aafe90a9",
+    "convergence-n3.manifest.json":
+        "a06c15ca1a2a47ad738f3b9114bb14f5c3a5c40c9e8f4713bf2ddc105e28e0ae",
+    "campbell-csv-n3":
+        "88c9cf2615ddb116b16d8a3da0e0aa1a821a558d019a203d2afdbb7a494b1d9a",
+    "campbell-csv-n3.manifest.json":
+        "89ad2ad47c5966dbf4b2fdf611207c525909f8b0f2ff084f9f4394d751552218",
+    "campbell-json-n3":
+        "3b8ec43e3833ab6eae992ac38f598055783027472646b0517057389dd29b25c5",
+    "campbell-json-n3.manifest.json":
+        "c96298b3d95477c49b493be56de095048e5e381b6d33222b71134caab7300ebb",
+    "exp-bm-sl2r":
+        "177acefd216a48bf8441e8cf08522e33c0d36bcd39c8d52aa618a2adc788caec",
+    "exp-bm-sl2r.manifest.json":
+        "5ab5d65a383d82d3299c5c84626e614f8b77629dffd6a22dfc4d2f57ba350de0",
+    "exp-drift-sl2r":
+        "177acefd216a48bf8441e8cf08522e33c0d36bcd39c8d52aa618a2adc788caec",
+    "exp-drift-sl2r.manifest.json":
+        "a48e3f68559b987ead8239532aa5e44184eeb075e88854602de1c0b32a579c9b",
+    "exp-drifted-sl2r":
+        "905466c9e5567e0f53b6f6e8375ee38c3b6fad4e68b22d18a68fba667e67507e",
+    "exp-drifted-sl2r.manifest.json":
+        "55d20832dc36e3b169569a3b18a5cb22594106f27e1a5633888deb8c75da9d51",
+    "log-sl2r":
+        "dc89d75c8288fd71e25a2066594d1b9b17818f03d948311c07e31244e65e4bf5",
+    "log-sl2r.manifest.json":
+        "901879d3c2d2715f8edca29b839eea718bf9cefe4ff1ca0b5d447cd17ffe5ef8",
+    "mt-ito-sl2r":
+        "85f9df82e9e39d2577b0d7c4e016b8c8048f4141a580ac8b262df1ad2518e3ff",
+    "mt-ito-sl2r.manifest.json":
+        "aefbe3224e8948bc32bc08930903ac68be077c602e3309f0067246e3b6de929f",
+    "mt-ito-sl2r.zscores.csv":
+        "e83db58a4533dfa99924649a2002140dea8e13e17ab7b42ccc76ad17319039a1",
+    "mt-strat-sl2r":
+        "6904a030f74ac1e865c1a5bba27f9be1e5726b5e26a26b5e818b473569bd1f26",
+    "mt-strat-sl2r.manifest.json":
+        "d9306f590cccba2378f5f35423dab99be773a5f35db7a071dcbe5c305638dca3",
+    "mt-strat-sl2r.zscores.csv":
+        "ec6e927802fc8743b0a53fb5fda75fa337dce958a3c386ecbbca2e9511ebf24d",
+    "mt-drift-sl2r":
+        "85f9df82e9e39d2577b0d7c4e016b8c8048f4141a580ac8b262df1ad2518e3ff",
+    "mt-drift-sl2r.manifest.json":
+        "974112da34e0100d01de11fbed0cc39d838a67cf66affde5a0b546cc6a472471",
+    "mt-drift-sl2r.zscores.csv":
+        "e83db58a4533dfa99924649a2002140dea8e13e17ab7b42ccc76ad17319039a1",
+    "mt-drifted-sl2r":
+        "9629c6fd9871315ab306c8a05e3c8b38d6ad30c1daa07ede946cfc9b4600154a",
+    "mt-drifted-sl2r.manifest.json":
+        "e0414f40129cca7e1b6fedc075b8652ff840039972a198e87c1559be7b4ad0a2",
+    "mt-drifted-sl2r.zscores.csv":
+        "04cdee2e74c304cadf279276434a0a1445e236e95c5850dc2476fcdb4c1bb816",
+    "roundtrip-sl2r":
+        "c9fdfb3e94a22041d30f9f96dd5c8e040e0978fa3752ad67362afe88336f353f",
+    "roundtrip-sl2r.manifest.json":
+        "e1f29601e78dad8ab2744d5e4ede76e6c409dd2f7d5a41046e52b28e1bb33705",
+    "convergence-sl2r":
+        "2e8b94064298177b1ed5cad0efc325835df90391d62fd3f8dec71bc1545c6e6d",
+    "convergence-sl2r.manifest.json":
+        "588bdcbad7b1215916e0570aed3ebb6cfd33cb440fbd3879bbeb7ca124829596",
+    "campbell-csv-sl2r":
+        "0783aac0c9853437642090e8e5064f3800fe8051e30a1decb26429a1a6bfedf3",
+    "campbell-csv-sl2r.manifest.json":
+        "d1818c76df3373dbb15dcfec1e2c4179f5264efa2d9d0a7e5e6a03081bd3e047",
+    "campbell-json-sl2r":
+        "5ccfca277535e53ff268ba23a994df983b30bb6e61f216dfe2a2456850380737",
+    "campbell-json-sl2r.manifest.json":
+        "7b811ddb4dae1e54e50da35e6c45d8ba4153620ac9cc14425943981b432e4e05",
+    "exp-cov-se3":
+        "59beea01122125dfa835370a439a291638969f506ca9a88892531a39523cc46b",
+    "exp-cov-se3.manifest.json":
+        "e0f75c0c129a39a25297b939f0d5e45407d1544da7ee30fd47466133fe44dc05",
+    "exp-bigseed-se3":
+        "d446073ec82c3b9676311af57b2ba944ccc80be773d9db896677c25274296e9b",
+    "exp-bigseed-se3.manifest.json":
+        "91fe2fcd60db7f2b0b21edcf6741c780b6c65c58c78edb23e4d0b0e031290121",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path, monkeypatch):
+    """Every output file and manifest of the pinned runs keeps its bytes: the
+    byte contract that a refactor of the driver, the solvers or the writers
+    must not break."""
+    monkeypatch.chdir(tmp_path)
+    assert _output_digests(tmp_path) == _PINNED_DIGESTS

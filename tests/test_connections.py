@@ -194,7 +194,7 @@ def test_closed_form_unsupported_group():
 
 
 def test_regression_report_flags():
-    report = regress_closed_forms(lam_grid=(0.5, 1.0, 2.0))
+    report = regress_closed_forms()
     assert report.max_diff("se3") < 1e-10
     assert report.max_diff("se2") < 1e-10
     flagged = {(r.group, r.variant) for r in report.flagged_rows}

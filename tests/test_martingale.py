@@ -19,11 +19,7 @@ from liestoch.martingale import (
     qv_linearity_check,
 )
 from liestoch.calculus import mc_increments
-from liestoch.paths import (
-    TimeGrid,
-    brownian_ensemble,
-    drift_diffusion_ensemble,
-)
+from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
 
 SO3 = get_group("so3")
 SE3 = get_group("se3")
@@ -39,7 +35,7 @@ def test_drift_test_brownian_null_passes():
 
 def test_drift_test_constant_paths_all_zero_z():
     grid = TimeGrid(1.0, 100)
-    ens = drift_diffusion_ensemble(SO3, grid, 2, 200)  # zero drift, zero diffusion
+    ens = Ensemble(SO3, grid, np.zeros((200, 101, 3)))
     report = drift_test(ens, buckets=10)
     assert report.passed
     assert np.max(np.abs(report.z)) == 0.0
@@ -48,7 +44,7 @@ def test_drift_test_constant_paths_all_zero_z():
 def test_drift_test_detects_drift():
     grid = TimeGrid(1.0, 100)
     b = np.array([1.0, 0.0, 0.0])
-    ens = drift_diffusion_ensemble(SO3, grid, 3, 10_000, drift=b, diffusion=np.eye(3))
+    ens = brownian_ensemble(SO3, grid, 3, 10_000, drift=b)
     report = drift_test(ens, buckets=20)
     assert not report.passed
     assert report.max_abs_z > 10.0
@@ -88,11 +84,7 @@ def test_compensator_biinvariant_is_strat_log():
 def test_compensator_constant_path_is_zero():
     grid = TimeGrid(1.0, 20)
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    zero = strat_exponential(
-        brownian_ensemble(SE3, grid, 6, 2).with_values(
-            np.zeros((2, 21, 6)), driver_covariance=None
-        )
-    )
+    zero = strat_exponential(Ensemble(SE3, grid, np.zeros((2, 21, 6))))
     comp = ito_logarithm(zero, alpha)
     assert np.max(np.abs(comp.values)) == 0.0
 
@@ -189,8 +181,8 @@ def test_qv_linearity_cases():
     # deterministic paths: terminal is O(dt), nowhere near n * T; tagged
     # with the metric's driver covariance so that the law, not the
     # precondition, decides
-    flat = drift_diffusion_ensemble(spec, grid, 10, 4, drift=np.array([0.5, 0.2, 0.0]))
-    gflat = strat_exponential(flat.with_values(flat.values, driver_covariance=cov))
+    line = np.outer(grid.times(), [0.5, 0.2, 0.0])
+    gflat = strat_exponential(Ensemble(spec, grid, np.stack([line] * 4), cov))
     rep3 = qv_linearity_check(gflat, metric)
     assert rep3.mean_terminal < 0.01
     assert not rep3.passed
@@ -204,7 +196,7 @@ def test_qv_linearity_precondition():
     gx = strat_exponential(ens)
     with pytest.raises(HypothesisError):
         qv_linearity_check(gx, metric)
-    flat = drift_diffusion_ensemble(spec, grid, 12, 4)
+    flat = Ensemble(spec, grid, np.zeros((4, 101, 3)))  # records no driver
     with pytest.raises(HypothesisError):
         qv_linearity_check(strat_exponential(flat), metric)
 

@@ -23,10 +23,10 @@ from liestoch.paths import (
     Ensemble,
     TimeGrid,
     brownian_ensemble,
-    drift_diffusion_ensemble,
     dump_algebra_csv,
     dump_group_csv,
 )
+from test_paths import _recipe
 
 REPLICAS = 3
 SO3 = get_group("so3")
@@ -59,6 +59,16 @@ def _assert_path_matches_replicas(op, *ensembles, what, replicas=range(REPLICAS)
             _assert_bitwise(a, b[r:r + 1], f"{what}, replica {r}")
 
 
+def _assert_driver_replicas(ens, seed, replicas, drift=None):
+    """Each of the ``replicas`` of a driver draw is drawn as if alone: the
+    ``derive_rng`` recipe of its index."""
+    factor = np.linalg.cholesky(ens.driver_covariance) * np.sqrt(ens.grid.dt)
+    shift = None if drift is None else drift * ens.grid.dt
+    for r in replicas:
+        _assert_bitwise(ens.values[r, 1:], _recipe(seed, r, ens.grid.steps, factor, shift),
+                        f"brownian_ensemble, replica {r}")
+
+
 def _dump_lines(dump, target):
     buf = io.StringIO()
     dump(target, buf)
@@ -76,15 +86,9 @@ def test_path_result_is_its_replica_of_the_ensemble_result(name):
     m = brownian_ensemble(spec, grid, 5, REPLICAS)
     q = brownian_ensemble(spec, grid, 6, REPLICAS)
     drift = np.linspace(-1.0, 1.0, n)
-    diffusion = 0.5 * np.eye(n)
-    dd = drift_diffusion_ensemble(spec, grid, 7, REPLICAS, drift=drift, diffusion=diffusion)
-    for r in range(REPLICAS):
-        _assert_bitwise(brownian_ensemble(spec, grid, 5, 1, first_replica=r).values,
-                        m.values[r:r + 1], "brownian_ensemble")
-        _assert_bitwise(
-            drift_diffusion_ensemble(spec, grid, 7, 1, drift, diffusion, first_replica=r).values,
-            dd.values[r:r + 1], "drift_diffusion_ensemble",
-        )
+    dd = brownian_ensemble(spec, grid, 7, REPLICAS, 0.25 * np.eye(n), drift=drift)
+    _assert_driver_replicas(m, 5, range(REPLICAS))
+    _assert_driver_replicas(dd, 7, range(REPLICAS), drift)
 
     _assert_path_matches_replicas(strat_exponential, m, what="strat_exponential")
     _assert_path_matches_replicas(lambda a: ito_exponential(a, alpha), m,
@@ -140,9 +144,7 @@ def _assert_passes_match_one_replica_runs(name, replicas, steps, checked):
     m = brownian_ensemble(spec, grid, 9, replicas)
     q = brownian_ensemble(spec, grid, 10, replicas)
     checked = sorted({0, replicas // 2, replicas - 1} | {r for r in checked if r < replicas})
-    for r in checked:
-        _assert_bitwise(brownian_ensemble(spec, grid, 9, 1, first_replica=r).values,
-                        m.values[r:r + 1], "brownian_ensemble")
+    _assert_driver_replicas(m, 9, checked)
 
     x = ito_exponential(m, alpha)
     y = ito_exponential(q, biinv)
@@ -210,7 +212,7 @@ def test_slabbed_passes_match_one_replica_runs_at_slab_edges(name, replicas, ste
     m = brownian_ensemble(spec, TimeGrid(0.01 * steps, steps), 9, replicas)
     x = ito_exponential(m, alpha)
     w = slice(_ROW_CHUNK - 3, _ROW_CHUNK + 3)
-    short = Ensemble(spec, TimeGrid(0.06, 6), 9, m.values[:, w.start : w.stop + 1])
+    short = Ensemble(spec, TimeGrid(0.06, 6), m.values[:, w.start : w.stop + 1])
     _assert_bitwise(ito_exponential(short, alpha).step_logs, x.step_logs[:, w],
                     "Ito-corrected steps across a slab split")
     _assert_bitwise(increments_from_values(spec, x.values[:, w.start : w.stop + 1]),
@@ -224,7 +226,7 @@ def test_readback_switches_log_branch_within_one_tile():
     axes = np.random.default_rng(4).standard_normal(angles.shape + (3,))
     steps = axes / np.linalg.norm(axes, axis=-1, keepdims=True) * angles[..., None]
     values = np.concatenate([np.zeros((2, 1, 3)), np.cumsum(steps, axis=1)], axis=1)
-    x = strat_exponential(Ensemble(SO3, TimeGrid(1.0, 6), 0, values))
+    x = strat_exponential(Ensemble(SO3, TimeGrid(1.0, 6), values))
     bare = x.with_values(x.values)
     _assert_path_matches_replicas(mc_increments, bare, what="readback", replicas=range(2))
     # below pi the principal log is the step itself, on either branch

@@ -17,7 +17,6 @@ from liestoch.paths import (
     TimeGrid,
     brownian_ensemble,
     derive_rng,
-    drift_diffusion_ensemble,
     dump_algebra_csv,
     dump_group_csv,
     normal_quantile,
@@ -88,10 +87,7 @@ def test_brownian_rejects_bad_covariance():
 def test_brownian_increment_normality():
     # skew and excess kurtosis of 1e6 pooled increments stay small
     grid = TimeGrid(1.0, 500_000)
-    values = np.concatenate(
-        [np.diff(brownian_ensemble(SO3, grid, 21, 1, first_replica=r).values[0], axis=0)
-         for r in range(2)]
-    )
+    values = np.diff(brownian_ensemble(SO3, grid, 21, 2).values, axis=1).reshape(-1, 3)
     z = values / np.sqrt(grid.dt)
     for c in range(3):
         x = z[:, c]
@@ -101,43 +97,41 @@ def test_brownian_increment_normality():
         assert abs(kurt) < 0.1
 
 
-def test_drift_diffusion_driver_cases():
+def test_drift_driver_cases():
+    # the drift adds drift * dt to each Brownian increment; a zero drift
+    # keeps the bits, and the driver records its covariance either way
     grid = TimeGrid(2.0, 50)
     b = np.array([0.0, 0.0, 1.0])
-    line = drift_diffusion_ensemble(SO3, grid, 3, 1, drift=b, diffusion=np.zeros((3, 3)))
-    assert np.allclose(line.values[0], np.outer(grid.times(), b), atol=1e-12)
-    flat = drift_diffusion_ensemble(SO3, grid, 3, 1)
-    assert np.max(np.abs(flat.values)) == 0.0
-
-
-def test_drift_diffusion_matches_brownian_moments():
-    grid = TimeGrid(1.0, 20_000)
-    cov = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    factor = np.linalg.cholesky(cov)
-    bm = brownian_ensemble(SO3, grid, 9, 1, covariance=cov)
-    dd = drift_diffusion_ensemble(SO3, grid, 10, 1, diffusion=factor)
-    cb = np.cov(np.diff(bm.values[0], axis=0).T)
-    cd = np.cov(np.diff(dd.values[0], axis=0).T)
-    assert np.max(np.abs(cb - cd)) < 6.0 * grid.dt * np.sqrt(2.0 / grid.steps) * 10
+    bm = brownian_ensemble(SO3, grid, 3, 2)
+    drifted = brownian_ensemble(SO3, grid, 3, 2, drift=b)
+    assert np.allclose(drifted.values - bm.values, np.outer(grid.times(), b), atol=1e-12)
+    assert np.array_equal(drifted.driver_covariance, np.eye(3))
+    zero = brownian_ensemble(SO3, grid, 3, 2, drift=np.zeros(3))
+    assert zero.values.tobytes() == bm.values.tobytes()
+    with pytest.raises(DimensionError):
+        brownian_ensemble(SO3, grid, 3, 2, drift=np.zeros(4))
+    with pytest.raises(ValueError):
+        brownian_ensemble(SO3, grid, 3, 2, drift=np.array([0.0, np.inf, 0.0]))
 
 
 def test_ensemble_replica_streams_and_chunking():
+    # a replica's stream is its own: a smaller draw is a prefix of a larger
+    # one, and each replica is the derive_rng recipe
     grid = TimeGrid(1.0, 64)
     full = brownian_ensemble(SO3, grid, base_seed=77, replicas=10)
     head = brownian_ensemble(SO3, grid, base_seed=77, replicas=4)
-    tail = brownian_ensemble(SO3, grid, base_seed=77, replicas=6, first_replica=4)
-    assert np.array_equal(np.concatenate([head.values, tail.values]), full.values)
-    single = brownian_ensemble(SO3, grid, 77, 1, first_replica=3)
-    assert np.array_equal(full.values[3], single.values[0])
+    assert np.array_equal(head.values, full.values[:4])
+    single = _recipe(77, 3, grid.steps, np.eye(3) * np.sqrt(grid.dt))
+    assert np.array_equal(full.values[3, 1:], single)
     assert full.coordinates.base is full.values  # views, not copies
 
 
 def test_drift_ensemble_chunking():
     grid = TimeGrid(1.0, 32)
     b = np.array([1.0, 0.0, 0.0])
-    full = drift_diffusion_ensemble(SO3, grid, 5, 6, drift=b, diffusion=np.eye(3))
-    part = drift_diffusion_ensemble(SO3, grid, 5, 3, drift=b, diffusion=np.eye(3), first_replica=3)
-    assert np.array_equal(full.values[3:], part.values)
+    full = brownian_ensemble(SO3, grid, 5, 6, drift=b)
+    part = brownian_ensemble(SO3, grid, 5, 3, drift=b)
+    assert np.array_equal(full.values[:3], part.values)
 
 
 def test_derive_rng_is_order_free():
@@ -159,39 +153,34 @@ def _recipe(seed, replica, steps, factor, shift=None):
     return np.cumsum(dm if shift is None else shift + dm, axis=0)
 
 
-def _assert_recipe(ens, seed, first, factor, shift=None):
+def _assert_recipe(ens, seed, factor, shift=None):
     assert ens.values[:, 0].tobytes() == bytes(ens.values[:, 0].nbytes)  # +0.0 rows
     for r in range(ens.replicas):
-        expected = _recipe(seed, first + r, ens.grid.steps, factor, shift)
-        assert ens.values[r, 1:].tobytes() == expected.tobytes(), (seed, first + r)
+        expected = _recipe(seed, r, ens.grid.steps, factor, shift)
+        assert ens.values[r, 1:].tobytes() == expected.tobytes(), (seed, r)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 3])
-@pytest.mark.parametrize("first, replicas", [(0, 3), (2**32 - 2, 4), (2**64 - 1, 2)])
-def test_bulk_drivers_are_the_derive_rng_recipe_bit_for_bit(seed, first, replicas):
-    # replica indices crossing 2**32 (2**64) lengthen the spawn key to two
-    # (three) words; seeds above 2**128 have more words than the hash pool
+def test_bulk_driver_is_the_derive_rng_recipe_bit_for_bit(seed):
+    # seeds of 2**32 and above take more entropy words; above 2**128 more
+    # words than the hash pool holds
     grid = TimeGrid(1.0, 17)
     root_dt = np.sqrt(grid.dt)
-    for cov in (None, _MIXING):
-        ens = brownian_ensemble(SE3, grid, seed, replicas, cov, first_replica=first)
-        factor = np.linalg.cholesky(np.eye(6) if cov is None else cov) * root_dt
-        _assert_recipe(ens, seed, first, factor)
     b = np.linspace(-1.0, 2.0, 6)
-    ens = drift_diffusion_ensemble(SE3, grid, seed, replicas, drift=b, diffusion=_MIXING,
-                                   first_replica=first)
-    _assert_recipe(ens, seed, first, _MIXING * root_dt, shift=b * grid.dt)
+    for cov in (None, _MIXING):
+        factor = np.linalg.cholesky(np.eye(6) if cov is None else cov) * root_dt
+        _assert_recipe(brownian_ensemble(SE3, grid, seed, 3, cov), seed, factor)
+        _assert_recipe(brownian_ensemble(SE3, grid, seed, 3, cov, drift=b), seed, factor,
+                       shift=b * grid.dt)
 
 
 @pytest.mark.parametrize("seed, first", [(-1, 0), (3, -1), (-(2**40), 5)])
 def test_negative_seed_or_replica_is_refused(seed, first):
-    grid = TimeGrid(1.0, 4)
-    with pytest.raises(ValueError):
-        brownian_ensemble(SO3, grid, seed, 2, first_replica=first)
-    with pytest.raises(ValueError):
-        drift_diffusion_ensemble(SO3, grid, seed, 2, first_replica=first)
     with pytest.raises(ValueError):
         derive_rng(seed, first)
+    if seed < 0:
+        with pytest.raises(ValueError):
+            brownian_ensemble(SO3, TimeGrid(1.0, 4), seed, 2)
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():
@@ -252,8 +241,7 @@ def test_quadratic_covariation_converges_to_covariance():
     for steps in (2_000, 8_000):
         grid = TimeGrid(1.0, steps)
         agg = 0.0
-        for r in range(6):
-            p = brownian_ensemble(SO3, grid, 55, 1, cov, first_replica=r).values[0]
+        for p in brownian_ensemble(SO3, grid, 55, 6, cov).values:
             qv = quadratic_covariation(p, p)
             agg += np.max(np.abs(qv[-1] - cov))
         errs.append(agg / 6.0)
@@ -318,7 +306,7 @@ def test_csv_dumps():
     assert len(lines) == 1 + 2 * 4
 
 
-def _csv_writer_dump(fh, grid, header, stacked, first_replica):
+def _csv_writer_dump(fh, grid, header, stacked):
     """The former csv.writer row-by-row dump, kept as the byte oracle."""
     writer = csv.writer(fh)
     writer.writerow(header)
@@ -326,7 +314,7 @@ def _csv_writer_dump(fh, grid, header, stacked, first_replica):
     for r in range(stacked.shape[0]):
         for k in range(stacked.shape[1]):
             writer.writerow(
-                [first_replica + r, k, repr(float(times[k]))]
+                [r, k, repr(float(times[k]))]
                 + [repr(float(x)) for x in stacked[r, k]]
             )
 
@@ -340,7 +328,7 @@ def _oracle_bytes(target):
     else:
         header = ["replica", "k", "t"] + [f"c{i+1}" for i in range(stacked.shape[-1])]
     buf = io.StringIO()
-    _csv_writer_dump(buf, target.grid, header, stacked.reshape(reps, points, -1), 0)
+    _csv_writer_dump(buf, target.grid, header, stacked.reshape(reps, points, -1))
     return buf.getvalue()
 
 
@@ -355,7 +343,7 @@ def test_group_csv_matches_csv_writer_bytes(name):
     grid = TimeGrid(0.7, 25)
     gx = strat_exponential(brownian_ensemble(get_group(name), grid, 11, 3))
     assert _dump_bytes(dump_group_csv, gx) == _oracle_bytes(gx)
-    one = Ensemble(gx.group, grid, 0, gx.values[2][None])
+    one = Ensemble(gx.group, grid, gx.values[2][None])
     assert _dump_bytes(dump_group_csv, one) == _oracle_bytes(one)
 
 
@@ -363,7 +351,7 @@ def test_algebra_csv_matches_csv_writer_bytes():
     grid = TimeGrid(3.0, 40)
     ens = brownian_ensemble(get_group("se3"), grid, 12, 4)
     assert _dump_bytes(dump_algebra_csv, ens) == _oracle_bytes(ens)
-    one = brownian_ensemble(SO3, grid, 4, 1, first_replica=3)
+    one = ens.with_values(ens.values[3:])
     assert _dump_bytes(dump_algebra_csv, one) == _oracle_bytes(one)
 
 
@@ -372,7 +360,7 @@ def test_csv_float_edge_cases_match_csv_writer_bytes():
     # every value and its negative, in both replicas, on a grid with
     # non-terminating times
     values = np.resize(np.array(specials + [-x for x in specials]), (2, 8, 3))
-    ens = Ensemble(SO3, TimeGrid(1 / 3, 7), 0, values)
+    ens = Ensemble(SO3, TimeGrid(1 / 3, 7), values)
     text = _dump_bytes(dump_algebra_csv, ens)
     assert text == _oracle_bytes(ens)
     for token in ("-0.0", "5e-324", "1e-05", "9.999e-05", "1e+16", "123456789.0"):
@@ -439,27 +427,27 @@ def test_write_table_is_the_only_csv_writer():
 def test_ensemble_validation():
     grid = TimeGrid(1.0, 4)
     with pytest.raises(Exception):
-        Ensemble(SO3, grid, 0, np.zeros((3, 9, 3)))  # wrong steps axis
+        Ensemble(SO3, grid, np.zeros((3, 9, 3)))  # wrong steps axis
     # value shape from the group's dims, finite entries, (R, K, n) step logs
     eye = np.broadcast_to(np.eye(3), (2, 5, 3, 3))
-    assert Ensemble(SO3, grid, 0, np.zeros((2, 5, 3))).replicas == 2
-    assert Ensemble(SO3, grid, 0, eye, step_logs=np.zeros((2, 4, 3))).is_group_valued
+    assert Ensemble(SO3, grid, np.zeros((2, 5, 3))).replicas == 2
+    assert Ensemble(SO3, grid, eye, step_logs=np.zeros((2, 4, 3))).is_group_valued
     for bad in (np.zeros((2, 5, 4)), np.zeros((2, 5, 4, 4)), np.zeros((5, 3)),
                 np.zeros((2, 5, 3, 1))):
         with pytest.raises(DimensionError):
-            Ensemble(SO3, grid, 0, bad)
+            Ensemble(SO3, grid, bad)
     for logs in (np.zeros((2, 5, 3)), np.zeros((1, 4, 3)), np.zeros((2, 4, 9))):
         with pytest.raises(DimensionError):
-            Ensemble(SO3, grid, 0, eye, step_logs=logs)
+            Ensemble(SO3, grid, eye, step_logs=logs)
     for value in (np.nan, np.inf, -np.inf):
         values = np.zeros((2, 5, 3))
         values[1, 3, 2] = value
         with pytest.raises(ValueError, match="non-finite"):
-            Ensemble(SO3, grid, 0, values)
+            Ensemble(SO3, grid, values)
         logs = np.zeros((2, 4, 3))
         logs[0, 1, 0] = value
         with pytest.raises(ValueError, match="non-finite"):
-            Ensemble(SO3, grid, 0, eye, step_logs=logs)
+            Ensemble(SO3, grid, eye, step_logs=logs)
 
 
 def test_operators_refuse_the_wrong_kind_or_a_bare_array():
@@ -496,6 +484,6 @@ def test_ensemble_step_log_wiring():
     gx = strat_exponential(ens)
     assert gx.step_logs is not None and gx.step_logs.shape == (3, 20, 3)
     # a one-replica slice carries its own slice of the cache
-    p1 = Ensemble(SO3, grid, 0, gx.values[1][None], step_logs=gx.step_logs[1][None])
+    p1 = Ensemble(SO3, grid, gx.values[1][None], step_logs=gx.step_logs[1][None])
     assert np.array_equal(p1.step_logs[0], gx.step_logs[1])
     assert np.array_equal(mc_increments(p1)[0], gx.step_logs[1])
