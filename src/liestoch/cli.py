@@ -130,8 +130,9 @@ class ExperimentConfig:
             choices = _FLAGS.get(key, (None, {}))[1].get("choices")
             if choices is not None and kwargs[key] not in choices:
                 raise UsageError(f"bad value for {key!r}: {value!r}, choose from {choices}")
-        if command is not None:
-            kwargs["command"] = command
+        if command is not None and kwargs.setdefault("command", command) != command:
+            raise UsageError(f"config key 'command' names {kwargs['command']!r}, "
+                             f"not {command!r}")
         if "command" not in kwargs:
             raise UsageError("config does not name a command")
         return cls(**kwargs)
@@ -177,11 +178,13 @@ def _load_covariance(config, spec):
         return None
     try:
         cov = np.loadtxt(config.cov, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise UsageError(f"cannot read covariance file {config.cov!r}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read --cov file {config.cov!r}: {exc}") from exc
+    if not np.isfinite(cov).all():
+        raise UsageError(f"--cov file {config.cov!r} has a non-finite entry")
     n = spec.algebra_dim
     if cov.shape != (n, n):
-        raise UsageError(f"covariance must be {n}x{n}, got {cov.shape}")
+        raise UsageError(f"--cov matrix must be {n}x{n}, got {cov.shape}")
     spd_cholesky(cov, what="covariance file")
     return cov
 

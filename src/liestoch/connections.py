@@ -11,10 +11,13 @@ on (..., n) coordinate arrays, ``alpha(x, y)`` is
   ``alpha = 1/2 [.,.] + U``, with U the symmetric bilinear solving
   ``2 <U(A,B), C> = <A, [C,B]> + <[C,A], B>`` for every basis C.
 
-For the non-compact catalog groups the diagonal U(L, L) also has
-known closed forms; ``closed_form_u`` encodes them as printed
-(by polarization) and ``regress_closed_forms`` compares every variant
-against the metric solve, flagging disagreements instead of patching them.
+The catalog metric (``metric_for``) is diagonal in the declared basis,
+with the weights named by each group's catalog row. For the non-compact
+catalog groups the diagonal U(L, L) also has known closed forms, one table
+``_U_DISPLAYS`` keyed by group and then by reading; ``closed_form_u``
+encodes the primary one as printed (by polarization) and
+``regress_closed_forms`` compares every reading against the metric solve,
+flagging disagreements instead of patching them.
 """
 
 from __future__ import annotations
@@ -88,17 +91,14 @@ class ConnectionFunction:
 
 
 def metric_for(group, lam=1.0) -> MetricSpec:
-    """Catalog metric: rotation/H block weight 1, translation-like block
-    weight lam^2 (diagonal in the declared basis)."""
+    """Catalog metric, diagonal in the declared basis: weight lam^2 on the
+    directions that the group's catalog row names (``GroupSpec.lam_weighted``,
+    the translation-like block) and 1 elsewhere (the rotation or H block)."""
     spec = group if isinstance(group, GroupSpec) else get_group(group)
     if lam <= 0:
         raise MetricError("lam must be positive")
-    if spec.name == "so3":
-        diag = np.ones(3)
-    elif spec.name == "se3":
-        diag = np.array([1.0, 1.0, 1.0, lam**2, lam**2, lam**2])
-    else:  # se2, e11, n3, sl2r: basis (H-like, two lam-weighted directions)
-        diag = np.array([1.0, lam**2, lam**2])
+    diag = np.ones(spec.algebra_dim)
+    diag[list(spec.lam_weighted)] = lam**2
     return MetricSpec(spec, np.diag(diag), lam)
 
 
@@ -139,8 +139,8 @@ def alpha_biinvariant(group) -> ConnectionFunction:
     )
 
 
-def _polarize(spec, diagonal_map) -> np.ndarray:
-    """Symmetric bilinear table from its diagonal, u(A,B) =
+def _polarize(spec, diagonal_map, lam) -> np.ndarray:
+    """Symmetric bilinear table from its diagonal ``f(v, lam)``, u(A,B) =
     1/4 (f(A+B) - f(A-B))."""
     n = spec.algebra_dim
     table = np.zeros((n, n, n))
@@ -148,83 +148,59 @@ def _polarize(spec, diagonal_map) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             table[:, i, j] = 0.25 * (
-                diagonal_map(eye[i] + eye[j]) - diagonal_map(eye[i] - eye[j])
+                diagonal_map(eye[i] + eye[j], lam) - diagonal_map(eye[i] - eye[j], lam)
             )
     return table
 
 
+# The printed displays of the diagonal U(v, v), by group and then by reading,
+# each a function of (v, lam). A group's first reading is its primary
+# (as-printed) form. Groups whose sources print two conflicting displays, or
+# whose notation admits two readings, have one entry per reading. so3 has
+# none: its U vanishes.
+_U_DISPLAYS = {
+    "se3": {"cross-product": lambda v, lam: np.concatenate([np.zeros(3), np.cross(v[:3], v[3:])])},
+    "se2": {"rotation-action": lambda v, lam: np.array([0.0, -v[0] * v[2], v[0] * v[1]])},
+    "e11": {
+        "pseudo-norm-as-printed": lambda v, lam: np.array(
+            [lam * lam * (v[1] ** 2 - v[2] ** 2), -v[0] * v[1], v[0] * v[2]]),
+        "euclidean-norm-reading": lambda v, lam: np.array(
+            [lam * lam * (v[1] ** 2 + v[2] ** 2), -v[0] * v[1], v[0] * v[2]]),
+    },
+    "n3": {
+        "u-display": lambda v, lam: np.array(
+            [lam * lam * v[1] * v[2], lam * lam * v[0] * v[2], 0.0]),
+        "compensator-display": lambda v, lam: np.array(
+            [-lam * lam * v[1] * v[2], lam * lam * v[0] * v[2], 0.0]),
+    },
+    "sl2r": {
+        "as-printed": lambda v, lam: np.array([
+            (2.0 / (lam * lam)) * (v[1] * v[1] - v[2] * v[2]),
+            -2.0 * v[0] * v[1] + v[0] * v[2] * lam,
+            -v[0] * v[1] * lam + 2.0 * v[0] * v[2]]),
+    },
+}
+
+
 def closed_form_u_variants(name, lam=1.0):
-    """All closed-form encodings of U for one group.
+    """All closed-form encodings of U for one group, one per reading in
+    ``_U_DISPLAYS``.
 
     Returns an ordered dict label -> ConnectionFunction. The first entry is
-    the primary (as-printed) form returned by ``closed_form_u``. Groups
-    whose sources print two conflicting displays, or whose notation admits
-    two readings, get one entry per reading; the regression report compares
-    each against the metric solve.
+    the primary (as-printed) form returned by ``closed_form_u``; the
+    regression report compares each against the metric solve.
     """
     key = str(name).lower()
     spec = get_group(key)
     if lam <= 0:
         raise MetricError("lam must be positive")
-    l2 = lam * lam
-
-    if key == "se3":
-
-        def cross(v):
-            out = np.zeros(6)
-            out[3:] = np.cross(v[:3], v[3:])
-            return out
-
-        forms = {"cross-product": cross}
-    elif key == "se2":
-
-        def rot_action(v):
-            return np.array([0.0, -v[0] * v[2], v[0] * v[1]])
-
-        forms = {"rotation-action": rot_action}
-    elif key == "e11":
-
-        def pseudo(v):
-            return np.array(
-                [l2 * (v[1] ** 2 - v[2] ** 2), -v[0] * v[1], v[0] * v[2]]
-            )
-
-        def euclid(v):
-            return np.array(
-                [l2 * (v[1] ** 2 + v[2] ** 2), -v[0] * v[1], v[0] * v[2]]
-            )
-
-        forms = {"pseudo-norm-as-printed": pseudo, "euclidean-norm-reading": euclid}
-    elif key == "n3":
-
-        def u_display(v):
-            return np.array([l2 * v[1] * v[2], l2 * v[0] * v[2], 0.0])
-
-        def compensator_display(v):
-            return np.array([-l2 * v[1] * v[2], l2 * v[0] * v[2], 0.0])
-
-        forms = {"u-display": u_display, "compensator-display": compensator_display}
-    elif key == "sl2r":
-
-        def printed(v):
-            a, b, c = v
-            return np.array(
-                [
-                    (2.0 / l2) * (b * b - c * c),
-                    -2.0 * a * b + a * c * lam,
-                    -a * b * lam + 2.0 * a * c,
-                ]
-            )
-
-        forms = {"as-printed": printed}
-    else:
+    if key not in _U_DISPLAYS:
         raise UnsupportedGroupError(
-            f"no closed-form U for group {name!r} (supported: se3, se2, e11, n3, sl2r)"
+            f"no closed-form U for group {name!r} (supported: {', '.join(_U_DISPLAYS)})"
         )
-
     return {
-        label: ConnectionFunction(spec, _polarize(spec, f), label=f"closed-u {label}")
-        for label, f in forms.items()
+        label: ConnectionFunction(spec, _polarize(spec, f, lam), label=f"closed-u {label}")
+        for label, f in _U_DISPLAYS[key].items()
     }
 
 
@@ -271,10 +247,11 @@ def regress_closed_forms(closed_form_provider=closed_form_u_variants):
     point of the report is to make the known sign and lambda-placement
     conflicts between the printed displays visible next to the
     authoritative solve. ``closed_form_provider(name, lam)`` returns the
-    variants by label. Every group is compared at each of ``REGRESSION_LAMBDAS``.
+    variants by label. Every group of ``_U_DISPLAYS`` is compared at each of
+    ``REGRESSION_LAMBDAS``.
     """
     rows = []
-    for name in ("se3", "se2", "e11", "n3", "sl2r"):
+    for name in _U_DISPLAYS:
         for lam in REGRESSION_LAMBDAS:
             oracle = u_from_metric(metric_for(name, lam)).coeffs
             for label, conn in closed_form_provider(name, lam).items():

@@ -39,7 +39,7 @@ import numpy as np
 
 from .calculus import mc_increments
 from .connections import ConnectionFunction
-from .errors import GroupMismatchError, IntegratorDriftError, MembershipError
+from .errors import ExpOverflowError, GroupMismatchError, IntegratorDriftError, MembershipError
 from .groups import MEMBERSHIP_GATE, membership_defect, to_matrix_coords
 from .linalg import bilinear, mat_exp, slabs, tiles
 from .paths import expect
@@ -150,13 +150,20 @@ def ito_exponential(m, alpha: ConnectionFunction):
     a drift-free readback of M (strong order 1/2 in general, exact when
     alpha is quadratic-free). Only the symmetric part of alpha enters the
     quadratic correction, so the scheme is insensitive to the torsion
-    normalization of the connection table.
+    normalization of the connection table. A corrected step that overflows
+    raises ExpOverflowError.
     """
     expect(m, group_valued=False)
     correction = _ito_correction(m.group, alpha)
     dm = np.diff(m.values, axis=-2)
-    for slab in slabs(*dm.shape[:2]):
-        dm[slab] += correction(dm[slab])
+    # a huge step's quadratic overflows to inf or NaN, refused below; numpy
+    # need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for slab in slabs(*dm.shape[:2]):
+            dm[slab] += correction(dm[slab])
+    if not np.isfinite(dm).all():
+        raise ExpOverflowError(f"{m.group.name}: an Ito-corrected step overflowed; "
+                               "the step or the drift is too large")
     return _developed(m, dm)
 
 

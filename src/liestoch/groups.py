@@ -24,9 +24,12 @@ matrices goes through a least-squares projection onto the vectorized basis
 with a residual check, which catches corrupted inputs uniformly across
 groups.
 
-``membership_defect``, ``group_inverse`` and the so3 ``adjoint_matrices``
-take closed-form kernels from one table keyed by group name (``_KERNELS``);
-the other groups' adjoint conjugates and projects.
+Each group is one row of ``_CATALOG``, keyed by name: its basis builder,
+the basis directions that the catalog metric weights by lambda^2, and its
+closed-form defect, inverse and adjoint kernels, all carried by its
+``GroupSpec``. ``membership_defect``, ``group_inverse`` and the so3
+``adjoint_matrices`` call the spec's kernels; the other groups' adjoint
+conjugates and projects.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ from .linalg import (
     mat_exp,
 )
 
-GROUP_NAMES = ("so3", "se2", "se3", "e11", "n3", "sl2r")
-
 # Maximum membership defect tolerated for matrices claiming to be group
 # elements (integrator health gate).
 MEMBERSHIP_GATE = 1e-6
@@ -69,11 +70,17 @@ _CLOSURE_TOLERANCE = Tolerance(abs_tol=_CLOSURE_TOL, rel_tol=0.0)
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Immutable description of one catalog group.
+    """Immutable description of one catalog group, built from its
+    ``_CATALOG`` row.
 
     ``basis`` has shape (algebra_dim, matrix_dim, matrix_dim). The derived
     projector turns a vectorized matrix into basis coordinates (pseudo-
-    inverse of the vectorized basis).
+    inverse of the vectorized basis). ``lam_weighted`` holds the indices of
+    the basis directions that the catalog metric weights by lambda^2. The
+    kernels: ``defect`` maps entry rows (d*d, m) to (m,), ``inverse`` a
+    stack to a stack, and ``adjoint`` entry rows of members to (m, n, n) Ad
+    matrices, or is None for the generic conjugate-and-project path with
+    its closure check.
     """
 
     name: str
@@ -81,6 +88,10 @@ class GroupSpec:
     algebra_dim: int
     basis: np.ndarray
     _projector: np.ndarray = field(repr=False, compare=False)
+    lam_weighted: tuple = field(repr=False, compare=False)
+    defect: Callable = field(repr=False, compare=False)
+    inverse: Callable = field(repr=False, compare=False)
+    adjoint: Callable | None = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -148,20 +159,10 @@ def _sl2r_basis():
     return np.stack([h, ep, em])
 
 
-_BASIS_BUILDERS = {
-    "so3": _so3_basis,
-    "se2": _se2_basis,
-    "se3": _se3_basis,
-    "e11": _e11_basis,
-    "n3": _n3_basis,
-    "sl2r": _sl2r_basis,
-}
-
-
 def get_group(name) -> GroupSpec:
     """Look up a catalog group by name (case-insensitive)."""
     key = str(name).lower()
-    if key not in _BASIS_BUILDERS:
+    if key not in _CATALOG:
         raise UnsupportedGroupError(
             f"unknown group {name!r}; supported: {', '.join(GROUP_NAMES)}"
         )
@@ -170,7 +171,8 @@ def get_group(name) -> GroupSpec:
 
 @lru_cache(maxsize=None)
 def _build_group(key) -> GroupSpec:
-    basis = _BASIS_BUILDERS[key]()
+    build, lam_weighted, defect, inverse, adjoint = _CATALOG[key]
+    basis = build()
     n, d, _ = basis.shape
     vec = basis.reshape(n, d * d)
     # least-squares projector via the normal equations; the catalog bases
@@ -178,7 +180,8 @@ def _build_group(key) -> GroupSpec:
     # entries come out exact (unlike an SVD pseudo-inverse)
     projector = np.linalg.inv(vec @ vec.T) @ vec  # (n, d*d)
     return GroupSpec(
-        name=key, matrix_dim=d, algebra_dim=n, basis=basis, _projector=projector
+        name=key, matrix_dim=d, algebra_dim=n, basis=basis, _projector=projector,
+        lam_weighted=lam_weighted, defect=defect, inverse=inverse, adjoint=adjoint,
     )
 
 
@@ -247,7 +250,7 @@ def bracket_coords(spec, x, y):
     return bilinear(structure_constants(spec), x, y)
 
 
-# Closed-form group kernels, one table entry per group. Defect and adjoint
+# Closed-form group kernels, one catalog row per group. Defect and adjoint
 # kernels work on entry rows (row d*i + j holds entry (i, j) of every
 # matrix, as in ``linalg``), so each is a few dozen elementwise operations
 # with no stacked matmul or LU; inverse kernels read and write the stack
@@ -363,28 +366,18 @@ def _so3_adjoint(e):
     return _stack(cof, 3)
 
 
-@dataclass(frozen=True)
-class _GroupKernels:
-    """One group's closed forms.
-
-    ``defect``: entry rows (d*d, m) -> (m,); ``inverse``: stack -> stack;
-    ``adjoint``: entry rows of members -> (m, n, n) Ad matrices, or None
-    for the generic conjugate-and-project path with its closure check.
-    """
-
-    defect: Callable
-    inverse: Callable
-    adjoint: Callable | None = None
-
-
-_KERNELS = {
-    "so3": _GroupKernels(partial(_rotation_defect, d=3, k=3), _so3_inverse, _so3_adjoint),
-    "se2": _GroupKernels(partial(_rigid_defect, d=3), _rigid_inverse),
-    "se3": _GroupKernels(partial(_rigid_defect, d=4), _rigid_inverse),
-    "e11": _GroupKernels(_e11_defect, _e11_inverse),
-    "n3": _GroupKernels(_n3_defect, _n3_inverse),
-    "sl2r": _GroupKernels(_sl2r_defect, _sl2r_inverse),
+# One row per group, in catalog order: (basis builder, lambda^2-weighted
+# basis directions, defect, inverse, adjoint or None); see ``GroupSpec``.
+_CATALOG = {
+    "so3": (_so3_basis, (), partial(_rotation_defect, d=3, k=3), _so3_inverse, _so3_adjoint),
+    "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None),
+    "se3": (_se3_basis, (3, 4, 5), partial(_rigid_defect, d=4), _rigid_inverse, None),
+    "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None),
+    "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None),
+    "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None),
 }
+
+GROUP_NAMES = tuple(_CATALOG)
 
 
 def _group_matrices(spec, g):
@@ -402,11 +395,9 @@ def membership_defect(spec, g):
     solvers gate on ``MEMBERSHIP_GATE`` and reject NaN.
     """
     g = _group_matrices(spec, g)
-    kernel = _KERNELS[spec.name].defect
-
     def finite_defect(flat):
         e = _entries(flat)
-        defect = kernel(e)
+        defect = spec.defect(e)
         # the kernels skip free entries (translations, the n3 upper triangle)
         defect[~np.isfinite(e).all(axis=0)] = np.nan
         return defect
@@ -424,7 +415,7 @@ def group_inverse(spec, g):
     members get exact inverses up to one rounding, which keeps membership
     defects flat along long paths.
     """
-    return _KERNELS[spec.name].inverse(_group_matrices(spec, g))
+    return spec.inverse(_group_matrices(spec, g))
 
 
 def adjoint_matrices(spec, g):
@@ -441,9 +432,8 @@ def adjoint_matrices(spec, g):
             f"{spec.name}: membership defect {float(np.max(defect)):.3e} "
             f"exceeds gate {MEMBERSHIP_GATE:.1e}"
         )
-    closed = _KERNELS[spec.name].adjoint
-    if closed is not None:
-        return map_stacked(lambda flat: closed(_entries(flat)), g)
+    if spec.adjoint is not None:
+        return map_stacked(lambda flat: spec.adjoint(_entries(flat)), g)
     ginv = group_inverse(spec, g)
     conj = np.einsum("...ab,nbc,...cd->...nad", g, spec.basis, ginv)
     try:

@@ -64,9 +64,11 @@ def test_criterion_4_campbell_hausdorff():
 
 
 def test_criterion_4_transposed_so3_adjoint_is_caught(monkeypatch):
-    kernels = groups._KERNELS["so3"]
-    transposed = lambda g: np.swapaxes(kernels.adjoint(g), -1, -2)  # noqa: E731  Ad(R^-1)
-    monkeypatch.setitem(groups._KERNELS, "so3", dataclasses.replace(kernels, adjoint=transposed))
+    so3 = groups.get_group("so3")
+    transposed = lambda e: np.swapaxes(so3.adjoint(e), -1, -2)  # noqa: E731  Ad(R^-1)
+    mutant = dataclasses.replace(so3, adjoint=transposed)
+    build = groups._build_group
+    monkeypatch.setattr(groups, "_build_group", lambda key: mutant if key == "so3" else build(key))
     result = acceptance.criterion_campbell()
     print(result.line(), result.details)
     assert not result.passed

@@ -20,7 +20,7 @@ from liestoch.cli import (
     UsageError,
     main,
 )
-from liestoch.connections import metric_for, u_from_metric
+from liestoch.connections import REGRESSION_LAMBDAS, metric_for, u_from_metric
 
 
 def run_cli(*argv):
@@ -382,6 +382,19 @@ def test_exp_overflow_prints_only_the_cli_message(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
 
 
+def test_ito_correction_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the se3 Levi-Civita correction squares a step of 1e200 * 0.01, which
+    # overflows before any exponential; no np.errstate shield, so a numpy
+    # warning on the way fails the test (pyproject's filterwarnings)
+    out = tmp_path / "y.csv"
+    code = run_cli("exp", "--group", "se3", "--driver", "drift",
+                   "--drift", "1e200,0,0,0,1e200,0", "--dt", "0.01", "--steps", "2",
+                   "--replicas", "1", "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("buckets, replicas", [
     ("20", "200"), ("20", "50"), ("0", "200"), ("-5", "200"),
 ])
@@ -466,6 +479,21 @@ def test_covariance_file_validation(tmp_path):
         "--out", str(tmp_path / "o.csv"),
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("entry", ["x", "nan", "inf"])
+def test_covariance_file_entries_must_be_finite_numbers(entry, tmp_path, capsys):
+    # "x" used to escape as np.loadtxt's ValueError, "nan" and "inf" as
+    # spd_cholesky's, each a traceback with exit 1
+    cov = tmp_path / "cov.csv"
+    cov.write_text(f"1,0,0\n0,{entry},0\n0,0,1\n")
+    out = tmp_path / "o.csv"
+    code = run_cli("exp", "--group", "so3", "--cov", str(cov), "--dt", "0.01",
+                   "--steps", "10", "--replicas", "2", "--out", str(out))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--cov" in err
+    assert not out.exists()
 
 
 def _so3_run(command, tmp_path, name, *extra):
@@ -583,6 +611,21 @@ def test_config_file_values_outside_the_flag_choices_are_refused(command, key, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("named, expected", [("campbell", EXIT_USAGE), ("exp", EXIT_OK)])
+def test_config_file_command_must_match_the_subcommand(named, expected, tmp_path, capsys):
+    # a file naming another subcommand used to run as exp and record "exp"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command={named}\ngroup=so3\nreplicas=2\nsteps=10\ndt=0.01\n")
+    out = tmp_path / "x.csv"
+    assert run_cli("exp", "--config", str(cfg), "--out", str(out)) == expected
+    if expected == EXIT_USAGE:
+        assert repr("command") in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["config"]["command"] == "exp"
+
+
 @pytest.mark.parametrize("significance", ["-0.5", "-1e-300", "1", "nan"])
 def test_significance_outside_the_unit_interval_is_refused(significance, tmp_path):
     code, out = _so3_run("martingale-test", tmp_path, "x.json",
@@ -605,9 +648,10 @@ _PIN_GROUPS = {"so3": 3, "se2": 3, "se3": 6, "e11": 3, "n3": 3, "sl2r": 3}
 def _pinned_runs():
     """(output name, argv) of every run whose bytes are pinned, on all six
     groups: ``exp`` under each driver, ``log``, ``martingale-test`` under
-    both schemes and under each driver, ``roundtrip``, ``convergence`` and
-    ``campbell`` in both formats; and on se3 a correlated ``--cov`` draw and
-    a seed above 2**128."""
+    both schemes and under each driver, ``roundtrip``, ``convergence``,
+    ``campbell`` in both formats and ``u-table`` at each of
+    ``REGRESSION_LAMBDAS``; and on se3 a correlated ``--cov`` draw and a seed
+    above 2**128."""
     for group, n in _PIN_GROUPS.items():
         base = ["--group", group, "--dt", "0.01", "--steps", "10", "--replicas", "3",
                 "--seed", "11"]
@@ -627,6 +671,8 @@ def _pinned_runs():
             yield f"campbell-{fmt}-{group}", [
                 "campbell", "--group", group, "--connection", "biinvariant",
                 "--dts", "0.02,0.01", "--replicas", "3", "--seed", "11", "--format", fmt]
+        for lam in REGRESSION_LAMBDAS:
+            yield f"u-table-{group}-{lam:g}", ["u-table", "--group", group, "--lambda", repr(lam)]
     se3 = ["exp", "--group", "se3", "--dt", "0.01", "--steps", "10", "--replicas", "3"]
     yield "exp-cov-se3", [*se3, "--seed", "11", "--cov", "cov.csv"]
     yield "exp-bigseed-se3", [*se3, "--seed", str(2**130 + 3)]
@@ -993,6 +1039,78 @@ _PINNED_DIGESTS = {
         "d446073ec82c3b9676311af57b2ba944ccc80be773d9db896677c25274296e9b",
     "exp-bigseed-se3.manifest.json":
         "91fe2fcd60db7f2b0b21edcf6741c780b6c65c58c78edb23e4d0b0e031290121",
+    "u-table-so3-0.5":
+        "542c8585a9349cf544c191d92093841f0b92c29e224096ca7710ca19ec39bb0b",
+    "u-table-so3-0.5.manifest.json":
+        "5c06194445db6445d86ab731c6e05fe0a58a80bb156ff4849ea90894297f732c",
+    "u-table-so3-1":
+        "542c8585a9349cf544c191d92093841f0b92c29e224096ca7710ca19ec39bb0b",
+    "u-table-so3-1.manifest.json":
+        "f4ee7eea46459f11d852bd38128c359c2f9d855ba4165941c53cdf5d9b5166fb",
+    "u-table-so3-2":
+        "542c8585a9349cf544c191d92093841f0b92c29e224096ca7710ca19ec39bb0b",
+    "u-table-so3-2.manifest.json":
+        "52dd03a7a180014fcb36f7b99aad728b021fe18fc13af7a6eadd17a464727827",
+    "u-table-se2-0.5":
+        "6d823c0d6e6b17dfb1a742b82e988d0a9da6026de74c57892b09acec10b7bfe5",
+    "u-table-se2-0.5.manifest.json":
+        "6d4b63ea10179be0ea57f7886cc2443e8dc0716a48b149f6a39fb479c4af6fa6",
+    "u-table-se2-1":
+        "6d823c0d6e6b17dfb1a742b82e988d0a9da6026de74c57892b09acec10b7bfe5",
+    "u-table-se2-1.manifest.json":
+        "8bf5747dc0a7bc63605114ce894b2a3abf5956def52393476fed4e87cba3bdd4",
+    "u-table-se2-2":
+        "6d823c0d6e6b17dfb1a742b82e988d0a9da6026de74c57892b09acec10b7bfe5",
+    "u-table-se2-2.manifest.json":
+        "f1cd4b82d52457d9a4b3b4c8ac53d1edbaba2220c61cb7dd36988b5730683500",
+    "u-table-se3-0.5":
+        "13fea9577da6678edb0ea0647e776e071d68656d61c2b1449e7b0630e691cdaf",
+    "u-table-se3-0.5.manifest.json":
+        "ce640b3ff9608cb9ad10f6742924fc699542de45834b74a7bd8801b6a3f667df",
+    "u-table-se3-1":
+        "13fea9577da6678edb0ea0647e776e071d68656d61c2b1449e7b0630e691cdaf",
+    "u-table-se3-1.manifest.json":
+        "4136843dff85fb3b1b26c42c1624e3bbef553f5d5155facb7e8fceaca1a550ce",
+    "u-table-se3-2":
+        "13fea9577da6678edb0ea0647e776e071d68656d61c2b1449e7b0630e691cdaf",
+    "u-table-se3-2.manifest.json":
+        "e7bd5718a3ae927d70024833fd2df8dcb2826953ffe82ed5b1ff68c56355470c",
+    "u-table-e11-0.5":
+        "27614eef56dfba4585888010badd7f52bc827b8aaeefad45eeb57d97f734fd41",
+    "u-table-e11-0.5.manifest.json":
+        "a5f35431eba83511106f5b764e66eca48660c1c4c85969d0512c1cceb8b77b21",
+    "u-table-e11-1":
+        "48efd9c6aff23ff6a69a94d2dce6bb1f5b250afdac9e43a7ad57344ebd98f00d",
+    "u-table-e11-1.manifest.json":
+        "a4d75500f48ecfef45a09663084d3a90d33219638de7db296f73d77d4c449c75",
+    "u-table-e11-2":
+        "4b4f354c5834c858ca285429c00bc21f16ff553551675735628e75e2bd610f6e",
+    "u-table-e11-2.manifest.json":
+        "82c7caac6e85378f411640e4da3e4471569f230dd59959839f25426a57cc7665",
+    "u-table-n3-0.5":
+        "54c9413bfa76a11698f506400c2185eff106e58eca8dc0fc8185e440eba53431",
+    "u-table-n3-0.5.manifest.json":
+        "18d838e74dd22046a07ae13b7f30a6b23705ddfe05a97b2eabc6d3a7eb62679b",
+    "u-table-n3-1":
+        "8d0b4543d4c75a549960f8344096b3eceb9818ca1f09c8807c3be2d9c152fea8",
+    "u-table-n3-1.manifest.json":
+        "92da7306afeae50d69100cabe59a666c8c509c2aedf39e3df5d1f90a9a5a1024",
+    "u-table-n3-2":
+        "ee792987a902d14e718b5b5a6ea5ef7f6d60ec5e4e294d6026867ec29504dbd3",
+    "u-table-n3-2.manifest.json":
+        "465f90b13f3f0ba161d4f38c9fd0ca49167480a767f293af459a5744ac93faa0",
+    "u-table-sl2r-0.5":
+        "f894537a9ed8bec773351d2c4470db81b13937854eb1198d4710581b03489db3",
+    "u-table-sl2r-0.5.manifest.json":
+        "25633391ae2081ea0498f1ba9f6dbf8202efc925a5daca124603ea45ff3ddc18",
+    "u-table-sl2r-1":
+        "d257ae1e8a6c20b99bc4d4f931c8dbf89164d990adcb340e2a2236ec080de81f",
+    "u-table-sl2r-1.manifest.json":
+        "24d26afedafba2481abfa8494ed4eb437ea725cf19b440cdc00caaf053eb85b3",
+    "u-table-sl2r-2":
+        "9db7472e0e88b92a63444a9565223872580eede06ac7545ced794a6275a68850",
+    "u-table-sl2r-2.manifest.json":
+        "cbf580b9a43f07255cd82cac98b6d0e8117512001fd2d5680665700263a5b4c3",
 }
 
 

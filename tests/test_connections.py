@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -249,3 +250,46 @@ def test_closed_forms_are_symmetric_bilinears(seed, name):
         ab = bilinear(conn.coeffs, a, b)
         ba = bilinear(conn.coeffs, b, a)
         assert np.max(np.abs(ab - ba)) < 1e-12
+
+
+# Metric scales of the library digest: the regression's and four off-grid ones.
+DIGEST_LAMBDAS = (0.5, 0.7, 1.0, 1.3, 1.4, 2.0, 3.7)
+
+
+def _library_digest():
+    """sha256 over every catalog table: per group the basis, projector and
+    structure constants; per group and scale the metric Gram, U, alpha and
+    each closed-form U table with its label; and the regression report."""
+    h = hashlib.sha256()
+
+    def add(*items):
+        for item in items:
+            if isinstance(item, np.ndarray):
+                h.update(repr(item.shape).encode())
+                item = np.ascontiguousarray(item).tobytes()
+            h.update(item if isinstance(item, bytes) else repr(item).encode())
+
+    for name in GROUP_NAMES:
+        spec = get_group(name)
+        add(name, spec.basis, spec._projector, structure_constants(spec))
+        for lam in DIGEST_LAMBDAS:
+            metric = metric_for(name, lam)
+            u, alpha = u_from_metric(metric), alpha_levi_civita(metric)
+            add(lam, metric.gram, u.label, u.coeffs, alpha.label, alpha.coeffs)
+            try:
+                variants = closed_form_u_variants(name, lam)
+            except UnsupportedGroupError as exc:
+                add(str(exc))
+                continue
+            for label, conn in variants.items():
+                add(label, conn.label, conn.coeffs)
+    add(regress_closed_forms())
+    return h.hexdigest()
+
+
+def test_catalog_tables_are_pinned():
+    """The bits of every basis, metric and U table, and the regression
+    report, taken with numpy 2.4.6: the contract that a refactor of the
+    catalog tables must keep."""
+    assert _library_digest() == (
+        "7978772b381782c0635aa09ef0d751370829139afe32a05363cec2203bba8f26")
