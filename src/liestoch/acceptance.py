@@ -11,6 +11,7 @@ whose pass/fail outcome is reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ from .connections import (
     u_from_metric,
 )
 from .groups import GROUP_NAMES, get_group
-from .paths import TimeGrid, brownian_ensemble, null_qv_check
+from .paths import TimeGrid, brownian_ensemble, normal_quantile, null_qv_check
 
 SEEDS = {
     "roundtrip": 20260810,
@@ -37,7 +38,7 @@ SEEDS = {
     "product_x": 17320508,
     "product_y": 22360679,
     "nullqv": 12345678,
-    "trace": 8675309,
+    "metric_bm": 100,
 }
 
 # Correlated SE(3) covariance whose compensator drift is 0.8 along e3:
@@ -267,26 +268,81 @@ def criterion_null_qv_preservation() -> CriterionResult:
     )
 
 
+def _expm(a):
+    """exp(a) by scaling and squaring a 20-term Taylor sum: criterion 9's
+    oracle, written apart from ``linalg.mat_exp``."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))  # the 1-norm
+    squarings = max(0, math.frexp(norm)[1] + 1)  # scaled norm below 1/2
+    a = a / 2.0**squarings
+    out = term = np.eye(len(a))
+    for k in range(1, 21):
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _second_moment_law(spec, cov, alpha, horizon):
+    """``E[X_T (x) X_T]`` for the Ito development X of a Brownian motion of
+    covariance C, and the drift ``alpha_sym : C`` it contains.
+
+    X ⊗ X is driven by the K_j = L_j ⊗ I + I ⊗ L_j of the basis matrices
+    L_j; its left-invariant generator (M. Liao, *Levy Processes in Lie
+    Groups*, 2004) is
+    ``A = 1/2 sum_jk C_jk K_j K_k - 1/2 sum_k (alpha_sym : C)_k K_k``, so
+    ``E[X_T (x) X_T] = exp(T A)`` up to a bias of first order in dt.
+    """
+    eye = np.eye(spec.matrix_dim)
+    k = np.array([np.kron(m, eye) + np.kron(eye, m) for m in spec.basis])
+    drift = np.einsum("kij,ij->k", alpha.symmetric_part(), cov)
+    gen = (0.5 * np.einsum("jk,jab,kbc->ac", cov, k, k)
+           - 0.5 * np.einsum("k,kab->ab", drift, k))
+    return _expm(horizon * gen), drift
+
+
 @_timed
-def criterion_trace_condition() -> CriterionResult:
-    """Brownian trace condition: the realized Gram quadratic integral of
-    the metric Brownian motion grows like n*t on all six groups."""
-    ratios = {}
-    ok = True
+def criterion_metric_brownian_law() -> CriterionResult:
+    """On all six groups, the catalog metric's Brownian motion at lambda = 2
+    (covariance C = G^-1), developed by ``ito_exponential`` under the
+    Levi-Civita connection, has the second moment of ``_second_moment_law``.
+
+    A cell of ``kron(X_T, X_T)`` with zero sample variance must equal the
+    law to 1e-12, and every other cell's |z| must stay within the
+    Bonferroni band of family significance 0.01 over all groups' cells.
+    Every catalog group is unimodular, so ``alpha_sym : G^-1`` is exactly
+    zero; the law keeps the term and reports its largest entry. The second
+    moment sees lambda (the first does not: lambda's directions square to
+    zero and C is diagonal), the basis, ``mat_exp`` and the product order,
+    but not per-step terms of order dt^(3/2).
+    """
+    grid = TimeGrid(1.0, 100)
+    cells, max_z, const_err, max_drift = 0, {}, 0.0, 0.0
     for name in GROUP_NAMES:
-        spec = get_group(name)
-        metric = metric_for(name, 1.0)
-        ens = brownian_ensemble(
-            spec, TimeGrid(1.0, 2000), SEEDS["trace"], 64,
-            covariance=np.linalg.inv(metric.gram),
-        )
-        rep = martingale.qv_linearity_check(explog.strat_exponential(ens), metric)
-        ratios[name] = rep.ratio
-        ok = ok and rep.passed
+        spec, metric = get_group(name), metric_for(name, 2.0)
+        cov, alpha = np.linalg.inv(metric.gram), alpha_levi_civita(metric)
+        law, drift = _second_moment_law(spec, cov, alpha, grid.horizon)
+        ens = brownian_ensemble(spec, grid, SEEDS["metric_bm"], 10_000, covariance=cov)
+        xt = explog.ito_exponential(ens, alpha).values[:, -1]
+        kron = np.einsum("rab,rcd->racbd", xt, xt).reshape(len(xt), -1)
+        sd, diff = kron.std(axis=0, ddof=1), kron.mean(axis=0) - law.reshape(-1)
+        const_err = max(const_err, float(np.max(np.abs(diff[sd == 0]), initial=0.0)))
+        z = diff[sd > 0] / (sd[sd > 0] / np.sqrt(len(xt)))
+        cells += z.size
+        max_z[name] = float(np.max(np.abs(z)))
+        max_drift = max(max_drift, float(np.max(np.abs(drift))))
+    z_star = normal_quantile(1.0 - 0.01 / (2.0 * cells))
+    passed = const_err <= 1e-12 and max(max_z.values()) <= z_star
     return CriterionResult(
-        name="brownian trace condition (all six groups)",
-        passed=bool(ok),
-        details={"terminal_ratio": ratios},
+        name="metric brownian motion second moment (all six groups, lambda = 2)",
+        passed=bool(passed),
+        details={
+            "cells": cells,
+            "z_star": z_star,
+            "max_abs_z": max_z,
+            "max_constant_cell_error": const_err,
+            "max_abs_alpha_sym_contraction": max_drift,
+        },
     )
 
 
@@ -299,7 +355,7 @@ ALL_CRITERIA = (
     criterion_martingale_negative,
     criterion_product_of_martingales,
     criterion_null_qv_preservation,
-    criterion_trace_condition,
+    criterion_metric_brownian_law,
 )
 
 

@@ -156,6 +156,9 @@ class ExperimentConfig:
         _positive(self.dt, "--dt")
         if self.steps <= 0:
             raise UsageError("--steps must be positive")
+        if not math.isfinite(self.dt * self.steps):
+            raise UsageError(f"the horizon --dt * --steps must be finite, "
+                             f"got {self.dt!r} * {self.steps}")
         return TimeGrid(self.dt * self.steps, self.steps)
 
 
@@ -169,6 +172,9 @@ def _connection(config):
     spec = get_group(config.group)
     _positive(config.lam, "--lambda")
     if config.connection == "biinvariant":
+        if config.lam != 1.0:
+            raise UsageError(f"--lambda weights the levicivita metric; the biinvariant "
+                             f"connection has none, got {config.lam!r}")
         return spec, alpha_biinvariant(spec)
     return spec, alpha_levi_civita(metric_for(spec, config.lam))
 

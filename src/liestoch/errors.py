@@ -26,6 +26,11 @@ class ExpOverflowError(LieStochError):
     drift is too large for the group's coordinates)."""
 
 
+class NonFiniteError(LieStochError, ValueError):
+    """An array holds inf or NaN where finite numbers are needed: an
+    ensemble's values, or a driver draw that left double range."""
+
+
 class GroupMismatchError(LieStochError):
     """Operands belong to different groups."""
 

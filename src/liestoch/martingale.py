@@ -12,7 +12,9 @@ The decision rule: a cell fails when its mean is more than
 "pass" when at least 95% of the buckets-by-components cells are within the
 band. This keeps the false-failure rate of a true martingale ensemble well
 under 5% at the default shape (20 buckets by 6 components) while flagging
-drifts far below visual scale.
+drifts far below visual scale. The law of the metric Brownian motion is
+checked through its second moment by
+``acceptance.criterion_metric_brownian_law``, not here.
 """
 
 from __future__ import annotations
@@ -21,16 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import quadratic_integral
-from .connections import ConnectionFunction, MetricSpec
-from .errors import DimensionError, HypothesisError, PowerError
+from .connections import ConnectionFunction
+from .errors import DimensionError, PowerError
 from .explog import ito_logarithm
 from .paths import Ensemble, expect
 
 DEFAULT_Z_BAND = 4.0
 DEFAULT_CELL_FRACTION = 0.95
 MIN_REPLICAS = 100
-QV_TOLERANCE = 0.05  # relative band of the trace-condition ratio
 
 
 @dataclass(frozen=True)
@@ -117,61 +117,3 @@ def martingale_verdict(ensemble: Ensemble, alpha: ConnectionFunction, buckets=20
     expect(ensemble, group_valued=True)
     comp = ito_logarithm(ensemble, alpha)
     return drift_test(comp, buckets=buckets, z_band=z_band, connection_label=alpha.label)
-
-
-@dataclass(frozen=True)
-class QVLinearityReport:
-    """Brownian trace-condition check: realized metric quadratic integral
-    against its linear-growth law n*t."""
-
-    group: str
-    lam: float
-    replicas: int
-    horizon: float
-    mean_terminal: float
-    expected_terminal: float
-    ratio: float
-    tolerance: float
-    passed: bool
-
-    def __bool__(self):
-        return self.passed
-
-
-def qv_linearity_check(ensemble: Ensemble, metric: MetricSpec) -> QVLinearityReport:
-    """Check that the realized Gram quadratic integral grows like n*t.
-
-    For group paths developed from a Brownian driver whose covariance is
-    the inverse Gram matrix (the metric's Brownian motion in left
-    trivialization), the quadratic integral of the Gram bilinear must hit
-    ``n * horizon`` on average, within ``QV_TOLERANCE``. The covariance
-    precondition is checked against the ensemble's recorded driver.
-    """
-    expect(ensemble, group_valued=True)
-    n = ensemble.group.algebra_dim
-    if ensemble.driver_covariance is None:
-        raise HypothesisError(
-            "qv_linearity_check: ensemble does not record a Brownian driver"
-        )
-    expected_cov = np.linalg.inv(metric.gram)
-    if not np.allclose(ensemble.driver_covariance, expected_cov, atol=1e-9):
-        raise HypothesisError(
-            "qv_linearity_check: driver covariance is not the inverse Gram "
-            "matrix of the metric"
-        )
-    running = quadratic_integral(metric.gram, ensemble)
-    terminal = running[..., -1]
-    mean_terminal = float(np.mean(terminal))
-    expected = n * ensemble.grid.horizon
-    ratio = mean_terminal / expected
-    return QVLinearityReport(
-        group=ensemble.group.name,
-        lam=metric.lam,
-        replicas=ensemble.replicas,
-        horizon=ensemble.grid.horizon,
-        mean_terminal=mean_terminal,
-        expected_terminal=expected,
-        ratio=ratio,
-        tolerance=QV_TOLERANCE,
-        passed=bool(abs(ratio - 1.0) <= QV_TOLERANCE),
-    )

@@ -14,18 +14,20 @@ definition. Each replica owns an independent stream derived only from
 order. The driver computes the same derivation in bulk: one vectorised pass
 of SeedSequence's hash gives every replica's PCG64 seed words, each
 replica's normals land in one stacked buffer, and the covariance factor,
-drift and running sum are applied to the whole stack at once.
+drift and running sum are applied to the whole stack at once. A draw that
+leaves double range is caught by the Ensemble's own finiteness check and
+raised as NonFiniteError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import erf, sqrt
+from math import erf, isfinite, sqrt
 
 import numpy as np
 
-from .errors import DimensionError, GridMismatchError, MetricError
+from .errors import DimensionError, GridMismatchError, MetricError, NonFiniteError
 from .groups import GroupSpec
 from .linalg import spd_cholesky
 
@@ -38,8 +40,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.steps <= 0:
-            raise ValueError("horizon and steps must be positive")
+        if not (self.horizon > 0 and isfinite(self.horizon)) or self.steps <= 0:
+            raise ValueError("horizon must be positive and finite, steps positive")
 
     @property
     def dt(self):
@@ -54,7 +56,7 @@ def _check_values(values, expected_shape, what):
     if values.shape != expected_shape:
         raise DimensionError(f"{what}: expected shape {expected_shape}, got {values.shape}")
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what}: non-finite entries")
+        raise NonFiniteError(f"{what}: non-finite entries")
     return values
 
 
@@ -64,8 +66,6 @@ class Ensemble:
 
     ``values`` has shape (replicas, steps+1, n) for algebra ensembles or
     (replicas, steps+1, d, d) for group ensembles, every entry finite.
-    ``driver_covariance`` records the increment covariance when the ensemble
-    came from ``brownian_ensemble`` (consumed by preconditions downstream).
     Solvers attach ``step_logs``, the (replicas, steps, n) left-trivialized
     step vectors they injected, making log-type readbacks and left
     translation exact rather than asymptotic. The membership-defect gate is
@@ -75,7 +75,6 @@ class Ensemble:
     group: GroupSpec
     grid: TimeGrid
     values: np.ndarray
-    driver_covariance: np.ndarray | None = None
     step_logs: np.ndarray | None = None
 
     def __post_init__(self):
@@ -104,8 +103,8 @@ class Ensemble:
         return self.values.reshape(self.values.shape[:2] + (-1,))
 
     def with_values(self, values, step_logs=None):
-        """Derived ensemble with new values that keeps the driver covariance."""
-        return Ensemble(self.group, self.grid, values, self.driver_covariance, step_logs)
+        """Derived ensemble on the same group and grid."""
+        return Ensemble(self.group, self.grid, values, step_logs)
 
 
 def expect(x, group_valued):
@@ -226,22 +225,30 @@ def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
     dt. With a nonzero drift the replicas are not martingales: that is the
     negative-control driver. The increments are written into the values
     buffer and summed there in place, so the normals are the only transient
-    of the value array's size.
+    of the value array's size. A draw that leaves double range raises
+    NonFiniteError.
     """
     n = group.algebra_dim
     cov = np.eye(n) if covariance is None else np.asarray(covariance, dtype=np.float64)
     if cov.shape != (n, n):
         raise MetricError(f"covariance must be {n}x{n}")
-    factor = spd_cholesky(cov, what="covariance") * sqrt(grid.dt)
     if drift is not None:
         drift = _check_values(drift, (n,), "drift")
     values = np.zeros((replicas, grid.steps + 1, n))
     dm = values[:, 1:]
-    np.matmul(_standard_normals(base_seed, replicas, (grid.steps, n)), factor.T, out=dm)
-    if drift is not None:
-        dm += drift * grid.dt
-    np.cumsum(dm, axis=1, out=dm)
-    return Ensemble(group, grid, values, driver_covariance=cov)
+    # a draw that leaves double range turns into inf or NaN, which the
+    # Ensemble's finiteness check refuses; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = spd_cholesky(cov, what="covariance") * sqrt(grid.dt)
+        np.matmul(_standard_normals(base_seed, replicas, (grid.steps, n)), factor.T, out=dm)
+        if drift is not None:
+            dm += drift * grid.dt
+        np.cumsum(dm, axis=1, out=dm)
+    try:
+        return Ensemble(group, grid, values)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{group.name}: the driver left double range; "
+                             "the drift or the horizon is too large") from exc
 
 
 def _coordinate_increments(p, q):

@@ -8,9 +8,10 @@ doubles as the human-readable acceptance report. The same functions back the
 import dataclasses
 
 import numpy as np
+import pytest
 
-from liestoch import acceptance, groups
-from liestoch.connections import closed_form_u_variants
+from liestoch import acceptance, explog, groups
+from liestoch.connections import alpha_levi_civita, closed_form_u_variants, metric_for
 
 
 def _run(fn, *args):
@@ -99,8 +100,38 @@ def test_criterion_8_null_qv_preservation():
     assert result.seconds < 120.0
 
 
-def test_criterion_9_trace_condition():
-    result = _run(acceptance.criterion_trace_condition)
-    for name, ratio in result.details["terminal_ratio"].items():
-        assert abs(ratio - 1.0) <= 0.05, name
-    assert result.seconds < 60.0
+def test_criterion_9_metric_brownian_law():
+    result = _run(acceptance.criterion_metric_brownian_law)
+    assert result.details["cells"] == 364
+    assert max(result.details["max_abs_z"].values()) <= result.details["z_star"]
+    assert result.details["max_constant_cell_error"] <= 1e-12
+    assert result.seconds < 30.0
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+@pytest.mark.parametrize("name", groups.GROUP_NAMES)
+def test_criterion_9_law_has_no_drift_term(name, lam):
+    # every catalog group is unimodular, so sum_k U(f_k, f_k) = 0 over a
+    # G-orthonormal basis f: the metric Brownian motion's generator keeps
+    # only its diffusion term
+    metric = metric_for(name, lam)
+    alpha = alpha_levi_civita(metric)
+    contraction = np.einsum("kij,ij->k", alpha.symmetric_part(), np.linalg.inv(metric.gram))
+    assert np.all(contraction == 0.0)
+
+
+def test_criterion_9_scaled_se3_basis_coordinate_is_caught(monkeypatch):
+    # the develop reads se3's E1 coordinate 5% too large: every step stays
+    # on the group, so only the law of X_T can tell
+    to_matrix = explog.to_matrix_coords
+
+    def scaled(spec, coords):
+        if spec.name == "se3":
+            coords = coords * np.array([1.05, 1.0, 1.0, 1.0, 1.0, 1.0])
+        return to_matrix(spec, coords)
+
+    monkeypatch.setattr(explog, "to_matrix_coords", scaled)
+    result = acceptance.criterion_metric_brownian_law()
+    print(result.line(), result.details)
+    assert not result.passed
+    assert result.details["max_abs_z"]["se3"] > result.details["z_star"]

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from liestoch.calculus import increments_from_values, mc_increments, quadratic_integral
+from liestoch.calculus import increments_from_values, mc_increments
 from liestoch.connections import (
     alpha_biinvariant,
     alpha_levi_civita,
     closed_form_u,
     metric_for,
 )
-from liestoch.errors import DimensionError, GroupMismatchError
+from liestoch.errors import GroupMismatchError
 from liestoch.explog import ito_logarithm, strat_exponential, strat_logarithm
 from liestoch.groups import get_group, to_matrix_coords
 from liestoch.linalg import bilinear, mat_exp
@@ -63,6 +63,15 @@ def strat_integral(eta, x):
 
 def ito_integral(eta, x, alpha):
     return ito_logarithm(x, alpha).values @ eta
+
+
+def _quadratic_integral(b, x):
+    """Running sum of the bilinear ``b(dL_k, dL_k)`` over the increments,
+    shape (replicas, steps+1)."""
+    dl = mc_increments(x)
+    per_step = np.einsum("ij,...ki,...kj->...k", b, dl, dl)
+    return np.concatenate([np.zeros(per_step.shape[:-1] + (1,)),
+                           np.cumsum(per_step, axis=-1)], axis=-1)
 
 
 def test_strat_integral_cases():
@@ -138,7 +147,7 @@ def test_conversion_identity_every_step():
     # eta composed with alpha as an (n, n) bilinear
     b = np.einsum("k,kij->ij", eta, alpha.coeffs)
     lhs = ito_integral(eta, x, alpha)
-    rhs = strat_integral(eta, x) + 0.5 * quadratic_integral(b, x)
+    rhs = strat_integral(eta, x) + 0.5 * _quadratic_integral(b, x)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -158,21 +167,10 @@ def test_conversion_identity_property():
         eta = rng.standard_normal(spec.algebra_dim)
         b = np.einsum("k,kij->ij", eta, alpha.coeffs)
         lhs = ito_integral(eta, x, alpha)
-        rhs = strat_integral(eta, x) + 0.5 * quadratic_integral(b, x)
+        rhs = strat_integral(eta, x) + 0.5 * _quadratic_integral(b, x)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     run()
-
-
-def test_quadratic_integral_cases():
-    grid = TimeGrid(1.0, 10_000)
-    x = strat_exponential(brownian_ensemble(SO3, grid, 4, 1))
-    assert np.max(np.abs(quadratic_integral(np.zeros((3, 3)), x))) == 0.0
-    # identity bilinear on a standard Brownian driver: terminal near n * T
-    running = quadratic_integral(np.eye(3), x)
-    assert abs(running[0, -1] - 3.0) < 0.15
-    with pytest.raises(DimensionError):
-        quadratic_integral(np.eye(4), x)
 
 
 def test_integral_additivity_over_concatenation():

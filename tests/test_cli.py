@@ -450,6 +450,7 @@ _LADDER = ["--group", "so3", "--connection", "biinvariant", "--replicas", "4", "
     (["exp", *_RUN, "--driver", "drift", "--drift", "nan,0,0"], "--drift"),
     (["convergence", *_RUN, "--dts", "0.02,nan"], "--dts"),
     (["campbell", *_LADDER, "--dts", "nan"], "--dts"),
+    (["exp", "--group", "so3", "--dt", "1e308", "--steps", "2", "--replicas", "1"], "--dt"),
 ])
 def test_non_positive_or_non_finite_numbers_name_their_flag(argv, flag, tmp_path, capsys):
     # lambda <= 0 used to exit 4 from the metric; NaN and inf passed the
@@ -458,6 +459,34 @@ def test_non_positive_or_non_finite_numbers_name_their_flag(argv, flag, tmp_path
     assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp", *_RUN, "--connection", "biinvariant", "--lambda", "2"],
+    ["campbell", *_LADDER, "--dts", "0.02,0.01", "--lambda", "0.5"],
+])
+def test_biinvariant_connection_refuses_a_lambda(argv, tmp_path, capsys):
+    # the bi-invariant connection has no metric to weight: a lambda other
+    # than 1 used to exit 0, ignored, while the manifest recorded it
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--lambda" in err
+    assert not out.exists()
+
+
+def test_driver_leaving_double_range_is_a_numerical_failure(tmp_path, capsys):
+    # the running sum of a 1e308 drift overflows on the second step; no
+    # np.errstate shield, so a numpy warning on the way fails the test
+    # (pyproject's filterwarnings)
+    out = tmp_path / "a.csv"
+    code = run_cli("exp", "--group", "so3", "--connection", "biinvariant", "--driver", "drift",
+                   "--drift", "1e308,0,0", "--dt", "1", "--steps", "3", "--replicas", "1",
+                   "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "double range" in err
     assert not out.exists()
 
 

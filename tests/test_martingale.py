@@ -9,15 +9,11 @@ from liestoch.connections import (
     metric_for,
     u_from_metric,
 )
-from liestoch.errors import DimensionError, HypothesisError, PowerError
+from liestoch.errors import DimensionError, PowerError
 from liestoch.explog import ito_exponential, ito_logarithm, strat_exponential, strat_logarithm
 from liestoch.groups import get_group
 from liestoch.linalg import bilinear
-from liestoch.martingale import (
-    drift_test,
-    martingale_verdict,
-    qv_linearity_check,
-)
+from liestoch.martingale import drift_test, martingale_verdict
 from liestoch.calculus import mc_increments
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
 
@@ -160,45 +156,6 @@ def test_product_of_martingales_reduced():
     y = ito_exponential(brownian_ensemble(SO3, grid, 22, 2000), alpha)
     report = martingale_verdict(product_path(x, y), alpha)
     assert report.passed
-
-
-def test_qv_linearity_cases():
-    grid = TimeGrid(1.0, 2000)
-    metric = metric_for("se2", 1.0)
-    spec = get_group("se2")
-    cov = np.linalg.inv(metric.gram)
-    ens = brownian_ensemble(spec, grid, 9, 32, covariance=cov)
-    gx = strat_exponential(ens)
-    report = qv_linearity_check(gx, metric)
-    assert report.passed and abs(report.ratio - 1.0) < 0.05
-
-    # doubling the horizon doubles the terminal value within noise
-    grid2 = TimeGrid(2.0, 4000)
-    ens2 = brownian_ensemble(spec, grid2, 9, 32, covariance=cov)
-    rep2 = qv_linearity_check(strat_exponential(ens2), metric)
-    assert abs(rep2.mean_terminal / report.mean_terminal - 2.0) < 0.2
-
-    # deterministic paths: terminal is O(dt), nowhere near n * T; tagged
-    # with the metric's driver covariance so that the law, not the
-    # precondition, decides
-    line = np.outer(grid.times(), [0.5, 0.2, 0.0])
-    gflat = strat_exponential(Ensemble(spec, grid, np.stack([line] * 4), cov))
-    rep3 = qv_linearity_check(gflat, metric)
-    assert rep3.mean_terminal < 0.01
-    assert not rep3.passed
-
-
-def test_qv_linearity_precondition():
-    grid = TimeGrid(1.0, 100)
-    metric = metric_for("se2", 2.0)  # inverse gram != identity
-    spec = get_group("se2")
-    ens = brownian_ensemble(spec, grid, 11, 8)  # identity covariance
-    gx = strat_exponential(ens)
-    with pytest.raises(HypothesisError):
-        qv_linearity_check(gx, metric)
-    flat = Ensemble(spec, grid, np.zeros((4, 101, 3)))  # records no driver
-    with pytest.raises(HypothesisError):
-        qv_linearity_check(strat_exponential(flat), metric)
 
 
 def test_verdict_requires_group_ensemble():

@@ -59,10 +59,12 @@ def _assert_path_matches_replicas(op, *ensembles, what, replicas=range(REPLICAS)
             _assert_bitwise(a, b[r:r + 1], f"{what}, replica {r}")
 
 
-def _assert_driver_replicas(ens, seed, replicas, drift=None):
-    """Each of the ``replicas`` of a driver draw is drawn as if alone: the
-    ``derive_rng`` recipe of its index."""
-    factor = np.linalg.cholesky(ens.driver_covariance) * np.sqrt(ens.grid.dt)
+def _assert_driver_replicas(ens, seed, replicas, cov=None, drift=None):
+    """Each of the ``replicas`` of a driver draw of covariance ``cov`` (the
+    identity by default) is drawn as if alone: the ``derive_rng`` recipe of
+    its index."""
+    n = ens.group.algebra_dim
+    factor = np.linalg.cholesky(np.eye(n) if cov is None else cov) * np.sqrt(ens.grid.dt)
     shift = None if drift is None else drift * ens.grid.dt
     for r in replicas:
         _assert_bitwise(ens.values[r, 1:], _recipe(seed, r, ens.grid.steps, factor, shift),
@@ -88,7 +90,7 @@ def test_path_result_is_its_replica_of_the_ensemble_result(name):
     drift = np.linspace(-1.0, 1.0, n)
     dd = brownian_ensemble(spec, grid, 7, REPLICAS, 0.25 * np.eye(n), drift=drift)
     _assert_driver_replicas(m, 5, range(REPLICAS))
-    _assert_driver_replicas(dd, 7, range(REPLICAS), drift)
+    _assert_driver_replicas(dd, 7, range(REPLICAS), 0.25 * np.eye(n), drift)
 
     _assert_path_matches_replicas(strat_exponential, m, what="strat_exponential")
     _assert_path_matches_replicas(lambda a: ito_exponential(a, alpha), m,

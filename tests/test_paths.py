@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liestoch.errors import DimensionError, GridMismatchError, MetricError
+from liestoch.errors import DimensionError, GridMismatchError, MetricError, NonFiniteError
 from liestoch.explog import strat_exponential
 from liestoch.groups import GROUP_NAMES, get_group
 from liestoch.paths import (
@@ -36,6 +36,9 @@ def test_time_grid():
         TimeGrid(0.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    for horizon in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(horizon, 5)
 
 
 def test_normal_quantile():
@@ -99,19 +102,22 @@ def test_brownian_increment_normality():
 
 def test_drift_driver_cases():
     # the drift adds drift * dt to each Brownian increment; a zero drift
-    # keeps the bits, and the driver records its covariance either way
+    # keeps the bits
     grid = TimeGrid(2.0, 50)
     b = np.array([0.0, 0.0, 1.0])
     bm = brownian_ensemble(SO3, grid, 3, 2)
     drifted = brownian_ensemble(SO3, grid, 3, 2, drift=b)
     assert np.allclose(drifted.values - bm.values, np.outer(grid.times(), b), atol=1e-12)
-    assert np.array_equal(drifted.driver_covariance, np.eye(3))
     zero = brownian_ensemble(SO3, grid, 3, 2, drift=np.zeros(3))
     assert zero.values.tobytes() == bm.values.tobytes()
     with pytest.raises(DimensionError):
         brownian_ensemble(SO3, grid, 3, 2, drift=np.zeros(4))
     with pytest.raises(ValueError):
         brownian_ensemble(SO3, grid, 3, 2, drift=np.array([0.0, np.inf, 0.0]))
+    # a draw that leaves double range is a numerical failure, without a
+    # numpy warning (pyproject's filterwarnings)
+    with pytest.raises(NonFiniteError, match="double range"):
+        brownian_ensemble(SO3, grid, 3, 2, drift=np.array([1e308, 0.0, 0.0]))
 
 
 def test_ensemble_replica_streams_and_chunking():
@@ -451,7 +457,7 @@ def test_ensemble_validation():
 
 
 def test_operators_refuse_the_wrong_kind_or_a_bare_array():
-    from liestoch.calculus import mc_increments, quadratic_integral
+    from liestoch.calculus import mc_increments
     from liestoch.campbell import ad_integral
     from liestoch.connections import alpha_biinvariant
     from liestoch.explog import ito_logarithm, strat_logarithm
@@ -462,7 +468,6 @@ def test_operators_refuse_the_wrong_kind_or_a_bare_array():
     cases = [
         (strat_logarithm, x.values, "group"),
         (lambda a: ito_logarithm(a, alpha_biinvariant(SO3)), x.values, "group"),
-        (lambda a: quadratic_integral(np.eye(3), a), x.values, "group"),
         (strat_exponential, x, "algebra"), (strat_exponential, m.values, "algebra"),
         (mc_increments, m, "group"), (mc_increments, x.values, "group"),
         (lambda a: ad_integral(x, a), x, "algebra"), (lambda a: ad_integral(a, m), m, "group"),

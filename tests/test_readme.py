@@ -31,3 +31,13 @@ def test_readme_layout_names_every_module_and_script():
     root = README.parent
     assert listed["src/liestoch/"] == {p.name for p in (root / "src" / "liestoch").glob("*.py")}
     assert listed["scripts/"] == {p.name for p in (root / "scripts").iterdir() if p.is_file()}
+
+
+def test_readme_battery_lists_every_criterion():
+    # the numbered list under "## Verification battery", one item per
+    # criterion of acceptance.ALL_CRITERIA, in order
+    from liestoch.acceptance import ALL_CRITERIA
+
+    section = README.read_text().split("## Verification battery", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^(\d+)\. ", section, re.MULTILINE)
+    assert items == [str(i + 1) for i in range(len(ALL_CRITERIA))]
