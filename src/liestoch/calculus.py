@@ -27,14 +27,15 @@ def increments_from_values(spec, values):
     """Left-trivialized increments of stacked group values.
 
     values: (R, K+1, d, d) -> coordinates (R, K, n), read back slab by slab
-    (``linalg.slabs``): inverse, product, ``mat_log`` and projection.
+    (``linalg.slabs``): inverse, product, the group's ``mat_log`` and
+    projection.
     """
     replicas, count = values.shape[0], values.shape[1] - 1
     out = np.empty((replicas, count, spec.algebra_dim))
     for r, k in slabs(replicas, count):
         left = values[r, k]
         right = values[r, k.start + 1 : k.stop + 1]
-        out[r, k] = from_matrix_coords(spec, mat_log(group_inverse(spec, left) @ right))
+        out[r, k] = from_matrix_coords(spec, mat_log(group_inverse(spec, left) @ right, spec.log))
     return out
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .calculus import mc_increments
 from .errors import DimensionError, GridMismatchError, GroupMismatchError, HypothesisError
-from .explog import _gate_membership, ito_exponential, ito_logarithm
+from .explog import check_drift, ito_exponential, ito_logarithm
 from .groups import adjoint_matrices, group_inverse, to_matrix_coords
 from .linalg import frobenius_dist, mat_exp, slabs
 from .paths import Ensemble, TimeGrid, brownian_ensemble, expect, null_qv_check
@@ -78,7 +78,7 @@ def _adjoint_sum(y, values, rule, inverse):
         if inverse:
             base = group_inverse(spec, base)
         if dl is not None:
-            half = mat_exp(to_matrix_coords(spec, sign * dl[r, k]))
+            half = mat_exp(to_matrix_coords(spec, sign * dl[r, k]), spec.exp)
             base = half @ base if inverse else base @ half
         admats = adjoint_matrices(spec, base)
         dv = values[r, k.start + 1 : k.stop + 1] - values[r, k]
@@ -161,7 +161,7 @@ def product_path(x, y):
     _check_pair(x, y, True, True)
     with np.errstate(over="ignore", invalid="ignore"):  # the gate reports it
         values = x.values @ y.values
-    _gate_membership(x.group, values)
+    check_drift(x.group, values)
     return x.with_values(values)
 
 

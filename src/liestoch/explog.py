@@ -39,8 +39,8 @@ import numpy as np
 
 from .calculus import mc_increments
 from .connections import ConnectionFunction
-from .errors import ExpOverflowError, GroupMismatchError, IntegratorDriftError, MembershipError
-from .groups import MEMBERSHIP_GATE, membership_defect, to_matrix_coords
+from .errors import ExpOverflowError, GroupMismatchError, IntegratorDriftError
+from .groups import check_membership, membership_defect, to_matrix_coords
 from .linalg import bilinear, mat_exp, slabs, tiles
 from .paths import expect
 
@@ -67,7 +67,7 @@ def _develop(spec, steps):
         coords = coords_buf[: cols * rows * n].reshape(cols, rows, n)
         prod = prod_buf[: (cols + 1) * rows * d * d].reshape(cols + 1, rows, d, d)
         np.copyto(coords, steps[r, k].transpose(1, 0, 2))
-        exps = mat_exp(to_matrix_coords(spec, coords))
+        exps = mat_exp(to_matrix_coords(spec, coords), spec.exp)
         # a block's first tile starts at the identity, the others where
         # the previous tile ended
         prod[0] = np.eye(d) if k.start == 0 else carry
@@ -82,14 +82,14 @@ def _develop(spec, steps):
     return out
 
 
-def _gate_membership(spec, values):
-    worst = float(np.max(membership_defect(spec, values)))
-    if not worst <= MEMBERSHIP_GATE:  # NaN fails too
-        raise IntegratorDriftError(
-            f"{spec.name}: integrator drifted off the group "
-            f"(membership defect {worst:.3e} > {MEMBERSHIP_GATE:.1e}); "
-            "use a smaller dt"
-        )
+def check_drift(spec, values):
+    """Raise IntegratorDriftError unless every value is a member of the
+    group to ``groups.MEMBERSHIP_GATE``."""
+    check_membership(
+        spec, membership_defect(spec, values), IntegratorDriftError,
+        "integrator drifted off the group (membership defect {defect:.3e} > {gate:.1e}); "
+        "use a smaller dt",
+    )
 
 
 def _ito_correction(spec, alpha):
@@ -126,7 +126,7 @@ def _logarithm(x, dl, correction=None):
 def _developed(ens, steps):
     """Ensemble developed from its identity start by the given step vectors."""
     values = _develop(ens.group, steps)
-    _gate_membership(ens.group, values)
+    check_drift(ens.group, values)
     return ens.with_values(values, step_logs=steps)
 
 
@@ -194,9 +194,6 @@ def translate_initial(xi, x):
     expect(x, group_valued=True)
     spec = x.group
     xi = np.asarray(xi, dtype=np.float64)
-    defect = float(np.max(membership_defect(spec, xi)))
-    if not defect <= MEMBERSHIP_GATE:  # NaN fails too
-        raise MembershipError(
-            f"{spec.name}: translation element defect {defect:.3e} exceeds gate"
-        )
+    check_membership(spec, membership_defect(spec, xi),
+                     message="translation element defect {defect:.3e} exceeds gate")
     return x.with_values(xi @ x.values, step_logs=x.step_logs)

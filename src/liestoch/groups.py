@@ -26,14 +26,22 @@ groups.
 
 Each group is one row of ``_CATALOG``, keyed by name: its basis builder,
 the basis directions that the catalog metric weights by lambda^2, and its
-closed-form defect, inverse and adjoint kernels, all carried by its
-``GroupSpec``. ``membership_defect``, ``group_inverse`` and the so3
-``adjoint_matrices`` call the spec's kernels; the other groups' adjoint
-conjugates and projects.
+closed-form kernels (defect, inverse, adjoint, exp and log), all carried by
+its ``GroupSpec``. ``membership_defect``, ``group_inverse`` and
+``adjoint_matrices`` call the spec's kernels, and callers hand ``spec.exp``
+and ``spec.log`` to ``linalg.mat_exp`` and ``linalg.mat_log``. An adjoint,
+exp or log of None takes the generic path: conjugate and project, or
+``linalg``'s generic exp and log. so3 has all three closed forms: the
+cofactor adjoint, Rodrigues' formula, and the rotation log, which hands
+each matrix past pi/2 or off orthogonality to the generic log. se3 has the
+rigid-motion exp (Sola, Deray and Atchuthan, arXiv:1812.01537), and sl2r a
+log that refuses a trace below -2. ``check_membership`` is the one
+membership gate.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -43,6 +51,7 @@ import numpy as np
 from .errors import (
     ClosureError,
     DimensionError,
+    LogRangeError,
     MembershipError,
     NotInAlgebraError,
     UnsupportedGroupError,
@@ -50,11 +59,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    _entries,
-    _orthogonality_defect,
-    _stack,
     bilinear,
     frobenius_norm,
+    generic_log,
     map_stacked,
     mat_exp,
 )
@@ -77,10 +84,14 @@ class GroupSpec:
     projector turns a vectorized matrix into basis coordinates (pseudo-
     inverse of the vectorized basis). ``lam_weighted`` holds the indices of
     the basis directions that the catalog metric weights by lambda^2. The
-    kernels: ``defect`` maps entry rows (d*d, m) to (m,), ``inverse`` a
-    stack to a stack, and ``adjoint`` entry rows of members to (m, n, n) Ad
-    matrices, or is None for the generic conjugate-and-project path with
-    its closure check.
+    kernels: ``defect`` maps entry rows (d*d, m) to (m,) and ``inverse`` a
+    stack to a stack. ``adjoint`` maps an (m, d, d) stack of members to
+    (m, n, n) Ad matrices, ``exp`` an (m, d, d) stack of algebra elements
+    to group elements and ``log`` a stack of group elements to algebra
+    elements; each is None for the generic path: conjugate and project
+    with a closure check, and ``linalg``'s ``_taylor_exp`` and
+    ``generic_log``. Callers pass ``exp`` and ``log`` to ``linalg.mat_exp``
+    and ``linalg.mat_log``.
     """
 
     name: str
@@ -92,6 +103,8 @@ class GroupSpec:
     defect: Callable = field(repr=False, compare=False)
     inverse: Callable = field(repr=False, compare=False)
     adjoint: Callable | None = field(repr=False, compare=False)
+    exp: Callable | None = field(repr=False, compare=False)
+    log: Callable | None = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -171,7 +184,7 @@ def get_group(name) -> GroupSpec:
 
 @lru_cache(maxsize=None)
 def _build_group(key) -> GroupSpec:
-    build, lam_weighted, defect, inverse, adjoint = _CATALOG[key]
+    build, lam_weighted, defect, inverse, adjoint, exp, log = _CATALOG[key]
     basis = build()
     n, d, _ = basis.shape
     vec = basis.reshape(n, d * d)
@@ -182,6 +195,7 @@ def _build_group(key) -> GroupSpec:
     return GroupSpec(
         name=key, matrix_dim=d, algebra_dim=n, basis=basis, _projector=projector,
         lam_weighted=lam_weighted, defect=defect, inverse=inverse, adjoint=adjoint,
+        exp=exp, log=log,
     )
 
 
@@ -250,13 +264,197 @@ def bracket_coords(spec, x, y):
     return bilinear(structure_constants(spec), x, y)
 
 
-# Closed-form group kernels, one catalog row per group. Defect and adjoint
-# kernels work on entry rows (row d*i + j holds entry (i, j) of every
-# matrix, as in ``linalg``), so each is a few dozen elementwise operations
-# with no stacked matmul or LU; inverse kernels read and write the stack
-# entry by entry. Either way a matrix's result does not depend on the batch
-# it arrives in, and ``linalg.map_stacked`` runs the entry-row kernels one
-# cache-sized block at a time.
+# Closed-form group kernels, one catalog row per group. Defect, adjoint,
+# exp and log kernels work on entry rows: row d*i + j holds entry (i, j) of
+# every matrix in the batch, contiguous, so each kernel is a handful of
+# elementwise operations with no stacked matmul or LU. Inverse kernels read
+# and write the stack entry by entry. Either way a matrix's result does not
+# depend on the batch it arrives in, and ``linalg.map_stacked`` runs the
+# defect and adjoint kernels one cache-sized block at a time.
+
+_ROTATION_LOG_GATE = 1e-12  # ||M^T M - I||_F above this: generic log
+_SERIES_ANGLE = 0.5         # below it (theta - sin theta)/theta^3 is a series
+# (-1)^k / (2k+3)!, k = 0..6: the first omitted term is below 2e-19 at 0.5
+_V_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
+
+_TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()  # entry row of (j, i)
+_DIAG3 = np.array([0, 4, 8])
+_VEE3 = np.array([7, 2, 3])                          # A21, A02, A10
+
+
+def _entries(flat):
+    """(m, n, n) stack -> (n*n, m) entry rows."""
+    return flat.reshape(-1, flat.shape[-1] ** 2).T.copy()
+
+
+def _stack(entries, n):
+    """(n*n, m) entry rows -> (m, n, n) stack."""
+    return np.ascontiguousarray(entries.T).reshape(-1, n, n)
+
+
+def _orthogonality_defect(e, n=3, k=3):
+    """``||R^T R - I||_F`` of the top-left k x k block R of n x n entry rows."""
+    def gram(i, j):  # (R^T R)_ij: columns i and j dotted
+        out = e[i] * e[j]
+        for r in range(1, k):
+            out += e[n * r + i] * e[n * r + j]
+        return out
+
+    diag = [(gram(i, i) - 1.0) ** 2 for i in range(k)]
+    off = [gram(i, j) ** 2 for i in range(k) for j in range(i + 1, k)]
+    return np.sqrt(sum(diag[1:], diag[0]) + 2.0 * sum(off[1:], off[0]))
+
+
+def _cos_angle(e):
+    """``(tr M - 1)/2``: the cosine of a 3x3 rotation's angle."""
+    return 0.5 * (e[0] + e[4] + e[8] - 1.0)
+
+
+def _squared_norm(v):
+    """Squared length of 3-vectors stored as three rows."""
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+
+
+def _sinc(x):
+    """``np.sinc(x)`` by its own operations, in place on ``x``."""
+    x *= np.pi
+    np.copyto(x, np.finfo(x.dtype).eps, where=x == 0)
+    out = np.sin(x)
+    out /= x
+    return out
+
+
+def _rodrigues_coefficients(theta):
+    """``sin(theta)/theta`` and ``(1 - cos(theta))/theta^2``, exact at 0."""
+    half = _sinc(theta / (2.0 * np.pi))
+    b = 0.5 * half
+    b *= half
+    return _sinc(theta / np.pi), b
+
+
+def _v_series(theta):
+    """The Taylor series of ``(theta - sin(theta))/theta^3`` by Horner's rule."""
+    theta2 = theta * theta
+    series = np.full_like(theta, _V_SERIES[-1])
+    for coeff in _V_SERIES[-2::-1]:
+        series *= theta2
+        series += coeff
+    return series
+
+
+def _v_coefficient(theta):
+    """``(theta - sin(theta))/theta^3``, from its Taylor series below 0.5.
+
+    Each branch runs only on the angles that take it.
+    """
+    small = theta < _SERIES_ANGLE
+    if small.all():
+        return _v_series(theta)
+    out = np.empty_like(theta)
+    big = ~small  # NaN included
+    t = theta[big]
+    out[big] = (t - np.sin(t)) / (t * t * t)
+    out[small] = _v_series(theta[small])
+    return out
+
+
+def _rotation(skew, w, theta2, a, b):
+    """``I + a W + b W^2`` with ``W^2 = w w^T - theta^2 I``, entry by entry."""
+    out = (w[:, None] * w[None, :]).reshape(9, -1)
+    out *= b
+    out += a * skew
+    out[_DIAG3] += 1.0 - b * theta2
+    return out
+
+
+def _rotation_exp(e):
+    """Rodrigues' formula for exactly skew 3x3 matrices."""
+    w = e[_VEE3]
+    theta2 = _squared_norm(w)
+    a, b = _rodrigues_coefficients(np.sqrt(theta2))
+    return _rotation(e, w, theta2, a, b)
+
+
+def _rigid_exp(e):
+    """``[[R, V u], [0, 1]]`` for 4x4 ``[[W, u], [0, 0]]`` with W skew.
+
+    Reads w and u as views of their entry rows and writes each entry row of
+    the result in place, in the operation order of ``_rotation`` and of
+    ``u + b (w x u) + c (w (w . u) - theta^2 u)``.
+    """
+    w = (e[9], e[2], e[4])    # A21, A02, A10
+    u = (e[3], e[7], e[11])
+    theta2 = _squared_norm(w)
+    theta = np.sqrt(theta2)
+    a, b = _rodrigues_coefficients(theta)
+    c = _v_coefficient(theta)
+    diag = b * theta2
+    np.subtract(1.0, diag, out=diag)
+    out = np.empty_like(e)
+    tmp = np.empty_like(theta)
+    for i in range(3):
+        for j in range(3):
+            row = out[4 * i + j]
+            np.multiply(w[i], w[j], out=row)
+            row *= b
+            row += np.multiply(a, e[4 * i + j], out=tmp)
+            if i == j:
+                row += diag
+    w_dot_u = w[0] * u[0]
+    w_dot_u += np.multiply(w[1], u[1], out=tmp)
+    w_dot_u += np.multiply(w[2], u[2], out=tmp)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        row = out[4 * i + 3]
+        np.multiply(w[j], u[k], out=row)  # (w x u)_i
+        row -= np.multiply(w[k], u[j], out=tmp)
+        row *= b
+        row += u[i]
+        cross = np.multiply(w[i], w_dot_u, out=tmp)
+        cross -= theta2 * u[i]
+        cross *= c
+        row += cross
+    out[12:15] = 0.0
+    out[15] = 1.0
+    return out
+
+
+def _rotation_log(e):
+    """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2."""
+    s = 0.5 * (e - e[_TRANSPOSE3])
+    theta = np.arctan2(np.sqrt(_squared_norm(s[_VEE3])), _cos_angle(e))
+    return s / _sinc(theta / np.pi)
+
+
+def _rowwise(kernel, flat):
+    """An entry-row kernel on an (m, d, d) stack, giving a stack."""
+    return _stack(kernel(_entries(flat)), flat.shape[-1])
+
+
+def _so3_log(flat):
+    """``_rotation_log`` on the rotations (orthogonal to 1e-12) by an angle
+    below pi/2, ``linalg.generic_log`` on the other matrices, each matrix
+    on its own: a batch that mixes them gives each its result alone."""
+    e = _entries(flat)
+    take = (_orthogonality_defect(e) <= _ROTATION_LOG_GATE) & (_cos_angle(e) > 0.0)
+    if take.all():
+        return _stack(_rotation_log(e), 3)
+    out = np.empty_like(flat)
+    out[take] = _stack(_rotation_log(e[:, take]), 3)
+    out[~take] = generic_log(flat[~take])
+    return out
+
+
+def _sl2r_log(flat):
+    """``linalg.generic_log``, after refusing a trace below -2: such an
+    element's eigenvalues are negative reals, so it has no real logarithm
+    and no smaller step can give it one."""
+    if np.any(flat[:, 0, 0] + flat[:, 1, 1] < -2.0):
+        raise LogRangeError(
+            "sl2r: an SL(2,R) element with trace below -2 has no real logarithm"
+        )
+    return generic_log(flat)
+
 
 def _cofactor(e, d, i, j):
     """Signed (i, j) cofactor of the top-left 3x3 block of d x d entry rows."""
@@ -362,19 +560,21 @@ def _so3_adjoint(e):
     ClosureError cannot fire on finite so3 input, and skipping the
     projection drops no check. The membership gate still runs first.
     """
-    cof = np.stack([_cofactor(e, 3, i, j) for i in range(3) for j in range(3)])
-    return _stack(cof, 3)
+    return np.stack([_cofactor(e, 3, i, j) for i in range(3) for j in range(3)])
 
 
 # One row per group, in catalog order: (basis builder, lambda^2-weighted
-# basis directions, defect, inverse, adjoint or None); see ``GroupSpec``.
+# basis directions, defect, inverse, adjoint, exp, log), the last three
+# None for the generic path; see ``GroupSpec``.
 _CATALOG = {
-    "so3": (_so3_basis, (), partial(_rotation_defect, d=3, k=3), _so3_inverse, _so3_adjoint),
-    "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None),
-    "se3": (_se3_basis, (3, 4, 5), partial(_rigid_defect, d=4), _rigid_inverse, None),
-    "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None),
-    "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None),
-    "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None),
+    "so3": (_so3_basis, (), partial(_rotation_defect, d=3, k=3), _so3_inverse,
+            partial(_rowwise, _so3_adjoint), partial(_rowwise, _rotation_exp), _so3_log),
+    "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None, None, None),
+    "se3": (_se3_basis, (3, 4, 5), partial(_rigid_defect, d=4), _rigid_inverse, None,
+            partial(_rowwise, _rigid_exp), None),
+    "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None, None, None),
+    "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None, None, None),
+    "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None, None, _sl2r_log),
 }
 
 GROUP_NAMES = tuple(_CATALOG)
@@ -408,6 +608,19 @@ def membership_defect(spec, g):
         return map_stacked(finite_defect, g)[()]  # a scalar for one matrix
 
 
+def check_membership(spec, defect, error=MembershipError,
+                     message="membership defect {defect:.3e} exceeds gate {gate:.1e}"):
+    """Raise ``error`` unless every entry of ``defect`` (``membership_defect``
+    output) is at most ``MEMBERSHIP_GATE``; NaN fails.
+
+    The message is the group's name, then ``message`` formatted with the
+    worst defect and the gate.
+    """
+    worst = float(np.max(defect, initial=-np.inf))  # an empty batch passes
+    if not worst <= MEMBERSHIP_GATE:
+        raise error(f"{spec.name}: " + message.format(defect=worst, gate=MEMBERSHIP_GATE))
+
+
 def group_inverse(spec, g):
     """Structural inverse of (batched) group elements.
 
@@ -426,14 +639,9 @@ def adjoint_matrices(spec, g):
     conjugation leaves the basis span.
     """
     g = np.asarray(g, dtype=np.float64)
-    defect = membership_defect(spec, g)
-    if not np.all(defect <= MEMBERSHIP_GATE):
-        raise MembershipError(
-            f"{spec.name}: membership defect {float(np.max(defect)):.3e} "
-            f"exceeds gate {MEMBERSHIP_GATE:.1e}"
-        )
+    check_membership(spec, membership_defect(spec, g))
     if spec.adjoint is not None:
-        return map_stacked(lambda flat: spec.adjoint(_entries(flat)), g)
+        return map_stacked(spec.adjoint, g)
     ginv = group_inverse(spec, g)
     conj = np.einsum("...ab,nbc,...cd->...nad", g, spec.basis, ginv)
     try:
@@ -448,4 +656,4 @@ def adjoint_matrices(spec, g):
 
 def random_group_element(spec, rng):
     """exp of a random small algebra element (always a member)."""
-    return mat_exp(to_matrix_coords(spec, 0.5 * rng.standard_normal(spec.algebra_dim)))
+    return mat_exp(to_matrix_coords(spec, 0.5 * rng.standard_normal(spec.algebra_dim)), spec.exp)

@@ -11,19 +11,12 @@ no matter how a batch is chunked. That property is what lets
 passes of ``explog``, ``calculus`` and ``campbell`` run over the contiguous
 slabs of ``slabs``, without changing a bit.
 
-``mat_exp`` and ``mat_log`` pick a kernel for each matrix from its own
-entries, never from a group label:
-
-- exp of an exactly skew 3x3 matrix: Rodrigues' formula;
-- exp of a 4x4 ``[[W, u], [0, 0]]`` with W exactly skew: the rigid-motion
-  closed form ``[[R, V u], [0, 1]]``;
-- log of a 3x3 rotation (orthogonal to 1e-12) by an angle below pi/2:
-  ``S / sinc(theta)`` with S the skew part;
-- every other matrix: the generic ``_taylor_exp`` (scaling-and-squaring)
-  and ``_generic_log`` (inverse scaling-and-squaring).
-
-The generic paths are the oracle the closed forms are tested against, and
-a batch that mixes kinds gives each matrix the result it gets alone.
+``mat_exp`` and ``mat_log`` run the generic kernels, ``_taylor_exp``
+(scaling-and-squaring) and ``generic_log`` (inverse scaling-and-squaring),
+unless the caller passes a group's closed form from its catalog row
+(``GroupSpec.exp``, ``GroupSpec.log``). Nothing here knows a group: the
+closed forms and their entry-row helpers live in ``groups``, and the
+generic kernels are the oracle they are tested against.
 
 Matrices are plain float64 numpy arrays; higher-level modules enforce the
 "entries finite" contract by calling these kernels.
@@ -31,7 +24,6 @@ Matrices are plain float64 numpy arrays; higher-level modules enforce the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,13 +210,15 @@ def _denman_beavers_sqrt(m):
     return y
 
 
-def _generic_log(m):
+def generic_log(m):
     """Principal matrix logarithm by inverse scaling-and-squaring.
 
     Square roots are taken per matrix until ``||M - I|| <= 0.25``, then the
     Gregory series ``log M = 2 * sum z^(2k+1)/(2k+1)`` with
     ``z = (M - I)(M + I)^-1`` finishes the job. Intended regime: one-step
-    group increments, which are near the identity by construction.
+    group increments, which are near the identity by construction. It is
+    also the oracle that the catalog rows' closed-form logs are tested
+    against.
     """
     m = _as_square(m, "mat_log")
     shape = m.shape
@@ -264,254 +258,35 @@ def _generic_log(m):
     return out.reshape(shape)
 
 
-# Closed forms for rotation and rigid-motion matrices. The kernels work on
-# entry rows: row n*i + j holds entry (i, j) of every matrix in the batch,
-# contiguous, so each formula is a handful of elementwise operations with no
-# stacked matmul. A matrix's result therefore does not depend on the batch
-# it arrives in, and the branch it takes is decided from its own entries.
+def mat_exp(a, closed_form=None):
+    """Matrix exponential of a stack: ``closed_form`` when given, else
+    ``_taylor_exp`` (per-matrix scaling-and-squaring).
 
-_ROTATION_LOG_GATE = 1e-12  # ||M^T M - I||_F above this: generic log
-_SERIES_ANGLE = 0.5         # below it (theta - sin theta)/theta^3 is a series
-# (-1)^k / (2k+3)!, k = 0..6: the first omitted term is below 2e-19 at 0.5
-_V_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
-
-_TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()  # entry row of (j, i)
-_DIAG3 = np.array([0, 4, 8])
-_VEE3 = np.array([7, 2, 3])                          # A21, A02, A10
-
-
-def _entries(flat):
-    """(m, n, n) stack -> (n*n, m) entry rows."""
-    return flat.reshape(-1, flat.shape[-1] ** 2).T.copy()
-
-
-def _stack(entries, n):
-    """(n*n, m) entry rows -> (m, n, n) stack."""
-    return np.ascontiguousarray(entries.T).reshape(-1, n, n)
-
-
-def _orthogonality_defect(e, n=3, k=3):
-    """``||R^T R - I||_F`` of the top-left k x k block R of n x n entry rows."""
-    def gram(i, j):  # (R^T R)_ij: columns i and j dotted
-        out = e[i] * e[j]
-        for r in range(1, k):
-            out += e[n * r + i] * e[n * r + j]
-        return out
-
-    diag = [(gram(i, i) - 1.0) ** 2 for i in range(k)]
-    off = [gram(i, j) ** 2 for i in range(k) for j in range(i + 1, k)]
-    return np.sqrt(sum(diag[1:], diag[0]) + 2.0 * sum(off[1:], off[0]))
-
-
-def _cos_angle(e):
-    """``(tr M - 1)/2``: the cosine of a 3x3 rotation's angle."""
-    return 0.5 * (e[0] + e[4] + e[8] - 1.0)
-
-
-def _squared_norm(v):
-    """Squared length of 3-vectors stored as three rows."""
-    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-
-
-def _sinc(x):
-    """``np.sinc(x)`` by its own operations, in place on ``x``."""
-    x *= np.pi
-    np.copyto(x, np.finfo(x.dtype).eps, where=x == 0)
-    out = np.sin(x)
-    out /= x
-    return out
-
-
-def _rodrigues_coefficients(theta):
-    """``sin(theta)/theta`` and ``(1 - cos(theta))/theta^2``, exact at 0."""
-    half = _sinc(theta / (2.0 * np.pi))
-    b = 0.5 * half
-    b *= half
-    return _sinc(theta / np.pi), b
-
-
-def _v_series(theta):
-    """The Taylor series of ``(theta - sin(theta))/theta^3`` by Horner's rule."""
-    theta2 = theta * theta
-    series = np.full_like(theta, _V_SERIES[-1])
-    for coeff in _V_SERIES[-2::-1]:
-        series *= theta2
-        series += coeff
-    return series
-
-
-def _v_coefficient(theta):
-    """``(theta - sin(theta))/theta^3``, from its Taylor series below 0.5.
-
-    Each branch runs only on the angles that take it.
-    """
-    small = theta < _SERIES_ANGLE
-    if small.all():
-        return _v_series(theta)
-    out = np.empty_like(theta)
-    big = ~small  # NaN included
-    t = theta[big]
-    out[big] = (t - np.sin(t)) / (t * t * t)
-    out[small] = _v_series(theta[small])
-    return out
-
-
-def _rotation(skew, w, theta2, a, b):
-    """``I + a W + b W^2`` with ``W^2 = w w^T - theta^2 I``, entry by entry."""
-    out = (w[:, None] * w[None, :]).reshape(9, -1)
-    out *= b
-    out += a * skew
-    out[_DIAG3] += 1.0 - b * theta2
-    return out
-
-
-def _rotation_exp(e):
-    """Rodrigues' formula for exactly skew 3x3 matrices."""
-    w = e[_VEE3]
-    theta2 = _squared_norm(w)
-    a, b = _rodrigues_coefficients(np.sqrt(theta2))
-    return _rotation(e, w, theta2, a, b)
-
-
-def _rigid_exp(e):
-    """``[[R, V u], [0, 1]]`` for 4x4 ``[[W, u], [0, 0]]`` with W skew.
-
-    Reads w and u as views of their entry rows and writes each entry row of
-    the result in place, in the operation order of ``_rotation`` and of
-    ``u + b (w x u) + c (w (w . u) - theta^2 u)``.
-    """
-    w = (e[9], e[2], e[4])    # A21, A02, A10
-    u = (e[3], e[7], e[11])
-    theta2 = _squared_norm(w)
-    theta = np.sqrt(theta2)
-    a, b = _rodrigues_coefficients(theta)
-    c = _v_coefficient(theta)
-    diag = b * theta2
-    np.subtract(1.0, diag, out=diag)
-    out = np.empty_like(e)
-    tmp = np.empty_like(theta)
-    for i in range(3):
-        for j in range(3):
-            row = out[4 * i + j]
-            np.multiply(w[i], w[j], out=row)
-            row *= b
-            row += np.multiply(a, e[4 * i + j], out=tmp)
-            if i == j:
-                row += diag
-    w_dot_u = w[0] * u[0]
-    w_dot_u += np.multiply(w[1], u[1], out=tmp)
-    w_dot_u += np.multiply(w[2], u[2], out=tmp)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        row = out[4 * i + 3]
-        np.multiply(w[j], u[k], out=row)  # (w x u)_i
-        row -= np.multiply(w[k], u[j], out=tmp)
-        row *= b
-        row += u[i]
-        cross = np.multiply(w[i], w_dot_u, out=tmp)
-        cross -= theta2 * u[i]
-        cross *= c
-        row += cross
-    out[12:15] = 0.0
-    out[15] = 1.0
-    return out
-
-
-def _rotation_log(e):
-    """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2."""
-    s = 0.5 * (e - e[_TRANSPOSE3])
-    theta = np.arctan2(np.sqrt(_squared_norm(s[_VEE3])), _cos_angle(e))
-    return s / _sinc(theta / np.pi)
-
-
-def _is_skew(e, n=3):
-    """Whether the top-left 3x3 block of n x n entry rows is exactly skew:
-    ``A_ij + A_ji == 0`` for each pair of rows, read in place."""
-    out = np.ones(e.shape[1:], dtype=bool)
-    for i in range(3):
-        for j in range(i, 3):
-            out &= (e[n * i + j] + e[n * j + i]) == 0  # NaN fails
-    return out
-
-
-def _is_rigid_algebra(e):
-    return _is_skew(e, 4) & ~np.any(e[12:], axis=0)
-
-
-def _is_rotation_below_half_turn(e):
-    return (_orthogonality_defect(e) <= _ROTATION_LOG_GATE) & (_cos_angle(e) > 0.0)
-
-
-def _by_structure(flat, test, closed_form, generic):
-    """``closed_form`` on the matrices ``test`` accepts, ``generic`` on the rest.
-
-    ``test`` and ``closed_form`` take and give entry rows; ``generic``
-    takes and gives a stack.
-    """
-    n = flat.shape[-1]
-    e = _entries(flat)
-    take = test(e)
-    if take.all():
-        return _stack(closed_form(e), n)
-    if not take.any():
-        return generic(flat)
-    out = np.empty_like(flat)
-    out[take] = _stack(closed_form(e[:, take]), n)
-    out[~take] = generic(flat[~take])
-    return out
-
-
-def mat_exp(a):
-    """Matrix exponential, closed form where a matrix's entries allow one.
-
-    - 3x3 with ``A + A^T == 0`` exactly: Rodrigues' formula
-      ``I + sin(t)/t W + (1 - cos t)/t^2 W^2``.
-    - 4x4 whose top-left 3x3 block is exactly skew and whose bottom row is
-      exactly zero: ``[[R, V u], [0, 1]]`` with
-      ``V = I + (1 - cos t)/t^2 W + (t - sin t)/t^3 W^2``.
-    - Everything else: ``_taylor_exp`` (per-matrix scaling-and-squaring),
-      which is also the oracle the closed forms are tested against.
-
-    The choice is made per matrix, so a batch may mix branches and each
-    result is the same as for that matrix alone. The kernels run with
-    numpy's overflow warnings off: a non-finite result raises
+    ``closed_form`` is a catalog row's exp (``GroupSpec.exp``): it maps an
+    (m, d, d) stack of that group's algebra elements to group elements, and
+    the caller vouches that ``a`` lies in that algebra. The kernels run
+    with numpy's overflow warnings off: a non-finite result raises
     ``ExpOverflowError`` instead.
     """
     a = _as_square(a, "mat_exp")
     n = a.shape[-1]
-    flat = a.reshape(-1, n, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        if n == 3:
-            out = _by_structure(flat, _is_skew, _rotation_exp, _taylor_exp)
-        elif n == 4:
-            out = _by_structure(flat, _is_rigid_algebra, _rigid_exp, _taylor_exp)
-        else:
-            out = _taylor_exp(flat)
+        out = (closed_form or _taylor_exp)(a.reshape(-1, n, n))
     if not np.all(np.isfinite(out)):
         raise ExpOverflowError("mat_exp: result overflowed double precision")
     return out.reshape(a.shape)
 
 
-def mat_log(m):
-    """Principal matrix logarithm, closed form for near-identity rotations.
+def mat_log(m, closed_form=None):
+    """Principal matrix logarithm of a stack: ``closed_form`` when given,
+    else ``generic_log`` (inverse scaling-and-squaring).
 
-    - 3x3 with ``||M^T M - I||_F <= 1e-12`` and ``cos t = (tr M - 1)/2 > 0``:
-      ``S / sinc(t)`` with ``S = (M - M^T)/2`` and
-      ``t = atan2(|vee S|, cos t)``.
-    - Everything else, rotations at ``t >= pi/2`` included: ``_generic_log``
-      (inverse scaling-and-squaring), which is also the oracle the closed
-      form is tested against and raises ``LogRangeError`` near ``t = pi``.
-
-    The choice is made per matrix, as in ``mat_exp``.
+    ``closed_form`` is a catalog row's log (``GroupSpec.log``): it maps an
+    (m, d, d) stack of that group's elements to algebra elements.
     """
     m = _as_square(m, "mat_log")
     n = m.shape[-1]
-    if n != 3:
-        return _generic_log(m)
-    out = _by_structure(
-        m.reshape(-1, n, n), _is_rotation_below_half_turn, _rotation_log, _generic_log
-    )
-    return out.reshape(m.shape)
+    return (closed_form or generic_log)(m.reshape(-1, n, n)).reshape(m.shape)
 
 
 def map_stacked(fn, stack):

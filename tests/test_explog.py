@@ -5,6 +5,7 @@ from liestoch.calculus import increments_from_values
 from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_for
 from liestoch.errors import DimensionError, IntegratorDriftError, MembershipError
 from liestoch.explog import (
+    check_drift,
     ito_exponential,
     ito_logarithm,
     roundtrip_errors,
@@ -14,6 +15,7 @@ from liestoch.explog import (
 )
 from liestoch.groups import (
     GROUP_NAMES,
+    adjoint_matrices,
     get_group,
     membership_defect,
     random_group_element,
@@ -229,16 +231,25 @@ def test_solver_rejects_wrong_value_kind():
 
 
 def test_integrator_drift_error_message():
-    # enormous increments break the n3 pattern only through roundoff, but
-    # se3 rotations lose orthogonality once steps are astronomically large;
-    # easier: corrupt a path by hand and check the gate trips
-    grid = TimeGrid(1.0, 2)
-    values = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
-    values[2] = 2.0 * np.eye(3)
-    from liestoch.explog import _gate_membership
+    # corrupt a path by hand and check the gate trips
+    bad = 2.0 * np.eye(3)  # defect ||4I - I||_F + |8 - 1| = 12.196
+    with pytest.raises(IntegratorDriftError, match=r"^so3: integrator drifted off the group "
+                       r"\(membership defect 1\.220e\+01 > 1\.0e-06\); use a smaller dt$"):
+        check_drift(SO3, np.stack([np.eye(3), bad]))
 
-    with pytest.raises(IntegratorDriftError):
-        _gate_membership(SO3, values)
+
+def test_member_checks_keep_their_errors_and_messages():
+    # the translation check and the adjoint's member check share the
+    # develop's gate, groups.check_membership
+    bad = 2.0 * np.eye(3)
+    x = strat_exponential(brownian_ensemble(SO3, TimeGrid(1.0, 2), 1, 1))
+    with pytest.raises(MembershipError,
+                       match=r"^so3: translation element defect 1\.220e\+01 exceeds gate$"):
+        translate_initial(bad, x)
+    with pytest.raises(MembershipError,
+                       match=r"^so3: membership defect nan exceeds gate 1\.0e-06$"):
+        adjoint_matrices(SO3, np.stack([np.eye(3), np.full((3, 3), np.nan)]))
+    assert adjoint_matrices(SO3, np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 def test_roundtrip_errors_per_replica():

@@ -1,5 +1,7 @@
+import ast
 import re
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +25,14 @@ from liestoch.groups import (
     structure_constants,
     to_matrix_coords,
 )
-from liestoch import linalg
+from liestoch import groups, linalg
 from liestoch.linalg import (
     Tolerance,
-    _generic_log,
     _taylor_exp,
     bilinear,
     frobenius_dist,
     frobenius_norm,
+    generic_log,
     map_stacked,
     mat_exp,
     mat_log,
@@ -71,7 +73,7 @@ def test_exp_rotation_matches_rodrigues():
     e3 = get_group("so3").basis[2]
     for theta in (0.1, 0.9, 2.5):
         rodrigues = np.eye(3) + np.sin(theta) * e3 + (1 - np.cos(theta)) * (e3 @ e3)
-        assert np.max(np.abs(mat_exp(theta * e3) - rodrigues)) < 1e-13
+        assert np.max(np.abs(mat_exp(theta * e3, SO3.exp) - rodrigues)) < 1e-13
 
 
 def test_exp_inverse_property():
@@ -103,7 +105,8 @@ def test_exp_overflow_is_a_package_error():
     rigid[0, 1], rigid[1, 0] = -1.0, 1.0
     rigid[:2, 3] = 1.7e308
     with np.errstate(over="ignore", invalid="ignore"):
-        for exp, a in ((mat_exp, huge), (_taylor_exp, huge), (mat_exp, rigid)):
+        for exp, a in ((mat_exp, huge), (_taylor_exp, huge),
+                       (partial(mat_exp, closed_form=SE3.exp), rigid)):
             with pytest.raises(ExpOverflowError, match="overflowed"):
                 exp(a)
 
@@ -117,9 +120,9 @@ def test_exp_overflow_raises_without_a_numpy_warning():
     rigid[:2, 3] = 1.7e308
     with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a in (huge, np.diag([800.0, 0.0]), rigid):
+        for a, kernel in ((huge, None), (np.diag([800.0, 0.0]), None), (rigid, SE3.exp)):
             with pytest.raises(ExpOverflowError, match="overflowed"):
-                mat_exp(a)
+                mat_exp(a, kernel)
 
 
 def test_exp_batch_composition_does_not_change_results():
@@ -128,12 +131,6 @@ def test_exp_batch_composition_does_not_change_results():
     alone = mat_exp(a)
     mixed = mat_exp(np.concatenate([a, big]))
     assert np.array_equal(alone, mixed[:6])
-    # closed-form matrices shuffled in with generic ones of the same size
-    skew = to_matrix_coords(SO3, 0.7 * CLOSED_RNG.standard_normal((7, 3)))
-    rigid = to_matrix_coords(SE3, CLOSED_RNG.standard_normal((7, 6)))
-    for closed, generic in ((skew, 0.3 * CLOSED_RNG.standard_normal((5, 3, 3))),
-                            (rigid, 0.3 * CLOSED_RNG.standard_normal((5, 4, 4)))):
-        assert_split_invariant(mat_exp, _taylor_exp, closed, generic)
 
 
 def assert_split_invariant(kernel, oracle, closed, generic, rng=CLOSED_RNG):
@@ -148,13 +145,19 @@ def assert_split_invariant(kernel, oracle, closed, generic, rng=CLOSED_RNG):
     assert np.array_equal(out[~is_closed], oracle(batch[~is_closed]))
 
 
+def _rotations(angles, rng=CLOSED_RNG):
+    """so3 members by the given angles about random axes."""
+    axes = rng.standard_normal((len(angles), 3))
+    axes *= np.asarray(angles)[:, None] / np.linalg.norm(axes, axis=-1, keepdims=True)
+    return mat_exp(to_matrix_coords(SO3, axes), SO3.exp)
+
+
 def test_log_batch_composition_does_not_change_results():
-    rotations = mat_exp(to_matrix_coords(SO3, 0.4 * CLOSED_RNG.standard_normal((7, 3))))
-    others = np.concatenate([
-        mat_exp(to_matrix_coords(get_group(name), 0.4 * CLOSED_RNG.standard_normal((4, 3))))
-        for name in ("n3", "e11")
-    ])
-    assert_split_invariant(mat_log, _generic_log, rotations, others)
+    # so3 rotations below pi/2 shuffled in with rotations past it, which
+    # the row's log hands to the generic log
+    below = _rotations(CLOSED_RNG.uniform(0.0, 1.5, 7))
+    past = _rotations(CLOSED_RNG.uniform(1.6, 3.0, 5))
+    assert_split_invariant(partial(mat_log, closed_form=SO3.log), generic_log, below, past)
 
 
 def test_log_identity_is_zero():
@@ -262,7 +265,7 @@ def _oracle_gap(a, got, want):
 @given(SEEDS, LOG10_NORMS)
 def test_so3_exp_matches_taylor_oracle(seed, log_norm):
     a = to_matrix_coords(SO3, _scaled_direction(seed, 3, 10.0**log_norm))
-    assert _oracle_gap(a, mat_exp(a), _taylor_exp(a)) <= ORACLE_TOL
+    assert _oracle_gap(a, mat_exp(a, SO3.exp), _taylor_exp(a)) <= ORACLE_TOL
 
 
 @settings(max_examples=200, deadline=None)
@@ -278,7 +281,7 @@ def test_se3_exp_matches_taylor_oracle(seed, log_angle, log_shift):
         _scaled_direction(seed + 1, 3, 10.0**log_shift),
     ])
     a = to_matrix_coords(SE3, coords)
-    assert _oracle_gap(a, mat_exp(a), _taylor_exp(a)) <= ORACLE_TOL
+    assert _oracle_gap(a, mat_exp(a, SE3.exp), _taylor_exp(a)) <= ORACLE_TOL
 
 
 @settings(max_examples=200, deadline=None)
@@ -286,8 +289,14 @@ def test_se3_exp_matches_taylor_oracle(seed, log_angle, log_shift):
 def test_so3_log_matches_generic_oracle(seed, log_angle):
     a = to_matrix_coords(SO3, _scaled_direction(seed, 3, 10.0**log_angle))
     rotation = _taylor_exp(a)
-    assert linalg._is_rotation_below_half_turn(linalg._entries(rotation[None]))[0]
-    assert _oracle_gap(a, mat_log(rotation), _generic_log(rotation)) <= ORACLE_TOL
+    assert _takes_rotation_log(rotation)
+    assert _oracle_gap(a, mat_log(rotation, SO3.log), generic_log(rotation)) <= ORACLE_TOL
+
+
+def _takes_rotation_log(m):
+    e = groups._entries(m[None])
+    return (groups._orthogonality_defect(e)[0] <= groups._ROTATION_LOG_GATE
+            and groups._cos_angle(e)[0] > 0.0)
 
 
 def test_log_outside_the_closed_form_is_the_generic_log_bit_for_bit():
@@ -296,17 +305,46 @@ def test_log_outside_the_closed_form_is_the_generic_log_bit_for_bit():
     skewed = rotation + 1e-10 * CLOSED_RNG.standard_normal((3, 3))  # defect above 1e-12
     past_quarter = _taylor_exp(to_matrix_coords(SO3, (np.pi / 2 + 1e-3) * axis))
     for m in (skewed, past_quarter):
-        assert not linalg._is_rotation_below_half_turn(linalg._entries(m[None]))[0]
-        assert np.array_equal(mat_log(m), _generic_log(m))
+        assert not _takes_rotation_log(m)
+        assert np.array_equal(mat_log(m, SO3.log), generic_log(m))
 
 
 def test_exp_outside_the_closed_forms_is_the_taylor_exp_bit_for_bit():
-    nearly_skew = to_matrix_coords(SO3, [0.3, -0.2, 0.9])
-    nearly_skew[0, 0] = 1e-300
-    rigid_with_bottom_row = to_matrix_coords(SE3, CLOSED_RNG.standard_normal(6))
-    rigid_with_bottom_row[3, 0] = 1e-12
-    for a in (nearly_skew, rigid_with_bottom_row, to_matrix_coords(get_group("n3"), [1, 2, 3])):
+    # without a row's kernel, so3 and se3 algebra elements take the generic
+    # kernels too: linalg never reads the group off the entries
+    skew = to_matrix_coords(SO3, [0.3, -0.2, 0.9])
+    rigid = to_matrix_coords(SE3, CLOSED_RNG.standard_normal(6))
+    for a in (skew, rigid, to_matrix_coords(get_group("n3"), [1, 2, 3])):
         assert np.array_equal(mat_exp(a), _taylor_exp(a))
+    rotation = _taylor_exp(skew)
+    assert _takes_rotation_log(rotation)
+    assert np.array_equal(mat_log(rotation), generic_log(rotation))
+
+
+ROW_NORMS = st.floats(min_value=-9.0, max_value=float(np.log10(1.5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.sampled_from(GROUP_NAMES), ROW_NORMS)
+def test_catalog_row_kernels_match_the_generic_kernels(seed, name, log_norm):
+    # every row's exp and log, closed form or None, against the generic
+    # kernels; at norms up to 1.5 an so3 log stays below pi/2
+    spec = get_group(name)
+    coords = np.random.default_rng(seed).standard_normal((4, spec.algebra_dim))
+    coords *= 10.0**log_norm / np.linalg.norm(coords, axis=-1, keepdims=True)
+    a = to_matrix_coords(spec, coords)
+    bound = ORACLE_TOL * np.maximum(1.0, frobenius_norm(a))[:, None, None]
+    assert np.all(np.abs(mat_exp(a, spec.exp) - _taylor_exp(a)) <= bound)
+    m = _taylor_exp(a)
+    assert np.all(np.abs(mat_log(m, spec.log) - generic_log(m)) <= bound)
+
+
+def test_sl2r_log_refuses_a_trace_below_minus_two():
+    # det 1 and eigenvalues -2 and -0.5: no real logarithm, at any dt
+    m = np.array([[-2.0, 0.0], [0.0, -0.5]])
+    with pytest.raises(LogRangeError, match=r"^sl2r: an SL\(2,R\) element with trace below -2 "
+                                            r"has no real logarithm$"):
+        mat_log(m, get_group("sl2r").log)
 
 
 QUADRATIC = "kij,...i,...j->...k"
@@ -392,24 +430,39 @@ def test_no_module_contracts_the_quadratic_with_einsum():
     assert [m.name for m in modules if literal.search(m.read_text())] == []
 
 
+def test_no_module_imports_another_modules_private_name():
+    # each module's internals, such as the entry-row format of the catalog
+    # kernels in groups, stay behind that module's public functions
+    root = Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted(root.glob("src/liestoch/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("liestoch")):
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
 def test_map_stacked_blocks_match_one_call_bit_for_bit():
-    # three full blocks and a short one; closed-form and generic matrices mixed
+    # three full blocks and a short one, through the so3 and se3 rows; the
+    # so3 rotations lie on both sides of pi/2, so the log's blocks mix its
+    # closed form with the generic log
     rng = np.random.default_rng(7)
     m = 3 * linalg._ROW_CHUNK + 17
-    skew = to_matrix_coords(SO3, 0.5 * rng.standard_normal((m, 3)))
-    rigid = to_matrix_coords(SE3, 0.5 * rng.standard_normal((m, 6)))
-    for closed in (skew, rigid):
-        d = closed.shape[-1]
-        take = rng.random(m) < 0.6
-        batch = np.where(take[:, None, None], closed, 0.3 * rng.standard_normal((m, d, d)))
-        exps = mat_exp(batch)
-        assert map_stacked(mat_exp, batch).tobytes() == exps.tobytes()
-        assert map_stacked(mat_log, exps).tobytes() == mat_log(exps).tobytes()
+    for spec in (SO3, SE3):
+        coords = rng.standard_normal((m, spec.algebra_dim))
+        coords *= rng.uniform(0.0, 2.5, (m, 1)) / np.linalg.norm(coords, axis=-1, keepdims=True)
+        exp = partial(mat_exp, closed_form=spec.exp)
+        log = partial(mat_log, closed_form=spec.log)
+        algebra = to_matrix_coords(spec, coords)
+        exps = exp(algebra)
+        assert map_stacked(exp, algebra).tobytes() == exps.tobytes()
+        assert map_stacked(log, exps).tobytes() == log(exps).tobytes()
 
 
 def test_map_stacked_restores_leading_axes_of_per_matrix_scalars():
     coords = np.random.default_rng(8).standard_normal((3, linalg._ROW_CHUNK + 3, 3))
-    stack = mat_exp(to_matrix_coords(SO3, coords))
+    stack = mat_exp(to_matrix_coords(SO3, coords), SO3.exp)
     defect = map_stacked(lambda g: membership_defect(SO3, g), stack)
     assert defect.shape == coords.shape[:-1]
     assert defect.tobytes() == membership_defect(SO3, stack).tobytes()
@@ -449,19 +502,19 @@ def test_slabs_cover_the_grid_once_in_memory_order(replicas, steps):
 
 
 def _v_coefficient_two_branch(theta):
-    """``linalg._v_coefficient`` as first written: both branches on every
+    """``groups._v_coefficient`` as first written: both branches on every
     angle, picked by ``np.where``."""
-    small = theta < linalg._SERIES_ANGLE
+    small = theta < groups._SERIES_ANGLE
     t = np.where(small, 1.0, theta)
     direct = (t - np.sin(t)) / (t * t * t)
     theta2 = theta * theta
-    series = np.full_like(theta, linalg._V_SERIES[-1])
-    for coeff in linalg._V_SERIES[-2::-1]:
+    series = np.full_like(theta, groups._V_SERIES[-1])
+    for coeff in groups._V_SERIES[-2::-1]:
         series = series * theta2 + coeff
     return np.where(small, series, direct)
 
 
-HALF = linalg._SERIES_ANGLE
+HALF = groups._SERIES_ANGLE
 ANGLES = st.one_of(
     st.sampled_from([0.0, 5e-324, 2.2e-308, np.nextafter(HALF, 0.0), HALF,
                      np.nextafter(HALF, 1.0), 4.0]),
@@ -476,42 +529,4 @@ ANGLES = st.one_of(
 @example([1.0, 4.0])  # every angle on the direct branch
 def test_v_coefficient_is_the_two_branch_form_bit_for_bit(angles):
     theta = np.array(angles)
-    assert linalg._v_coefficient(theta).tobytes() == _v_coefficient_two_branch(theta).tobytes()
-
-
-# 3x3 and 4x4 entry rows; the gather forms below are the kernels' first
-# versions (a transposed copy of the rows, a fancy-indexed block)
-ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf, 1e308, -1e308])
-TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()
-BLOCK4 = np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
-
-
-def _is_skew_gathered(e):
-    return ~np.any(e + e[TRANSPOSE3], axis=0)
-
-
-def _skew_batch(data, d, m):
-    """m random d x d matrices as entry rows, each either exactly skew in
-    its top-left 3x3 block or with entries drawn from ENTRIES, after four
-    fixed ones: skew with -0.0 and with +-1e308, and an inf or NaN pair."""
-    flat = np.array(data.draw(st.lists(ENTRIES, min_size=d * d * m, max_size=d * d * m)))
-    mats = np.concatenate([np.zeros((4, d, d)), flat.reshape(m, d, d)])
-    for i, (a, diag) in enumerate([(1.0, -0.0), (1e308, 0.0), (np.inf, 0.0), (1.0, np.nan)]):
-        mats[i, 0, 1], mats[i, 1, 0], mats[i, 2, 2] = a, -a, diag
-    for i in range(4, 4 + m):
-        if data.draw(st.booleans()):  # skew block, one side negated
-            block = mats[i, :3, :3]
-            mats[i, :3, :3] = np.triu(block, 1) - np.triu(block, 1).T
-    return linalg._entries(mats)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 6))
-def test_skew_tests_are_the_gather_forms(data, m):
-    e3 = _skew_batch(data, 3, m)
-    e4 = _skew_batch(data, 4, m)
-    # mat_exp runs the tests with these warnings off: 1e308 + 1e308 is inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array_equal(linalg._is_skew(e3), _is_skew_gathered(e3))
-        gathered = _is_skew_gathered(e4[BLOCK4]) & ~np.any(e4[[12, 13, 14, 15]], axis=0)
-        assert np.array_equal(linalg._is_rigid_algebra(e4), gathered)
+    assert groups._v_coefficient(theta).tobytes() == _v_coefficient_two_branch(theta).tobytes()

@@ -9,7 +9,7 @@ in the exponential, the logarithm or the basis of any group shows up here.
 import numpy as np
 import pytest
 
-from liestoch import linalg
+from liestoch import groups
 from liestoch.calculus import increments_from_values
 from liestoch.connections import alpha_levi_civita, metric_for
 from liestoch.explog import ito_exponential
@@ -38,6 +38,6 @@ def test_readback_recovers_step_logs(name, steps):
 def test_readback_catches_a_perturbed_closed_form(monkeypatch):
     # the se3 V-matrix coefficient moves only the translation column, so the
     # membership gate cannot see it; the readback must
-    original = linalg._v_coefficient
-    monkeypatch.setattr(linalg, "_v_coefficient", lambda theta: original(theta) * (1 + 1e-6))
+    original = groups._v_coefficient
+    monkeypatch.setattr(groups, "_v_coefficient", lambda theta: original(theta) * (1 + 1e-6))
     assert readback_error(_solved("se3", 100)) > READBACK_TOL
