@@ -21,7 +21,6 @@ from . import campbell, explog, martingale
 from .connections import (
     alpha_biinvariant,
     alpha_levi_civita,
-    closed_form_u_variants,
     metric_for,
     regress_closed_forms,
     u_from_metric,
@@ -72,11 +71,11 @@ def _timed(fn):
 
 
 @_timed
-def criterion_u_regression(closed_form_provider=closed_form_u_variants) -> CriterionResult:
+def criterion_u_regression() -> CriterionResult:
     """U tables: metric solve agrees with the cross-product form on se3 for
     every lambda in {0.5, 1, 2}; the known n3 and e11 conflicts are flagged
     in the report rather than hidden."""
-    report = regress_closed_forms(closed_form_provider=closed_form_provider)
+    report = regress_closed_forms()
     se3_max = report.max_diff("se3")
     flagged = {(r.group, r.variant) for r in report.flagged_rows}
     n3_flagged = any(g == "n3" for g, _ in flagged)

@@ -22,11 +22,15 @@ seed and r. ``--workers`` must be at least 1 and has no effect on output or
 scheduling; it stays accepted so existing configs and manifests still run.
 
 Each subcommand accepts only the flags it reads and exits 2 on any other.
-Config files are flat ``key=value`` lines (``#`` comments allowed) and may
-set only ``command`` and the keys of the command's own flags, each to a
-value its flag accepts; command-line flags override file values. Exit
-codes: 0 success, 1 failed verification, 2 usage error, 3 violated
-precondition/hypothesis, 4 numerical failure.
+Config files are flat ``key=value`` lines (``#`` comments allowed). Each
+line becomes its flag's ``--flag=value`` token, placed before the
+command-line flags and parsed by the same subparser, so a file value meets
+its flag's type and choices and a command-line flag overrides it. A file
+may set only the keys of the command's own flags and ``command``, which
+must name the subcommand. Every command but ``u-table`` and ``regress``
+refuses a missing ``--out`` before any work. Exit codes: 0 success, 1
+failed verification, 2 usage error, 3 violated precondition/hypothesis, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -68,7 +73,8 @@ class UsageError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Flat, serializable description of one run."""
+    """Flat, serializable description of one run: a field per flag of
+    ``_FLAGS`` but ``--config``, and the subcommand."""
 
     command: str
     group: str = "se3"
@@ -89,53 +95,6 @@ class ExperimentConfig:
     workers: int = 1
     out: str = ""
     fmt: str = "csv"
-
-    @classmethod
-    def from_kv(cls, text, command=None):
-        """Parse a config file; with ``command`` given, a key that command
-        does not read (other than ``command``) is a usage error."""
-        data = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            data[key] = value
-        config = cls._coerce(data, command)
-        if command:
-            unread = [key for key in data if key not in ("command",) + _COMMANDS[command][1]]
-            if unread:
-                raise UsageError(f"{command} does not read config key {unread[0]!r}")
-        return config
-
-    @classmethod
-    def _coerce(cls, data, command=None):
-        kwargs = {}
-        valid = {f.name: f.type for f in fields(cls)}
-        for key, value in data.items():
-            if key not in valid:
-                raise UsageError(f"unknown config key {key!r}")
-            kind = valid[key]
-            try:
-                if kind == "int":
-                    kwargs[key] = int(value)
-                elif kind == "float":
-                    kwargs[key] = float(value)
-                else:
-                    kwargs[key] = str(value)
-            except ValueError as exc:
-                raise UsageError(f"bad value for {key!r}: {value!r}") from exc
-            choices = _FLAGS.get(key, (None, {}))[1].get("choices")
-            if choices is not None and kwargs[key] not in choices:
-                raise UsageError(f"bad value for {key!r}: {value!r}, choose from {choices}")
-        if command is not None and kwargs.setdefault("command", command) != command:
-            raise UsageError(f"config key 'command' names {kwargs['command']!r}, "
-                             f"not {command!r}")
-        if "command" not in kwargs:
-            raise UsageError("config does not name a command")
-        return cls(**kwargs)
 
     def dt_ladder(self, horizon):
         """The ``--dts`` rungs, each a positive step that divides ``horizon``,
@@ -246,61 +205,63 @@ def _check_draw(config, min_replicas=1):
         raise UsageError("--seed must be a non-negative integer")
 
 
-def _solve(config, ensemble, alpha):
+def _solve(config):
+    """The developed group ensemble of ``exp``, ``log`` and
+    ``martingale-test``, and its connection. The driver ensemble is
+    dropped on return, before any readback or verdict runs."""
+    spec, alpha = _connection(config)
+    ensemble = _build_ensemble(config, spec)
     if config.scheme == "ito":
-        return explog.ito_exponential(ensemble, alpha)
-    return explog.strat_exponential(ensemble)
+        return explog.ito_exponential(ensemble, alpha), alpha
+    return explog.strat_exponential(ensemble), alpha
 
 
-def _write_manifest(out, config):
-    manifest = {"schema": SCHEMA_VERSION, "config": asdict(config)}
-    with open(out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _json(payload):
+    """A writer of ``payload`` as indented JSON with sorted keys."""
+    def write(fh):
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return write
 
 
-def _open_out(config):
-    if not config.out:
-        raise UsageError("this command requires --out")
-    try:
-        return open(config.out, "w", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot write {config.out!r}: {exc}") from exc
+def _write(config, write, *siblings):
+    """Open ``--out`` for ``write``, then ``--out`` + suffix for each
+    ``(suffix, writer)`` sibling, and last write the manifest of ``config``."""
+    manifest = _json({"schema": SCHEMA_VERSION, "config": asdict(config)})
+    for suffix, writer in (("", write), *siblings, (".manifest.json", manifest)):
+        path = config.out + suffix
+        try:
+            fh = open(path, "w", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path!r}: {exc}") from exc
+        with fh:
+            writer(fh)
 
 
 def _cmd_exp(config):
-    spec, alpha = _connection(config)
-    ensemble = _build_ensemble(config, spec)
-    solved = _solve(config, ensemble, alpha)
-    with _open_out(config) as fh:
-        dump_group_csv(solved, fh)
-    _write_manifest(config.out, config)
+    solved, _ = _solve(config)
+    _write(config, partial(dump_group_csv, solved))
     return EXIT_OK
 
 
 def _cmd_log(config):
-    spec, alpha = _connection(config)
-    ensemble = _build_ensemble(config, spec)
-    solved = _solve(config, ensemble, alpha)
+    solved, alpha = _solve(config)
     logs = explog.ito_logarithm(solved, alpha)
-    with _open_out(config) as fh:
-        dump_algebra_csv(logs, fh)
-    _write_manifest(config.out, config)
+    _write(config, partial(dump_algebra_csv, logs))
     return EXIT_OK
 
 
 def _cmd_roundtrip(config):
     spec, alpha = _connection(config)
     err = explog.roundtrip_errors(_build_ensemble(config, spec), alpha)
-    with _open_out(config) as fh:
-        write_table(fh, ["replica", "terminal_error"],
-                    [*enumerate(err), ("mean", np.mean(err))])
-    _write_manifest(config.out, config)
+    _write(config, partial(write_table, header=["replica", "terminal_error"],
+                           rows=[*enumerate(err), ("mean", np.mean(err))]))
     return EXIT_OK
 
 
 def _cmd_convergence(config):
     spec, alpha = _connection(config)
+    _check_draw(config, min_replicas=2)  # each rung reports a standard error
     horizon = config.grid().horizon
     rungs = [replace(config, dt=dt, steps=round(horizon / dt))
              for dt in config.dt_ladder(horizon)]
@@ -308,44 +269,30 @@ def _cmd_convergence(config):
     for sub in rungs:
         err = explog.roundtrip_errors(_build_ensemble(sub, spec), alpha)
         rows.append((sub.dt, np.mean(err), np.std(err, ddof=1) / np.sqrt(len(err))))
-    with _open_out(config) as fh:
-        write_table(fh, ["dt", "mean_terminal_error", "stderr"], rows)
-    _write_manifest(config.out, config)
+    _write(config, partial(write_table, header=["dt", "mean_terminal_error", "stderr"],
+                           rows=rows))
     return EXIT_OK
-
-
-def _report_dict(report):
-    d = asdict(report)
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in d.items()}
 
 
 def _cmd_campbell(config):
     spec, alpha = _connection(config)
     _check_draw(config, min_replicas=2)  # each rung reports a standard error
     dts = config.dt_ladder(campbell.HORIZON)
-    rule = config.rule or "midpoint"
-    exp_rep = campbell.ch_ladder(
-        spec, alpha, dts=dts, replicas=config.replicas, base_seed=config.seed, rule=rule
-    )
-    log_rep = campbell.log_product_ladder(
-        spec, alpha, dts=dts, replicas=config.replicas,
-        base_seed=config.seed + 100, rule=config.rule or "ito",
-    )
-    reports = [exp_rep, log_rep]
-    with _open_out(config) as fh:
-        if config.fmt == "json":
-            json.dump(
-                {"schema": SCHEMA_VERSION, "reports": [_report_dict(r) for r in reports]},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        else:
-            write_table(
-                fh, ["kind", "rule", "dt", "mean_terminal", "max_terminal", "stderr"],
-                [(rep.kind, rep.rule, *row) for rep in reports for row in zip(
-                    rep.dt_ladder, rep.mean_terminal, rep.max_terminal, rep.stderr_terminal)],
-            )
-    _write_manifest(config.out, config)
+    reports = [
+        campbell.ch_ladder(spec, alpha, dts=dts, replicas=config.replicas,
+                           base_seed=config.seed, rule=config.rule or "midpoint"),
+        campbell.log_product_ladder(spec, alpha, dts=dts, replicas=config.replicas,
+                                    base_seed=config.seed + 100, rule=config.rule or "ito"),
+    ]
+    if config.fmt == "json":
+        write = _json({"schema": SCHEMA_VERSION, "reports": [asdict(r) for r in reports]})
+    else:
+        write = partial(
+            write_table, header=["kind", "rule", "dt", "mean_terminal", "max_terminal", "stderr"],
+            rows=[(rep.kind, rep.rule, *row) for rep in reports for row in zip(
+                rep.dt_ladder, rep.mean_terminal, rep.max_terminal, rep.stderr_terminal)],
+        )
+    _write(config, write)
     return EXIT_OK
 
 
@@ -355,34 +302,16 @@ def _cmd_martingale_test(config):
     if config.steps % config.buckets != 0:
         raise UsageError(f"--buckets {config.buckets} must divide --steps {config.steps}")
     z_band = _z_band(config)
-    spec, alpha = _connection(config)
-    # the driver ensemble is dropped before the verdict runs
-    solved = _solve(config, _build_ensemble(config, spec), alpha)
-    report = martingale.martingale_verdict(
-        solved, alpha, buckets=config.buckets, z_band=z_band
-    )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "group": report.group,
-        "connection": report.connection,
-        "replicas": report.replicas,
-        "buckets": report.buckets,
-        "z_band": report.z_band,
-        "min_cell_fraction": report.min_cell_fraction,
-        "cells_within": report.cells_within,
-        "max_abs_z": report.max_abs_z,
-        "passed": report.passed,
-    }
-    with _open_out(config) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    zpath = config.out + ".zscores.csv"
-    with open(zpath, "w", newline="") as fh:
-        write_table(fh, ["bucket", "component", "mean", "stderr", "z"], [
-            (b, c, report.mean[b, c], report.stderr[b, c], report.z[b, c])
-            for b, c in np.ndindex(report.z.shape)
-        ])
-    _write_manifest(config.out, config)
+    solved, alpha = _solve(config)
+    report = martingale.martingale_verdict(solved, alpha, buckets=config.buckets, z_band=z_band)
+    summary = {key: value for key, value in vars(report).items()
+               if not isinstance(value, np.ndarray)}
+    zscores = partial(write_table, header=["bucket", "component", "mean", "stderr", "z"], rows=[
+        (b, c, report.mean[b, c], report.stderr[b, c], report.z[b, c])
+        for b, c in np.ndindex(report.z.shape)
+    ])
+    _write(config, _json({"schema": SCHEMA_VERSION, "max_abs_z": report.max_abs_z, **summary}),
+           (".zscores.csv", zscores))
     print(f"verdict: {'pass' if report.passed else 'fail'} "
           f"(max |z| = {report.max_abs_z:.2f})")
     return EXIT_OK
@@ -393,43 +322,29 @@ def _cmd_u_table(config):
     _positive(config.lam, "--lambda")
     u = u_from_metric(metric_for(spec, config.lam)).coeffs
     n = spec.algebra_dim
-    header = ["i", "j"] + [f"c{k+1}" for k in range(n)]
-    rows = [(i + 1, j + 1, *u[:, i, j]) for i in range(n) for j in range(n)]
+    write = partial(write_table, header=["i", "j"] + [f"c{k+1}" for k in range(n)],
+                    rows=[(i + 1, j + 1, *u[:, i, j]) for i in range(n) for j in range(n)])
     if config.out:
-        with _open_out(config) as fh:
-            write_table(fh, header, rows)
-        _write_manifest(config.out, config)
+        _write(config, write)
     else:
-        write_table(sys.stdout, header, rows)
+        write(sys.stdout)
     return EXIT_OK
 
 
 def _cmd_regress(config):
     results = acceptance.run_all()
-    if config.out:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "criteria": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "details": r.details,
-                    "runtime_seconds": round(r.seconds, 2),
-                }
-                for r in results
-            ],
-            "all_passed": all(r.passed for r in results),
-        }
-        with _open_out(config) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(config.out, config)
     failed = [r for r in results if not r.passed]
+    if config.out:
+        criteria = [{"name": r.name, "passed": r.passed, "details": r.details,
+                     "runtime_seconds": round(r.seconds, 2)} for r in results]
+        _write(config, _json({"schema": SCHEMA_VERSION, "criteria": criteria,
+                              "all_passed": not failed}))
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return EXIT_OK if not failed else EXIT_VERIFICATION_FAILED
 
 
-# Every flag by config field: (flag, argparse keywords).
+# Every flag by config field: (flag, argparse keywords). A config file's
+# ``key=value`` line is parsed as the token ``flag=value``.
 _FLAGS = {
     "config": ("--config", {"help": "flat key=value config file"}),
     "group": ("--group", {}),
@@ -488,27 +403,51 @@ def _build_parser():
     return parser
 
 
-def _resolve_config(args):
+def _config_tokens(command, path):
+    """The ``--flag=value`` token of each ``key=value`` line of the config
+    file at ``path``, in file order. A ``command`` line must name ``command``
+    and gives no token."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+    tokens = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"config line {lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "command":
+            if value != command:
+                raise UsageError(f"config key 'command' names {value!r}, not {command!r}")
+        elif key == "config" or key not in _COMMANDS[command][1]:
+            raise UsageError(f"{command} does not read config key {key!r}")
+        else:
+            tokens.append(f"{_FLAGS[key][0]}={value}")
+    return tokens
+
+
+def _resolve_config(argv):
+    """The config of ``argv`` (subcommand first). A ``--config`` file's
+    tokens are parsed ahead of the command-line flags, which override them."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        try:
-            with open(args.config) as fh:
-                config = ExperimentConfig.from_kv(fh.read(), command=args.command)
-        except OSError as exc:
-            raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-    else:
-        config = ExperimentConfig(command=args.command)
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None and f.name != "command":
-            setattr(config, f.name, value)
-    return config
+        args = parser.parse_args([args.command, *_config_tokens(args.command, args.config),
+                                  *argv[1:]])
+    return ExperimentConfig(**{key: value for key, value in vars(args).items()
+                               if value is not None and key != "config"})
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = _resolve_config(args)
+        config = _resolve_config(argv)
+        if not config.out and config.command not in ("u-table", "regress"):
+            raise UsageError("this command requires --out")
         return _COMMANDS[config.command][0](config)
     except (UsageError, UnsupportedGroupError) as exc:  # an unknown --group too
         print(f"usage error: {exc}", file=sys.stderr)

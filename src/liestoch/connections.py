@@ -240,21 +240,20 @@ class RegressionReport:
         return float(np.max(sel)) if sel else None  # NaN if any row is NaN
 
 
-def regress_closed_forms(closed_form_provider=closed_form_u_variants):
+def regress_closed_forms():
     """Compare every closed-form U variant against the metric solve.
 
     Disagreements are reported as data (flagged rows), never patched: the
     point of the report is to make the known sign and lambda-placement
     conflicts between the printed displays visible next to the
-    authoritative solve. ``closed_form_provider(name, lam)`` returns the
-    variants by label. Every group of ``_U_DISPLAYS`` is compared at each of
-    ``REGRESSION_LAMBDAS``.
+    authoritative solve. Every group of ``_U_DISPLAYS`` is compared at each
+    of ``REGRESSION_LAMBDAS``.
     """
     rows = []
     for name in _U_DISPLAYS:
         for lam in REGRESSION_LAMBDAS:
             oracle = u_from_metric(metric_for(name, lam)).coeffs
-            for label, conn in closed_form_provider(name, lam).items():
+            for label, conn in closed_form_u_variants(name, lam).items():
                 diff = np.abs(conn.coeffs - oracle)
                 worst = np.unravel_index(int(np.argmax(diff)), diff.shape)
                 rows.append(

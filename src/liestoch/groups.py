@@ -91,7 +91,9 @@ class GroupSpec:
     elements; each is None for the generic path: conjugate and project
     with a closure check, and ``linalg``'s ``_taylor_exp`` and
     ``generic_log``. Callers pass ``exp`` and ``log`` to ``linalg.mat_exp``
-    and ``linalg.mat_log``.
+    and ``linalg.mat_log``. Precondition, not checked: the input of ``exp``
+    lies in the algebra (``to_matrix_coords`` output, say) and that of
+    ``log`` in the group; off them the closed forms return wrong matrices.
     """
 
     name: str

@@ -10,14 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from liestoch import cli
 from liestoch.acceptance import NEGATIVE_CONTROL_COV
 from liestoch.cli import (
+    _COMMANDS,
+    _FLAGS,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
     ExperimentConfig,
     UsageError,
+    _resolve_config,
     main,
 )
 from liestoch.connections import REGRESSION_LAMBDAS, metric_for, u_from_metric
@@ -27,8 +31,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def test_config_kv_roundtrip():
-    text = """# every field, none at its default
+def test_config_kv_roundtrip(tmp_path, monkeypatch):
+    # no command reads every key, so here convergence reads them all
+    monkeypatch.setitem(_COMMANDS, "convergence", (None, tuple(_FLAGS)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("""# every field, none at its default
 command=convergence
 group=so3
 connection=biinvariant
@@ -48,8 +55,8 @@ significance=0.99
 workers=2
 out=x.csv
 fmt=json
-"""
-    parsed = ExperimentConfig.from_kv(text)
+""")
+    parsed = _resolve_config(["convergence", "--config", str(cfg)])
     assert parsed == ExperimentConfig(
         command="convergence", group="so3", connection="biinvariant", lam=0.75,
         dt=2.5e-3, steps=400, replicas=12, seed=99, dts="4e-3,2e-3", driver="drift",
@@ -61,15 +68,24 @@ fmt=json
         assert getattr(parsed, f.name) != getattr(default, f.name), f.name
 
 
-def test_config_kv_errors():
-    with pytest.raises(UsageError):
-        ExperimentConfig.from_kv("not a kv line")
-    with pytest.raises(UsageError):
-        ExperimentConfig.from_kv("unknown_key=3", command="exp")
-    with pytest.raises(UsageError):
-        ExperimentConfig.from_kv("steps=abc", command="exp")
-    with pytest.raises(UsageError):
-        ExperimentConfig.from_kv("group=so3")  # no command anywhere
+def test_config_kv_errors(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for text in ("not a kv line", "unknown_key=3"):
+        cfg.write_text(text)
+        with pytest.raises(UsageError):
+            _resolve_config(["exp", "--config", str(cfg)])
+    cfg.write_text("steps=abc")  # argparse's own type check
+    with pytest.raises(SystemExit) as exc:
+        _resolve_config(["exp", "--config", str(cfg)])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --steps: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_every_config_key_is_a_flag():
+    # a field without a flag could not be set from a file
+    assert set(_FLAGS) - {"config"} == {f.name for f in fields(ExperimentConfig)} - {"command"}
+    for _, flags in _COMMANDS.values():
+        assert set(flags) <= set(_FLAGS)
 
 
 def test_config_file_with_cli_override(tmp_path):
@@ -154,6 +170,17 @@ def test_convergence_refuses_a_rung_that_does_not_divide_the_horizon(tmp_path, c
                    "--replicas", "4", "--seed", "1", "--out", str(out))
     assert code == EXIT_USAGE
     assert "rung 0.03 " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convergence_refuses_a_single_replica(tmp_path, capsys):
+    # one replica has no standard error: every stderr cell was nan
+    out = tmp_path / "conv.csv"
+    code = run_cli("convergence", "--group", "so3", "--connection", "biinvariant",
+                   "--replicas", "1", "--steps", "100", "--dt", "0.01", "--dts", "0.02,0.01",
+                   "--out", str(out))
+    assert code == EXIT_USAGE
+    assert "--replicas must be at least 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -318,6 +345,27 @@ def test_exit_codes(tmp_path):
         "--out", str(tmp_path / "y.json"),
     )
     assert code == EXIT_PRECONDITION
+
+
+_SMALL = ["--group", "so3", "--connection", "biinvariant", "--dt", "0.01", "--steps", "10",
+          "--replicas", "100", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp", *_SMALL], ["log", *_SMALL], ["roundtrip", *_SMALL],
+    ["convergence", *_SMALL, "--dts", "0.02,0.01"],
+    ["campbell", "--group", "so3", "--connection", "biinvariant", "--dts", "0.02,0.01",
+     "--replicas", "3", "--seed", "1"],
+    ["martingale-test", *_SMALL, "--buckets", "5"],
+], ids=lambda argv: argv[0])
+def test_a_missing_out_is_refused_before_any_work(argv, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "brownian_ensemble", never)
+    monkeypatch.setattr(cli.campbell, "ch_ladder", never)
+    assert run_cli(*argv) == EXIT_USAGE
+    assert "requires --out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exp", "log"])
@@ -630,13 +678,13 @@ def test_config_file_refuses_keys_the_command_does_not_read(command, key, value,
 ])
 def test_config_file_values_outside_the_flag_choices_are_refused(command, key, tmp_path,
                                                                  capsys):
-    """A config-file value meets the same ``choices`` as its flag: exit 2,
-    naming the key, before anything is written."""
+    """A config-file value meets its flag's ``choices`` in argparse: exit 2,
+    naming the flag, before anything is written."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"group=so3\nreplicas=4\n{key}=xml\n")
     out = tmp_path / "x.out"
-    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
-    assert repr(key) in capsys.readouterr().err
+    assert _refused(command, "--config", str(cfg), "--out", str(out))
+    assert f"argument {_FLAGS[key][0]}: invalid choice: 'xml'" in capsys.readouterr().err
     assert not out.exists()
 
 

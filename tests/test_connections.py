@@ -209,7 +209,7 @@ def test_regression_report_flags():
     assert report.max_diff("sl2r", lam=2.0) > 1e-3
 
 
-def test_regression_flags_a_nan_table():
+def test_regression_flags_a_nan_table(monkeypatch):
     def nan_se3(name, lam):
         variants = closed_form_u_variants(name, lam)
         if name != "se3":
@@ -217,7 +217,8 @@ def test_regression_flags_a_nan_table():
         return {label: dataclasses.replace(conn, coeffs=np.full_like(conn.coeffs, np.nan))
                 for label, conn in variants.items()}
 
-    report = regress_closed_forms(closed_form_provider=nan_se3)
+    monkeypatch.setattr("liestoch.connections.closed_form_u_variants", nan_se3)
+    report = regress_closed_forms()
     se3_rows = [r for r in report.rows if r.group == "se3"]
     assert len(se3_rows) == 3
     assert all(r.flagged and math.isnan(r.max_abs_diff) for r in se3_rows)
