@@ -27,10 +27,11 @@ line becomes its flag's ``--flag=value`` token, placed before the
 command-line flags and parsed by the same subparser, so a file value meets
 its flag's type and choices and a command-line flag overrides it. A file
 may set only the keys of the command's own flags and ``command``, which
-must name the subcommand. Every command but ``u-table`` and ``regress``
-refuses a missing ``--out`` before any work. Exit codes: 0 success, 1
-failed verification, 2 usage error, 3 violated precondition/hypothesis, 4
-numerical failure.
+must name the subcommand; a file value its flag refuses exits 2 naming
+the file. Every command but ``u-table`` and ``regress`` refuses a missing
+``--out``, and every command an ``--out`` it cannot write, before any
+work. Exit codes: 0 success, 1 failed verification, 2 usage error, 3
+violated precondition/hypothesis, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -388,6 +390,12 @@ _COMMANDS = {
 }
 
 
+def _add_flags(parser, command):
+    for field_name in _COMMANDS[command][1]:
+        flag, keywords = _FLAGS[field_name]
+        parser.add_argument(flag, dest=field_name, default=None, **keywords)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="liestoch",
@@ -395,18 +403,16 @@ def _build_parser():
                     "on matrix Lie groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        for field_name in flags:
-            flag, keywords = _FLAGS[field_name]
-            p.add_argument(flag, dest=field_name, default=None, **keywords)
+    for name in _COMMANDS:
+        _add_flags(sub.add_parser(name), name)
     return parser
 
 
 def _config_tokens(command, path):
     """The ``--flag=value`` token of each ``key=value`` line of the config
     file at ``path``, in file order. A ``command`` line must name ``command``
-    and gives no token."""
+    and gives no token. The tokens are parsed on their own first, so that a
+    value its flag refuses exits 2 (argparse's exit) naming the file."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -427,6 +433,12 @@ def _config_tokens(command, path):
             raise UsageError(f"{command} does not read config key {key!r}")
         else:
             tokens.append(f"{_FLAGS[key][0]}={value}")
+    parser = argparse.ArgumentParser(prog=f"liestoch {command}", exit_on_error=False)
+    _add_flags(parser, command)
+    try:
+        parser.parse_args(tokens)
+    except argparse.ArgumentError as exc:
+        parser.error(f"config file {path!r}: {exc}")
     return tokens
 
 
@@ -442,11 +454,23 @@ def _resolve_config(argv):
                                if value is not None and key != "config"})
 
 
+def _check_out(path):
+    """Refuse an ``--out`` that cannot be written, before any work: its
+    directory must exist and be writable, and it must not be a directory."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path!r}: it is a directory")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write {path!r}: no writable directory {directory!r}")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         config = _resolve_config(argv)
-        if not config.out and config.command not in ("u-table", "regress"):
+        if config.out:
+            _check_out(config.out)
+        elif config.command not in ("u-table", "regress"):
             raise UsageError("this command requires --out")
         return _COMMANDS[config.command][0](config)
     except (UsageError, UnsupportedGroupError) as exc:  # an unknown --group too

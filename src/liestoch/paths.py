@@ -353,21 +353,218 @@ def write_table(fh, header, rows):
     fh.write("".join(",".join(map(_field, row)) + "\r\n" for row in [header, *rows]))
 
 
+# Path CSV text in bulk. Each field owns a 48-byte slot of twelve uint32
+# words: bytes 0-10 hold its leading separator, sign and "0.000" prefix,
+# right-aligned; its 17 digits fill bytes 11-27; byte 31 is '.' and bytes
+# 32-47 repeat the digits but the first. One row of _SHOWN per kind of field
+# picks the bytes its text keeps, in one run (two when digits precede the
+# '.'); a text from repr overwrites the slot's first bytes instead.
+_SLOT = 48
+_FIRST = 11                         # the first digit's byte
+_POINT = 31                         # '.', then digit j at byte 31 + j
+_POW10 = 10.0 ** np.arange(22)      # exact doubles
+_POW10_INT = 10 ** np.arange(18)
+_SPLIT = 134217729.0                # 2**27 + 1, Veltkamp's splitting constant
+_CHUNK_VALUES = 1 << 12             # fields formatted at once
+# 4 ASCII digits of each of 0..9999, as one uint32 in memory order, and
+# their trailing zeros
+_DIGITS4 = (np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+            % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
+_ZEROS4 = sum(np.arange(10**4, dtype=np.uint16) % 10**k == 0 for k in range(1, 5)).astype(np.int8)
+# Prefix classes: ``sign * 20 + e10 + 4`` for a float after a ',' with a
+# decimal exponent e10 in [-4, 15]; then an int after nothing, ',' or "\r\n"
+_NONE, _COMMA, _CRLF = 40, 41, 42
+_POINT_WORD = int(np.frombuffer(b"   .", np.uint32)[0])
+
+
+def _prefix_words():
+    """Words 0-1 of each class's slot, and word 2 by class * 10 + first
+    digit: the separator, then for a float its '-' and, when e10 < 0, "0."
+    and -e10 - 1 zeros, right-aligned before the first digit."""
+    col = np.arange(_FIRST)
+    sign = np.arange(2)[:, None, None]
+    e10 = np.arange(-4, 16)[:, None]
+    rel = col - (_FIRST - 1 - sign - np.where(e10 < 0, 1 - e10, 0))
+    body = rel - 1 - sign
+    floats = np.where(rel < 0, ord(" "), np.where(rel == 0, ord(","), np.where(
+        body < 0, ord("-"), np.where(body == 1, ord("."), ord("0")))))
+    ints = np.frombuffer(b" " * 21 + b"," + b" " * 9 + b"\r\n", np.uint8)
+    prefix = np.concatenate([floats.reshape(40, _FIRST), ints.reshape(3, _FIRST)])
+    lead = np.empty((len(prefix), 10, 4), np.uint8)
+    lead[..., :3] = prefix[:, None, 8:]
+    lead[..., 3] = np.arange(48, 58)
+    return prefix[:, :8].astype(np.uint8).view(np.uint32), lead.view(np.uint32).ravel()
+
+
+def _shown_table():
+    """_SHOWN's rows, by code: ``class * 17 + n - 1`` for a float of ``n``
+    significant digits written positionally, ``_TEXT + L`` for a text of L
+    bytes, and ``_INTS + (class - _NONE) * 18 + L`` for an int of L digits."""
+    col = np.arange(_SLOT)
+    sign = np.arange(2)[:, None, None, None]
+    e10 = np.arange(-4, 16)[:, None, None]
+    n = np.arange(1, 18)[:, None]
+    start = _FIRST - 1 - sign - np.where(e10 < 0, 1 - e10, 0)
+    # 0.0012: its prefix then the digits. 123.45 and 1200.0: the digits to
+    # the point, '.', then the rest or one '0'.
+    fraction = (col >= start) & (col < _FIRST + n)
+    whole = ((col >= start) & (col <= _FIRST + e10)) | (col == _POINT) | (
+        (col > _POINT + e10) & (col <= _POINT + np.maximum(n - 1, e10 + 1)))
+    positional = np.where(e10 < 0, fraction, whole).reshape(-1, _SLOT)
+    text = col < np.arange(26)[:, None]
+    ints = ((col >= _FIRST - np.arange(3)[:, None, None])
+            & (col < _FIRST + np.arange(18)[:, None])).reshape(-1, _SLOT)
+    return np.concatenate([positional, text, ints])
+
+
+_PREFIX, _LEAD = _prefix_words()
+_SHOWN = _shown_table()
+_TEXT = 40 * 17
+_INTS = _TEXT + 26
+
+
+def _split(a):
+    """Veltkamp's split: a == hi + lo exactly, each of at most 26 bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a, s):
+    """a * 10**s exactly, as the unevaluated sum hi + lo: Dekker's
+    error-free product, exact because 10**s is a double for s <= 21."""
+    hi = a * _POW10[s]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+def _divmod(a, b):
+    q = a // b    # numpy's divmod does not use the fast scalar division
+    return q, a - q * b
+
+
+def _shortest_digits(x):
+    """repr's digits of each float64 of 1-D ``x`` that repr writes
+    positionally: ``(digits, e10, done)``, with ``digits`` the int64 of its
+    significant digits padded to 17 by trailing zeros and ``x`` equal to
+    ``digits * 10**(e10 - 16)`` to that precision. Where ``done`` is false
+    (0 < |x| < 1e-4, |x| >= 1e16, not finite) both are meaningless."""
+    a = np.abs(x)
+    zero = a == 0
+    positional = (a >= 1e-4) & (a < 1e16)
+    a = np.where(positional, a, 1.0)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, 16 - e10)
+    # log10 may round across a power of ten; then move y = hi + lo into
+    # [1e16, 1e17)
+    low = (hi - 1e16) + lo < 0
+    high = (hi - 1e17) + lo >= 0
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        e10[moved] += high[moved].astype(np.int64) - low[moved]
+        hi[moved], lo[moved] = _scaled(a[moved], 16 - e10[moved])
+    # y = whole + frac exactly: hi is an integer and |lo| <= 8
+    lo_floor = np.floor(lo)
+    whole = hi.astype(np.int64) + lo_floor.astype(np.int64)
+    frac = lo - lo_floor
+    # A decimal nearer than half an ulp of x (``half``, at y's scale) reads
+    # back as x, and ``half`` > 1/2. repr's two other cases change no digit
+    # here: a power of two (half the gap below) has an exact decimal of at
+    # most 16 digits, and a decimal exactly half an ulp away is never the
+    # nearest candidate (for x < 2**53 it has over 16 digits, and beyond,
+    # x itself is a 16-digit integer).
+    bits = a.view(np.int64)
+    half = _POW10[16 - e10] * ((bits >> 52) - 53 << 52).view(np.float64)
+    # 17 digits: the nearest integer. 16: the nearest multiple of 10, if
+    # it reads back. 15 or fewer: the interval (< 23 wide) holds at most one
+    # multiple of 100, and the fewest digits are its own. Ties go to the
+    # even last digit, as in repr (hi is even). ``step`` is digits - whole.
+    step = (np.rint(lo) - lo_floor).astype(np.int64)
+    for unit in (10, 100):
+        q = whole // unit
+        rem = whole - q * unit
+        down = rem + frac          # exact: rem < 100, frac's bits >= 2**-46
+        up = unit - down
+        nearer_up = (up < down) | ((up == down) & (q & 1 == 1))
+        step = np.where(np.minimum(down, up) < half,
+                        np.where(nearer_up, unit - rem, -rem), step)
+    # digits < 1e17: x < 10**(e10 + 1), and a power of ten from 1e-3 to
+    # 1e16 reads back as no double below it (0.1, 0.01, 0.001 round up)
+    digits = whole + step
+    digits[zero] = 0
+    return digits, e10, positional | zero
+
+
+def _csv_lines(ints, floats):
+    """CSV lines, each the ``ints`` (non-negative int64, at least one) then
+    the ``floats`` (float64) of one row: ints in decimal, floats as repr."""
+    rows, n_int = ints.shape
+    x = floats.ravel()
+    d, e10, done = _shortest_digits(x)
+    width = 1 + np.searchsorted(_POW10_INT[1:], ints, side="right")
+    # a line but the first begins with the "\r\n" ending the one before
+    classes = np.full((rows, n_int + floats.shape[1]), _COMMA)
+    classes[:, 0] = _CRLF
+    classes[0, 0] = _NONE
+    classes[:, n_int:] = (np.signbit(x) * 20 + e10 + 4).reshape(floats.shape)
+    # an int's digits start where a float's do
+    digits = np.concatenate([ints * _POW10_INT[17 - width], d.reshape(floats.shape)], axis=1)
+    top, low = _divmod(digits, 10**8)
+    lead, top = _divmod(top, 10**8)
+    groups = [*_divmod(top, 10**4), *_divmod(low, 10**4)]    # digits 1-4, ..., 13-16
+    words = np.empty(digits.shape + (_SLOT // 4,), np.uint32)
+    words[..., :2] = np.take(_PREFIX, classes, axis=0)
+    words[..., 2] = np.take(_LEAD, classes * 10 + lead)
+    words[..., 7] = _POINT_WORD
+    zeros = 16         # trailing zeros of the 17 digits, past the last nonzero group
+    for i, group in enumerate(groups):
+        words[..., 3 + i] = words[..., 8 + i] = np.take(_DIGITS4, group)
+        zeros = np.where(group != 0, 12 - 4 * i + np.take(_ZEROS4, group), zeros)
+    codes = np.empty_like(classes)
+    codes[:, :n_int] = _INTS + (classes[:, :n_int] - _NONE) * 18 + width
+    codes[:, n_int:] = classes[:, n_int:] * 17 + 16 - zeros[:, n_int:]
+    slots = words.view(np.uint8)
+    fallback = np.flatnonzero(~done)
+    if fallback.size:
+        # repr once per bit pattern
+        patterns, which = np.unique(x[fallback].view(np.int64), return_inverse=True)
+        texts = ["," + repr(v) for v in patterns.view(np.float64).tolist()]
+        raw = np.frombuffer("".join(t.ljust(25) for t in texts).encode("ascii"), np.uint8)
+        row, col = _divmod(fallback, floats.shape[1])
+        slots[row, n_int + col, :25] = raw.reshape(len(texts), 25)[which]
+        codes[row, n_int + col] = (_TEXT + np.array([len(t) for t in texts]))[which]
+    return slots[np.take(_SHOWN, codes, axis=0)].tobytes().decode("ascii") + "\r\n"
+
+
 def _dump_rows(fh, grid, header, stacked):
     """stacked: (replicas, steps+1, m) flattened component values.
 
-    The body is ``write_table``'s format written in bulk, every float
-    already a Python float. One write per replica keeps memory at one
-    replica's text.
+    The body is ``write_table``'s bytes, formatted in chunks of whole rows
+    of at most ``_CHUNK_VALUES`` fields. Each float's repr is found in bulk
+    and exactly: for 1e-4 <= |x| < 1e16, y = |x| * 10**s with s = 16 -
+    floor(log10|x|) lies in [1e16, 1e17), and both y and half an ulp of x
+    at that scale (over 1/2) are exact sums of doubles, by Dekker's
+    error-free product, as 10**s is a double. repr's digits are then the
+    nearest multiple of the largest power of ten within that half ulp of y,
+    ties to even, found by integer comparisons as in Ryu. 0 is "0.0", and
+    any other value goes to repr once per bit pattern.
     """
     write_table(fh, header, [])
-    prefixes = [f"{k},{t!r}," for k, t in enumerate(grid.times().tolist())]
-    for r in range(stacked.shape[0]):
-        rid = f"{r},"
-        fh.write("".join(
-            rid + prefix + ",".join(map(repr, row)) + "\r\n"
-            for prefix, row in zip(prefixes, stacked[r].tolist())
-        ))
+    replicas, points, m = stacked.shape
+    values = stacked.reshape(replicas * points, m)
+    times = grid.times()
+    rows = max(1, _CHUNK_VALUES // (m + 3))
+    for start in range(0, len(values), rows):
+        block = values[start:start + rows]
+        r, k = _divmod(np.arange(start, start + len(block)), points)
+        floats = np.empty((len(block), m + 1))
+        floats[:, 0] = times[k]
+        floats[:, 1:] = block
+        fh.write(_csv_lines(np.stack([r, k], axis=1), floats))
 
 
 def dump_algebra_csv(ens, fh):

@@ -368,6 +368,34 @@ def test_a_missing_out_is_refused_before_any_work(argv, monkeypatch, capsys):
     assert "requires --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exp", *_SMALL], ["log", *_SMALL], ["martingale-test", *_SMALL, "--buckets", "5"],
+    ["regress"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_out_is_refused_before_any_work(argv, where, tmp_path, monkeypatch,
+                                                      capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "brownian_ensemble", never)
+    monkeypatch.setattr(cli.acceptance, "run_all", never)
+    out = tmp_path / "no" / "such" / "x.csv" if where == "missing directory" else tmp_path
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    assert f"cannot write {str(out)!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_file_value_its_flag_refuses_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=so3\nsteps=abc\n")
+    out = tmp_path / "x.csv"
+    assert _refused("exp", "--config", str(cfg), "--steps", "10", "--out", str(out))
+    err = capsys.readouterr().err
+    assert f"config file {str(cfg)!r}: argument --steps: invalid int value: 'abc'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["exp", "log"])
 @pytest.mark.parametrize("dt, expected", [("4", EXIT_NUMERICAL), ("1", EXIT_OK)])
 def test_large_dt_is_a_numerical_failure(command, dt, expected, tmp_path):

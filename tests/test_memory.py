@@ -1,7 +1,8 @@
 """Scratch memory of the tiled and slabbed passes (``linalg.tiles``,
 ``linalg.slabs``): each keeps only its outputs full size, so its peak
-stays within the output bytes plus a few tiles. numpy reports its
-allocations to tracemalloc."""
+stays within the output bytes plus a few tiles. The path dump formats its
+text in chunks of whole rows. numpy reports its allocations to
+tracemalloc."""
 
 import tracemalloc
 
@@ -12,7 +13,7 @@ from liestoch.calculus import increments_from_values
 from liestoch.connections import alpha_levi_civita, metric_for
 from liestoch.explog import ito_exponential, ito_logarithm
 from liestoch.groups import get_group
-from liestoch.paths import TimeGrid, brownian_ensemble
+from liestoch.paths import TimeGrid, brownian_ensemble, dump_group_csv
 
 SE3 = get_group("se3")
 ALPHA = alpha_levi_civita(metric_for(SE3, 1.0))
@@ -76,3 +77,16 @@ def test_peak_at_few_replicas_over_long_paths(name, replicas, op):
     driver = brownian_ensemble(spec, TimeGrid(1.0, 1000), 4, replicas)
     developed = ito_exponential(driver, alpha)
     _assert_peak_is_output_plus_a_few_tiles(op, driver, alpha, developed)
+
+
+class _Discard:
+    """A text file that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_dump_scratch_is_a_few_chunks(developed):
+    # formatted all at once, this ensemble's text would take about 300 MB
+    _, peak = _peak_above_start(lambda: dump_group_csv(developed, _Discard()))
+    assert peak <= SCRATCH_BYTES, peak

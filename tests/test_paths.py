@@ -1,6 +1,7 @@
 import ast
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liestoch.errors import DimensionError, GridMismatchError, MetricError, NonFiniteError
 from liestoch.explog import strat_exponential
@@ -24,6 +27,7 @@ from liestoch.paths import (
     quadratic_covariation,
     write_table,
 )
+from liestoch.paths import _csv_lines
 
 SO3 = get_group("so3")
 
@@ -361,16 +365,77 @@ def test_algebra_csv_matches_csv_writer_bytes():
     assert _dump_bytes(dump_algebra_csv, one) == _oracle_bytes(one)
 
 
+# Floats the path dump must write as repr: the classes it leaves to repr
+# (tiny, subnormal, huge), zeros, powers of two, ties at the last digit
+# (even up, even down), and every decimal exponent it writes itself.
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 9.999e-05, 2.0**-14, 1e16,
+    1.2345e20, 1.7976931348623157e308, 123456789.0, 1 / 3, 0.5, 2.0, 2.0**-13, 2.0**53,
+    2.0**53 + 2, 1045350691735047.25, 1042535581692948.75, 166930725145524.125,
+    998074298825140.75, 571497785641648.25,
+    *(float(f"1.2345678901234567e{e}") for e in range(-4, 16)),
+    *(float(f"1e{e}") for e in range(-4, 16)),
+]
+
+
 def test_csv_float_edge_cases_match_csv_writer_bytes():
-    specials = [0.0, -0.0, 5e-324, 1e-05, 9.999e-05, 1e16, 123456789.0, 1 / 3]
+    values = np.array(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS])
+    points = -(-len(values) // 6)
     # every value and its negative, in both replicas, on a grid with
     # non-terminating times
-    values = np.resize(np.array(specials + [-x for x in specials]), (2, 8, 3))
-    ens = Ensemble(SO3, TimeGrid(1 / 3, 7), values)
+    ens = Ensemble(SO3, TimeGrid(1 / 3, points - 1), np.resize(values, (2, points, 3)))
     text = _dump_bytes(dump_algebra_csv, ens)
     assert text == _oracle_bytes(ens)
-    for token in ("-0.0", "5e-324", "1e-05", "9.999e-05", "1e+16", "123456789.0"):
-        assert token in text
+    for token in ("-0.0", "5e-324", "1e-05", "9.999e-05", "1e+16", "123456789.0", "0.0001",
+                  "1000000000000000.0", "0.00012345678901234567", "1045350691735047.2",
+                  "1042535581692948.8", "166930725145524.12", "998074298825140.8",
+                  "571497785641648.2", "-1.7976931348623157e+308"):
+        assert f",{token}," in text or f",{token}\r\n" in text, token
+
+
+def _bulk_texts(values):
+    """The path dump's text of each float64 of ``values``, in blocks of
+    4096 rows ``0,<value>``."""
+    x = np.asarray(values, dtype=np.float64)
+    texts = []
+    for block in np.array_split(x, -(-len(x) // 4096)):
+        lines = _csv_lines(np.zeros((len(block), 1), np.int64), block[:, None])
+        texts += [line[len("0,"):] for line in lines.split("\r\n")[:-1]]
+    return texts
+
+
+def _ulps_from(x, k):
+    return float((np.array([x]).view(np.int64) + k).view(np.float64)[0])
+
+
+_MAGNITUDES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.array([b], np.uint64).view(np.float64)[0]))
+    .filter(math.isfinite),
+    st.builds(_ulps_from, st.sampled_from([1e-4, 1e15, 1e16]), st.integers(-200, 200)),
+    st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
+    st.builds(math.ldexp, st.integers(1, 2**53), st.integers(-1074, 0)),     # k / 2**m
+    st.builds(lambda k, j: k / 10**j, st.integers(1, 10**9), st.integers(0, 25)),
+)
+_FLOATS = st.builds(lambda x, negative: -x if negative else x, _MAGNITUDES, st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=64))
+def test_bulk_float_text_is_repr(values):
+    assert _bulk_texts(values) == [repr(v) for v in values]
+
+
+def test_bulk_float_text_is_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(2026)
+    # any double, and one repr writes positionally (about 1e-5 to 1e17,
+    # where a uniform pattern lands once in 30 draws)
+    low, high = np.array([1e-5, 1e17]).view(np.int64)
+    bits = np.concatenate([rng.integers(-2**63, 2**63 - 1, 10**5), rng.integers(low, high, 10**5)])
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)]
+    x[1::2] *= -1
+    assert _bulk_texts(x) == [repr(v) for v in x.tolist()]
 
 
 def _csv_writer_table(header, rows):
