@@ -29,14 +29,16 @@ the basis directions that the catalog metric weights by lambda^2, and its
 closed-form kernels (defect, inverse, adjoint, exp and log), all carried by
 its ``GroupSpec``. ``membership_defect``, ``group_inverse`` and
 ``adjoint_matrices`` call the spec's kernels, and callers hand ``spec.exp``
-and ``spec.log`` to ``linalg.mat_exp`` and ``linalg.mat_log``. An adjoint,
-exp or log of None takes the generic path: conjugate and project, or
-``linalg``'s generic exp and log. so3 has all three closed forms: the
-cofactor adjoint, Rodrigues' formula, and the rotation log, which hands
-each matrix past pi/2 or off orthogonality to the generic log. se3 has the
-rigid-motion exp (Sola, Deray and Atchuthan, arXiv:1812.01537), and sl2r a
-log that refuses a trace below -2. ``check_membership`` is the one
-membership gate.
+and ``spec.log`` to ``linalg.mat_exp`` and ``linalg.mat_log``. An adjoint
+or log of None takes the generic path: conjugate and project, or
+``linalg``'s generic log. Every row has a closed-form exp: Rodrigues'
+formula (so3), the rigid-motion exps with their V-matrices (se2 and se3;
+Sola, Deray and Atchuthan, arXiv:1812.01537), ``diag(e^h, e^-h)`` with
+``expm1(h)/h`` translations (e11), the series ``I + A + A^2/2`` that ends
+there (n3), and ``C I + S A`` by Cayley-Hamilton (sl2r). so3 also has the
+cofactor adjoint and the rotation log, which hands each matrix past pi/2
+or off orthogonality to the generic log, and sl2r a log that refuses a
+trace below -2. ``check_membership`` is the one membership gate.
 """
 
 from __future__ import annotations
@@ -88,12 +90,14 @@ class GroupSpec:
     stack to a stack. ``adjoint`` maps an (m, d, d) stack of members to
     (m, n, n) Ad matrices, ``exp`` an (m, d, d) stack of algebra elements
     to group elements and ``log`` a stack of group elements to algebra
-    elements; each is None for the generic path: conjugate and project
-    with a closure check, and ``linalg``'s ``_taylor_exp`` and
-    ``generic_log``. Callers pass ``exp`` and ``log`` to ``linalg.mat_exp``
-    and ``linalg.mat_log``. Precondition, not checked: the input of ``exp``
-    lies in the algebra (``to_matrix_coords`` output, say) and that of
-    ``log`` in the group; off them the closed forms return wrong matrices.
+    elements. ``adjoint`` and ``log`` are None for the generic path:
+    conjugate and project with a closure check, and ``linalg``'s
+    ``generic_log``; every row has its own ``exp``. Callers pass ``exp``
+    and ``log`` to ``linalg.mat_exp`` and ``linalg.mat_log``, whose generic
+    kernels are the closed forms' oracle. Precondition, not checked: the
+    input of ``exp`` lies in the algebra (``to_matrix_coords`` output, say)
+    and that of ``log`` in the group; off them the closed forms return
+    wrong matrices.
     """
 
     name: str
@@ -105,7 +109,7 @@ class GroupSpec:
     defect: Callable = field(repr=False, compare=False)
     inverse: Callable = field(repr=False, compare=False)
     adjoint: Callable | None = field(repr=False, compare=False)
-    exp: Callable | None = field(repr=False, compare=False)
+    exp: Callable = field(repr=False, compare=False)
     log: Callable | None = field(repr=False, compare=False)
 
     def __post_init__(self):
@@ -278,6 +282,11 @@ _ROTATION_LOG_GATE = 1e-12  # ||M^T M - I||_F above this: generic log
 _SERIES_ANGLE = 0.5         # below it (theta - sin theta)/theta^3 is a series
 # (-1)^k / (2k+3)!, k = 0..6: the first omitted term is below 2e-19 at 0.5
 _V_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
+_SL2R_SERIES = 0.25         # |s^2| below it: sl2r's exp coefficients are series
+# 1/(2k)! and 1/(2k+1)!, k = 0..7, in powers of s^2: the first omitted
+# terms are below 1e-18 at |s^2| = 0.25
+_COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(8))
+_SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(8))
 
 _TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()  # entry row of (j, i)
 _DIAG3 = np.array([0, 4, 8])
@@ -334,14 +343,18 @@ def _rodrigues_coefficients(theta):
     return _sinc(theta / np.pi), b
 
 
-def _v_series(theta):
-    """The Taylor series of ``(theta - sin(theta))/theta^3`` by Horner's rule."""
-    theta2 = theta * theta
-    series = np.full_like(theta, _V_SERIES[-1])
-    for coeff in _V_SERIES[-2::-1]:
-        series *= theta2
+def _horner(coeffs, x):
+    """``sum_k coeffs[k] x^k`` by Horner's rule."""
+    series = np.full_like(x, coeffs[-1])
+    for coeff in coeffs[-2::-1]:
+        series *= x
         series += coeff
     return series
+
+
+def _v_series(theta):
+    """The Taylor series of ``(theta - sin(theta))/theta^3``."""
+    return _horner(_V_SERIES, theta * theta)
 
 
 def _v_coefficient(theta):
@@ -418,6 +431,80 @@ def _rigid_exp(e):
         row += cross
     out[12:15] = 0.0
     out[15] = 1.0
+    return out
+
+
+def _se2_exp(e):
+    """``[[R, V u], [0, 1]]`` for 3x3 ``[[0, -theta, x], [theta, 0, y], 0]``:
+    R the rotation by theta and ``V = a I + b theta J``, J the quarter turn."""
+    theta = e[3]
+    x, y = e[2], e[5]
+    a, b = _rodrigues_coefficients(theta)
+    b *= theta
+    out = np.zeros_like(e)
+    np.cos(theta, out=out[0])
+    out[4] = out[0]
+    np.sin(theta, out=out[3])
+    np.negative(out[3], out=out[1])
+    out[2] = a * x - b * y
+    out[5] = b * x + a * y
+    out[8] = 1.0
+    return out
+
+
+def _expm1_ratio(h):
+    """``expm1(h)/h``, exactly 1 at h = 0."""
+    return np.divide(np.expm1(h), h, out=np.ones_like(h), where=h != 0)
+
+
+def _e11_exp(e):
+    """``diag(e^h, e^-h, 1)`` with translations ``x expm1(h)/h`` and
+    ``y expm1(-h)/(-h)``, for 3x3 ``[[h, 0, x], [0, -h, y], 0]``."""
+    h = e[0]
+    out = np.zeros_like(e)
+    np.exp(h, out=out[0])
+    np.exp(e[4], out=out[4])
+    out[2] = e[2] * _expm1_ratio(h)
+    out[5] = e[5] * _expm1_ratio(e[4])
+    out[8] = 1.0
+    return out
+
+
+def _n3_exp(e):
+    """``I + A + A^2/2`` for 3x3 ``[[0, x, z], [0, 0, y], 0]``, as ``A^3 = 0``."""
+    out = e.copy()
+    out[2] += 0.5 * (e[1] * e[5])
+    out[_DIAG3] = 1.0
+    return out
+
+
+def _sl2r_coefficients(s2):
+    """C and S with ``exp A = C I + S A`` for A in sl(2,R) and s^2 = -det A:
+    ``cosh s`` and ``sinh(s)/s`` for s^2 > 0, ``cos t`` and ``sin(t)/t``
+    with t^2 = -s^2 for s^2 < 0, and their Taylor series in s^2 for |s^2|
+    below 0.25. Each branch runs only on the matrices that take it."""
+    small = np.abs(s2) < _SL2R_SERIES
+    if small.all():
+        return _horner(_COSH_SERIES, s2), _horner(_SINHC_SERIES, s2)
+    c, s = np.empty_like(s2), np.empty_like(s2)
+    c[small], s[small] = _horner(_COSH_SERIES, s2[small]), _horner(_SINHC_SERIES, s2[small])
+    hyperbolic = s2 >= _SL2R_SERIES
+    r = np.sqrt(s2[hyperbolic])
+    c[hyperbolic], s[hyperbolic] = np.cosh(r), np.sinh(r) / r
+    elliptic = ~(small | hyperbolic)  # NaN included
+    t = np.sqrt(-s2[elliptic])
+    c[elliptic], s[elliptic] = np.cos(t), np.sin(t) / t
+    return c, s
+
+
+def _sl2r_exp(e):
+    """``C I + S A`` for 2x2 ``A = [[h, p], [q, -h]]``, by Cayley-Hamilton:
+    ``A^2 = -det A I = s^2 I``."""
+    s2 = e[0] * e[0] + e[1] * e[2]
+    c, s = _sl2r_coefficients(s2)
+    out = s * e
+    out[0] += c
+    out[3] += c
     return out
 
 
@@ -566,17 +653,20 @@ def _so3_adjoint(e):
 
 
 # One row per group, in catalog order: (basis builder, lambda^2-weighted
-# basis directions, defect, inverse, adjoint, exp, log), the last three
+# basis directions, defect, inverse, adjoint, exp, log), adjoint and log
 # None for the generic path; see ``GroupSpec``.
 _CATALOG = {
     "so3": (_so3_basis, (), partial(_rotation_defect, d=3, k=3), _so3_inverse,
             partial(_rowwise, _so3_adjoint), partial(_rowwise, _rotation_exp), _so3_log),
-    "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None, None, None),
+    "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None,
+            partial(_rowwise, _se2_exp), None),
     "se3": (_se3_basis, (3, 4, 5), partial(_rigid_defect, d=4), _rigid_inverse, None,
             partial(_rowwise, _rigid_exp), None),
-    "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None, None, None),
-    "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None, None, None),
-    "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None, None, _sl2r_log),
+    "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None,
+            partial(_rowwise, _e11_exp), None),
+    "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None, partial(_rowwise, _n3_exp), None),
+    "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None,
+             partial(_rowwise, _sl2r_exp), _sl2r_log),
 }
 
 GROUP_NAMES = tuple(_CATALOG)

@@ -14,9 +14,10 @@ slabs of ``slabs``, without changing a bit.
 ``mat_exp`` and ``mat_log`` run the generic kernels, ``_taylor_exp``
 (scaling-and-squaring) and ``generic_log`` (inverse scaling-and-squaring),
 unless the caller passes a group's closed form from its catalog row
-(``GroupSpec.exp``, ``GroupSpec.log``). Nothing here knows a group: the
-closed forms and their entry-row helpers live in ``groups``, and the
-generic kernels are the oracle they are tested against.
+(``GroupSpec.exp``, which every row has, or ``GroupSpec.log``). Nothing
+here knows a group: the closed forms and their entry-row helpers live in
+``groups``, and the generic kernels are the oracle they are tested
+against.
 
 Matrices are plain float64 numpy arrays; higher-level modules enforce the
 "entries finite" contract by calling these kernels.

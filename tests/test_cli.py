@@ -437,6 +437,16 @@ def test_exp_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert "overflowed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("group", ["e11", "sl2r"])
+def test_an_exp_past_double_range_in_one_step_is_a_numerical_failure(group, tmp_path, capsys):
+    # an H drift of about 800 in one unit step: e^h (e11) or cosh and sinh
+    # (sl2r) overflow in the row's closed-form exp, with no numpy warning
+    code = run_cli("exp", "--group", group, "--driver", "drift", "--drift", "800,0,0",
+                   "--dt", "1", "--steps", "1", "--seed", "1", "--out", str(tmp_path / "x.csv"))
+    assert code == EXIT_NUMERICAL
+    assert "overflowed" in capsys.readouterr().err
+
+
 def test_exp_overflow_prints_only_the_cli_message(tmp_path):
     # numpy's overflow warnings used to precede it: from mat_exp's squaring
     # loop (a step of 1e5 * 0.01) and from the develop product (steps of
@@ -857,15 +867,15 @@ _PINNED_DIGESTS = {
     "campbell-json-so3.manifest.json":
         "40ff79e3afd113d65fd3493652679b2b6e258e754324ff7059fd511458f4ab0c",
     "exp-bm-se2":
-        "fe1586fe69342131c82d572ff9aa02c143fcadc9d54674270a2daefff834ab09",
+        "8f8b8a20c35a52641892a4576b3a5650f3d5dab26d7fed27b5a4ed1c1cc1d56e",
     "exp-bm-se2.manifest.json":
         "308f8c8fac7545aed5f4fc5265bbacf912e10b1ebe97b54091b7e2e9f1fb2524",
     "exp-drift-se2":
-        "fe1586fe69342131c82d572ff9aa02c143fcadc9d54674270a2daefff834ab09",
+        "8f8b8a20c35a52641892a4576b3a5650f3d5dab26d7fed27b5a4ed1c1cc1d56e",
     "exp-drift-se2.manifest.json":
         "15971b4aaeea51493cead39871069aa5b21222aee448895183165bd5c1a5f353",
     "exp-drifted-se2":
-        "4815ed7efb6f815291c83a14eedb4d134910d156f1ef463c7fb91ff455c66717",
+        "26a919416431511cad9ea40ca96177b1ddc9e34877516821673d9a693ef15bde",
     "exp-drifted-se2.manifest.json":
         "befb42477ae0ab5ad6ddc6deb529300f0eb42c8d9395e69effd0e91c0d3f4393",
     "log-se2":
@@ -905,11 +915,11 @@ _PINNED_DIGESTS = {
     "convergence-se2.manifest.json":
         "ac5db7e07118edb4c14ccaf7509f03216945f9078e41606fd934bc0232f3744a",
     "campbell-csv-se2":
-        "adeaf6c8e76e2e82a1e5313d99456d2895a8b6b56d26de1cc729acd4d223834a",
+        "f17729d38773fae44d89d1c85e0a458f55babdf68bc95048c39a59e9da869395",
     "campbell-csv-se2.manifest.json":
         "252f667a52e70f3e41d4df814a923ad56efcaa52e4c9768c05c1c161eacaca70",
     "campbell-json-se2":
-        "9def6c8de42d1d4bcd59b63b2167a948f8a42d2eef6607a4aee74e322a0d0d26",
+        "09d92dc37684a9bb4c0f55e7123205ba262587f5a226cd044842d84a4aa8ac09",
     "campbell-json-se2.manifest.json":
         "dba150e734a746e906b0e375e5b0b809dba06feee8c999972f3b3b88a61ec11c",
     "exp-bm-se3":
@@ -969,15 +979,15 @@ _PINNED_DIGESTS = {
     "campbell-json-se3.manifest.json":
         "977a0f3458e6983f5931750bfec230a2aba87e2819702f2ab45f7a9c6ea8c19c",
     "exp-bm-e11":
-        "811369fd1bd40531165ff338849a35fc1e3f606529f307d966524051efc0f6c9",
+        "b9e81f19a9c1f29672c61d4da6fbe67be6141cf75391eb64fac9bd69a861d99a",
     "exp-bm-e11.manifest.json":
         "9c68240485285b6b5511727617701d533df2f4433e64f41b04aec4a19dce62bd",
     "exp-drift-e11":
-        "811369fd1bd40531165ff338849a35fc1e3f606529f307d966524051efc0f6c9",
+        "b9e81f19a9c1f29672c61d4da6fbe67be6141cf75391eb64fac9bd69a861d99a",
     "exp-drift-e11.manifest.json":
         "789adb459f96821401c6ee8ce109e6846cafc5a37d49515dbee4464b68e133d1",
     "exp-drifted-e11":
-        "5ff12eef13154ce62af0ac4e3154d42d248b23f989e96d56b8787da0a0196284",
+        "5ef710f6ef7ad9b54c3836a949ad4a661f36f6369b3e86bd6be62e842f523889",
     "exp-drifted-e11.manifest.json":
         "e8f058c69b12aafad86faee770dd2609e8d654a127aeabe1d0d3386b7bfa4c7f",
     "log-e11":
@@ -1017,11 +1027,11 @@ _PINNED_DIGESTS = {
     "convergence-e11.manifest.json":
         "a76c1abbe10c4e47dc54e3e97dc3a41ef2318aca796c09651997ce6031cc9e26",
     "campbell-csv-e11":
-        "52997555c889afeea06edb0c296c070d7b567ed7f3a3413a0959d1d2931c137d",
+        "fcfe0d7450659364385d8cce98827ff21e7cfd82a0198277fe3e27cfffbb0f7f",
     "campbell-csv-e11.manifest.json":
         "7e5fd009c6ed56cd992720e7766b35538c70f54310c717678cc59b3028b6138c",
     "campbell-json-e11":
-        "187ff93818719cd24d68296d05c57721f60d3299e0c46ec9f672d970d0d03c42",
+        "fed65c8bc3533f1f453a7e5f6cab73a345348aed30f31667731b258eeecdf014",
     "campbell-json-e11.manifest.json":
         "b956bf07d118a961b30823c69afece631d6ba45d123dee9821d39cb20dee4bb9",
     "exp-bm-n3":
@@ -1073,23 +1083,23 @@ _PINNED_DIGESTS = {
     "convergence-n3.manifest.json":
         "a06c15ca1a2a47ad738f3b9114bb14f5c3a5c40c9e8f4713bf2ddc105e28e0ae",
     "campbell-csv-n3":
-        "88c9cf2615ddb116b16d8a3da0e0aa1a821a558d019a203d2afdbb7a494b1d9a",
+        "cffca800b36cae3e5a649d9ad1f19596b27ed1c235e63ab57e77c4b55b171f93",
     "campbell-csv-n3.manifest.json":
         "89ad2ad47c5966dbf4b2fdf611207c525909f8b0f2ff084f9f4394d751552218",
     "campbell-json-n3":
-        "3b8ec43e3833ab6eae992ac38f598055783027472646b0517057389dd29b25c5",
+        "6459a959ba2631beb898fee7a166c357354c3c83da131d60952071510e3409ea",
     "campbell-json-n3.manifest.json":
         "c96298b3d95477c49b493be56de095048e5e381b6d33222b71134caab7300ebb",
     "exp-bm-sl2r":
-        "177acefd216a48bf8441e8cf08522e33c0d36bcd39c8d52aa618a2adc788caec",
+        "2802ffb44f77e804f578c9a0b5904ba916bde8b6de862f9d5584c7dba4bbd7d9",
     "exp-bm-sl2r.manifest.json":
         "5ab5d65a383d82d3299c5c84626e614f8b77629dffd6a22dfc4d2f57ba350de0",
     "exp-drift-sl2r":
-        "177acefd216a48bf8441e8cf08522e33c0d36bcd39c8d52aa618a2adc788caec",
+        "2802ffb44f77e804f578c9a0b5904ba916bde8b6de862f9d5584c7dba4bbd7d9",
     "exp-drift-sl2r.manifest.json":
         "a48e3f68559b987ead8239532aa5e44184eeb075e88854602de1c0b32a579c9b",
     "exp-drifted-sl2r":
-        "905466c9e5567e0f53b6f6e8375ee38c3b6fad4e68b22d18a68fba667e67507e",
+        "5f78224d8ede8404d7cc25c7d9ad99a2de3e3f0490bc7c1bf35f54e3113ff28b",
     "exp-drifted-sl2r.manifest.json":
         "55d20832dc36e3b169569a3b18a5cb22594106f27e1a5633888deb8c75da9d51",
     "log-sl2r":
@@ -1129,11 +1139,11 @@ _PINNED_DIGESTS = {
     "convergence-sl2r.manifest.json":
         "588bdcbad7b1215916e0570aed3ebb6cfd33cb440fbd3879bbeb7ca124829596",
     "campbell-csv-sl2r":
-        "0783aac0c9853437642090e8e5064f3800fe8051e30a1decb26429a1a6bfedf3",
+        "96360cae64b9d68354b2d181ab93d8cb37dd16be63c5aecabda3407b9abc3c8d",
     "campbell-csv-sl2r.manifest.json":
         "d1818c76df3373dbb15dcfec1e2c4179f5264efa2d9d0a7e5e6a03081bd3e047",
     "campbell-json-sl2r":
-        "5ccfca277535e53ff268ba23a994df983b30bb6e61f216dfe2a2456850380737",
+        "43347302b78631785475ff8f16a819b3ea4794f6349a528813bbbf64f2b4566f",
     "campbell-json-sl2r.manifest.json":
         "7b811ddb4dae1e54e50da35e6c45d8ba4153620ac9cc14425943981b432e4e05",
     "exp-cov-se3":

@@ -46,6 +46,10 @@ from liestoch.errors import MetricError
 RNG = np.random.default_rng(20260810)
 SO3 = get_group("so3")
 SE3 = get_group("se3")
+SE2 = get_group("se2")
+E11 = get_group("e11")
+N3 = get_group("n3")
+SL2R = get_group("sl2r")
 CLOSED_RNG = np.random.default_rng(20261018)  # closed-form cases; leaves RNG's stream alone
 
 
@@ -120,7 +124,10 @@ def test_exp_overflow_raises_without_a_numpy_warning():
     rigid[:2, 3] = 1.7e308
     with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a, kernel in ((huge, None), (np.diag([800.0, 0.0]), None), (rigid, SE3.exp)):
+        for a, kernel in ((huge, None), (np.diag([800.0, 0.0]), None), (rigid, SE3.exp),
+                          (huge, E11.exp), (-huge, E11.exp),
+                          (np.diag([800.0, -800.0]), SL2R.exp),
+                          (np.array([[0.0, 800.0], [800.0, 0.0]]), SL2R.exp)):
             with pytest.raises(ExpOverflowError, match="overflowed"):
                 mat_exp(a, kernel)
 
@@ -337,6 +344,95 @@ def test_catalog_row_kernels_match_the_generic_kernels(seed, name, log_norm):
     assert np.all(np.abs(mat_exp(a, spec.exp) - _taylor_exp(a)) <= bound)
     m = _taylor_exp(a)
     assert np.all(np.abs(mat_log(m, spec.log) - generic_log(m)) <= bound)
+
+
+def test_every_catalog_row_has_an_exp_kernel():
+    assert [name for name in GROUP_NAMES if get_group(name).exp is None] == []
+
+
+def _sl2r(h, p, q):
+    return np.array([[h, p], [q, -h]])
+
+
+# s^2 = h^2 + pq on each side of the series threshold, exactly: 0.25 - 2^-54
+# and -0.25 + 2^-55 are doubles
+SL2R_SWITCH = [_sl2r(0.5, 0.0, 0.0), _sl2r(0.5, 1.0, -2.0**-54),
+               _sl2r(0.0, 0.5, -0.5), _sl2r(0.0, 0.5, -0.5 + 2.0**-54)]
+
+
+def test_sl2r_exp_at_a_nilpotent_element_is_one_plus_it():
+    # s^2 = 0: the series gives C = S = 1 exactly
+    for a in (_sl2r(0.0, 1.0, 0.0), _sl2r(0.0, 0.0, -3.0), _sl2r(1.0, 1.0, -1.0)):
+        assert np.array_equal(mat_exp(a, SL2R.exp), np.eye(2) + a)
+
+
+def test_sl2r_exp_is_continuous_across_the_series_threshold():
+    s2 = [a[0, 0] ** 2 + a[0, 1] * a[1, 0] for a in SL2R_SWITCH]
+    assert s2 == [0.25, 0.25 - 2.0**-54, -0.25, -0.25 + 2.0**-55]
+    for a in SL2R_SWITCH:
+        assert np.max(np.abs(mat_exp(a, SL2R.exp) - _taylor_exp(a))) <= ORACLE_TOL
+    # C and S one ulp of s^2 apart, by the closed form and by the series
+    c, s = groups._sl2r_coefficients(np.array(s2))
+    assert np.max(np.abs(c[[0, 2]] - c[[1, 3]])) <= 4e-16
+    assert np.max(np.abs(s[[0, 2]] - s[[1, 3]])) <= 4e-16
+
+
+@pytest.mark.parametrize("s", [0.75, 3.0, 20.0])
+def test_sl2r_exp_in_the_hyperbolic_and_elliptic_regimes(s):
+    # diag(e^s, e^-s) and the rotation by s, each to a few ulps of its
+    # largest entry: e^-s is cosh s - sinh s
+    want = np.diag([np.exp(s), np.exp(-s)])
+    assert np.max(np.abs(mat_exp(_sl2r(s, 0.0, 0.0), SL2R.exp) - want)) <= 8e-16 * want[0, 0]
+    c, n = np.cos(s), np.sin(s)
+    got = mat_exp(_sl2r(0.0, s, -s), SL2R.exp)
+    assert np.max(np.abs(got - np.array([[c, n], [-n, c]]))) <= 8e-16 * s
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, 5e-324, -5e-324])
+def test_e11_exp_at_a_vanishing_boost_is_one_plus_the_translation(h):
+    # expm1(h)/h is exactly 1 at h = 0 and at the smallest subnormals
+    a = to_matrix_coords(E11, [h, 0.7, -1.3])
+    assert np.array_equal(mat_exp(a, E11.exp), [[1.0, 0.0, 0.7], [0.0, 1.0, -1.3], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi])
+def test_se2_exp_at_no_turn_and_at_a_half_turn(theta):
+    a = to_matrix_coords(SE2, [theta, 0.7, -1.3])
+    got = mat_exp(a, SE2.exp)
+    if theta == 0.0:
+        assert np.array_equal(got, np.eye(3) + a)
+    # V = (sin t / t) I + ((1 - cos t) / t) J, J the quarter turn
+    c, n = np.cos(theta), np.sin(theta)
+    v = np.array([[n, c - 1.0], [1.0 - c, n]]) / theta if theta else np.eye(2)
+    want = np.eye(3)
+    want[:2, :2] = [[c, -n], [n, c]]
+    want[:2, 2] = v @ [0.7, -1.3]
+    assert np.max(np.abs(got - want)) <= 4e-16
+    assert np.max(np.abs(got - _taylor_exp(a))) <= ORACLE_TOL * frobenius_norm(a)
+
+
+def test_n3_exp_is_the_terminating_series_bit_for_bit():
+    # dyadic entries: I + A + A^2/2 has no rounding, and neither may the kernel
+    coords = CLOSED_RNG.integers(-2**20, 2**20, (200, 3)) / 2.0**12
+    a = to_matrix_coords(N3, coords)
+    assert np.array_equal(mat_exp(a, N3.exp), np.eye(3) + a + (a @ a) / 2.0)
+
+
+def test_row_exp_batch_composition_does_not_change_results():
+    # each batch mixes every branch of its row's exp: sl2r's series,
+    # hyperbolic and elliptic forms, e11 and se2 at and off zero
+    batches = {
+        SL2R: np.concatenate([SL2R_SWITCH, [_sl2r(0.0, 1.0, 0.0), _sl2r(3.0, 0.1, 0.2),
+                                            _sl2r(0.1, 3.0, -2.0)]]),
+        E11: to_matrix_coords(E11, [[0.0, 1.0, 2.0], [5e-324, 1.0, 2.0], [0.3, -1.0, 0.5]]),
+        SE2: to_matrix_coords(SE2, [[0.0, 1.0, 2.0], [np.pi, 1.0, 2.0], [0.3, -1.0, 0.5]]),
+        N3: to_matrix_coords(N3, CLOSED_RNG.standard_normal((3, 3))),
+    }
+    for spec, batch in batches.items():
+        batch = batch[CLOSED_RNG.permutation(len(batch))]
+        mixed = mat_exp(batch, spec.exp)
+        for a, got in zip(batch, mixed):
+            assert np.array_equal(got, mat_exp(a, spec.exp)), spec.name
 
 
 def test_sl2r_log_refuses_a_trace_below_minus_two():

@@ -12,7 +12,7 @@ import pytest
 from liestoch.calculus import increments_from_values
 from liestoch.connections import alpha_levi_civita, metric_for
 from liestoch.explog import ito_exponential, ito_logarithm
-from liestoch.groups import get_group
+from liestoch.groups import GROUP_NAMES, get_group
 from liestoch.paths import TimeGrid, brownian_ensemble, dump_group_csv
 
 SE3 = get_group("se3")
@@ -77,6 +77,16 @@ def test_peak_at_few_replicas_over_long_paths(name, replicas, op):
     driver = brownian_ensemble(spec, TimeGrid(1.0, 1000), 4, replicas)
     developed = ito_exponential(driver, alpha)
     _assert_peak_is_output_plus_a_few_tiles(op, driver, alpha, developed)
+
+
+# The export shape on every catalog row: each row's exp kernel keeps to
+# a few tiles of scratch.
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_exp_peak_on_every_group_at_eight_replicas_by_1000_steps(name):
+    spec = get_group(name)
+    alpha = alpha_levi_civita(metric_for(spec, 1.0))
+    driver = brownian_ensemble(spec, TimeGrid(1.0, 1000), 4, 8)
+    _assert_peak_is_output_plus_a_few_tiles("ito_exponential", driver, alpha, None)
 
 
 class _Discard:

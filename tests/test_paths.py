@@ -363,6 +363,10 @@ def test_algebra_csv_matches_csv_writer_bytes():
     assert _dump_bytes(dump_algebra_csv, ens) == _oracle_bytes(ens)
     one = ens.with_values(ens.values[3:])
     assert _dump_bytes(dump_algebra_csv, one) == _oracle_bytes(one)
+    # 5001 points, more than a chunk's 4096 fields, at dt = 2e-6: a chunk
+    # ends inside a replica, and the times below 1e-4 go to repr
+    fine = brownian_ensemble(get_group("so3"), TimeGrid(0.01, 5000), 13, 2)
+    assert _dump_bytes(dump_algebra_csv, fine) == _oracle_bytes(fine)
 
 
 # Floats the path dump must write as repr: the classes it leaves to repr
