@@ -26,12 +26,13 @@ groups.
 
 Each group is one row of ``_CATALOG``, keyed by name: its basis builder,
 the basis directions that the catalog metric weights by lambda^2, and its
-closed-form kernels (defect, inverse, adjoint, exp and log), all carried by
-its ``GroupSpec``. ``membership_defect``, ``group_inverse`` and
+kernels (defect, inverse, adjoint, exp and log), all carried by its
+``GroupSpec``. ``membership_defect``, ``group_inverse`` and
 ``adjoint_matrices`` call the spec's kernels, and callers hand ``spec.exp``
-and ``spec.log`` to ``linalg.mat_exp`` and ``linalg.mat_log``. An adjoint
-or log of None takes the generic path: conjugate and project, or
-``linalg``'s generic log. Every row has a closed-form exp: Rodrigues'
+and ``spec.log`` to ``linalg.mat_exp`` and ``linalg.mat_log``, which run
+only the kernel they are given. An adjoint of None takes the generic path:
+conjugate and project. The se2, se3, e11 and n3 rows name
+``linalg.generic_log`` as their log. Every row has a closed-form exp: Rodrigues'
 formula (so3), the rigid-motion exps with their V-matrices (se2 and se3;
 Sola, Deray and Atchuthan, arXiv:1812.01537), ``diag(e^h, e^-h)`` with
 ``expm1(h)/h`` translations (e11), the series ``I + A + A^2/2`` that ends
@@ -90,11 +91,11 @@ class GroupSpec:
     stack to a stack. ``adjoint`` maps an (m, d, d) stack of members to
     (m, n, n) Ad matrices, ``exp`` an (m, d, d) stack of algebra elements
     to group elements and ``log`` a stack of group elements to algebra
-    elements. ``adjoint`` and ``log`` are None for the generic path:
-    conjugate and project with a closure check, and ``linalg``'s
-    ``generic_log``; every row has its own ``exp``. Callers pass ``exp``
-    and ``log`` to ``linalg.mat_exp`` and ``linalg.mat_log``, whose generic
-    kernels are the closed forms' oracle. Precondition, not checked: the
+    elements. ``adjoint`` is None for the generic path: conjugate and
+    project with a closure check. Every row names its ``exp`` and its
+    ``log``, which is ``linalg.generic_log`` where the row has no closed
+    form for it. Callers pass ``exp`` and ``log`` to ``linalg.mat_exp`` and
+    ``linalg.mat_log``, which run nothing else. Precondition, not checked: the
     input of ``exp`` lies in the algebra (``to_matrix_coords`` output, say)
     and that of ``log`` in the group; off them the closed forms return
     wrong matrices.
@@ -110,7 +111,7 @@ class GroupSpec:
     inverse: Callable = field(repr=False, compare=False)
     adjoint: Callable | None = field(repr=False, compare=False)
     exp: Callable = field(repr=False, compare=False)
-    log: Callable | None = field(repr=False, compare=False)
+    log: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -653,18 +654,19 @@ def _so3_adjoint(e):
 
 
 # One row per group, in catalog order: (basis builder, lambda^2-weighted
-# basis directions, defect, inverse, adjoint, exp, log), adjoint and log
-# None for the generic path; see ``GroupSpec``.
+# basis directions, defect, inverse, adjoint, exp, log), adjoint None for
+# the generic path; see ``GroupSpec``.
 _CATALOG = {
     "so3": (_so3_basis, (), partial(_rotation_defect, d=3, k=3), _so3_inverse,
             partial(_rowwise, _so3_adjoint), partial(_rowwise, _rotation_exp), _so3_log),
     "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None,
-            partial(_rowwise, _se2_exp), None),
+            partial(_rowwise, _se2_exp), generic_log),
     "se3": (_se3_basis, (3, 4, 5), partial(_rigid_defect, d=4), _rigid_inverse, None,
-            partial(_rowwise, _rigid_exp), None),
+            partial(_rowwise, _rigid_exp), generic_log),
     "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None,
-            partial(_rowwise, _e11_exp), None),
-    "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None, partial(_rowwise, _n3_exp), None),
+            partial(_rowwise, _e11_exp), generic_log),
+    "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None, partial(_rowwise, _n3_exp),
+           generic_log),
     "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None,
              partial(_rowwise, _sl2r_exp), _sl2r_log),
 }

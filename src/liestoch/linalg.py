@@ -3,21 +3,20 @@ the bilinear contraction of coordinate vectors with a (k, i, j) table.
 
 Everything here accepts stacked operands: an array of shape (..., n, n) is
 treated as a batch of matrices over the leading axes. Each matrix is
-processed independently of the rest of the batch (scaling levels, square
-roots and stopping decisions are made per matrix), so results are identical
+processed independently of the rest of the batch (square roots and
+stopping decisions are made per matrix), so results are identical
 no matter how a batch is chunked. That property is what lets
 ``map_stacked`` run a kernel over cache-sized blocks, the develop of
 ``explog`` run over the cache-sized tiles of ``tiles``, and the per-step
 passes of ``explog``, ``calculus`` and ``campbell`` run over the contiguous
 slabs of ``slabs``, without changing a bit.
 
-``mat_exp`` and ``mat_log`` run the generic kernels, ``_taylor_exp``
-(scaling-and-squaring) and ``generic_log`` (inverse scaling-and-squaring),
-unless the caller passes a group's closed form from its catalog row
-(``GroupSpec.exp``, which every row has, or ``GroupSpec.log``). Nothing
-here knows a group: the closed forms and their entry-row helpers live in
-``groups``, and the generic kernels are the oracle they are tested
-against.
+``mat_exp`` and ``mat_log`` check a stack and run the kernel that the
+caller passes from a group's catalog row (``GroupSpec.exp`` or
+``GroupSpec.log``). Nothing here knows a group: the row kernels and their
+entry-row helpers live in ``groups``. The one generic kernel here,
+``generic_log`` (inverse scaling-and-squaring), is the log of the rows
+that have no closed form for it.
 
 Matrices are plain float64 numpy arrays; higher-level modules enforce the
 "entries finite" contract by calling these kernels.
@@ -37,9 +36,8 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Norm thresholds below which the truncated exp/log series reach double
-# precision, and the series orders that achieve it.
-_EXP_RADIUS = 0.5   # degree-15 Taylor truncates below 1e-18 here
+# Norm threshold below which the truncated log series reaches double
+# precision, and the series order that achieves it.
 _LOG_RADIUS = 0.25  # Gregory series with odd powers up to 17
 _LOG_GREGORY_TERMS = 9
 _MAX_SQRT_LEVELS = 40
@@ -58,8 +56,6 @@ _COND_LIMIT = 1e13
 # 35.5 MB of output, ``ito_logarithm`` 1.2 MB above 9.7 MB and the readback
 # 3.5 MB above 9.6 MB.
 _ROW_CHUNK = 4096
-
-_EXP_COEFFS = np.cumprod([1.0] + [1.0 / k for k in range(1, 16)])  # 1/k!, k=0..15
 
 
 @dataclass(frozen=True)
@@ -115,58 +111,6 @@ def _eye_like(flat):
     return np.broadcast_to(np.eye(n), flat.shape)
 
 
-def _taylor_exp(a):
-    """Matrix exponential by per-matrix scaling-and-squaring.
-
-    Each matrix is scaled by an exact power of two until its Frobenius norm
-    is at most 0.5, run through the degree-15 Taylor polynomial in
-    Paterson-Stockmeyer form (six matrix products), then squared back up.
-    The truncation error at radius 0.5 is below 1e-18, so results are
-    accurate to roundoff.
-    """
-    a = _as_square(a, "mat_exp")
-    shape = a.shape
-    n = shape[-1]
-    flat = a.reshape(-1, n, n)
-
-    norm = frobenius_norm(flat)
-    need = norm > _EXP_RADIUS
-    s = np.zeros(norm.shape, dtype=np.int64)
-    if np.any(need):
-        s[need] = np.ceil(np.log2(norm[need] / _EXP_RADIUS)).astype(np.int64)
-    a1 = flat * (0.5 ** s)[:, None, None]
-
-    a2 = a1 @ a1
-    a3 = a2 @ a1
-    a4 = a2 @ a2
-    c = _EXP_COEFFS
-    diag = np.arange(n)
-
-    def fill_block(buf, j):
-        np.multiply(a3, c[4 * j + 3], out=buf)
-        buf += c[4 * j + 2] * a2
-        buf += c[4 * j + 1] * a1
-        buf[..., diag, diag] += c[4 * j]
-
-    out = np.empty_like(a1)
-    tmp = np.empty_like(a1)
-    fill_block(out, 3)
-    for j in (2, 1, 0):
-        np.matmul(out, a4, out=tmp)
-        fill_block(out, j)
-        out += tmp
-
-    remaining = s.copy()
-    while remaining.max(initial=0) > 0:
-        mask = remaining > 0
-        sub = out[mask]
-        out[mask] = sub @ sub
-        remaining[mask] -= 1
-    if not np.all(np.isfinite(out)):
-        raise ExpOverflowError("mat_exp: result overflowed double precision")
-    return out.reshape(shape)
-
-
 def _denman_beavers_sqrt(m):
     """Principal square root of a batch, Denman-Beavers iteration.
 
@@ -218,13 +162,12 @@ def generic_log(m):
     Gregory series ``log M = 2 * sum z^(2k+1)/(2k+1)`` with
     ``z = (M - I)(M + I)^-1`` finishes the job. Intended regime: one-step
     group increments, which are near the identity by construction. It is
-    also the oracle that the catalog rows' closed-form logs are tested
-    against.
+    the se2, se3, e11 and n3 rows' log, the fallback of the so3 and sl2r
+    logs, and the oracle that their closed forms are tested against. Like
+    every row kernel it takes an (m, d, d) stack that ``mat_log`` has
+    already checked.
     """
-    m = _as_square(m, "mat_log")
-    shape = m.shape
-    n = shape[-1]
-    flat = m.reshape(-1, n, n).copy()
+    flat = m.copy()
 
     det = np.linalg.det(flat)
     if np.any(np.abs(det) < 1e-250):
@@ -255,39 +198,35 @@ def generic_log(m):
     for k in range(1, _LOG_GREGORY_TERMS):
         term = term @ z2
         acc += term / (2 * k + 1)
-    out = (2.0 * (2.0 ** s))[:, None, None] * acc
-    return out.reshape(shape)
+    return (2.0 * (2.0 ** s))[:, None, None] * acc
 
 
-def mat_exp(a, closed_form=None):
-    """Matrix exponential of a stack: ``closed_form`` when given, else
-    ``_taylor_exp`` (per-matrix scaling-and-squaring).
+def mat_exp(a, kernel):
+    """Matrix exponential of a stack by ``kernel``, a catalog row's exp
+    (``GroupSpec.exp``).
 
-    ``closed_form`` is a catalog row's exp (``GroupSpec.exp``): it maps an
-    (m, d, d) stack of that group's algebra elements to group elements, and
-    the caller vouches that ``a`` lies in that algebra. The kernels run
-    with numpy's overflow warnings off: a non-finite result raises
+    The kernel maps an (m, d, d) stack of that group's algebra elements to
+    group elements, and the caller vouches that ``a`` lies in that algebra.
+    It runs with numpy's overflow warnings off: a non-finite result raises
     ``ExpOverflowError`` instead.
     """
     a = _as_square(a, "mat_exp")
     n = a.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (closed_form or _taylor_exp)(a.reshape(-1, n, n))
+        out = kernel(a.reshape(-1, n, n))
     if not np.all(np.isfinite(out)):
         raise ExpOverflowError("mat_exp: result overflowed double precision")
     return out.reshape(a.shape)
 
 
-def mat_log(m, closed_form=None):
-    """Principal matrix logarithm of a stack: ``closed_form`` when given,
-    else ``generic_log`` (inverse scaling-and-squaring).
-
-    ``closed_form`` is a catalog row's log (``GroupSpec.log``): it maps an
-    (m, d, d) stack of that group's elements to algebra elements.
+def mat_log(m, kernel):
+    """Principal matrix logarithm of a stack by ``kernel``, a catalog row's
+    log (``GroupSpec.log``), which maps an (m, d, d) stack of that group's
+    elements to algebra elements.
     """
     m = _as_square(m, "mat_log")
     n = m.shape[-1]
-    return (closed_form or generic_log)(m.reshape(-1, n, n)).reshape(m.shape)
+    return kernel(m.reshape(-1, n, n)).reshape(m.shape)
 
 
 def map_stacked(fn, stack):

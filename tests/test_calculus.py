@@ -31,7 +31,7 @@ def constant_group_path(spec, grid, g):
 
 def test_increments_constant_path():
     grid = TimeGrid(1.0, 16)
-    g = mat_exp(to_matrix_coords(SO3, np.array([0.3, -0.1, 0.2])))
+    g = mat_exp(to_matrix_coords(SO3, np.array([0.3, -0.1, 0.2])), SO3.exp)
     path = constant_group_path(SO3, grid, g)
     assert np.max(np.abs(mc_increments(path))) < 1e-14
 
@@ -39,7 +39,7 @@ def test_increments_constant_path():
 def test_increments_one_parameter_subgroup():
     grid = TimeGrid(2.0, 40)
     a = np.array([0.4, 0.2, -0.3])
-    values = mat_exp(to_matrix_coords(SO3, np.outer(grid.times(), a)))
+    values = mat_exp(to_matrix_coords(SO3, np.outer(grid.times(), a)), SO3.exp)
     path = Ensemble(SO3, grid, values[None])
     dl = mc_increments(path)[0]
     assert np.max(np.abs(dl - grid.dt * a)) < 1e-12
@@ -95,7 +95,7 @@ def test_strat_integral_loop_returns_to_zero():
     a = np.array([0.3, 0.0, 0.5])
     half = grid.steps // 2
     profile = np.minimum(np.arange(grid.steps + 1), grid.steps - np.arange(grid.steps + 1))
-    values = mat_exp(to_matrix_coords(SO3, np.outer(profile * grid.dt, a)))
+    values = mat_exp(to_matrix_coords(SO3, np.outer(profile * grid.dt, a)), SO3.exp)
     loop = Ensemble(SO3, grid, values[None])
     eta = RNG.standard_normal(3)
     running = strat_integral(eta, loop)

@@ -44,7 +44,7 @@ def test_strat_exponential_line_is_one_parameter_subgroup():
     grid = TimeGrid(2.0, 16)
     a = np.array([0.2, -0.4, 0.1])
     x = strat_exponential(line_path(SO3, grid, a))
-    expected = mat_exp(to_matrix_coords(SO3, np.outer(grid.times(), a)))
+    expected = mat_exp(to_matrix_coords(SO3, np.outer(grid.times(), a)), SO3.exp)
     assert np.max(np.abs(x.values[0] - expected)) < 1e-12
 
 

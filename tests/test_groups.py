@@ -152,7 +152,7 @@ def test_membership_defects():
         assert membership_defect(spec, spec.identity) == 0.0
         coords = RNG.standard_normal(spec.algebra_dim)
         coords /= max(np.linalg.norm(coords), 1.0)
-        g = mat_exp(to_matrix_coords(spec, coords))
+        g = mat_exp(to_matrix_coords(spec, coords), spec.exp)
         assert membership_defect(spec, g) < 1e-10
 
 
@@ -199,7 +199,7 @@ def test_ad_composition():
 def test_ad_so3_rotation_action():
     spec = get_group("so3")
     theta = 0.8
-    g = mat_exp(theta * spec.basis[2])
+    g = mat_exp(theta * spec.basis[2], spec.exp)
     adm = adjoint_matrices(spec, g)
     rot = np.array(
         [[np.cos(theta), -np.sin(theta), 0.0],
@@ -221,8 +221,8 @@ def test_ad_derivative_is_bracket():
         spec = get_group(name)
         a = RNG.standard_normal(spec.algebra_dim)
         b = RNG.standard_normal(spec.algebra_dim)
-        plus = adjoint_matrices(spec, mat_exp(to_matrix_coords(spec, step * a))) @ b
-        minus = adjoint_matrices(spec, mat_exp(to_matrix_coords(spec, -step * a))) @ b
+        plus = adjoint_matrices(spec, mat_exp(to_matrix_coords(spec, step * a), spec.exp)) @ b
+        minus = adjoint_matrices(spec, mat_exp(to_matrix_coords(spec, -step * a), spec.exp)) @ b
         fd = (plus - minus) / (2.0 * step)
         assert np.max(np.abs(fd - bracket_coords(spec, a, b))) < 1e-6
 
@@ -281,7 +281,7 @@ def _members(spec, rng, count):
     """exp of algebra elements with coordinate norms spread over (0, 1]."""
     coords = rng.standard_normal((count, spec.algebra_dim))
     coords *= rng.uniform(1e-6, 1.0, (count, 1)) / np.linalg.norm(coords, axis=1, keepdims=True)
-    return mat_exp(to_matrix_coords(spec, coords))
+    return mat_exp(to_matrix_coords(spec, coords), spec.exp)
 
 
 def _one_at_a_time(kernel):
@@ -354,7 +354,7 @@ def test_adjoint_is_contiguous_and_contracts_like_a_copy(name):
     spec = get_group(name)
     rng = np.random.default_rng(23)
     n = spec.algebra_dim
-    g = mat_exp(to_matrix_coords(spec, 0.5 * rng.standard_normal((8, 16, n))))
+    g = mat_exp(to_matrix_coords(spec, 0.5 * rng.standard_normal((8, 16, n))), spec.exp)
     v = rng.standard_normal((8, 16, n))
     ad = adjoint_matrices(spec, g)
     assert ad.flags.c_contiguous
@@ -381,7 +381,7 @@ def test_group_kernels_accept_an_empty_batch(name):
     assert membership_defect(spec, empty).shape == (0,)
     assert group_inverse(spec, empty).shape == (0, d, d)
     assert adjoint_matrices(spec, empty).shape == (0, n, n)
-    assert mat_exp(to_matrix_coords(spec, np.zeros((0, n)))).shape == (0, d, d)
+    assert mat_exp(to_matrix_coords(spec, np.zeros((0, n))), spec.exp).shape == (0, d, d)
 
 
 @pytest.mark.parametrize("t", [0.0, 40.0, -40.0, 690.0, -690.0])
@@ -389,7 +389,7 @@ def test_e11_positivity_near_its_boundary(t):
     # exp(t H + translations) = [[e^t, 0, x], [0, e^-t, y], [0, 0, 1]]: at
     # |t| = 690 one diagonal entry is ~1e-300, next to the p, q > 0 boundary
     spec = get_group("e11")
-    g = mat_exp(to_matrix_coords(spec, [t, 0.5, -0.5]))
+    g = mat_exp(to_matrix_coords(spec, [t, 0.5, -0.5]), spec.exp)
     p, q = g[0, 0], g[1, 1]
     assert p > 0.0 and q > 0.0
     assert membership_defect(spec, g) <= MEMBERSHIP_GATE
@@ -414,9 +414,9 @@ def test_sl2r_regimes_near_the_parabolic_boundary(eps, regime):
         even, odd = np.cosh(r), np.sinh(r) / r
     else:
         even, odd = np.cos(r), np.sin(r) / r
-    g = mat_exp(a)
+    g = mat_exp(a, spec.exp)
     assert np.max(np.abs(g - (even * np.eye(2) + odd * a))) <= 1e-15
     assert membership_defect(spec, g) <= 1e-15 < MEMBERSHIP_GATE
     # |tr| > 2 is hyperbolic, |tr| < 2 elliptic: the regime survives exp
     assert np.sign(np.trace(g) - 2.0) == regime
-    assert np.max(np.abs(mat_log(g) - a)) <= 1e-12
+    assert np.max(np.abs(mat_log(g, spec.log) - a)) <= 1e-12

@@ -26,9 +26,9 @@ from liestoch.groups import (
     to_matrix_coords,
 )
 from liestoch import groups, linalg
+from liestoch.acceptance import _taylor_exp
 from liestoch.linalg import (
     Tolerance,
-    _taylor_exp,
     bilinear,
     frobenius_dist,
     frobenius_norm,
@@ -63,14 +63,14 @@ def test_tolerance_validation():
 
 
 def test_exp_zero_is_identity():
-    assert np.array_equal(mat_exp(np.zeros((3, 3))), np.eye(3))
+    assert np.array_equal(mat_exp(np.zeros((3, 3)), SO3.exp), np.eye(3))
 
 
 def test_exp_nilpotent_terminates():
     # strictly upper-triangular 3x3: series ends at the quadratic term
     a = np.array([[0.0, 1.3, -0.4], [0.0, 0.0, 2.1], [0.0, 0.0, 0.0]])
     exact = np.eye(3) + a + a @ a / 2.0
-    assert np.max(np.abs(mat_exp(a) - exact)) < 1e-15
+    assert np.max(np.abs(mat_exp(a, N3.exp) - exact)) < 1e-15
 
 
 def test_exp_rotation_matches_rodrigues():
@@ -84,35 +84,34 @@ def test_exp_inverse_property():
     for _ in range(20):
         a = RNG.standard_normal((4, 4))
         a *= RNG.uniform(0, 1.0) / max(frobenius_norm(a), 1e-9)
-        prod = mat_exp(a) @ mat_exp(-a)
+        prod = _taylor_exp(a) @ _taylor_exp(-a)
         assert frobenius_dist(prod, np.eye(4)) < 1e-10
 
 
 def test_exp_rejects_non_square():
     with pytest.raises(DimensionError):
-        mat_exp(np.zeros((2, 3)))
+        mat_exp(np.zeros((2, 3)), SO3.exp)
 
 
 def test_exp_rejects_non_finite():
     bad = np.full((2, 2), np.nan)
     with pytest.raises(ValueError):
-        mat_exp(bad)
+        mat_exp(bad, SL2R.exp)
 
 
 def test_exp_overflow_is_a_package_error():
     # a library error maps to CLI exit 4. e^800 is past the largest double
-    # in the generic exp; a rigid motion whose translation is near the
-    # largest double overflows in the se3 closed form, outside _taylor_exp
+    # in the e11 exp; a rigid motion whose translation is near the largest
+    # double overflows in the se3 exp
     assert issubclass(ExpOverflowError, LieStochError)
     huge = np.diag([800.0, -800.0, 0.0])
     rigid = np.zeros((4, 4))
     rigid[0, 1], rigid[1, 0] = -1.0, 1.0
     rigid[:2, 3] = 1.7e308
     with np.errstate(over="ignore", invalid="ignore"):
-        for exp, a in ((mat_exp, huge), (_taylor_exp, huge),
-                       (partial(mat_exp, closed_form=SE3.exp), rigid)):
+        for a, kernel in ((huge, E11.exp), (rigid, SE3.exp)):
             with pytest.raises(ExpOverflowError, match="overflowed"):
-                exp(a)
+                mat_exp(a, kernel)
 
 
 def test_exp_overflow_raises_without_a_numpy_warning():
@@ -124,8 +123,7 @@ def test_exp_overflow_raises_without_a_numpy_warning():
     rigid[:2, 3] = 1.7e308
     with np.errstate(over="warn", invalid="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a, kernel in ((huge, None), (np.diag([800.0, 0.0]), None), (rigid, SE3.exp),
-                          (huge, E11.exp), (-huge, E11.exp),
+        for a, kernel in ((rigid, SE3.exp), (huge, E11.exp), (-huge, E11.exp),
                           (np.diag([800.0, -800.0]), SL2R.exp),
                           (np.array([[0.0, 800.0], [800.0, 0.0]]), SL2R.exp)):
             with pytest.raises(ExpOverflowError, match="overflowed"):
@@ -135,8 +133,8 @@ def test_exp_overflow_raises_without_a_numpy_warning():
 def test_exp_batch_composition_does_not_change_results():
     a = 0.3 * RNG.standard_normal((6, 3, 3))
     big = 50.0 * RNG.standard_normal((2, 3, 3))
-    alone = mat_exp(a)
-    mixed = mat_exp(np.concatenate([a, big]))
+    alone = _taylor_exp(a)
+    mixed = _taylor_exp(np.concatenate([a, big]))
     assert np.array_equal(alone, mixed[:6])
 
 
@@ -164,38 +162,38 @@ def test_log_batch_composition_does_not_change_results():
     # the row's log hands to the generic log
     below = _rotations(CLOSED_RNG.uniform(0.0, 1.5, 7))
     past = _rotations(CLOSED_RNG.uniform(1.6, 3.0, 5))
-    assert_split_invariant(partial(mat_log, closed_form=SO3.log), generic_log, below, past)
+    assert_split_invariant(partial(mat_log, kernel=SO3.log), generic_log, below, past)
 
 
 def test_log_identity_is_zero():
-    assert np.max(np.abs(mat_log(np.eye(4)))) == 0.0
+    assert np.max(np.abs(mat_log(np.eye(4), SE3.log))) == 0.0
 
 
 def test_log_exp_roundtrip_on_ball():
     for _ in range(30):
         a = RNG.standard_normal((4, 4))
         a *= RNG.uniform(0.01, 0.5) / frobenius_norm(a)
-        assert np.max(np.abs(mat_log(mat_exp(a)) - a)) < 1e-10
+        assert np.max(np.abs(mat_log(_taylor_exp(a), generic_log) - a)) < 1e-10
 
 
 def test_log_unipotent_matches_terminating_series():
     m = np.array([[1.0, 0.7, -0.3], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])
     n = m - np.eye(3)
     exact = n - n @ n / 2.0  # n^3 = 0
-    assert np.max(np.abs(mat_log(m) - exact)) < 1e-14
+    assert np.max(np.abs(mat_log(m, N3.log) - exact)) < 1e-14
 
 
 def test_log_rejects_singular():
     m = np.eye(3)
     m[0, 0] = 0.0
     with pytest.raises(SingularMatrixError):
-        mat_log(m)
+        mat_log(m, generic_log)
 
 
 def test_log_range_error_near_negative_axis():
     # rotation by pi: -1 eigenvalue pair, no real logarithm
     with pytest.raises(LogRangeError):
-        mat_log(np.diag([-1.0, -1.0, 1.0]))
+        mat_log(np.diag([-1.0, -1.0, 1.0]), SO3.log)
 
 
 def test_det_exp_equals_exp_trace_on_catalog_algebras():
@@ -203,7 +201,7 @@ def test_det_exp_equals_exp_trace_on_catalog_algebras():
         spec = get_group(name)
         coords = RNG.standard_normal((10, spec.algebra_dim))
         mats = to_matrix_coords(spec, coords)
-        dets = np.linalg.det(mat_exp(mats))
+        dets = np.linalg.det(mat_exp(mats, spec.exp))
         traces = np.trace(mats, axis1=-2, axis2=-1)
         assert np.max(np.abs(dets - np.exp(traces))) < 1e-8
 
@@ -297,7 +295,8 @@ def test_so3_log_matches_generic_oracle(seed, log_angle):
     a = to_matrix_coords(SO3, _scaled_direction(seed, 3, 10.0**log_angle))
     rotation = _taylor_exp(a)
     assert _takes_rotation_log(rotation)
-    assert _oracle_gap(a, mat_log(rotation, SO3.log), generic_log(rotation)) <= ORACLE_TOL
+    want = mat_log(rotation, generic_log)
+    assert _oracle_gap(a, mat_log(rotation, SO3.log), want) <= ORACLE_TOL
 
 
 def _takes_rotation_log(m):
@@ -313,19 +312,7 @@ def test_log_outside_the_closed_form_is_the_generic_log_bit_for_bit():
     past_quarter = _taylor_exp(to_matrix_coords(SO3, (np.pi / 2 + 1e-3) * axis))
     for m in (skewed, past_quarter):
         assert not _takes_rotation_log(m)
-        assert np.array_equal(mat_log(m, SO3.log), generic_log(m))
-
-
-def test_exp_outside_the_closed_forms_is_the_taylor_exp_bit_for_bit():
-    # without a row's kernel, so3 and se3 algebra elements take the generic
-    # kernels too: linalg never reads the group off the entries
-    skew = to_matrix_coords(SO3, [0.3, -0.2, 0.9])
-    rigid = to_matrix_coords(SE3, CLOSED_RNG.standard_normal(6))
-    for a in (skew, rigid, to_matrix_coords(get_group("n3"), [1, 2, 3])):
-        assert np.array_equal(mat_exp(a), _taylor_exp(a))
-    rotation = _taylor_exp(skew)
-    assert _takes_rotation_log(rotation)
-    assert np.array_equal(mat_log(rotation), generic_log(rotation))
+        assert np.array_equal(mat_log(m, SO3.log), mat_log(m, generic_log))
 
 
 ROW_NORMS = st.floats(min_value=-9.0, max_value=float(np.log10(1.5)))
@@ -334,8 +321,8 @@ ROW_NORMS = st.floats(min_value=-9.0, max_value=float(np.log10(1.5)))
 @settings(max_examples=200, deadline=None)
 @given(SEEDS, st.sampled_from(GROUP_NAMES), ROW_NORMS)
 def test_catalog_row_kernels_match_the_generic_kernels(seed, name, log_norm):
-    # every row's exp and log, closed form or None, against the generic
-    # kernels; at norms up to 1.5 an so3 log stays below pi/2
+    # every row's exp and log against the oracles, the Taylor exp and the
+    # generic log; at norms up to 1.5 an so3 log stays below pi/2
     spec = get_group(name)
     coords = np.random.default_rng(seed).standard_normal((4, spec.algebra_dim))
     coords *= 10.0**log_norm / np.linalg.norm(coords, axis=-1, keepdims=True)
@@ -347,7 +334,12 @@ def test_catalog_row_kernels_match_the_generic_kernels(seed, name, log_norm):
 
 
 def test_every_catalog_row_has_an_exp_kernel():
-    assert [name for name in GROUP_NAMES if get_group(name).exp is None] == []
+    # mat_exp and mat_log run only the kernel they are given: every row
+    # names both, and the rows without a closed-form log name the generic one
+    for name in GROUP_NAMES:
+        spec = get_group(name)
+        assert callable(spec.exp) and callable(spec.log), name
+        assert (spec.log is generic_log) == (name in ("se2", "se3", "e11", "n3")), name
 
 
 def _sl2r(h, p, q):
@@ -548,8 +540,8 @@ def test_map_stacked_blocks_match_one_call_bit_for_bit():
     for spec in (SO3, SE3):
         coords = rng.standard_normal((m, spec.algebra_dim))
         coords *= rng.uniform(0.0, 2.5, (m, 1)) / np.linalg.norm(coords, axis=-1, keepdims=True)
-        exp = partial(mat_exp, closed_form=spec.exp)
-        log = partial(mat_log, closed_form=spec.log)
+        exp = partial(mat_exp, kernel=spec.exp)
+        log = partial(mat_log, kernel=spec.log)
         algebra = to_matrix_coords(spec, coords)
         exps = exp(algebra)
         assert map_stacked(exp, algebra).tobytes() == exps.tobytes()

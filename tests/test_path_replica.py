@@ -106,7 +106,7 @@ def test_path_result_is_its_replica_of_the_ensemble_result(name):
         _assert_path_matches_replicas(lambda a: ito_logarithm(a, alpha), gx,
                                       what=f"ito_logarithm, {label}")
 
-    xi = mat_exp(to_matrix_coords(spec, np.linspace(0.1, 0.3, n)))
+    xi = mat_exp(to_matrix_coords(spec, np.linspace(0.1, 0.3, n)), spec.exp)
     _assert_path_matches_replicas(lambda a: translate_initial(xi, a), x,
                                   what="translate_initial")
 
