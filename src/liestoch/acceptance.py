@@ -165,9 +165,7 @@ def criterion_campbell() -> CriterionResult:
 def _positive_control_verdict(master_seed):
     spec = get_group("se3")
     alpha = alpha_levi_civita(metric_for("se3", 1.0))
-    ens = brownian_ensemble(spec, TimeGrid(1.0, 100), master_seed, 10_000)
-    gx = explog.ito_exponential(ens, alpha)
-    return martingale.martingale_verdict(gx, alpha)
+    return martingale.martingale_test(spec, alpha, TimeGrid(1.0, 100), master_seed, 10_000)
 
 
 @_timed
@@ -203,12 +201,10 @@ def criterion_martingale_negative() -> CriterionResult:
     alpha = alpha_levi_civita(metric)
     u = u_from_metric(metric).coeffs
     drift_rate = 0.5 * np.einsum("kij,ij->k", u, NEGATIVE_CONTROL_COV)
-    ens = brownian_ensemble(
-        spec, TimeGrid(1.0, 100), SEEDS["negative"], 10_000,
+    rep = martingale.martingale_test(
+        spec, alpha, TimeGrid(1.0, 100), SEEDS["negative"], 10_000, scheme="strat",
         covariance=NEGATIVE_CONTROL_COV,
     )
-    gx = explog.strat_exponential(ens)
-    rep = martingale.martingale_verdict(gx, alpha)
     passed = (
         float(np.linalg.norm(drift_rate)) > 1e-6
         and not rep.passed

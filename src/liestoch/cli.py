@@ -179,8 +179,8 @@ def _z_band(config):
     return normal_quantile(1.0 - (1.0 - config.significance) / 2.0)
 
 
-def _build_ensemble(config, spec):
-    """The driver ensemble, drawn in one call.
+def _driver(config, spec):
+    """The grid, covariance and drift of the driver, every flag checked.
 
     ``--cov`` shapes the ``bm`` driver and ``--drift`` the ``drift`` driver;
     a flag the chosen driver would ignore is a usage error.
@@ -195,6 +195,12 @@ def _build_ensemble(config, spec):
     grid = config.grid()
     covariance = _load_covariance(config, spec)
     drift = _parse_drift(config, spec) if config.driver == "drift" else None
+    return grid, covariance, drift
+
+
+def _build_ensemble(config, spec):
+    """The driver ensemble, drawn in one call."""
+    grid, covariance, drift = _driver(config, spec)
     return brownian_ensemble(spec, grid, config.seed, config.replicas,
                              covariance=covariance, drift=drift)
 
@@ -208,9 +214,9 @@ def _check_draw(config, min_replicas=1):
 
 
 def _solve(config):
-    """The developed group ensemble of ``exp``, ``log`` and
-    ``martingale-test``, and its connection. The driver ensemble is
-    dropped on return, before any readback or verdict runs."""
+    """The developed group ensemble of ``exp`` and ``log``, and its
+    connection. The driver ensemble is dropped on return, before any
+    readback runs."""
     spec, alpha = _connection(config)
     ensemble = _build_ensemble(config, spec)
     if config.scheme == "ito":
@@ -304,8 +310,11 @@ def _cmd_martingale_test(config):
     if config.steps % config.buckets != 0:
         raise UsageError(f"--buckets {config.buckets} must divide --steps {config.steps}")
     z_band = _z_band(config)
-    solved, alpha = _solve(config)
-    report = martingale.martingale_verdict(solved, alpha, buckets=config.buckets, z_band=z_band)
+    spec, alpha = _connection(config)
+    grid, covariance, drift = _driver(config, spec)
+    report = martingale.martingale_test(
+        spec, alpha, grid, config.seed, config.replicas, scheme=config.scheme,
+        covariance=covariance, drift=drift, buckets=config.buckets, z_band=z_band)
     summary = {key: value for key, value in vars(report).items()
                if not isinstance(value, np.ndarray)}
     zscores = partial(write_table, header=["bucket", "component", "mean", "stderr", "z"], rows=[

@@ -85,7 +85,10 @@ class GroupSpec:
 
     ``basis`` has shape (algebra_dim, matrix_dim, matrix_dim). The derived
     projector turns a vectorized matrix into basis coordinates (pseudo-
-    inverse of the vectorized basis). ``lam_weighted`` holds the indices of
+    inverse of the vectorized basis). ``_embedding`` and ``_projection``
+    list the nonzero entries of the vectorized basis and of the projector
+    as ``(k, p, value)``, coordinate k by entry p of the row-major
+    vectorized matrix, in row-major order. ``lam_weighted`` holds the indices of
     the basis directions that the catalog metric weights by lambda^2. The
     kernels: ``defect`` maps entry rows (d*d, m) to (m,) and ``inverse`` a
     stack to a stack. ``adjoint`` maps an (m, d, d) stack of members to
@@ -106,6 +109,8 @@ class GroupSpec:
     algebra_dim: int
     basis: np.ndarray
     _projector: np.ndarray = field(repr=False, compare=False)
+    _embedding: tuple = field(repr=False, compare=False)
+    _projection: tuple = field(repr=False, compare=False)
     lam_weighted: tuple = field(repr=False, compare=False)
     defect: Callable = field(repr=False, compare=False)
     inverse: Callable = field(repr=False, compare=False)
@@ -199,28 +204,68 @@ def _build_group(key) -> GroupSpec:
     # have diagonal Gram matrices with entries 1 and 2, so the projector
     # entries come out exact (unlike an SVD pseudo-inverse)
     projector = np.linalg.inv(vec @ vec.T) @ vec  # (n, d*d)
+    # what the sparse conversions rely on to keep the einsums' bits: every
+    # matrix entry belongs to at most one basis element, and no coordinate
+    # reads more than two entries, whose sum is the same in either order
+    if np.any(np.count_nonzero(vec, axis=0) > 1) or np.any(
+            np.count_nonzero(projector, axis=1) > 2):
+        raise ClosureError(f"{key}: a matrix entry is shared between basis elements, "
+                           "or an element has more than two")
     return GroupSpec(
         name=key, matrix_dim=d, algebra_dim=n, basis=basis, _projector=projector,
+        _embedding=_nonzero_terms(vec), _projection=_nonzero_terms(projector),
         lam_weighted=lam_weighted, defect=defect, inverse=inverse, adjoint=adjoint,
         exp=exp, log=log,
     )
 
 
+def _nonzero_terms(table):
+    """``(k, p, table[k, p])`` for each nonzero entry of an (n, m) table,
+    in row-major order."""
+    return tuple((int(k), int(p), float(table[k, p])) for k, p in zip(*np.nonzero(table)))
+
+
+def _embed(spec, coords):
+    """(..., n) coordinates -> (..., d*d) row-major matrix entries.
+
+    An entry of no basis element is +0.0, and the entry of element k is
+    ``coords[..., k]`` times its basis value; ``+= 0.0`` turns a -0.0
+    product into +0.0. That is the einsum ``...n,np->...p`` over the
+    vectorized basis bit for bit on finite coordinates, since its sum
+    starts at +0.0 and an entry has at most one nonzero term.
+    """
+    out = np.zeros(coords.shape[:-1] + (spec.matrix_dim**2,))
+    for k, p, value in spec._embedding:
+        np.multiply(coords[..., k], value, out=out[..., p])
+    out += 0.0
+    return out
+
+
 def to_matrix_coords(spec, coords):
-    """Batched coordinates -> matrices, shape (..., n) -> (..., d, d)."""
+    """Batched coordinates -> matrices, shape (..., n) -> (..., d, d).
+
+    Each coordinate is written into the entries of its one basis element
+    (``_embed``), bit for bit the dense contraction with the basis on
+    finite coordinates.
+    """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape[-1] != spec.algebra_dim:
         raise DimensionError(
             f"{spec.name}: expected {spec.algebra_dim} coordinates, got {coords.shape}"
         )
-    return np.einsum("...n,nij->...ij", coords, spec.basis)
+    d = spec.matrix_dim
+    return _embed(spec, coords).reshape(coords.shape[:-1] + (d, d))
 
 
 def from_matrix_coords(spec, mats, tol=DEFAULT_TOLERANCE):
     """Batched matrices -> coordinates with a span residual check.
 
-    Raises NotInAlgebraError when any matrix is farther from the basis span
-    than ``tol.bound(||M||)``.
+    Projection and reconstruction visit only the nonzero projector and
+    basis entries. A coordinate is the sum of at most two weighted entries
+    from +0.0, which any order rounds alike, so the coordinates are the
+    einsum over the dense projector bit for bit, and each matrix's result
+    does not depend on its batch. Raises NotInAlgebraError when any matrix
+    is farther from the basis span than ``tol.bound(||M||)``.
     """
     mats = np.asarray(mats, dtype=np.float64)
     d = spec.matrix_dim
@@ -229,11 +274,11 @@ def from_matrix_coords(spec, mats, tol=DEFAULT_TOLERANCE):
             f"{spec.name}: expected {d}x{d} matrices, got {mats.shape}"
         )
     vec = mats.reshape(mats.shape[:-2] + (d * d,))
-    # einsum keeps per-matrix results independent of batch size (a plain
-    # GEMM does not), which the reproducibility contract relies on
-    coords = np.einsum("...p,np->...n", vec, spec._projector)
-    recon = np.einsum("...n,np->...p", coords, spec.basis.reshape(spec.algebra_dim, d * d))
-    residual = np.sqrt(np.einsum("...p,...p->...", vec - recon, vec - recon))
+    coords = np.zeros(vec.shape[:-1] + (spec.algebra_dim,))
+    for k, p, weight in spec._projection:
+        coords[..., k] += vec[..., p] * weight
+    diff = vec - _embed(spec, coords)
+    residual = np.sqrt(np.einsum("...p,...p->...", diff, diff))
     bound = tol.bound(frobenius_norm(mats))
     if not np.all(residual <= bound):  # NaN fails closed
         raise NotInAlgebraError(

@@ -295,9 +295,13 @@ def bilinear(table, x, y):
     each term as ``(table[k, i, j] * x[..., i]) * y[..., j]`` added to a
     +0.0 start: einsum's own order. A skipped entry's term is a signed zero,
     which leaves the sum unchanged, so the result keeps einsum's bits. The
-    quadratic tables of this package (structure constants, connection
-    coefficients) are mostly zeros: se3's Levi-Civita table at lambda = 1
-    has 12 nonzero entries of 216.
+    terms run on coordinate-major contiguous copies of ``x`` and ``y`` (one
+    copy when they are the same array), and the sums are copied back into a
+    contiguous (..., k) result. An all-zero table, the symmetric part of a
+    bi-invariant connection, returns +0.0 zeros at once. The quadratic
+    tables of this package (structure constants, connection coefficients)
+    are mostly zeros: se3's Levi-Civita table at lambda = 1 has 12 nonzero
+    entries of 216.
 
     Raises DimensionError unless ``x`` ends in ``table.shape[1]`` and ``y``
     in ``table.shape[2]`` entries, as the einsum does.
@@ -308,10 +312,19 @@ def bilinear(table, x, y):
         raise DimensionError(
             f"bilinear: table {table.shape} does not take operands {x.shape}, {y.shape}"
         )
-    out = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (len(table),))
-    for k, i, j in zip(*np.nonzero(table)):
-        out[..., k] += (table[k, i, j] * x[..., i]) * y[..., j]
-    return out
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    terms = np.nonzero(table)
+    if not len(terms[0]):
+        return np.zeros(lead + (len(table),))
+    xt = np.moveaxis(x, -1, 0).copy()
+    yt = xt if y is x else np.moveaxis(y, -1, 0).copy()
+    sums = np.zeros((len(table),) + lead)
+    term = np.empty(lead)
+    for k, i, j in zip(*terms):
+        np.multiply(xt[i], table[k, i, j], out=term)
+        term *= yt[j]
+        sums[k] += term
+    return np.ascontiguousarray(np.moveaxis(sums, 0, -1))
 
 
 def solve_linear(a, b):

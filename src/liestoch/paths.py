@@ -184,13 +184,13 @@ def _pcg64_seed_words(entropy):
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _standard_normals(base_seed, replicas, shape):
-    """(replicas, *shape) standard normals; replica r's block is
-    ``derive_rng(base_seed, r).standard_normal(shape)``.
+def _standard_normals(base_seed, replicas, shape, first_replica):
+    """(replicas, *shape) standard normals; block b is
+    ``derive_rng(base_seed, first_replica + b).standard_normal(shape)``.
 
     The seed's words, padded to the pool size, are the entropy every
-    replica shares, and its index r is its one spawn-key word: an ensemble
-    of 2**32 replicas or more could not be held in memory.
+    replica shares, and its index r is its one spawn-key word, so r stays
+    below 2**32.
     """
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
@@ -208,7 +208,8 @@ def _standard_normals(base_seed, replicas, shape):
     entropy = _uint32_words(int(base_seed))
     entropy += [0] * (_POOL_SIZE - len(entropy))
     seed_words = _pcg64_seed_words([np.array([w], dtype=np.uint32) for w in entropy]
-                                   + [np.arange(replicas, dtype=np.uint32)])
+                                   + [np.arange(first_replica, first_replica + replicas,
+                                                dtype=np.uint32)])
     z = np.empty((replicas,) + tuple(shape))
     for words, out in zip(seed_words, z):
         Generator(PCG64(_SeedWords(words))).standard_normal(out=out)
@@ -216,9 +217,16 @@ def _standard_normals(base_seed, replicas, shape):
 
 
 def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
-                      drift=None) -> Ensemble:
-    """Independent Brownian replicas, replica r seeded by
+                      drift=None, first_replica=0) -> Ensemble:
+    """Independent Brownian replicas ``first_replica`` to
+    ``first_replica + replicas - 1``, replica r seeded by
     ``derive_rng(base_seed, r)``.
+
+    Seeding contract: replica r's path depends on (base_seed, r), the grid,
+    the covariance and the drift alone, so a draw of a replica range is bit
+    for bit those rows of the full ensemble's draw, and an ensemble can be
+    drawn, and consumed, range by range (``martingale.martingale_test``).
+    Replica indices stay below 2**32, the range of one spawn-key word.
 
     Each increment is ``drift * dt + L dW``, for the Cholesky factor L of
     ``covariance`` (the identity by default) and a standard dW of variance
@@ -234,13 +242,17 @@ def brownian_ensemble(group, grid, base_seed, replicas, covariance=None,
         raise MetricError(f"covariance must be {n}x{n}")
     if drift is not None:
         drift = _check_values(drift, (n,), "drift")
+    if not 0 <= first_replica <= first_replica + replicas <= 2**32:
+        raise ValueError(f"replicas {first_replica} to {first_replica + replicas - 1} "
+                         "are outside 0 to 2**32 - 1")
     values = np.zeros((replicas, grid.steps + 1, n))
     dm = values[:, 1:]
     # a draw that leaves double range turns into inf or NaN, which the
     # Ensemble's finiteness check refuses; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         factor = spd_cholesky(cov, what="covariance") * sqrt(grid.dt)
-        np.matmul(_standard_normals(base_seed, replicas, (grid.steps, n)), factor.T, out=dm)
+        normals = _standard_normals(base_seed, replicas, (grid.steps, n), first_replica)
+        np.matmul(normals, factor.T, out=dm)
         if drift is not None:
             dm += drift * grid.dt
         np.cumsum(dm, axis=1, out=dm)

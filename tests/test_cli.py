@@ -25,6 +25,7 @@ from liestoch.cli import (
     main,
 )
 from liestoch.connections import REGRESSION_LAMBDAS, metric_for, u_from_metric
+from liestoch.errors import IntegratorDriftError
 
 
 def run_cli(*argv):
@@ -363,6 +364,7 @@ def test_a_missing_out_is_refused_before_any_work(argv, monkeypatch, capsys):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli, "brownian_ensemble", never)
+    monkeypatch.setattr(cli.martingale, "brownian_ensemble", never)
     monkeypatch.setattr(cli.campbell, "ch_ladder", never)
     assert run_cli(*argv) == EXIT_USAGE
     assert "requires --out" in capsys.readouterr().err
@@ -379,6 +381,7 @@ def test_an_unwritable_out_is_refused_before_any_work(argv, where, tmp_path, mon
         raise AssertionError("the run started")
 
     monkeypatch.setattr(cli, "brownian_ensemble", never)
+    monkeypatch.setattr(cli.martingale, "brownian_ensemble", never)
     monkeypatch.setattr(cli.acceptance, "run_all", never)
     out = tmp_path / "no" / "such" / "x.csv" if where == "missing directory" else tmp_path
     assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
@@ -492,11 +495,53 @@ def test_bad_buckets_are_refused_before_the_driver_is_drawn(buckets, replicas, t
         raise AssertionError("the driver was drawn")
 
     monkeypatch.setattr("liestoch.cli.brownian_ensemble", never)
+    monkeypatch.setattr("liestoch.martingale.brownian_ensemble", never)
     code = run_cli("martingale-test", "--group", "so3", "--dt", "0.01", "--steps", "50",
                    "--replicas", replicas, "--buckets", buckets, "--seed", "1",
                    "--out", str(tmp_path / "m.json"))
     assert code == EXIT_USAGE
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ("--driver", "bm", "--drift", "9,9,9"), ("--workers", "0"), ("--seed", "-1"),
+    ("--significance", "1.5"), ("--lambda", "0"),
+])
+def test_martingale_test_flag_refusals_come_before_the_power_check(extra, tmp_path,
+                                                                   monkeypatch):
+    # 50 replicas fail the power precondition (exit 3), but a bad flag is a
+    # usage error first, and neither draws a replica
+    def never(*args, **kwargs):
+        raise AssertionError("the driver was drawn")
+
+    monkeypatch.setattr("liestoch.martingale.brownian_ensemble", never)
+    base = ["martingale-test", "--group", "so3", "--dt", "0.01", "--steps", "50",
+            "--replicas", "50", "--buckets", "5", "--seed", "1"]
+    out = tmp_path / "m.json"
+    assert run_cli(*base, "--out", str(out)) == EXIT_PRECONDITION
+    assert run_cli(*base, *extra, "--out", str(out)) == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_martingale_test_failure_in_a_later_chunk_writes_nothing(tmp_path, monkeypatch,
+                                                                  capsys):
+    # a chunk of 50 replicas at 100 steps: the second of three chunks fails
+    # the membership gate, after the first was read back
+    calls, develop = [], cli.martingale.ito_exponential
+
+    def second_fails(driver, alpha):
+        calls.append(driver.replicas)
+        if len(calls) == 2:
+            raise IntegratorDriftError("so3: integrator drifted off the group")
+        return develop(driver, alpha)
+
+    monkeypatch.setattr(cli.martingale, "_CHUNK_STEPS", 5000)
+    monkeypatch.setattr(cli.martingale, "ito_exponential", second_fails)
+    code, out = _so3_run("martingale-test", tmp_path, "m.json", "--replicas", "120",
+                         "--steps", "100")
+    assert code == EXIT_NUMERICAL and calls == [50, 50]
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_output_directory_is_usage_error(tmp_path):

@@ -131,6 +131,39 @@ def test_matrix_roundtrip():
         assert np.max(np.abs(back - coords)) < 1e-12
 
 
+def _signed_zeros(rng, x):
+    """``x`` with about a third of its entries set to +0.0 or -0.0."""
+    hit = rng.random(x.shape) < 0.3
+    x[hit] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[hit]
+    return x
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+@pytest.mark.parametrize("lead", [(), (7,), (5, 4)])
+@pytest.mark.parametrize("strided", [False, True])
+def test_sparse_conversions_are_the_einsums_bit_for_bit(name, lead, strided):
+    # to_matrix_coords writes each coordinate into its basis entries and
+    # from_matrix_coords visits the nonzero projector and basis entries;
+    # both must keep the dense contractions' bits, signed zeros included
+    spec = get_group(name)
+    n, d = spec.algebra_dim, spec.matrix_dim
+    rng = np.random.default_rng(sum(map(ord, name)) + len(lead))
+    coords = _signed_zeros(rng, rng.standard_normal(lead + (2 * n,)))
+    coords = coords[..., ::2] if strided else coords[..., :n]
+    mats = to_matrix_coords(spec, coords)
+    want = np.einsum("...n,nij->...ij", coords, spec.basis)
+    assert mats.shape == want.shape and mats.tobytes() == want.tobytes()
+    # matrices in the span: roundoff on half the entries, a random sign on
+    # the zeros
+    noisy = mats + np.where(rng.random(mats.shape) < 0.5, 1e-15, 0.0) * rng.standard_normal(
+        mats.shape)
+    noisy[(noisy == 0) & (rng.random(mats.shape) < 0.5)] = -0.0
+    vec = noisy.reshape(lead + (d * d,))
+    want = np.einsum("...p,np->...n", vec, spec._projector)
+    got = from_matrix_coords(spec, noisy)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_from_matrix_rejects_off_span():
     spec = get_group("so3")
     mat = to_matrix_coords(spec, np.array([0.3, -0.2, 0.9]))

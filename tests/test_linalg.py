@@ -80,12 +80,21 @@ def test_exp_rotation_matches_rodrigues():
         assert np.max(np.abs(mat_exp(theta * e3, SO3.exp) - rodrigues)) < 1e-13
 
 
+def _algebra_elements(spec, rng, count, scale):
+    """``count`` elements of ``spec``'s algebra, each of Frobenius norm up to
+    ``scale``."""
+    a = to_matrix_coords(spec, rng.standard_normal((count, spec.algebra_dim)))
+    return a * (rng.uniform(0.0, scale, count) / frobenius_norm(a))[:, None, None]
+
+
 def test_exp_inverse_property():
-    for _ in range(20):
-        a = RNG.standard_normal((4, 4))
-        a *= RNG.uniform(0, 1.0) / max(frobenius_norm(a), 1e-9)
-        prod = _taylor_exp(a) @ _taylor_exp(-a)
-        assert frobenius_dist(prod, np.eye(4)) < 1e-10
+    # each row's own exp: exp(A) exp(-A) = I on its algebra
+    rng = np.random.default_rng(83)
+    for name in GROUP_NAMES:
+        spec = get_group(name)
+        a = _algebra_elements(spec, rng, 20, 1.0)
+        prod = mat_exp(a, spec.exp) @ mat_exp(-a, spec.exp)
+        assert np.max(frobenius_dist(prod, np.eye(spec.matrix_dim))) < 1e-10, name
 
 
 def test_exp_rejects_non_square():
@@ -131,11 +140,16 @@ def test_exp_overflow_raises_without_a_numpy_warning():
 
 
 def test_exp_batch_composition_does_not_change_results():
-    a = 0.3 * RNG.standard_normal((6, 3, 3))
-    big = 50.0 * RNG.standard_normal((2, 3, 3))
-    alone = _taylor_exp(a)
-    mixed = _taylor_exp(np.concatenate([a, big]))
-    assert np.array_equal(alone, mixed[:6])
+    # a row's exp of a matrix does not depend on the batch it arrives in,
+    # even next to elements 150x larger
+    rng = np.random.default_rng(133)
+    for name in GROUP_NAMES:
+        spec = get_group(name)
+        small = _algebra_elements(spec, rng, 6, 0.3)
+        big = _algebra_elements(spec, rng, 2, 50.0)
+        alone = mat_exp(small, spec.exp)
+        mixed = mat_exp(np.concatenate([big[:1], small, big[1:]]), spec.exp)
+        assert alone.tobytes() == mixed[1:7].tobytes(), name
 
 
 def assert_split_invariant(kernel, oracle, closed, generic, rng=CLOSED_RNG):

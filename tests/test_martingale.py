@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liestoch.acceptance import NEGATIVE_CONTROL_COV
 from liestoch.campbell import product_path
 from liestoch.connections import (
     alpha_biinvariant,
@@ -13,7 +14,8 @@ from liestoch.errors import DimensionError, PowerError
 from liestoch.explog import ito_exponential, ito_logarithm, strat_exponential, strat_logarithm
 from liestoch.groups import get_group
 from liestoch.linalg import bilinear
-from liestoch.martingale import drift_test, martingale_verdict
+from liestoch import martingale
+from liestoch.martingale import drift_test, martingale_test, martingale_verdict
 from liestoch.calculus import mc_increments
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
 
@@ -165,3 +167,80 @@ def test_verdict_requires_group_ensemble():
         martingale_verdict(ens, alpha_biinvariant(SO3))
     with pytest.raises(DimensionError):
         drift_test(strat_exponential(ens))
+
+
+def _unstreamed(spec, alpha, grid, seed, replicas, scheme="ito", covariance=None,
+                drift=None, buckets=20):
+    driver = brownian_ensemble(spec, grid, seed, replicas, covariance, drift)
+    developed = (ito_exponential(driver, alpha) if scheme == "ito"
+                 else strat_exponential(driver))
+    return martingale_verdict(developed, alpha, buckets=buckets)
+
+
+def _assert_same_report(got, want):
+    for field in ("mean", "stderr", "z"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert (got.passed, got.cells_within, got.connection, got.replicas) == (
+        want.passed, want.cells_within, want.connection, want.replicas)
+
+
+# At 50 steps a chunk holds 655 replicas: 700 is a full chunk and a short
+# one, 1400 two and a short one.
+@pytest.mark.parametrize("name, replicas, options", [
+    ("so3", 700, {}),
+    ("se3", 1400, {}),
+    ("sl2r", 700, {}),
+    ("se3", 700, {"scheme": "strat"}),
+    ("so3", 700, {"drift": np.array([0.3, 0.0, -0.2])}),
+    ("se3", 700, {"scheme": "strat", "covariance": NEGATIVE_CONTROL_COV}),
+])
+def test_streamed_verdict_is_the_unstreamed_verdict_bit_for_bit(name, replicas, options):
+    spec = get_group(name)
+    alpha = alpha_levi_civita(metric_for(spec, 1.0))
+    grid = TimeGrid(1.0, 50)
+    assert replicas % max(martingale._MIN_CHUNK_ROWS,
+                          martingale._CHUNK_STEPS // grid.steps) != 0
+    got = martingale_test(spec, alpha, grid, 41, replicas, buckets=10, **options)
+    _assert_same_report(got, _unstreamed(spec, alpha, grid, 41, replicas, buckets=10,
+                                         **options))
+
+
+@pytest.mark.parametrize("min_rows, rows", [(1, 1), (32, 32)])
+def test_streamed_verdict_over_chunks_smaller_than_a_path(monkeypatch, min_rows, rows):
+    # paths longer than a chunk: one replica per chunk, or the floor of
+    # rows that keeps the develop's per-step calls stacked
+    monkeypatch.setattr(martingale, "_CHUNK_STEPS", 64)
+    monkeypatch.setattr(martingale, "_MIN_CHUNK_ROWS", min_rows)
+    draws = []
+    monkeypatch.setattr(martingale, "brownian_ensemble",
+                        lambda *a, **k: draws.append(a[3]) or brownian_ensemble(*a, **k))
+    alpha = alpha_levi_civita(metric_for(SE3, 1.0))
+    grid = TimeGrid(1.0, 100)
+    got = martingale_test(SE3, alpha, grid, 7, 101, buckets=5)
+    assert draws == [rows] * (101 // rows) + [101 % rows] * (101 % rows > 0)
+    _assert_same_report(got, _unstreamed(SE3, alpha, grid, 7, 101, buckets=5))
+
+
+def test_streamed_verdict_refuses_before_any_draw(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the driver was drawn")
+
+    monkeypatch.setattr(martingale, "brownian_ensemble", never)
+    alpha = alpha_biinvariant(SO3)
+    grid = TimeGrid(1.0, 100)
+    with pytest.raises(PowerError):
+        martingale_test(SO3, alpha, grid, 1, 99)
+    with pytest.raises(ValueError, match="must divide"):
+        martingale_test(SO3, alpha, grid, 1, 200, buckets=7)
+    with pytest.raises(ValueError, match="positive integer"):
+        martingale_test(SO3, alpha, grid, 1, 200, buckets=0)
+    with pytest.raises(ValueError, match="scheme"):
+        martingale_test(SO3, alpha, grid, 1, 200, scheme="midpoint")
+
+
+def test_streamed_verdict_keeps_ito_equal_to_strat_for_a_biinvariant_connection():
+    alpha = alpha_biinvariant(SO3)
+    grid = TimeGrid(1.0, 40)
+    ito = martingale_test(SO3, alpha, grid, 3, 1000)
+    strat = martingale_test(SO3, alpha, grid, 3, 1000, scheme="strat")
+    _assert_same_report(ito, strat)

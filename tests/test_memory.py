@@ -1,14 +1,18 @@
 """Scratch memory of the tiled and slabbed passes (``linalg.tiles``,
 ``linalg.slabs``): each keeps only its outputs full size, so its peak
 stays within the output bytes plus a few tiles. The path dump formats its
-text in chunks of whole rows. numpy reports its allocations to
+text in chunks of whole rows, and ``martingale-test`` streams replica
+chunks into its bucket marks. numpy reports its allocations to
 tracemalloc."""
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from liestoch import cli, martingale
 from liestoch.calculus import increments_from_values
 from liestoch.connections import alpha_levi_civita, metric_for
 from liestoch.explog import ito_exponential, ito_logarithm
@@ -100,3 +104,20 @@ def test_dump_scratch_is_a_few_chunks(developed):
     # formatted all at once, this ensemble's text would take about 300 MB
     _, peak = _peak_above_start(lambda: dump_group_csv(developed, _Discard()))
     assert peak <= SCRATCH_BYTES, peak
+
+
+def test_martingale_test_peak_is_its_marks_plus_a_few_chunks(tmp_path):
+    # unstreamed, the developed values alone would be 52 MB at this shape
+    replicas, steps, buckets = 4000, 100, 20
+    argv = ["martingale-test", "--group", "se3", "--connection", "levicivita",
+            "--dt", "0.01", "--steps", str(steps), "--replicas", str(replicas),
+            "--buckets", str(buckets), "--seed", "4", "--out", str(tmp_path / "m.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, peak = _peak_above_start(lambda: cli.main(argv))
+    assert code == 0
+    marks = replicas * (buckets + 1) * SE3.algebra_dim * 8
+    rows = max(martingale._MIN_CHUNK_ROWS, martingale._CHUNK_STEPS // steps)
+    chunk = rows * (steps + 1) * SE3.matrix_dim**2 * 8  # a chunk's developed values
+    # the drift test's increments and squared deviations are each about the
+    # size of the marks; a chunk's pass holds its driver, values and logarithm
+    assert peak <= 3 * marks + 3 * chunk, (peak, marks, chunk)

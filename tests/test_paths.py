@@ -193,6 +193,33 @@ def test_negative_seed_or_replica_is_refused(seed, first):
             brownian_ensemble(SO3, TimeGrid(1.0, 4), seed, 2)
 
 
+@pytest.mark.parametrize("name", ["so3", "se3", "sl2r"])
+@pytest.mark.parametrize("seed", [5, 2**130 + 3])
+def test_replica_range_is_those_rows_of_the_full_draw(name, seed):
+    # martingale_test draws an ensemble range by range; each range must be
+    # bit for bit those rows of the one-call draw, under any covariance and
+    # drift
+    spec = get_group(name)
+    n = spec.algebra_dim
+    grid = TimeGrid(1.0, 23)
+    mixing = np.eye(n) + 0.2 * (np.ones((n, n)) - np.eye(n))
+    for cov, drift in ((None, None), (mixing, None), (None, np.linspace(-1.0, 2.0, n))):
+        full = brownian_ensemble(spec, grid, seed, 11, cov, drift).values
+        for first, count in ((0, 4), (4, 4), (8, 3), (10, 1), (3, 0)):
+            part = brownian_ensemble(spec, grid, seed, count, cov, drift, first_replica=first)
+            assert part.values.tobytes() == full[first : first + count].tobytes()
+
+
+def test_replica_indices_stay_in_one_spawn_key_word():
+    grid = TimeGrid(1.0, 5)
+    last = brownian_ensemble(SE3, grid, 9, 1, first_replica=2**32 - 1)
+    expected = _recipe(9, 2**32 - 1, grid.steps, np.eye(6) * np.sqrt(grid.dt))
+    assert last.values[0, 1:].tobytes() == expected.tobytes()
+    for first, count in ((2**32 - 1, 2), (2**32, 1), (-1, 3)):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            brownian_ensemble(SE3, grid, 9, count, first_replica=first)
+
+
 def test_importing_the_package_leaves_numpy_random_unloaded():
     # numpy.random costs over 10 ms to import; only drawing a driver needs it
     code = (
