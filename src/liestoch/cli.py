@@ -21,10 +21,13 @@ identical output: replica r draws from its own stream, derived from the
 seed and r. ``--workers`` must be at least 1 and has no effect on output or
 scheduling; it stays accepted so existing configs and manifests still run.
 
-Each subcommand accepts only the flags it reads and exits 2 on any other.
+Each run builds one argparse parser, holding only the invoked subcommand's
+flags, so each subcommand accepts only the flags it reads and exits 2 on
+any other, its message naming the subcommand; a parser of the bare command
+names serves only ``--help``, no command and an unknown one (exit 2).
 Config files are flat ``key=value`` lines (``#`` comments allowed). Each
 line becomes its flag's ``--flag=value`` token, placed before the
-command-line flags and parsed by the same subparser, so a file value meets
+command-line flags and parsed by the same parser, so a file value meets
 its flag's type and choices and a command-line flag overrides it. A file
 may set only the keys of the command's own flags and ``command``, which
 must name the subcommand; a file value its flag refuses exits 2 naming
@@ -399,29 +402,45 @@ _COMMANDS = {
 }
 
 
-def _add_flags(parser, command):
+def _command_parser(command):
+    """The parser of ``command``'s own flags, for its argv and its config
+    file's tokens alike; it refuses any other flag (exit 2)."""
+    parser = argparse.ArgumentParser(prog=f"liestoch {command}", exit_on_error=False)
     for field_name in _COMMANDS[command][1]:
         flag, keywords = _FLAGS[field_name]
         parser.add_argument(flag, dest=field_name, default=None, **keywords)
+    return parser
 
 
-def _build_parser():
+def _parse(parser, tokens, source=""):
+    """``parser``'s namespace of ``tokens``. A value its flag refuses exits 2
+    (argparse's exit), the message led by ``source``."""
+    try:
+        return parser.parse_args(tokens)
+    except argparse.ArgumentError as exc:
+        parser.error(f"{source}{exc}")
+
+
+def _command(argv):
+    """The subcommand ``argv`` starts with. Anything else goes to a parser
+    that knows only the command names: ``--help`` exits 0, and no command
+    or an unknown one exits 2."""
+    if argv and argv[0] in _COMMANDS:
+        return argv[0]
     parser = argparse.ArgumentParser(
         prog="liestoch",
         description="Seeded Monte Carlo experiments for stochastic calculus "
                     "on matrix Lie groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_flags(sub.add_parser(name), name)
-    return parser
+    parser.add_argument("command", choices=list(_COMMANDS),
+                        help="run 'liestoch COMMAND --help' for its flags")
+    return parser.parse_args(argv[:1]).command
 
 
 def _config_tokens(command, path):
     """The ``--flag=value`` token of each ``key=value`` line of the config
     file at ``path``, in file order. A ``command`` line must name ``command``
-    and gives no token. The tokens are parsed on their own first, so that a
-    value its flag refuses exits 2 (argparse's exit) naming the file."""
+    and gives no token."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -442,25 +461,23 @@ def _config_tokens(command, path):
             raise UsageError(f"{command} does not read config key {key!r}")
         else:
             tokens.append(f"{_FLAGS[key][0]}={value}")
-    parser = argparse.ArgumentParser(prog=f"liestoch {command}", exit_on_error=False)
-    _add_flags(parser, command)
-    try:
-        parser.parse_args(tokens)
-    except argparse.ArgumentError as exc:
-        parser.error(f"config file {path!r}: {exc}")
     return tokens
 
 
 def _resolve_config(argv):
     """The config of ``argv`` (subcommand first). A ``--config`` file's
-    tokens are parsed ahead of the command-line flags, which override them."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    tokens are parsed on their own first, so that a value its flag refuses
+    exits 2 naming the file, then ahead of the command-line flags, which
+    override them."""
+    command, flags = _command(argv), argv[1:]
+    parser = _command_parser(command)
+    args = _parse(parser, flags)
     if args.config:
-        args = parser.parse_args([args.command, *_config_tokens(args.command, args.config),
-                                  *argv[1:]])
-    return ExperimentConfig(**{key: value for key, value in vars(args).items()
-                               if value is not None and key != "config"})
+        tokens = _config_tokens(command, args.config)
+        _parse(parser, tokens, f"config file {args.config!r}: ")
+        args = _parse(parser, [*tokens, *flags])
+    return ExperimentConfig(command=command, **{key: value for key, value in vars(args).items()
+                                                if value is not None and key != "config"})
 
 
 def _check_out(path):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -704,6 +705,39 @@ def _refused(*argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     return exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [(), ("fit",), ("--group", "so3", "exp")])
+def test_no_command_or_an_unknown_one_is_refused(argv, capsys):
+    assert _refused(*argv)
+    assert capsys.readouterr().err.splitlines()[-1].startswith("liestoch: error: ")
+
+
+def test_top_level_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--help")
+    assert exc.value.code == EXIT_OK
+    assert len(_COMMANDS) == 8
+    assert "{" + ",".join(_COMMANDS) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_command_help_lists_exactly_its_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: liestoch {command} ")
+    flags = {_FLAGS[name][0] for name in _COMMANDS[command][1]}
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out)) == flags | {"--help"}
+
+
+def test_a_flag_the_command_does_not_read_is_refused_by_that_command(tmp_path, capsys):
+    out = tmp_path / "ch.csv"
+    assert _refused("campbell", "--group", "so3", "--out", str(out), "--significance", "0.9")
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "liestoch campbell: error: unrecognized arguments: --significance 0.9")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liestoch import paths
 from liestoch.errors import DimensionError, GridMismatchError, MetricError, NonFiniteError
 from liestoch.explog import strat_exponential
 from liestoch.groups import GROUP_NAMES, get_group
@@ -375,24 +376,53 @@ def _dump_bytes(dump, target):
     return buf.getvalue()
 
 
+def _chunk_ends(target):
+    """The rows where the path dump of ``target`` starts a new chunk at the
+    current ``paths._CHUNK_VALUES``: those inside a replica, and those on a
+    replica's first row."""
+    replicas, points = target.values.shape[:2]
+    fields = 3 + target.values[0, 0].size
+    ends = range(paths._CHUNK_VALUES // fields, replicas * points,
+                 paths._CHUNK_VALUES // fields)
+    return [e for e in ends if e % points], [e for e in ends if e % points == 0]
+
+
+def _assert_chunks_end_inside_and_on_replicas(target):
+    inside, on = _chunk_ends(target)
+    assert inside and on, (inside, on)
+
+
+# (replicas, steps) per group: with 8192 fields a chunk holds 682 rows of a
+# 3x3 group, 431 of se3 and 1170 of sl2r, so each shape spans at least three
+# chunks, one starting inside a replica and one on a replica's first row.
+_GROUP_DUMP_SHAPES = {"so3": (3, 1022), "se2": (3, 1022), "e11": (3, 1022), "n3": (3, 1022),
+                      "se3": (2, 861), "sl2r": (4, 779)}
+
+
 @pytest.mark.parametrize("name", GROUP_NAMES)
 def test_group_csv_matches_csv_writer_bytes(name):
-    grid = TimeGrid(0.7, 25)
-    gx = strat_exponential(brownian_ensemble(get_group(name), grid, 11, 3))
+    replicas, steps = _GROUP_DUMP_SHAPES[name]
+    grid = TimeGrid(0.7, steps)
+    gx = strat_exponential(brownian_ensemble(get_group(name), grid, 11, replicas))
+    _assert_chunks_end_inside_and_on_replicas(gx)
     assert _dump_bytes(dump_group_csv, gx) == _oracle_bytes(gx)
-    one = Ensemble(gx.group, grid, gx.values[2][None])
+    one = Ensemble(gx.group, grid, gx.values[-1][None])
     assert _dump_bytes(dump_group_csv, one) == _oracle_bytes(one)
 
 
 def test_algebra_csv_matches_csv_writer_bytes():
-    grid = TimeGrid(3.0, 40)
-    ens = brownian_ensemble(get_group("se3"), grid, 12, 4)
+    # 910 rows of se3's 6 coordinates to a chunk: new chunks start at rows
+    # 910 (inside replica 2) and 1820 (replica 5's first row)
+    grid = TimeGrid(3.0, 363)
+    ens = brownian_ensemble(get_group("se3"), grid, 12, 6)
+    _assert_chunks_end_inside_and_on_replicas(ens)
     assert _dump_bytes(dump_algebra_csv, ens) == _oracle_bytes(ens)
-    one = ens.with_values(ens.values[3:])
+    one = ens.with_values(ens.values[5:])
     assert _dump_bytes(dump_algebra_csv, one) == _oracle_bytes(one)
-    # 5001 points, more than a chunk's 4096 fields, at dt = 2e-6: a chunk
-    # ends inside a replica, and the times below 1e-4 go to repr
+    # 5001 points at dt = 2e-6: chunks start inside a replica, and the times
+    # below 1e-4 go to repr
     fine = brownian_ensemble(get_group("so3"), TimeGrid(0.01, 5000), 13, 2)
+    assert _chunk_ends(fine)[0]
     assert _dump_bytes(dump_algebra_csv, fine) == _oracle_bytes(fine)
 
 
@@ -411,10 +441,11 @@ _EDGE_FLOATS = [
 
 def test_csv_float_edge_cases_match_csv_writer_bytes():
     values = np.array(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS])
-    points = -(-len(values) // 6)
-    # every value and its negative, in both replicas, on a grid with
-    # non-terminating times
-    ens = Ensemble(SO3, TimeGrid(1 / 3, points - 1), np.resize(values, (2, points, 3)))
+    # every value and its negative, in all four replicas, on a grid with
+    # non-terminating times; 1365 rows of 3 coordinates to a chunk, so new
+    # chunks start at rows 1365 (inside replica 1) and 2730 (replica 3's first)
+    ens = Ensemble(SO3, TimeGrid(1 / 3, 909), np.resize(values, (4, 910, 3)))
+    _assert_chunks_end_inside_and_on_replicas(ens)
     text = _dump_bytes(dump_algebra_csv, ens)
     assert text == _oracle_bytes(ens)
     for token in ("-0.0", "5e-324", "1e-05", "9.999e-05", "1e+16", "123456789.0", "0.0001",
