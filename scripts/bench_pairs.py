@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """Benchmark HEAD against the working tree in alternating pairs.
 
-HEAD's committed files are exported with ``git archive`` into a temporary
-directory (``TMPDIR`` decides where), and ``benchmark/run.py`` runs there
-and in this working tree with the same arguments, for the ``run_seconds``
-that BENCHMARK.json sets. The i-th pair of a call uses seed ``--seed + i``
-on both sides; even pairs run HEAD first, odd pairs the working tree first.
-``--out`` receives every raw result and info line and, per workload and
-end-to-end metric of BENCHMARK.json, each side's median and quartiles and
-the number of pairs the change won (ties count for neither). When ``--out``
-already holds runs against the same HEAD, the new runs are added to them,
-the summary covers all of them and the record's other keys are kept.
+Both sides run from exports in one temporary directory (``TMPDIR``
+decides where): HEAD's committed files, by ``git archive``, in
+``parent/``, and the working tree's tracked files as they stand plus its
+untracked files that are not ignored in ``change/``. The two paths have
+one length, since peak RSS moves by about 1 MB with the length of the
+tree's path on identical code. ``benchmark/run.py`` runs in both with the
+same arguments, for the ``run_seconds`` that BENCHMARK.json sets. The
+i-th pair of a call uses seed ``--seed + i`` on both sides; even pairs run
+HEAD first, odd pairs the working tree first. ``--out`` receives every
+raw result and info line and, per workload and end-to-end metric of
+BENCHMARK.json, each side's median and quartiles and the number of pairs
+the change won (ties count for neither). When ``--out`` already holds
+runs against the same HEAD, the new runs are added to them, the summary
+covers all of them and the record's other keys are kept.
 
     python3 scripts/bench_pairs.py --workload campbell-so3 \\
         --pairs 10 --seed 4100 --out BENCH_4.json
@@ -22,6 +26,7 @@ benchmark code.
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +48,18 @@ def export_tree(rev, dest):
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_worktree(dest):
+    """The working tree's tracked files as they stand and its untracked
+    files that are not ignored, copied into ``dest``."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # not a tracked file deleted in the working tree
+            target = Path(dest) / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run_side(tree, workload, seed, seconds):
@@ -134,8 +151,11 @@ def main(argv=None):
         record = old
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        export_tree(sha, tmp)
-        trees = {"parent": tmp, "change": str(ROOT)}
+        trees = {side: Path(tmp) / side for side in SIDES}  # names of one length
+        for tree in trees.values():
+            tree.mkdir()
+        export_tree(sha, trees["parent"])
+        export_worktree(trees["change"])
         for workload in args.workload:
             first = 1 + max((r["pair"] for r in record["runs"] if r["workload"] == workload),
                             default=-1)

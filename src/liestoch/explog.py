@@ -27,10 +27,13 @@ replica; a single path is a one-replica ensemble. Values are
 (R, K+1, d, d) group matrices or (R, K+1, n) coordinates, and step vectors
 (R, K, n). Each per-step stage writes into one preallocated output, so
 only outputs are ever full size. The develop's product recursion runs over
-the tiles of ``linalg.tiles`` in step-major order; the passes that treat
+the tiles of ``linalg.tiles`` in step-major order, and the membership gate
+runs on each finished tile while it is in cache; the passes that treat
 each step on its own (both Ito corrections, the logarithms' increments)
-run over the contiguous replica slabs of ``linalg.slabs``. The membership
-gate reads the full values.
+run over the contiguous replica slabs of ``linalg.slabs``.
+``development_logarithm`` drives the same gated recursion with no output:
+the compensated logarithm of a development, read from its steps, with no
+group values kept.
 """
 
 from __future__ import annotations
@@ -45,19 +48,23 @@ from .linalg import bilinear, mat_exp, slabs, tiles
 from .paths import expect
 
 
-def _develop(spec, steps):
-    """Cumulative product of exp(step vectors): (R, K, n) -> (R, K+1, d, d).
+def _product_tiles(spec, steps):
+    """The develop's cumulative product of exp(step vectors), gated tile by
+    tile: yields each tile's slices ``(r, k)`` and its finished
+    (cols, rows, d, d) step-major products, valid until the next tile.
 
     Tile by tile (``linalg.tiles``), in step-major order: a tile's steps
     are exponentiated as a (cols, rows) stack, and the product recursion
     runs in one contiguous (cols+1, rows, d, d) scratch, one stacked matmul
-    per step, before the finished tile is copied into the replica-major
-    output. The scratch is allocated once per call.
+    per step, allocated once per call. Each finished tile's membership
+    defects are taken while it is in cache, the worst over all tiles is
+    kept (NaN propagates), and once the last tile is out the gate raises as
+    ``check_drift`` would on the full values: its message and worst defect
+    do not depend on the tiling.
     """
     replicas, count, n = steps.shape
     d = spec.matrix_dim
-    out = np.empty((replicas, count + 1, d, d))
-    out[:, 0] = np.eye(d)
+    worst = -np.inf
     coords_buf = prod_buf = None
     for r, k in tiles(replicas, count):
         rows, cols = r.stop - r.start, k.stop - k.start
@@ -76,20 +83,47 @@ def _develop(spec, steps):
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(cols):
                 np.matmul(prod[j], exps[j], out=prod[j + 1])
-        out[r, k.start + 1 : k.stop + 1] = prod[1:].transpose(1, 0, 2, 3)
-        carry = prod[cols]
         del exps  # not live while the next tile's are made
+        worst = np.maximum(worst, np.max(membership_defect(spec, prod[1:])))
+        yield r, k, prod[1:]
+        carry = prod[cols]
+    _check_defect(spec, worst)
+
+
+def _develop(spec, steps):
+    """Cumulative product of exp(step vectors), gated: (R, K, n) ->
+    (R, K+1, d, d), each tile of ``_product_tiles`` copied into the
+    replica-major output once."""
+    replicas, count, _ = steps.shape
+    d = spec.matrix_dim
+    out = np.empty((replicas, count + 1, d, d))
+    out[:, 0] = np.eye(d)
+    for r, k, prod in _product_tiles(spec, steps):
+        out[r, k.start + 1 : k.stop + 1] = prod.transpose(1, 0, 2, 3)
     return out
+
+
+def _gate_develop(spec, steps):
+    """The gate of ``_develop`` alone: the same gated product recursion,
+    keeping no group values."""
+    for _ in _product_tiles(spec, steps):
+        pass
+
+
+def _check_defect(spec, defect):
+    """Raise IntegratorDriftError unless the worst of ``defect`` is within
+    ``groups.MEMBERSHIP_GATE``; NaN fails."""
+    check_membership(
+        spec, defect, IntegratorDriftError,
+        "integrator drifted off the group (membership defect {defect:.3e} > {gate:.1e}); "
+        "use a smaller dt",
+    )
 
 
 def check_drift(spec, values):
     """Raise IntegratorDriftError unless every value is a member of the
     group to ``groups.MEMBERSHIP_GATE``."""
-    check_membership(
-        spec, membership_defect(spec, values), IntegratorDriftError,
-        "integrator drifted off the group (membership defect {defect:.3e} > {gate:.1e}); "
-        "use a smaller dt",
-    )
+    _check_defect(spec, membership_defect(spec, values))
 
 
 def _ito_correction(spec, alpha):
@@ -125,9 +159,7 @@ def _logarithm(x, dl, correction=None):
 
 def _developed(ens, steps):
     """Ensemble developed from its identity start by the given step vectors."""
-    values = _develop(ens.group, steps)
-    check_drift(ens.group, values)
-    return ens.with_values(values, step_logs=steps)
+    return ens.with_values(_develop(ens.group, steps), step_logs=steps)
 
 
 def strat_exponential(m):
@@ -154,7 +186,13 @@ def ito_exponential(m, alpha: ConnectionFunction):
     raises ExpOverflowError.
     """
     expect(m, group_valued=False)
-    correction = _ito_correction(m.group, alpha)
+    return _developed(m, _ito_steps(m, _ito_correction(m.group, alpha)))
+
+
+def _ito_steps(m, correction):
+    """The injected steps ``dM - 1/2 alpha(dM,dM)`` of a driving algebra
+    ensemble, corrected in place slab by slab (``linalg.slabs``); a step
+    that overflows raises ExpOverflowError."""
     dm = np.diff(m.values, axis=-2)
     # a huge step's quadratic overflows to inf or NaN, refused below; numpy
     # need not warn first
@@ -164,7 +202,7 @@ def ito_exponential(m, alpha: ConnectionFunction):
     if not np.isfinite(dm).all():
         raise ExpOverflowError(f"{m.group.name}: an Ito-corrected step overflowed; "
                                "the step or the drift is too large")
-    return _developed(m, dm)
+    return dm
 
 
 def ito_logarithm(x, alpha: ConnectionFunction):
@@ -176,6 +214,24 @@ def ito_logarithm(x, alpha: ConnectionFunction):
     """
     dl = mc_increments(x)
     return _logarithm(x, dl, _ito_correction(x.group, alpha))
+
+
+def development_logarithm(m, alpha: ConnectionFunction, scheme="ito"):
+    """``ito_logarithm`` of the ``scheme`` ("ito" or "strat") development of
+    a driving algebra ensemble, keeping no group values.
+
+    Bit for bit ``ito_logarithm(ito_exponential(m, alpha), alpha)`` (or of
+    ``strat_exponential(m)``), and gated as they are: the steps run through
+    the develop's gated product recursion, which drops each tile once it is
+    gated, and the logarithm is read from the steps themselves.
+    """
+    expect(m, group_valued=False)
+    if scheme not in ("ito", "strat"):
+        raise ValueError(f"scheme must be 'ito' or 'strat', got {scheme!r}")
+    correction = _ito_correction(m.group, alpha)
+    steps = _ito_steps(m, correction) if scheme == "ito" else np.diff(m.values, axis=-2)
+    _gate_develop(m.group, steps)
+    return _logarithm(m, steps, correction)
 
 
 def roundtrip_errors(m, alpha: ConnectionFunction):

@@ -296,9 +296,11 @@ def bilinear(table, x, y):
     +0.0 start: einsum's own order. A skipped entry's term is a signed zero,
     which leaves the sum unchanged, so the result keeps einsum's bits. The
     terms run on coordinate-major contiguous copies of ``x`` and ``y`` (one
-    copy when they are the same array), and the sums are copied back into a
-    contiguous (..., k) result. An all-zero table, the symmetric part of a
-    bi-invariant connection, returns +0.0 zeros at once. The quadratic
+    copy when they are the same array), and the (k, ...) sums are returned
+    as a (..., k) view, not copied back: the callers use the result
+    elementwise, and the copy took about a quarter of an se3 slab's call.
+    An all-zero table, the symmetric part of a bi-invariant connection,
+    returns +0.0 zeros at once. The quadratic
     tables of this package (structure constants, connection coefficients)
     are mostly zeros: se3's Levi-Civita table at lambda = 1 has 12 nonzero
     entries of 216.
@@ -324,7 +326,7 @@ def bilinear(table, x, y):
         np.multiply(xt[i], table[k, i, j], out=term)
         term *= yt[j]
         sums[k] += term
-    return np.ascontiguousarray(np.moveaxis(sums, 0, -1))
+    return np.moveaxis(sums, 0, -1)
 
 
 def solve_linear(a, b):

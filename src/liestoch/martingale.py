@@ -7,7 +7,10 @@ martingale in the algebra. The finite-sample rendering used here: split
 the grid into time buckets and test, per bucket and per coordinate, that
 the ensemble mean increment is zero. ``martingale_test`` runs that
 verdict on a Brownian driver it draws and develops itself, streamed over
-replica chunks so that only the bucket marks are ever full size.
+replica chunks so that only the bucket marks are ever full size. A chunk's
+develop is gated tile by tile and keeps no group values: the compensated
+logarithm is read from the injected steps
+(``explog.development_logarithm``).
 
 The decision rule: a cell fails when its mean is more than
 ``z_band = 4`` standard errors from zero, and the ensemble verdict is
@@ -27,7 +30,7 @@ import numpy as np
 
 from .connections import ConnectionFunction
 from .errors import DimensionError, PowerError
-from .explog import ito_exponential, ito_logarithm, strat_exponential
+from .explog import development_logarithm, ito_logarithm
 from .paths import Ensemble, TimeGrid, brownian_ensemble, expect
 
 DEFAULT_Z_BAND = 4.0
@@ -35,8 +38,8 @@ DEFAULT_CELL_FRACTION = 0.95
 MIN_REPLICAS = 100
 
 # Replica-steps per chunk of ``martingale_test``: on se3 a chunk's driver,
-# developed values and logarithm take about 12 MB. At 10^4 x 100 steps,
-# chunks of 8192 replica-steps ran slower than chunks of 16384 or 32768.
+# steps and logarithm take about 4.7 MB. At 10^4 x 100 steps, chunks of
+# 8192 replica-steps ran slower than chunks of 16384 or 32768.
 # A chunk holds at least _MIN_CHUNK_ROWS replicas, since the develop makes
 # one stacked matmul per step of a chunk: at 128 so3 replicas x 10^4 steps,
 # chunks of 1 replica took 4.4 s, of 4 1.2 s and of 32 or 128 0.7 s.
@@ -145,13 +148,15 @@ def martingale_test(spec, alpha: ConnectionFunction, grid, seed, replicas, schem
 
     The bucket and power checks run before any draw. Then each chunk of
     ``max(_MIN_CHUNK_ROWS, _CHUNK_STEPS // steps)`` replicas, in replica
-    order, is drawn (``brownian_ensemble``'s ``first_replica``), developed,
-    gated and read back by ``ito_logarithm``, and only its
+    order, is drawn (``brownian_ensemble``'s ``first_replica``), developed
+    and gated tile by tile without keeping group values, and read back from
+    its steps (``explog.development_logarithm``); only its
     (rows, buckets+1, n) bucket marks are kept, so memory is
-    O(replicas x buckets x n) plus one chunk.
+    O(replicas x buckets x n) plus one chunk's algebra coordinates.
     Every stage treats each replica on its own, and ``drift_test`` reduces
     the stacked marks once, so the report is bit for bit that of the
-    unstreamed verdict. A numerical failure in any chunk raises.
+    unstreamed verdict. A numerical failure in any chunk raises, the gate's
+    message naming that chunk's worst defect.
     """
     if scheme not in ("ito", "strat"):
         raise ValueError(f"scheme must be 'ito' or 'strat', got {scheme!r}")
@@ -161,11 +166,8 @@ def martingale_test(spec, alpha: ConnectionFunction, grid, seed, replicas, schem
     for start in range(0, replicas, rows):
         driver = brownian_ensemble(spec, grid, seed, min(rows, replicas - start),
                                    covariance=covariance, drift=drift, first_replica=start)
-        if scheme == "ito":
-            developed = ito_exponential(driver, alpha)
-        else:
-            developed = strat_exponential(driver)
-        marks[start : start + rows] = ito_logarithm(developed, alpha).values[:, ::width]
-        del driver, developed  # not live while the next chunk is drawn
+        comp = development_logarithm(driver, alpha, scheme)
+        marks[start : start + rows] = comp.values[:, ::width]
+        del driver, comp  # not live while the next chunk is drawn
     bucketed = Ensemble(spec, TimeGrid(grid.horizon, buckets), marks)
     return drift_test(bucketed, buckets=buckets, z_band=z_band, connection_label=alpha.label)

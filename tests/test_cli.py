@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liestoch import cli
+from liestoch import cli, explog
 from liestoch.acceptance import NEGATIVE_CONTROL_COV
 from liestoch.cli import (
     _COMMANDS,
@@ -527,17 +527,17 @@ def test_martingale_test_flag_refusals_come_before_the_power_check(extra, tmp_pa
 def test_martingale_test_failure_in_a_later_chunk_writes_nothing(tmp_path, monkeypatch,
                                                                   capsys):
     # a chunk of 50 replicas at 100 steps: the second of three chunks fails
-    # the membership gate, after the first was read back
-    calls, develop = [], cli.martingale.ito_exponential
+    # the membership gate of its develop, after the first was read back
+    calls, gate = [], explog._gate_develop
 
-    def second_fails(driver, alpha):
-        calls.append(driver.replicas)
+    def second_fails(spec, steps):
+        calls.append(len(steps))
         if len(calls) == 2:
             raise IntegratorDriftError("so3: integrator drifted off the group")
-        return develop(driver, alpha)
+        return gate(spec, steps)
 
     monkeypatch.setattr(cli.martingale, "_CHUNK_STEPS", 5000)
-    monkeypatch.setattr(cli.martingale, "ito_exponential", second_fails)
+    monkeypatch.setattr(explog, "_gate_develop", second_fails)
     code, out = _so3_run("martingale-test", tmp_path, "m.json", "--replicas", "120",
                          "--steps", "100")
     assert code == EXIT_NUMERICAL and calls == [50, 50]

@@ -10,11 +10,17 @@ from liestoch.connections import (
     metric_for,
     u_from_metric,
 )
-from liestoch.errors import DimensionError, PowerError
-from liestoch.explog import ito_exponential, ito_logarithm, strat_exponential, strat_logarithm
+from liestoch.errors import DimensionError, IntegratorDriftError, PowerError
+from liestoch.explog import (
+    check_drift,
+    ito_exponential,
+    ito_logarithm,
+    strat_exponential,
+    strat_logarithm,
+)
 from liestoch.groups import get_group
-from liestoch.linalg import bilinear
-from liestoch import martingale
+from liestoch.linalg import bilinear, mat_exp
+from liestoch import explog, martingale
 from liestoch.martingale import drift_test, martingale_test, martingale_verdict
 from liestoch.calculus import mc_increments
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
@@ -244,3 +250,71 @@ def test_streamed_verdict_keeps_ito_equal_to_strat_for_a_biinvariant_connection(
     ito = martingale_test(SO3, alpha, grid, 3, 1000)
     strat = martingale_test(SO3, alpha, grid, 3, 1000, scheme="strat")
     _assert_same_report(ito, strat)
+
+
+# The develop gates each product tile as it is made. At 120 se3 replicas a
+# tile is 34 steps, so 100 steps take three tiles, and martingale_test
+# draws one chunk: both paths develop the same tiles.
+GATE_GRID = TimeGrid(1.0, 100)
+GATE_REPLICAS = 120
+
+
+def _gate_messages(alpha, scheme="ito"):
+    """The IntegratorDriftError messages of the value-keeping develop and
+    of the streamed verdict on one driver."""
+    driver = brownian_ensemble(SE3, GATE_GRID, 5, GATE_REPLICAS)
+    develop = ito_exponential if scheme == "ito" else lambda m, alpha: strat_exponential(m)
+    with pytest.raises(IntegratorDriftError) as kept:
+        develop(driver, alpha)
+    with pytest.raises(IntegratorDriftError) as streamed:
+        martingale_test(SE3, alpha, GATE_GRID, 5, GATE_REPLICAS, scheme=scheme)
+    return str(kept.value), str(streamed.value)
+
+
+def test_drift_gate_names_the_worst_defect_over_all_tiles(monkeypatch):
+    alpha = alpha_levi_civita(metric_for(SE3, 1.0))
+    # every injected step leaves the group by a relative 1e-5
+    monkeypatch.setattr(explog, "mat_exp", lambda a, kernel: mat_exp(a, kernel) * (1 + 1e-5))
+    with monkeypatch.context() as ungated:
+        ungated.setattr(explog, "_check_defect", lambda spec, defect: None)
+        values = ito_exponential(brownian_ensemble(SE3, GATE_GRID, 5, GATE_REPLICAS),
+                                 alpha).values
+    messages = {}
+    for name, upto in (("all", None), ("first tile", 35)):
+        with pytest.raises(IntegratorDriftError) as full:
+            check_drift(SE3, values[:, :upto])
+        messages[name] = str(full.value)
+    kept, streamed = _gate_messages(alpha)
+    assert kept == streamed == messages["all"] != messages["first tile"]
+    assert kept.startswith("se3: integrator drifted off the group (membership defect ")
+
+
+@pytest.mark.parametrize("scheme", ["ito", "strat"])
+def test_a_nan_step_fails_closed_on_both_paths(monkeypatch, scheme):
+    calls = []
+
+    def nan_in_the_second_tile(a, kernel):
+        out = mat_exp(a, kernel)
+        calls.append(1)
+        if len(calls) % 3 == 2:  # each path makes three tiles
+            out[5, 7, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(explog, "mat_exp", nan_in_the_second_tile)
+    kept, streamed = _gate_messages(alpha_levi_civita(metric_for(SE3, 1.0)), scheme)
+    assert kept == streamed == ("se3: integrator drifted off the group (membership defect "
+                                "nan > 1.0e-06); use a smaller dt")
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("scheme", ["ito", "strat"])
+def test_streamed_verdict_keeps_no_group_values(monkeypatch, scheme):
+    alpha = alpha_levi_civita(metric_for(SE3, 1.0))
+    want = _unstreamed(SE3, alpha, GATE_GRID, 9, GATE_REPLICAS, scheme=scheme)
+
+    def never(spec, steps):
+        raise AssertionError("the develop kept group values")
+
+    monkeypatch.setattr(explog, "_develop", never)
+    got = martingale_test(SE3, alpha, GATE_GRID, 9, GATE_REPLICAS, scheme=scheme)
+    _assert_same_report(got, want)

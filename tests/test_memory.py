@@ -109,17 +109,21 @@ def test_dump_scratch_is_a_few_chunks(developed):
 
 
 def test_martingale_test_peak_is_its_marks_plus_a_few_chunks(tmp_path):
-    # unstreamed, the developed values alone would be 52 MB at this shape
-    replicas, steps, buckets = 4000, 100, 20
-    argv = ["martingale-test", "--group", "se3", "--connection", "levicivita",
-            "--dt", "0.01", "--steps", str(steps), "--replicas", str(replicas),
-            "--buckets", str(buckets), "--seed", "4", "--out", str(tmp_path / "m.json")]
-    with contextlib.redirect_stdout(io.StringIO()):
-        code, peak = _peak_above_start(lambda: cli.main(argv))
-    assert code == 0
-    marks = replicas * (buckets + 1) * SE3.algebra_dim * 8
+    # unstreamed, the developed values alone would be 52 MB at this shape;
+    # at one bucket the marks are small and a chunk's pass sets the peak
+    replicas, steps = 4000, 100
     rows = max(martingale._MIN_CHUNK_ROWS, martingale._CHUNK_STEPS // steps)
-    chunk = rows * (steps + 1) * SE3.matrix_dim**2 * 8  # a chunk's developed values
-    # the drift test's increments and squared deviations are each about the
-    # size of the marks; a chunk's pass holds its driver, values and logarithm
-    assert peak <= 3 * marks + 3 * chunk, (peak, marks, chunk)
+    chunk = rows * (steps + 1) * SE3.algebra_dim * 8  # a chunk's driver
+    for buckets in (20, 1):
+        argv = ["martingale-test", "--group", "se3", "--connection", "levicivita",
+                "--dt", "0.01", "--steps", str(steps), "--replicas", str(replicas),
+                "--buckets", str(buckets), "--seed", "4", "--out", str(tmp_path / "m.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, peak = _peak_above_start(lambda: cli.main(argv))
+        assert code == 0
+        marks = replicas * (buckets + 1) * SE3.algebra_dim * 8
+        # the drift test's increments and squared deviations are each about
+        # the size of the marks; a chunk's pass holds its driver, steps and
+        # logarithm, each about a driver's size, and a develop tile's
+        # scratch, but no group values
+        assert peak <= 3 * marks + 3 * chunk + SCRATCH_BYTES, (buckets, peak, marks, chunk)

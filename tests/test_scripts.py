@@ -91,8 +91,9 @@ def test_bench_pairs_appends_at_the_benchmark_run_length(tmp_path, monkeypatch):
     calls = []
 
     def run_side(tree, workload, seed, seconds):
-        calls.append((Path(tree) == repo, seed, seconds))
-        run = _bench_run(0, "parent", 1.0 if Path(tree) == repo else 2.0, 1.0)
+        change = Path(tree).name == "change"
+        calls.append((change, seed, seconds))
+        run = _bench_run(0, "parent", 1.0 if change else 2.0, 1.0)
         return 0, {}, run["result"]
 
     monkeypatch.setattr(bench, "run_side", run_side)
@@ -113,3 +114,28 @@ def test_bench_pairs_appends_at_the_benchmark_run_length(tmp_path, monkeypatch):
     assert [r["pair"] for r in record["runs"]] == [0, 0, 1, 1, 2, 2, 3, 3]
     wall = record["summary"]["w"]["metrics"]["wall_s"]
     assert record["summary"]["w"]["pairs"] == 4 and wall["change_wins"] == 4
+
+
+def test_bench_pairs_runs_both_sides_from_exports_of_one_path_length(tmp_path, monkeypatch):
+    bench, repo = _bench_repo(tmp_path, monkeypatch)
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "src").mkdir()
+    (repo / "src" / "added.py").write_text("ADDED = 1\n")  # untracked
+    (repo / "src" / "run.log").write_text("")  # ignored
+    trees = {}
+
+    def run_side(tree, workload, seed, seconds):
+        tree = Path(tree)
+        trees[tree.name] = (tree, sorted(str(p.relative_to(tree)) for p in tree.rglob("*")
+                                         if p.is_file()))
+        return 0, {}, _bench_run(0, "parent", 1.0, 1.0)["result"]
+
+    monkeypatch.setattr(bench, "run_side", run_side)
+    argv = ["--workload", "w", "--pairs", "1", "--seed", "1",
+            "--out", str(tmp_path / "BENCH.json")]
+    assert bench.main(argv) == 0
+    (parent, parent_files), (change, change_files) = trees["parent"], trees["change"]
+    assert parent != change and len(str(parent)) == len(str(change))
+    assert repo not in (parent, change) and parent.parent == change.parent
+    assert parent_files == ["BENCHMARK.json", "benchmark/run.py"]
+    assert change_files == [".gitignore", "BENCHMARK.json", "benchmark/run.py", "src/added.py"]
