@@ -11,8 +11,11 @@ same arguments, for the ``run_seconds`` that BENCHMARK.json sets. The
 i-th pair of a call uses seed ``--seed + i`` on both sides; even pairs run
 HEAD first, odd pairs the working tree first. ``--out`` receives every
 raw result and info line and, per workload and end-to-end metric of
-BENCHMARK.json, each side's median and quartiles and the number of pairs
-the change won (ties count for neither). When ``--out`` already holds
+BENCHMARK.json, each side's median and quartiles, the number of pairs
+the change won (ties count for neither), the median of the per-pair
+ratios change / parent, and the exact two-sided sign-test p-value of the
+wins among the pairs that differ: how well the pairs resolve the change
+(ten pairs all won give 0.002, eight of ten 0.11). When ``--out`` already holds
 runs against the same HEAD, the new runs are added to them, the summary
 covers all of them and the record's other keys are kept.
 
@@ -26,6 +29,7 @@ benchmark code.
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -89,6 +93,13 @@ def _side_stats(values):
     return {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1}
 
 
+def sign_test_p(wins, losses):
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``
+    among pairs that differ (1.0 when none do)."""
+    n, k = wins + losses, min(wins, losses)
+    return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
+
+
 def summarize(runs, spec):
     """Per workload: each end-to-end metric's quartiles per side, the pairs
     the change won, the median change against its bound, and failures."""
@@ -107,13 +118,18 @@ def summarize(runs, spec):
             stats = {side: _side_stats(values[side]) for side in SIDES}
             base, new = stats["parent"]["median"], stats["change"]["median"]
             rel = new / base - 1.0 if base else 0.0
+            pairs_of = list(zip(values["parent"], values["change"]))
+            wins = sum(sign * (c - p) < 0 for p, c in pairs_of)
+            losses = sum(sign * (c - p) > 0 for p, c in pairs_of)
+            ratios = [c / p for p, c in pairs_of if p]
             metrics[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 **stats,
-                "change_wins": sum(sign * (c - p) < 0
-                                   for p, c in zip(values["parent"], values["change"])),
+                "change_wins": wins,
                 "median_change_rel": rel,
+                "median_pair_ratio": statistics.median(ratios) if ratios else None,
+                "sign_test_p": sign_test_p(wins, losses),
                 "bound": metric["bound"],
                 "within_bound": sign * rel <= metric["bound"],
                 "gain_beyond_parent_iqr": sign * (base - new) > stats["parent"]["iqr"],

@@ -23,6 +23,16 @@ The adjoint-weighted integral supports two discretizations:
 
 The exponential-identity checker defaults to the midpoint rule; the
 left-point rule is kept for the slow-convergence comparison experiment.
+
+Two develops that do not depend on each other run as one: ``exp(M+N)`` and
+``exp(N)`` in the exponential identity, X and Y in the logarithm ladder.
+Their drivers are written into one (2R, K+1, n) buffer, developed as one
+ensemble of 2R replicas and split back into halves (``Ensemble.split``).
+Each replica still goes through the same matmuls as when developed alone,
+so every bit is what the two develops would give; the stack halves the
+develop's per-step calls. The membership gate covers both halves, so a
+driver that leaves the group in either one raises before any residual is
+formed.
 """
 
 from __future__ import annotations
@@ -133,11 +143,27 @@ def ch_residual(m, n, alpha, rule="midpoint", significance=0.99, enforce_hypothe
     _check_pair(m, n, False, False)
     if enforce_hypotheses:
         _check_hypotheses(alpha, m, n, significance, "ch_residual")
-    # the sum is no longer a single recorded driver
-    lhs = ito_exponential(Ensemble(m.group, m.grid, m.values + n.values), alpha)
-    y = ito_exponential(n, alpha)
+    lhs, y = _develop_pair(m, n, alpha, summed=True)
     x = ito_exponential(ad_integral(y, m, rule=rule), alpha)
     return frobenius_dist(lhs.values, x.values @ y.values)
+
+
+def _develop_pair(m, n, alpha, summed):
+    """``ito_exponential`` of the drivers ``m`` (``m + n`` when ``summed``)
+    and ``n`` as one ensemble of 2R replicas, returned as its two halves:
+    bit for bit the two develops run apart.
+
+    Both drivers are written straight into one buffer, the sum included,
+    which is dropped once developed.
+    """
+    drivers = np.empty((2,) + n.values.shape)
+    if summed:
+        np.add(m.values, n.values, out=drivers[0])
+    else:
+        drivers[0] = m.values
+    drivers[1] = n.values
+    stacked = Ensemble(m.group, m.grid, drivers.reshape((-1,) + drivers.shape[2:]))
+    return ito_exponential(stacked, alpha).split(2)
 
 
 def log_product_residual(x, y, alpha, rule="ito", significance=0.99, enforce_hypotheses=True):
@@ -184,8 +210,8 @@ class CHReport:
         k = len(self.dt_ladder)
         if not (len(self.mean_terminal) == len(self.max_terminal) == len(self.stderr_terminal) == k):
             raise DimensionError("residual lists must match the dt ladder")
-        if any(v < 0 for v in self.mean_terminal + self.max_terminal):
-            raise ValueError("residuals must be non-negative")
+        if not all(v >= 0 for v in self.mean_terminal + self.max_terminal):
+            raise ValueError("residuals must be non-negative numbers")
 
     def monotone_within_se(self):
         """True when mean residuals decrease along the ladder, allowing one
@@ -208,8 +234,7 @@ def _ladder(kind, group, alpha, dts, replicas, base_seed, rule, significance):
                 m_ens, n_ens, alpha, rule=rule, significance=significance
             )
         else:
-            x = ito_exponential(m_ens, alpha)
-            y = ito_exponential(n_ens, alpha)
+            x, y = _develop_pair(m_ens, n_ens, alpha, summed=False)
             res = log_product_residual(
                 x, y, alpha, rule=rule, significance=significance
             )

@@ -21,6 +21,7 @@ raised as NonFiniteError.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from math import erf, isfinite, sqrt
@@ -105,6 +106,21 @@ class Ensemble:
     def with_values(self, values, step_logs=None):
         """Derived ensemble on the same group and grid."""
         return Ensemble(self.group, self.grid, values, step_logs)
+
+    def split(self, parts):
+        """The replicas cut into ``parts`` equal consecutive blocks, each an
+        ensemble of views into this one's values and step logs. They were
+        checked when this ensemble was made, so the blocks are not checked
+        again."""
+        values = np.split(self.values, parts)
+        logs = [None] * parts if self.step_logs is None else np.split(self.step_logs, parts)
+        blocks = []
+        for block_values, block_logs in zip(values, logs):
+            block = copy(self)  # a frozen dataclass copied field by field, unchecked
+            object.__setattr__(block, "values", block_values)
+            object.__setattr__(block, "step_logs", block_logs)
+            blocks.append(block)
+        return blocks
 
 
 def expect(x, group_valued):
@@ -330,13 +346,22 @@ def null_qv_check(p, q, significance=0.99) -> NullQVResult:
     increment products, and each cell must satisfy
     ``|C_T| <= z * sqrt(Vhat) + floor`` with z Bonferroni-adjusted across
     cells so that the whole check has the requested significance.
+
+    Both sums over the steps are matrix products, which BLAS takes: the
+    terminal covariation ``daᵀ db`` and the variance estimate
+    ``(da²)ᵀ (db²)``. Their rounding differs from a step-ordered sum (such
+    as ``np.einsum("ki,kj->ij", ...)``) by a few ulps of ``Σ|da_i db_j|``
+    per cell, so a verdict can move only on a cell whose ratio is that
+    close to 1. A NaN increment makes the worst ratio NaN, and the check
+    fails.
     """
     da, db = _coordinate_increments(p, q)
-    terminal = np.einsum("ki,kj->ij", da, db)
-    var_hat = np.einsum("ki,kj->ij", da * da, db * db)
+    da2, db2 = da * da, db * db
+    terminal = da.T @ db
+    var_hat = da2.T @ db2
     cells = terminal.size
     z = normal_quantile(1.0 - (1.0 - significance) / (2.0 * cells))
-    floor = 1e-15 * (1.0 + np.sqrt(np.sum(da * da)) * np.sqrt(np.sum(db * db)))
+    floor = 1e-15 * (1.0 + np.sqrt(np.sum(da2)) * np.sqrt(np.sum(db2)))
     band = z * np.sqrt(var_hat) + floor
     ratio = np.abs(terminal) / band
     worst = float(np.max(ratio))

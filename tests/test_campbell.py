@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liestoch import campbell, explog
 from liestoch.campbell import (
     CHReport,
     ad_integral,
@@ -12,12 +13,13 @@ from liestoch.campbell import (
 )
 from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_for
 from liestoch.errors import GridMismatchError, HypothesisError, IntegratorDriftError
-from liestoch.explog import strat_exponential
+from liestoch.explog import ito_exponential, strat_exponential
 from liestoch.groups import adjoint_matrices, get_group, random_group_element
-from liestoch.linalg import frobenius_dist
+from liestoch.linalg import frobenius_dist, mat_exp
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
 
 SO3 = get_group("so3")
+SE3 = get_group("se3")
 N3 = get_group("n3")
 RNG = np.random.default_rng(29)
 
@@ -185,10 +187,113 @@ def test_product_path_gate_rejects_nan():
         product_path(ex.with_values(values), ex.with_values(values))
 
 
+def _report(mean, maximum):
+    return CHReport(
+        group="so3", connection="bi", kind="exponential-identity", rule="ito",
+        dt_ladder=(1e-2,), mean_terminal=mean, max_terminal=maximum,
+        stderr_terminal=(0.01,), replicas=4, base_seed=0,
+    )
+
+
 def test_ch_report_validation():
     with pytest.raises(Exception):
-        CHReport(
-            group="so3", connection="bi", kind="exponential-identity", rule="ito",
-            dt_ladder=(1e-2,), mean_terminal=(0.1, 0.2), max_terminal=(0.1,),
-            stderr_terminal=(0.01,), replicas=4, base_seed=0,
-        )
+        _report((0.1, 0.2), (0.1,))
+    assert _report((0.0,), (0.1,)).monotone_within_se()
+    for mean, maximum in [((-0.1,), (0.1,)), ((np.nan,), (0.1,)), ((0.1,), (np.nan,))]:
+        with pytest.raises(ValueError, match="non-negative"):
+            _report(mean, maximum)
+
+
+# Oracles for the stacked develop: each ensemble developed on its own.
+
+
+def _oracle_ch_residual(m, n, alpha, rule):
+    lhs = ito_exponential(Ensemble(m.group, m.grid, m.values + n.values), alpha)
+    y = ito_exponential(n, alpha)
+    x = ito_exponential(ad_integral(y, m, rule=rule), alpha)
+    return frobenius_dist(lhs.values, x.values @ y.values)
+
+
+def _develop_apart(m, n, alpha, summed):
+    first = Ensemble(m.group, m.grid, m.values + n.values) if summed else m
+    return ito_exponential(first, alpha), ito_exponential(n, alpha)
+
+
+@pytest.mark.parametrize("rule", ["ito", "midpoint"])
+@pytest.mark.parametrize("replicas", [33, 1])
+@pytest.mark.parametrize("spec", [SO3, SE3], ids=["so3", "se3"])
+def test_ch_residual_stacked_develop_is_bitwise_the_separate_develops(spec, replicas, rule):
+    grid = TimeGrid(1.0, 150)
+    alpha = alpha_biinvariant(spec)
+    m = brownian_ensemble(spec, grid, 11, replicas)
+    n = brownian_ensemble(spec, grid, 12, replicas)
+    res = ch_residual(m, n, alpha, rule=rule, significance=1 - 1e-6)
+    assert res.shape == (replicas, 151)
+    assert np.array_equal(res, _oracle_ch_residual(m, n, alpha, rule))
+
+
+# one replica has no standard error: np.std(ddof=1) warns and gives NaN
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in scalar divide")
+@pytest.mark.parametrize("replicas", [33, 1])
+@pytest.mark.parametrize("spec", [SO3, SE3], ids=["so3", "se3"])
+def test_ladders_with_the_stacked_develop_equal_the_separate_develops(
+        monkeypatch, spec, replicas):
+    alpha = alpha_biinvariant(spec)
+    kw = dict(dts=(0.02, 0.01), replicas=replicas, base_seed=40, significance=1 - 1e-6)
+    stacked = [ch_ladder(spec, alpha, **kw), log_product_ladder(spec, alpha, **kw)]
+    monkeypatch.setattr(campbell, "_develop_pair", _develop_apart)
+    apart = [ch_ladder(spec, alpha, **kw), log_product_ladder(spec, alpha, **kw)]
+    assert repr(stacked) == repr(apart)  # repr: NaN standard errors compare equal
+
+
+def _jump(ens, size, replica=1, step=10):
+    """The ensemble with a jump of ``size`` in its first coordinate."""
+    values = ens.values.copy()
+    values[replica, step + 1:, 0] += size
+    return ens.with_values(values)
+
+
+def _leave_the_group_on_jumps(monkeypatch):
+    """Each develop step as large as a jump leaves the group by 1e-3, and
+    forming a residual fails the test."""
+    def leaky(a, kernel):
+        out = mat_exp(a, kernel)
+        out[np.abs(a).max(axis=(-2, -1)) > 3.0] *= 1 + 1e-3
+        return out
+
+    def formed(*args, **kwargs):
+        pytest.fail("a residual was formed past the membership gate")
+
+    monkeypatch.setattr(explog, "mat_exp", leaky)
+    monkeypatch.setattr(campbell, "ad_integral", formed)
+    monkeypatch.setattr(campbell, "log_product_residual", formed)
+
+
+@pytest.mark.parametrize("half", ["sum", "second"])
+@pytest.mark.parametrize("spec", [SO3, SE3], ids=["so3", "se3"])
+def test_ch_residual_gate_covers_both_halves_of_the_stack(monkeypatch, spec, half):
+    grid = TimeGrid(1.0, 100)
+    alpha = alpha_biinvariant(spec)
+    m = brownian_ensemble(spec, grid, 13, 3)
+    n = brownian_ensemble(spec, grid, 14, 3)
+    # the jump is in m + n alone, or in n alone (m cancels it in the sum)
+    m, n = (_jump(m, 7.0), n) if half == "sum" else (_jump(m, -7.0), _jump(n, 7.0))
+    _leave_the_group_on_jumps(monkeypatch)
+    with pytest.raises(IntegratorDriftError):
+        ch_residual(m, n, alpha, enforce_hypotheses=False)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("spec", [SO3, SE3], ids=["so3", "se3"])
+def test_log_ladder_gate_covers_both_halves_of_the_stack(monkeypatch, spec, side):
+    draw = campbell.brownian_ensemble
+
+    def jumpy_draw(group, grid, seed, replicas):
+        ens = draw(group, grid, seed, replicas)
+        return _jump(ens, 7.0) if seed == 50 + side else ens
+
+    monkeypatch.setattr(campbell, "brownian_ensemble", jumpy_draw)
+    _leave_the_group_on_jumps(monkeypatch)
+    with pytest.raises(IntegratorDriftError):
+        log_product_ladder(spec, alpha_biinvariant(spec), dts=(0.01,), replicas=3, base_seed=50)

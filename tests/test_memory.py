@@ -12,9 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liestoch import cli, martingale
+from liestoch import campbell, cli, martingale
 from liestoch.calculus import increments_from_values
-from liestoch.connections import alpha_levi_civita, metric_for
+from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_for
 from liestoch.explog import ito_exponential, ito_logarithm
 from liestoch.groups import GROUP_NAMES, get_group
 from liestoch.paths import TimeGrid, brownian_ensemble, dump_group_csv
@@ -127,3 +127,30 @@ def test_martingale_test_peak_is_its_marks_plus_a_few_chunks(tmp_path):
         # logarithm, each about a driver's size, and a develop tile's
         # scratch, but no group values
         assert peak <= 3 * marks + 3 * chunk + SCRATCH_BYTES, (buckets, peak, marks, chunk)
+
+
+
+# The tracemalloc peak of one rung of each Campbell ladder at the campbell-so3
+# benchmark shape, so3 32 replicas x 1000 steps, when each ensemble of a pair
+# was developed on its own: measured before the pairs were stacked, after a
+# warm-up run. The rung's peak falls where its residual is formed.
+CAMPBELL_RUNG_PEAKS = {"ch_ladder": 15_895_969, "log_product_ladder": 12_824_979}
+
+
+@pytest.mark.parametrize("ladder", sorted(CAMPBELL_RUNG_PEAKS))
+def test_campbell_rung_peak_is_that_of_the_separate_develops(ladder):
+    spec = get_group("so3")
+    replicas, steps = 32, 1000
+
+    def rung():
+        getattr(campbell, ladder)(spec, alpha_biinvariant(spec), dts=(1.0 / steps,),
+                                  replicas=replicas, base_seed=4)
+
+    rung()  # the first run fills caches of about a driver's size
+    _, peak = _peak_above_start(rung)
+    # A stacked pair of drivers shares one buffer, dropped once developed.
+    # Kept alive through the rung, it would add 1.5 MB, beyond this slack.
+    # A stack built by np.concatenate frees its temporaries before the
+    # develop's outputs exist, which leaves the peak where it is.
+    driver = replicas * (steps + 1) * spec.algebra_dim * 8
+    assert peak <= CAMPBELL_RUNG_PEAKS[ladder] + driver // 2, peak

@@ -317,6 +317,49 @@ def test_null_qv_calibration():
     assert passes >= int(0.95 * trials) - 1
 
 
+def _einsum_null_qv(p, q, significance):
+    """``null_qv_check``'s terminal, band and verdict with both sums taken by
+    step-ordered einsums, and each cell's scale ``Σ|dA_i dB_j|``."""
+    da, db = np.diff(p, axis=0), np.diff(q, axis=0)
+    terminal = np.einsum("ki,kj->ij", da, db)
+    var_hat = np.einsum("ki,kj->ij", da * da, db * db)
+    z = normal_quantile(1.0 - (1.0 - significance) / (2.0 * terminal.size))
+    floor = 1e-15 * (1.0 + np.sqrt(np.sum(da * da)) * np.sqrt(np.sum(db * db)))
+    band = z * np.sqrt(var_hat) + floor
+    worst = float(np.max(np.abs(terminal) / band))
+    return terminal, band, worst, np.einsum("ki,kj->ij", np.abs(da), np.abs(db))
+
+
+def test_null_qv_blas_sums_match_the_einsum_oracle():
+    rng = np.random.default_rng(77)
+    for i in range(400):
+        dim = (3, 9)[i % 2]
+        steps = int(rng.integers(2, 3000))
+        p = np.cumsum(rng.standard_normal((steps + 1, dim)), axis=0)
+        q = np.cumsum(rng.standard_normal((steps + 1, dim)), axis=0)
+        if i % 4 == 0:  # correlated pairs, so that both verdicts occur
+            q += rng.uniform(0.0, 0.2) * p
+        res = null_qv_check(p, q, 0.99)
+        terminal, band, worst, scale = _einsum_null_qv(p, q, 0.99)
+        assert np.all(np.abs(res.terminal - terminal) <= 1e-14 * scale)
+        # the band is z sqrt(var_hat) + floor, and var_hat's terms are its scale
+        assert np.allclose(res.band, band, rtol=1e-14, atol=0.0)
+        assert res.passed == (worst <= 1.0)
+        assert abs(res.worst_ratio - worst) <= 1e-14 * np.max(scale / band) + 1e-13 * worst
+
+
+@pytest.mark.parametrize("which", ["p", "q"])
+def test_null_qv_fails_closed_on_a_nan_increment(which):
+    grid = TimeGrid(1.0, 400)
+    p, q = brownian_ensemble(SO3, grid, 7, 2).values
+    assert null_qv_check(p, q, 0.99).passed
+    bad = (p if which == "p" else q).copy()
+    bad[200, 1] = np.nan
+    args = (bad, q) if which == "p" else (p, bad)
+    res = null_qv_check(*args, 0.99)
+    assert res.passed is False and np.isnan(res.worst_ratio)
+
+
 def test_coordinate_series_shapes():
     grid = TimeGrid(1.0, 8)
     p = brownian_ensemble(SO3, grid, 0, 1)

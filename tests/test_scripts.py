@@ -51,9 +51,22 @@ def test_bench_pairs_summary_on_canned_lines():
     assert wall["change_wins"] == 2  # pair 2 lost, pair 3 tied
     assert np.isclose(wall["median_change_rel"], 0.75 / 1.05 - 1.0)
     assert wall["within_bound"] and wall["gain_beyond_parent_iqr"]
+    # per-pair ratios 0.5, 0.5, 1.125 and 1; two wins, one loss, one tie
+    assert wall["median_pair_ratio"] == 0.75 and wall["sign_test_p"] == 1.0
     rss = summary["metrics"]["peak_rss_mb"]
     assert rss["change_wins"] == 0 and np.isclose(rss["median_change_rel"], 0.3)
     assert not rss["within_bound"] and not rss["gain_beyond_parent_iqr"]
+    # ratios 1, 1.2, 1.4 and 1.6; three losses of three that differ
+    assert np.isclose(rss["median_pair_ratio"], 1.3) and rss["sign_test_p"] == 0.25
+
+
+def test_bench_pairs_sign_test_is_exact_and_two_sided():
+    bench = _load_script("bench_pairs")
+    assert bench.sign_test_p(10, 0) == bench.sign_test_p(0, 10) == 2 / 2**10
+    assert bench.sign_test_p(8, 2) == bench.sign_test_p(2, 8) == 2 * (1 + 10 + 45) / 2**10
+    assert bench.sign_test_p(5, 5) == bench.sign_test_p(0, 0) == 1.0
+    # five pairs cannot resolve a change at the 5% level, however they fall
+    assert bench.sign_test_p(5, 0) == 0.0625
 
 
 def _bench_repo(tmp_path, monkeypatch):
