@@ -22,24 +22,44 @@ covers all of them and the record's other keys are kept.
     python3 scripts/bench_pairs.py --workload campbell-so3 \\
         --pairs 10 --seed 4100 --out BENCH_4.json
 
+``--positive-control`` adds the workload ``positive-control``: one
+fresh-process ``liestoch martingale-test`` per side at the shape of the
+battery's positive control (se3, Levi-Civita at lambda 1, 10^4 replicas by
+100 steps, 20 buckets), with BLAS on one thread. Its ``wall_s`` is the
+process's wall time, interpreter start included, scaled to a fixed machine
+speed by ``benchmark/run.py``'s reference kernel timed right before and
+after (the median of three timings each), as the benchmark scales its
+passes.
+
 Exits 2 when benchmark/ or BENCHMARK.json in the working tree differ from
 HEAD, untracked files included: a comparison is only fair with identical
 benchmark code.
 """
 
 import argparse
+import importlib.util
 import json
 import math
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_FILES = ("benchmark", "BENCHMARK.json")
 SIDES = ("parent", "change")
+POSITIVE_CONTROL = "positive-control"
+POSITIVE_CONTROL_ARGV = (
+    "martingale-test", "--group", "se3", "--connection", "levicivita", "--lambda", "1",
+    "--scheme", "ito", "--driver", "bm", "--dt", "0.01", "--steps", "100",
+    "--replicas", "10000", "--buckets", "20",
+)
+CLI_SNIPPET = "import sys; from liestoch.cli import main; sys.exit(main())"
 
 
 def _git(*args):
@@ -81,6 +101,47 @@ def run_side(tree, workload, seed, seconds):
     return 0, info, result
 
 
+def benchmark_run_module():
+    """``benchmark/run.py`` of this checkout, imported as a module."""
+    spec = importlib.util.spec_from_file_location("benchmark_run", ROOT / "benchmark" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reference_seconds(reference):
+    """The median of three timings of the reference kernel: on a 2-core
+    host, one timing right after a process exits ranged from 0.013 to
+    0.023 s."""
+    return sorted(reference.seconds() for _ in range(3))[1]
+
+
+def run_positive_control(tree, seed, bench, reference):
+    """One fresh-process ``martingale-test`` at the positive-control shape
+    from ``tree``'s sources; returns (exit code, info line, result line) as
+    ``run_side`` does. ``bench`` is ``benchmark_run_module()`` and
+    ``reference`` its ``Reference()``."""
+    tree = Path(tree)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.update((var, "1") for var in bench.THREAD_VARS)
+    with tempfile.TemporaryDirectory(prefix="positive_control_") as out:
+        argv = [sys.executable, "-c", CLI_SNIPPET, *POSITIVE_CONTROL_ARGV,
+                "--seed", str(seed), "--out", str(Path(out) / "v.json")]
+        before = _reference_seconds(reference)
+        start = time.perf_counter()
+        proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        after = _reference_seconds(reference)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return proc.returncode, None, None
+    scaled = wall * bench.REF_NOMINAL_S * 2.0 / (before + after)
+    info = {"raw_wall_s": wall, "reference_s": [before, after], "stdout": proc.stdout.strip()}
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {"wall_s": {"value": scaled, "unit": "s"}}}
+    return 0, info, result
+
+
 def _quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -102,7 +163,8 @@ def sign_test_p(wins, losses):
 
 def summarize(runs, spec):
     """Per workload: each end-to-end metric's quartiles per side, the pairs
-    the change won, the median change against its bound, and failures."""
+    the change won, the median change against its bound, and failures.
+    A metric that some complete pair did not report is left out."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["workload"], {}).setdefault(run["pair"], {})[run["side"]] = run
@@ -111,7 +173,9 @@ def summarize(runs, spec):
         complete = [p for _, p in sorted(by_pair.items())
                     if all(p.get(side, {}).get("result") for side in SIDES)]
         metrics = {}
-        for metric in spec["end_to_end"] if complete else ():
+        reported = [metric for metric in spec["end_to_end"] if complete and all(
+            metric["name"] in p[side]["result"]["metrics"] for p in complete for side in SIDES)]
+        for metric in reported:
             name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
             values = {side: [p[side]["result"]["metrics"][name]["value"] for p in complete]
                       for side in SIDES}
@@ -146,11 +210,14 @@ def summarize(runs, spec):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", default=[])
+    parser.add_argument("--positive-control", action="store_true")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    if not args.workload and not args.positive_control:
+        parser.error("give a --workload or --positive-control")
 
     sha = _git("rev-parse", "HEAD")
     if _git("status", "--porcelain", "--", *BENCHMARK_FILES):
@@ -166,20 +233,28 @@ def main(argv=None):
             return 2
         record = old
 
+    runners = {workload: partial(run_side, workload=workload, seconds=spec["run_seconds"])
+               for workload in args.workload}
+    if args.positive_control:
+        bench = benchmark_run_module()
+        bench.pin_threads()  # before numpy loads, as the benchmark does
+        runners[POSITIVE_CONTROL] = partial(run_positive_control, bench=bench,
+                                            reference=bench.Reference())
+
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}  # names of one length
         for tree in trees.values():
             tree.mkdir()
         export_tree(sha, trees["parent"])
         export_worktree(trees["change"])
-        for workload in args.workload:
+        for workload, runner in runners.items():
             first = 1 + max((r["pair"] for r in record["runs"] if r["workload"] == workload),
                             default=-1)
             for pair in range(first, first + args.pairs):
                 seed = args.seed + pair - first
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    code, info, result = run_side(trees[side], workload, seed, spec["run_seconds"])
+                    code, info, result = runner(trees[side], seed=seed)
                     record["runs"].append({
                         "workload": workload, "pair": pair, "seed": seed, "side": side,
                         "order": list(order), "exit": code, "result": result, "info": info,

@@ -42,7 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import mc_increments
-from .errors import DimensionError, GridMismatchError, GroupMismatchError, HypothesisError
+from .errors import (
+    DimensionError,
+    GridMismatchError,
+    GroupMismatchError,
+    HypothesisError,
+    PowerError,
+)
 from .explog import check_drift, ito_exponential, ito_logarithm
 from .groups import adjoint_matrices, group_inverse, to_matrix_coords
 from .linalg import frobenius_dist, mat_exp, slabs
@@ -183,12 +189,13 @@ def log_product_residual(x, y, alpha, rule="ito", significance=0.99, enforce_hyp
 
 
 def product_path(x, y):
-    """Pointwise product of two group ensembles on one grid."""
+    """Pointwise product of two group ensembles on one grid, gated and not
+    scanned for finiteness again: the gate refuses a non-finite value."""
     _check_pair(x, y, True, True)
     with np.errstate(over="ignore", invalid="ignore"):  # the gate reports it
         values = x.values @ y.values
     check_drift(x.group, values)
-    return x.with_values(values)
+    return x.with_gated_values(values)
 
 
 @dataclass(frozen=True)
@@ -223,6 +230,8 @@ class CHReport:
 
 
 def _ladder(kind, group, alpha, dts, replicas, base_seed, rule, significance):
+    if replicas < 2:  # each rung reports a standard error
+        raise PowerError(f"need at least 2 replicas for a standard error, got {replicas}")
     means, maxes, ses = [], [], []
     for idx, dt in enumerate(dts):
         grid = TimeGrid(HORIZON, int(round(HORIZON / dt)))

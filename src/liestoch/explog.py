@@ -31,9 +31,11 @@ the tiles of ``linalg.tiles`` in step-major order, and the membership gate
 runs on each finished tile while it is in cache; the passes that treat
 each step on its own (both Ito corrections, the logarithms' increments)
 run over the contiguous replica slabs of ``linalg.slabs``.
-``development_logarithm`` drives the same gated recursion with no output:
-the compensated logarithm of a development, read from its steps, with no
-group values kept.
+``development_logarithm`` drives the same gate with no output: the
+compensated logarithm of a development, read from its steps, with no group
+values kept. Where the row's catalog entry names a gate block (se3: so3),
+that gate develops only the rotation block, which is all the row's defect
+reads while the translations stay finite (``_gate_develop``).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .linalg import bilinear, mat_exp, slabs, tiles
 from .paths import expect
 
 
-def _product_tiles(spec, steps):
+def _product_tiles(spec, steps, owner=None):
     """The develop's cumulative product of exp(step vectors), gated tile by
     tile: yields each tile's slices ``(r, k)`` and its finished
     (cols, rows, d, d) step-major products, valid until the next tile.
@@ -60,7 +62,8 @@ def _product_tiles(spec, steps):
     defects are taken while it is in cache, the worst over all tiles is
     kept (NaN propagates), and once the last tile is out the gate raises as
     ``check_drift`` would on the full values: its message and worst defect
-    do not depend on the tiling.
+    do not depend on the tiling. The message names ``owner``, ``spec`` by
+    default: the row whose develop is gated through ``spec``'s block.
     """
     replicas, count, n = steps.shape
     d = spec.matrix_dim
@@ -87,7 +90,7 @@ def _product_tiles(spec, steps):
         worst = np.maximum(worst, np.max(membership_defect(spec, prod[1:])))
         yield r, k, prod[1:]
         carry = prod[cols]
-    _check_defect(spec, worst)
+    _check_defect(owner or spec, worst)
 
 
 def _develop(spec, steps):
@@ -103,11 +106,51 @@ def _develop(spec, steps):
     return out
 
 
+# The largest estimate of a replica's translation sum that
+# ``_translations_stay_finite`` accepts: twice it, which bounds every
+# translation entry, is a quarter of the largest double, and the rest is
+# spare for rounding.
+_TRANSLATION_BOUND = np.finfo(float).max / 8
+
+
 def _gate_develop(spec, steps):
-    """The gate of ``_develop`` alone: the same gated product recursion,
-    keeping no group values."""
-    for _ in _product_tiles(spec, steps):
+    """The gate of ``_develop`` alone, keeping no group values: it raises
+    exactly when ``_develop`` would, with the same message.
+
+    A row with a gate block (se3: the so3 block) develops only its rotation
+    block while ``_translations_stay_finite``. That block is bit for bit
+    the block of the full product. The row's defect is the block's defect
+    plus the distance of the bottom row from ``e_d``, and the bottom row
+    stays exact while the translations are finite, so the worst defect is
+    the same too. Any other steps, and any other row, take the full gated
+    product recursion.
+    """
+    if spec.gate_block is not None and _translations_stay_finite(steps):
+        block, k = spec.gate_block
+        tiles = _product_tiles(block, steps[..., :k], spec)
+    else:
+        tiles = _product_tiles(spec, steps)
+    for _ in tiles:
         pass
+
+
+def _translations_stay_finite(steps):
+    """Whether every translation entry of the full develop of ``steps`` on
+    a row with a gate block, exponentials included, is certainly finite.
+
+    For a replica with rotations ``w_j`` and translations ``u_j``, twice
+    ``sum_j |u_j| (1 + |w_j|)^2`` bounds every such entry. Since
+    ``|R V| <= 1``, a product's translation is at most ``sum_j |u_j|``. A
+    step's exponential forms terms up to ``2 |w|^2 |u|`` on the way to
+    ``V u``, and each product adds three entries of ``V u``, weighted by
+    rotation entries, to the translation so far. With the largest step
+    coordinate ``s`` over n coordinates and K steps, that sum is at most
+    ``K n s (1 + n s)^2``, which must be within ``_TRANSLATION_BOUND``.
+    A NaN step fails.
+    """
+    count, n = steps.shape[1:]
+    size = float(np.maximum(steps.max(), -steps.min()))
+    return count * n * size * (1.0 + n * size) * (1.0 + n * size) <= _TRANSLATION_BOUND
 
 
 def _check_defect(spec, defect):
@@ -158,8 +201,12 @@ def _logarithm(x, dl, correction=None):
 
 
 def _developed(ens, steps):
-    """Ensemble developed from its identity start by the given step vectors."""
-    return ens.with_values(_develop(ens.group, steps), step_logs=steps)
+    """Ensemble developed from its identity start by the given step vectors.
+
+    Not scanned for finiteness again: the membership gate has read every
+    value, and every step through its exponential, and refuses a non-finite
+    one (``groups.membership_defect``)."""
+    return ens.with_gated_values(_develop(ens.group, steps), step_logs=steps)
 
 
 def strat_exponential(m):
@@ -222,8 +269,8 @@ def development_logarithm(m, alpha: ConnectionFunction, scheme="ito"):
 
     Bit for bit ``ito_logarithm(ito_exponential(m, alpha), alpha)`` (or of
     ``strat_exponential(m)``), and gated as they are: the steps run through
-    the develop's gated product recursion, which drops each tile once it is
-    gated, and the logarithm is read from the steps themselves.
+    the develop's gate (``_gate_develop``), which drops each tile once it
+    is gated, and the logarithm is read from the steps themselves.
     """
     expect(m, group_valued=False)
     if scheme not in ("ito", "strat"):

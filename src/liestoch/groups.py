@@ -101,7 +101,12 @@ class GroupSpec:
     ``linalg.mat_log``, which run nothing else. Precondition, not checked: the
     input of ``exp`` lies in the algebra (``to_matrix_coords`` output, say)
     and that of ``log`` in the group; off them the closed forms return
-    wrong matrices.
+    wrong matrices. ``gate_block`` is None, or ``(block, k)`` for a row
+    whose develop the membership gate may read through its rotation block
+    alone: ``block`` is the spec of the rotation row, whose develop of the
+    first ``k`` coordinates is bit for bit the block of this row's develop,
+    with the same worst defect. The other coordinates are translations,
+    which the rotations carry without stretching (``explog._gate_develop``).
     """
 
     name: str
@@ -117,6 +122,7 @@ class GroupSpec:
     adjoint: Callable | None = field(repr=False, compare=False)
     exp: Callable = field(repr=False, compare=False)
     log: Callable = field(repr=False, compare=False)
+    gate_block: tuple | None = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -196,7 +202,7 @@ def get_group(name) -> GroupSpec:
 
 @lru_cache(maxsize=None)
 def _build_group(key) -> GroupSpec:
-    build, lam_weighted, defect, inverse, adjoint, exp, log = _CATALOG[key]
+    build, lam_weighted, defect, inverse, adjoint, exp, log, gate_block = _CATALOG[key]
     basis = build()
     n, d, _ = basis.shape
     vec = basis.reshape(n, d * d)
@@ -216,6 +222,8 @@ def _build_group(key) -> GroupSpec:
         _embedding=_nonzero_terms(vec), _projection=_nonzero_terms(projector),
         lam_weighted=lam_weighted, defect=defect, inverse=inverse, adjoint=adjoint,
         exp=exp, log=log,
+        gate_block=None if gate_block is None else (_build_group(gate_block[0]),
+                                                    gate_block[1]),
     )
 
 
@@ -699,21 +707,23 @@ def _so3_adjoint(e):
 
 
 # One row per group, in catalog order: (basis builder, lambda^2-weighted
-# basis directions, defect, inverse, adjoint, exp, log), adjoint None for
-# the generic path; see ``GroupSpec``.
+# basis directions, defect, inverse, adjoint, exp, log, gate block), adjoint
+# None for the generic path; the gate block names a rotation row and how
+# many leading coordinates it develops, or is None; see ``GroupSpec``.
 _CATALOG = {
     "so3": (_so3_basis, (), partial(_rotation_defect, d=3, k=3), _so3_inverse,
-            partial(_rowwise, _so3_adjoint), partial(_rowwise, _rotation_exp), _so3_log),
+            partial(_rowwise, _so3_adjoint), partial(_rowwise, _rotation_exp), _so3_log,
+            None),
     "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None,
-            partial(_rowwise, _se2_exp), generic_log),
+            partial(_rowwise, _se2_exp), generic_log, None),
     "se3": (_se3_basis, (3, 4, 5), partial(_rigid_defect, d=4), _rigid_inverse, None,
-            partial(_rowwise, _rigid_exp), generic_log),
+            partial(_rowwise, _rigid_exp), generic_log, ("so3", 3)),
     "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None,
-            partial(_rowwise, _e11_exp), generic_log),
+            partial(_rowwise, _e11_exp), generic_log, None),
     "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None, partial(_rowwise, _n3_exp),
-           generic_log),
+           generic_log, None),
     "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None,
-             partial(_rowwise, _sl2r_exp), _sl2r_log),
+             partial(_rowwise, _sl2r_exp), _sl2r_log, None),
 }
 
 GROUP_NAMES = tuple(_CATALOG)

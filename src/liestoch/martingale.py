@@ -10,7 +10,9 @@ verdict on a Brownian driver it draws and develops itself, streamed over
 replica chunks so that only the bucket marks are ever full size. A chunk's
 develop is gated tile by tile and keeps no group values: the compensated
 logarithm is read from the injected steps
-(``explog.development_logarithm``).
+(``explog.development_logarithm``). The verdict is thus a function of the
+driver and ``explog._ito_correction`` alone; the develop, which on se3
+gates only its so3 rotation block, can change it only by raising.
 
 The decision rule: a cell fails when its mean is more than
 ``z_band = 4`` standard errors from zero, and the ensemble verdict is

@@ -107,6 +107,16 @@ class Ensemble:
         """Derived ensemble on the same group and grid."""
         return Ensemble(self.group, self.grid, values, step_logs)
 
+    def with_gated_values(self, values, step_logs=None):
+        """``with_values`` without its checks, for float64 arrays of the
+        right shapes whose finiteness is already known: values and step
+        logs that a solver's membership gate has read, or blocks of a
+        checked ensemble."""
+        derived = copy(self)  # a frozen dataclass copied field by field, unchecked
+        object.__setattr__(derived, "values", values)
+        object.__setattr__(derived, "step_logs", step_logs)
+        return derived
+
     def split(self, parts):
         """The replicas cut into ``parts`` equal consecutive blocks, each an
         ensemble of views into this one's values and step logs. They were
@@ -114,13 +124,7 @@ class Ensemble:
         again."""
         values = np.split(self.values, parts)
         logs = [None] * parts if self.step_logs is None else np.split(self.step_logs, parts)
-        blocks = []
-        for block_values, block_logs in zip(values, logs):
-            block = copy(self)  # a frozen dataclass copied field by field, unchecked
-            object.__setattr__(block, "values", block_values)
-            object.__setattr__(block, "step_logs", block_logs)
-            blocks.append(block)
-        return blocks
+        return [self.with_gated_values(v, l) for v, l in zip(values, logs)]
 
 
 def expect(x, group_valued):

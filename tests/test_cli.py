@@ -622,6 +622,31 @@ def test_driver_leaving_double_range_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+# Finite drivers whose develop leaves double range in a translation: the
+# rotations carry a 1.5e308 translation past the largest double (se3, se2),
+# or the diagonal scales it there (e11, by up to e^10). The solvers build
+# their ensembles without a second finiteness scan, so the membership gate
+# is what refuses the non-finite value.
+@pytest.mark.parametrize("command, group, drift", [
+    ("exp", "se3", "0,0,0,1.5e308,1.5e308,1.5e308"),
+    ("exp", "se2", "0,1.5e308,1.5e308"),
+    ("exp", "e11", "10,1e306,1e306"),
+    ("martingale-test", "se3", "0,0,0,1.5e308,1.5e308,1.5e308"),
+])
+def test_a_non_finite_translation_is_a_numerical_failure(command, group, drift, tmp_path,
+                                                          capsys):
+    out = tmp_path / "x.out"
+    extra = ("--buckets", "5") if command == "martingale-test" else ()
+    code = run_cli(command, "--group", group, "--connection", "biinvariant",
+                   "--driver", "drift", "--drift", drift, "--dt", "0.01", "--steps", "100",
+                   "--replicas", "100", *extra, "--seed", "1", "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"numerical failure: {group}: integrator drifted off the group "
+        "(membership defect nan > 1.0e-06); use a smaller dt\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_covariance_file_validation(tmp_path):
     bad = tmp_path / "cov.csv"
     np.savetxt(bad, np.zeros((3, 3)), delimiter=",")

@@ -453,3 +453,31 @@ def test_sl2r_regimes_near_the_parabolic_boundary(eps, regime):
     # |tr| > 2 is hyperbolic, |tr| < 2 elliptic: the regime survives exp
     assert np.sign(np.trace(g) - 2.0) == regime
     assert np.max(np.abs(mat_log(g, spec.log) - a)) <= 1e-12
+
+
+def test_only_se3_names_a_gate_block():
+    # se3's gate develops the so3 block of its first three coordinates: the
+    # same basis matrices, embedded in the top-left corner
+    so3, se3 = get_group("so3"), get_group("se3")
+    block, k = se3.gate_block
+    assert block is so3 and k == 3
+    assert np.array_equal(se3.basis[:k, :3, :3], so3.basis)
+    assert not se3.basis[:k, 3].any() and not se3.basis[:k, :, 3].any()
+    assert [name for name in GROUP_NAMES if get_group(name).gate_block] == ["se3"]
+
+
+@pytest.mark.parametrize("turn", [0.0, 1e-9, 0.3, 3.0, 40.0])
+@pytest.mark.parametrize("shift", [1.0, 1e150, 1e300])
+def test_rigid_exp_keeps_the_bottom_row_exact(turn, shift):
+    # the se3 gate reads the rotation block alone because the bottom row of
+    # every step, and so of every product, is exactly e_4
+    spec = get_group("se3")
+    coords = np.random.default_rng(7).standard_normal((50, 6))
+    coords[:, :3] *= turn
+    coords[:, 3:] *= shift
+    exps = mat_exp(to_matrix_coords(spec, coords), spec.exp)
+    assert np.isfinite(exps).all()
+    assert (exps[:, 3] == [0.0, 0.0, 0.0, 1.0]).all()
+    assert not np.signbit(exps[:, 3]).any()
+    prods = exps[:, None] @ exps[None, :]
+    assert (prods[..., 3, :] == [0.0, 0.0, 0.0, 1.0]).all()

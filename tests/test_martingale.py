@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,13 @@ from liestoch.connections import (
     metric_for,
     u_from_metric,
 )
-from liestoch.errors import DimensionError, IntegratorDriftError, PowerError
+from liestoch.errors import (
+    DimensionError,
+    ExpOverflowError,
+    IntegratorDriftError,
+    LieStochError,
+    PowerError,
+)
 from liestoch.explog import (
     check_drift,
     ito_exponential,
@@ -20,7 +28,7 @@ from liestoch.explog import (
 )
 from liestoch.groups import get_group
 from liestoch.linalg import bilinear, mat_exp
-from liestoch import explog, martingale
+from liestoch import explog, groups, martingale
 from liestoch.martingale import drift_test, martingale_test, martingale_verdict
 from liestoch.calculus import mc_increments
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
@@ -273,8 +281,16 @@ def _gate_messages(alpha, scheme="ito"):
 
 def test_drift_gate_names_the_worst_defect_over_all_tiles(monkeypatch):
     alpha = alpha_levi_civita(metric_for(SE3, 1.0))
-    # every injected step leaves the group by a relative 1e-5
-    monkeypatch.setattr(explog, "mat_exp", lambda a, kernel: mat_exp(a, kernel) * (1 + 1e-5))
+
+    def leaky(a, kernel):
+        # every injected step's rotation block leaves the group by a
+        # relative 1e-5; its bottom row stays exact, as the catalog exp's
+        # does, and the streamed gate's so3 block takes the same scaling
+        out = mat_exp(a, kernel)
+        out[..., :3, :3] *= 1 + 1e-5
+        return out
+
+    monkeypatch.setattr(explog, "mat_exp", leaky)
     with monkeypatch.context() as ungated:
         ungated.setattr(explog, "_check_defect", lambda spec, defect: None)
         values = ito_exponential(brownian_ensemble(SE3, GATE_GRID, 5, GATE_REPLICAS),
@@ -318,3 +334,68 @@ def test_streamed_verdict_keeps_no_group_values(monkeypatch, scheme):
     monkeypatch.setattr(explog, "_develop", never)
     got = martingale_test(SE3, alpha, GATE_GRID, 9, GATE_REPLICAS, scheme=scheme)
     _assert_same_report(got, want)
+
+
+# 120 replicas: three tiles of 34 steps; 4100 replicas: two replica blocks
+# (4096 and 4) of one-step tiles
+@pytest.mark.parametrize("replicas, steps", [(120, 100), (4100, 3)])
+@pytest.mark.parametrize("sd", [0.1, 0.5, 1.5])
+def test_se3_rotation_block_is_the_so3_develop_bit_for_bit(replicas, steps, sd):
+    # what lets se3's gate develop its so3 block alone
+    coords = np.random.default_rng(int(10 * sd)).normal(0.0, sd, (replicas, steps, 6))
+    full = explog._develop(SE3, coords)
+    block = explog._develop(SO3, coords[..., :3])
+    assert full[..., :3, :3].tobytes() == block.tobytes()
+    assert (full[..., 3, :] == [0.0, 0.0, 0.0, 1.0]).all()
+    worst = np.max(groups.membership_defect(SE3, full))
+    assert worst.tobytes() == np.max(groups.membership_defect(SO3, block)).tobytes()
+    assert 0.0 < worst < 1e-12
+
+
+def _gated_rows(monkeypatch, coords):
+    """The rows whose product ``_gate_develop`` ran on se3 steps."""
+    rows = []
+    tiles = explog._product_tiles
+    monkeypatch.setattr(explog, "_product_tiles",
+                        lambda spec, *a: rows.append(spec.name) or tiles(spec, *a))
+    with contextlib.suppress(LieStochError, ValueError):  # pass or fail, the rows ran
+        explog._gate_develop(SE3, coords)
+    return rows
+
+
+def test_gate_develops_the_block_while_the_translations_stay_finite(monkeypatch):
+    coords = np.random.default_rng(3).normal(0.0, 0.1, (40, 100, 6))
+    coords[7, 20] = 1e101  # 100 steps of 6 such coordinates stay within the bound
+    assert _gated_rows(monkeypatch, coords) == ["so3"]
+    # a coordinate past it, in the rotation or the translation, or a NaN:
+    # the full product
+    for coord, value in ((0, 1e102), (4, 1e102), (5, np.nan)):
+        big = coords.copy()
+        big[7, 20, coord] = value
+        assert _gated_rows(monkeypatch, big) == ["se3"]
+
+
+# se3 drifts with no Ito correction: every driver value is finite and so
+# is every step.
+@pytest.mark.parametrize("drift, error, message", [
+    # each step turns by 100 rad: |w|^2 |u| overflows inside the step's
+    # exponential, though a replica's translations sum to only 2e306
+    ([1e4, 0, 0, 2e306, 0, 0], ExpOverflowError,
+     "mat_exp: result overflowed double precision"),
+    # the rotations carry the translation past the largest double
+    ([0, 0, 0, 1.5e308, 1.5e308, 1.5e308], IntegratorDriftError,
+     "se3: integrator drifted off the group (membership defect nan > 1.0e-06); "
+     "use a smaller dt"),
+])
+@pytest.mark.parametrize("scheme", ["ito", "strat"])
+def test_huge_translations_are_refused_as_the_full_develop_refuses(drift, error, message,
+                                                                    scheme):
+    alpha = alpha_biinvariant(SE3)
+    driver = brownian_ensemble(SE3, GATE_GRID, 1, 100, drift=np.array(drift, float))
+    develop = ito_exponential if scheme == "ito" else lambda m, alpha: strat_exponential(m)
+    with pytest.raises(error) as kept:
+        develop(driver, alpha)
+    with pytest.raises(error) as streamed:
+        martingale_test(SE3, alpha, GATE_GRID, 1, 100, scheme=scheme,
+                        drift=np.array(drift, float), buckets=5)
+    assert str(kept.value) == str(streamed.value) == message

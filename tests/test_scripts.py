@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,3 +153,88 @@ def test_bench_pairs_runs_both_sides_from_exports_of_one_path_length(tmp_path, m
     assert repo not in (parent, change) and parent.parent == change.parent
     assert parent_files == ["BENCHMARK.json", "benchmark/run.py"]
     assert change_files == [".gitignore", "BENCHMARK.json", "benchmark/run.py", "src/added.py"]
+
+
+def test_positive_control_times_a_fresh_martingale_test_at_the_battery_shape(
+        tmp_path, monkeypatch):
+    bench = _load_script("bench_pairs")
+    run = bench.benchmark_run_module()
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        calls.append((argv, cwd, env))
+        return SimpleNamespace(returncode=len(calls) - 1, stderr="",
+                               stdout="verdict: pass (max |z| = 3.04)\n")
+
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=fake_run))
+    clock = iter([10.0, 13.0, 20.0, 21.0])
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=clock.__next__))
+    reference = SimpleNamespace(seconds=iter([0.03, 0.01, 0.04, 0.05, 0.09, 0.04]).__next__)
+    tree = tmp_path / "change"
+    code, info, result = bench.run_positive_control(tree, 7, run, reference)
+    # 3 s on a host whose reference kernel ran at 0.03 s before and 0.05 s
+    # after (medians of three), for 0.02 s nominal
+    assert code == 0 and result["failed"] == 0
+    assert result["metrics"] == {"wall_s": {"value": 1.5, "unit": "s"}}
+    assert info == {"raw_wall_s": 3.0, "reference_s": [0.03, 0.05],
+                    "stdout": "verdict: pass (max |z| = 3.04)"}
+    argv, cwd, env = calls[0]
+    assert argv[1:3] == ["-c", bench.CLI_SNIPPET] and argv[3] == "martingale-test"
+    flags = dict(zip(argv[4::2], argv[5::2]))
+    assert {k: flags[k] for k in ("--group", "--connection", "--lambda", "--scheme",
+                                  "--driver", "--dt", "--steps", "--replicas", "--buckets",
+                                  "--seed")} == {
+        "--group": "se3", "--connection": "levicivita", "--lambda": "1", "--scheme": "ito",
+        "--driver": "bm", "--dt": "0.01", "--steps": "100", "--replicas": "10000",
+        "--buckets": "20", "--seed": "7"}
+    assert cwd == tree and env["PYTHONPATH"] == str(tree / "src")
+    assert all(env[var] == "1" for var in run.THREAD_VARS)
+    # a run that does not exit 0 is a failed side, not a time
+    assert bench.run_positive_control(tree, 7, run, SimpleNamespace(seconds=lambda: 0.02)
+                                      ) == (1, None, None)
+
+
+def test_positive_control_summary_has_only_the_metrics_it_reports():
+    bench = _load_script("bench_pairs")
+    spec = {"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]}
+    runs = []
+    for pair, (parent, change) in enumerate([(1.2, 1.1), (1.3, 1.0), (1.25, 1.15)]):
+        for side, wall in (("parent", parent), ("change", change)):
+            run = _bench_run(pair, side, wall, 0.0)
+            del run["result"]["metrics"]["peak_rss_mb"]
+            runs.append(dict(run, workload=bench.POSITIVE_CONTROL))
+    summary = bench.summarize(runs, spec)[bench.POSITIVE_CONTROL]
+    assert summary["pairs"] == 3 and list(summary["metrics"]) == ["wall_s"]
+    wall = summary["metrics"]["wall_s"]
+    assert wall["parent"]["median"] == 1.25 and wall["change"]["median"] == 1.1
+    assert wall["change_wins"] == 3 and wall["sign_test_p"] == 0.25
+    assert np.isclose(wall["median_pair_ratio"], 1.1 / 1.2)
+
+
+def test_bench_pairs_positive_control_records_its_own_workload(tmp_path, monkeypatch):
+    bench, repo = _bench_repo(tmp_path, monkeypatch)
+    pinned = []
+    fake = SimpleNamespace(pin_threads=lambda: pinned.append(1), Reference=lambda: "ref")
+    monkeypatch.setattr(bench, "benchmark_run_module", lambda: fake)
+    sides = []
+
+    def run_positive_control(tree, seed, bench, reference):
+        sides.append((Path(tree).name, seed, bench, reference))
+        return 0, {}, _bench_run(0, "parent", 1.0, 1.0)["result"]
+
+    monkeypatch.setattr(bench, "run_positive_control", run_positive_control)
+    monkeypatch.setattr(bench, "run_side", lambda *a, **k: pytest.fail("ran a workload"))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit):  # neither a workload nor the positive control
+        bench.main(["--seed", "3", "--out", str(out)])
+    assert bench.main(["--positive-control", "--pairs", "2", "--seed", "3",
+                       "--out", str(out)]) == 0
+    assert pinned == [1]
+    assert sides == [("parent", 3, fake, "ref"), ("change", 3, fake, "ref"),
+                     ("change", 4, fake, "ref"), ("parent", 4, fake, "ref")]
+    record = json.loads(out.read_text())
+    assert {r["workload"] for r in record["runs"]} == {bench.POSITIVE_CONTROL}
+    assert record["summary"][bench.POSITIVE_CONTROL]["pairs"] == 2
