@@ -31,6 +31,15 @@ speed by ``benchmark/run.py``'s reference kernel timed right before and
 after (the median of three timings each), as the benchmark scales its
 passes.
 
+``--battery`` adds the workload ``battery``: one fresh process per side
+runs the verification battery, ``acceptance.ALL_CRITERIA``, with BLAS on
+one thread. Each criterion's time is scaled by ``benchmark/run.py``'s
+reference kernel, imported in that process and timed right before and
+after the criterion (the median of three timings each), and reported as
+its own metric, ``c<number>_<name>_s`` (``c5_martingale_positive_s``), held
+to ``wall_s``'s bound; ``wall_s`` is their sum. A criterion that does not
+pass counts as a failed operation.
+
 Exits 2 when benchmark/ or BENCHMARK.json in the working tree differ from
 HEAD, untracked files included: a comparison is only fair with identical
 benchmark code.
@@ -60,6 +69,25 @@ POSITIVE_CONTROL_ARGV = (
     "--replicas", "10000", "--buckets", "20",
 )
 CLI_SNIPPET = "import sys; from liestoch.cli import main; sys.exit(main())"
+BATTERY = "battery"
+# argv: the tree's benchmark/ directory. Prints one JSON line per criterion,
+# named as ``acceptance`` names it (its timing wrapper hides the name).
+BATTERY_SNIPPET = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from run import Reference
+from liestoch import acceptance
+reference = Reference()
+names = {id(value): name for name, value in vars(acceptance).items()}
+for number, fn in enumerate(acceptance.ALL_CRITERIA, 1):
+    before = sorted(reference.seconds() for _ in range(3))[1]
+    start = time.perf_counter()
+    passed = bool(fn().passed)
+    wall = time.perf_counter() - start
+    after = sorted(reference.seconds() for _ in range(3))[1]
+    print(json.dumps({"number": number, "name": names[id(fn)], "raw_s": wall,
+                      "reference_s": [before, after], "passed": passed}), flush=True)
+"""
 
 
 def _git(*args):
@@ -142,6 +170,33 @@ def run_positive_control(tree, seed, bench, reference):
     return 0, info, result
 
 
+def run_battery(tree, seed, bench):
+    """One fresh-process run of the battery (``BATTERY_SNIPPET``) from
+    ``tree``'s sources; returns (exit code, info line, result line) as
+    ``run_side`` does. The criteria fix their own seeds, so ``seed`` only
+    names the pair. ``bench`` is ``benchmark_run_module()``."""
+    tree = Path(tree)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.update((var, "1") for var in bench.THREAD_VARS)
+    proc = subprocess.run([sys.executable, "-c", BATTERY_SNIPPET, str(tree / "benchmark")],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        return proc.returncode or 1, None, None
+    metrics = {}
+    for line in lines:
+        before, after = line["reference_s"]
+        scaled = line["raw_s"] * bench.REF_NOMINAL_S * 2.0 / (before + after)
+        short = line["name"].removeprefix("criterion_")
+        metrics[f"c{line['number']}_{short}_s"] = {"value": scaled, "unit": "s"}
+    failed = sum(not line["passed"] for line in lines)
+    total = sum(metric["value"] for metric in metrics.values())
+    result = {"correct": failed == 0, "attempted": len(lines), "failed": failed,
+              "metrics": {"wall_s": {"value": total, "unit": "s"}, **metrics}}
+    return 0, {"criteria": lines}, result
+
+
 def _quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -161,10 +216,22 @@ def sign_test_p(wins, losses):
     return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
 
 
+def _metric_specs(spec, complete):
+    """BENCHMARK.json's end-to-end metrics, then each other metric that the
+    first complete pair reports (the battery's criteria), in its order,
+    lower being better and held to ``wall_s``'s bound."""
+    known = {metric["name"] for metric in spec["end_to_end"]}
+    wall = next(metric for metric in spec["end_to_end"] if metric["name"] == "wall_s")
+    reported = complete[0]["parent"]["result"]["metrics"] if complete else {}
+    return spec["end_to_end"] + [dict(wall, name=name, unit=value["unit"])
+                                 for name, value in reported.items() if name not in known]
+
+
 def summarize(runs, spec):
-    """Per workload: each end-to-end metric's quartiles per side, the pairs
-    the change won, the median change against its bound, and failures.
-    A metric that some complete pair did not report is left out."""
+    """Per workload: each metric's quartiles per side (``_metric_specs``),
+    the pairs the change won, the median change against its bound, and
+    failures. A metric that some complete pair did not report is left
+    out."""
     pairs = {}
     for run in runs:
         pairs.setdefault(run["workload"], {}).setdefault(run["pair"], {})[run["side"]] = run
@@ -173,7 +240,7 @@ def summarize(runs, spec):
         complete = [p for _, p in sorted(by_pair.items())
                     if all(p.get(side, {}).get("result") for side in SIDES)]
         metrics = {}
-        reported = [metric for metric in spec["end_to_end"] if complete and all(
+        reported = [metric for metric in _metric_specs(spec, complete) if complete and all(
             metric["name"] in p[side]["result"]["metrics"] for p in complete for side in SIDES)]
         for metric in reported:
             name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
@@ -212,12 +279,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--positive-control", action="store_true")
+    parser.add_argument("--battery", action="store_true")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if not args.workload and not args.positive_control:
-        parser.error("give a --workload or --positive-control")
+    if not (args.workload or args.positive_control or args.battery):
+        parser.error("give a --workload, --positive-control or --battery")
 
     sha = _git("rev-parse", "HEAD")
     if _git("status", "--porcelain", "--", *BENCHMARK_FILES):
@@ -235,11 +303,14 @@ def main(argv=None):
 
     runners = {workload: partial(run_side, workload=workload, seconds=spec["run_seconds"])
                for workload in args.workload}
-    if args.positive_control:
+    if args.positive_control or args.battery:
         bench = benchmark_run_module()
         bench.pin_threads()  # before numpy loads, as the benchmark does
+    if args.positive_control:
         runners[POSITIVE_CONTROL] = partial(run_positive_control, bench=bench,
                                             reference=bench.Reference())
+    if args.battery:
+        runners[BATTERY] = partial(run_battery, bench=bench)
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}  # names of one length

@@ -98,15 +98,18 @@ class GroupSpec:
     project with a closure check. Every row names its ``exp`` and its
     ``log``, which is ``linalg.generic_log`` where the row has no closed
     form for it. Callers pass ``exp`` and ``log`` to ``linalg.mat_exp`` and
-    ``linalg.mat_log``, which run nothing else. Precondition, not checked: the
-    input of ``exp`` lies in the algebra (``to_matrix_coords`` output, say)
-    and that of ``log`` in the group; off them the closed forms return
-    wrong matrices. ``gate_block`` is None, or ``(block, k)`` for a row
-    whose develop the membership gate may read through its rotation block
-    alone: ``block`` is the spec of the rotation row, whose develop of the
-    first ``k`` coordinates is bit for bit the block of this row's develop,
-    with the same worst defect. The other coordinates are translations,
-    which the rotations carry without stretching (``explog._gate_develop``).
+    ``linalg.mat_log``, which run nothing else. No kernel writes into its
+    input: the stack handed to ``exp`` is often ``to_matrix_coords``'s
+    view of its entry rows, which the kernel reads in place.
+    Precondition, not checked: the input of ``exp`` lies in the algebra
+    (``to_matrix_coords`` output, say) and that of ``log`` in the group; off
+    them the closed forms return wrong matrices. ``gate_block`` is None, or
+    ``(block, k)`` for a row whose develop the membership gate may read through
+    its rotation block alone: ``block`` is the spec of the rotation row, whose
+    develop of the first ``k`` coordinates is bit for bit the block of this
+    row's develop, with the same worst defect. The other coordinates are
+    translations, which the rotations carry without stretching
+    (``explog._gate_develop``).
     """
 
     name: str
@@ -233,20 +236,20 @@ def _nonzero_terms(table):
     return tuple((int(k), int(p), float(table[k, p])) for k, p in zip(*np.nonzero(table)))
 
 
-def _embed(spec, coords):
-    """(..., n) coordinates -> (..., d*d) row-major matrix entries.
+def _embed(spec, coords, rows):
+    """Writes (..., n) coordinates into ``rows``, zeros viewed as (d*d, ...)
+    entry rows: row p is entry p of the row-major vectorized matrices, in
+    whatever layout the caller keeps them.
 
-    An entry of no basis element is +0.0, and the entry of element k is
+    An entry of no basis element stays +0.0, and the entry of element k is
     ``coords[..., k]`` times its basis value; ``+= 0.0`` turns a -0.0
     product into +0.0. That is the einsum ``...n,np->...p`` over the
     vectorized basis bit for bit on finite coordinates, since its sum
     starts at +0.0 and an entry has at most one nonzero term.
     """
-    out = np.zeros(coords.shape[:-1] + (spec.matrix_dim**2,))
     for k, p, value in spec._embedding:
-        np.multiply(coords[..., k], value, out=out[..., p])
-    out += 0.0
-    return out
+        np.multiply(coords[..., k], value, out=rows[p, ...])
+    rows += 0.0
 
 
 def to_matrix_coords(spec, coords):
@@ -254,15 +257,20 @@ def to_matrix_coords(spec, coords):
 
     Each coordinate is written into the entries of its one basis element
     (``_embed``), bit for bit the dense contraction with the basis on
-    finite coordinates.
+    finite coordinates. The matrices are a view of contiguous entry rows,
+    which the row kernels of ``mat_exp`` read without a copy
+    (``_entries``); ``np.ascontiguousarray`` gives the stack's usual
+    layout.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape[-1] != spec.algebra_dim:
         raise DimensionError(
             f"{spec.name}: expected {spec.algebra_dim} coordinates, got {coords.shape}"
         )
-    d = spec.matrix_dim
-    return _embed(spec, coords).reshape(coords.shape[:-1] + (d, d))
+    d, lead = spec.matrix_dim, coords.shape[:-1]
+    rows = np.zeros((d * d,) + lead)
+    _embed(spec, coords, rows)
+    return np.moveaxis(rows.reshape((d, d) + lead), (0, 1), (-2, -1))
 
 
 def from_matrix_coords(spec, mats, tol=DEFAULT_TOLERANCE):
@@ -285,7 +293,9 @@ def from_matrix_coords(spec, mats, tol=DEFAULT_TOLERANCE):
     coords = np.zeros(vec.shape[:-1] + (spec.algebra_dim,))
     for k, p, weight in spec._projection:
         coords[..., k] += vec[..., p] * weight
-    diff = vec - _embed(spec, coords)
+    recon = np.zeros(vec.shape)
+    _embed(spec, coords, np.moveaxis(recon, -1, 0))
+    diff = vec - recon
     residual = np.sqrt(np.einsum("...p,...p->...", diff, diff))
     bound = tol.bound(frobenius_norm(mats))
     if not np.all(residual <= bound):  # NaN fails closed
@@ -324,13 +334,14 @@ def bracket_coords(spec, x, y):
     return bilinear(structure_constants(spec), x, y)
 
 
-# Closed-form group kernels, one catalog row per group. Defect, adjoint,
-# exp and log kernels work on entry rows: row d*i + j holds entry (i, j) of
-# every matrix in the batch, contiguous, so each kernel is a handful of
-# elementwise operations with no stacked matmul or LU. Inverse kernels read
-# and write the stack entry by entry. Either way a matrix's result does not
-# depend on the batch it arrives in, and ``linalg.map_stacked`` runs the
-# defect and adjoint kernels one cache-sized block at a time.
+# Closed-form group kernels, one catalog row per group. Defect, adjoint, exp
+# and log kernels work on entry rows: row d*i + j holds entry (i, j) of every
+# matrix in the batch, contiguous, so each kernel is a handful of elementwise
+# operations with no stacked matmul or LU. They read those rows in place
+# (``to_matrix_coords`` output needs no copy) and never write them. Inverse
+# kernels read and write the stack entry by entry. Either way a matrix's result
+# does not depend on the batch it arrives in, and ``linalg.map_stacked`` runs
+# the defect and adjoint kernels one cache-sized block at a time.
 
 _ROTATION_LOG_GATE = 1e-12  # ||M^T M - I||_F above this: generic log
 _SERIES_ANGLE = 0.5         # below it (theta - sin theta)/theta^3 is a series
@@ -342,14 +353,12 @@ _SL2R_SERIES = 0.25         # |s^2| below it: sl2r's exp coefficients are series
 _COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in range(8))
 _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(8))
 
-_TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()  # entry row of (j, i)
-_DIAG3 = np.array([0, 4, 8])
-_VEE3 = np.array([7, 2, 3])                          # A21, A02, A10
-
 
 def _entries(flat):
-    """(m, n, n) stack -> (n*n, m) entry rows."""
-    return flat.reshape(-1, flat.shape[-1] ** 2).T.copy()
+    """(m, n, n) stack -> (n*n, m) entry rows: a view of ``flat`` when its
+    entries already lie that way (``to_matrix_coords`` output), else a
+    copy. Either way no kernel writes into them."""
+    return np.ascontiguousarray(flat.reshape(-1, flat.shape[-1] ** 2).T)
 
 
 def _stack(entries, n):
@@ -358,16 +367,30 @@ def _stack(entries, n):
 
 
 def _orthogonality_defect(e, n=3, k=3):
-    """``||R^T R - I||_F`` of the top-left k x k block R of n x n entry rows."""
-    def gram(i, j):  # (R^T R)_ij: columns i and j dotted
-        out = e[i] * e[j]
-        for r in range(1, k):
-            out += e[n * r + i] * e[n * r + j]
-        return out
+    """``||R^T R - I||_F`` of the top-left k x k block R of n x n entry rows:
+    the squares ``((R^T R)_ii - 1)^2`` summed over i, plus twice the
+    squares ``(R^T R)_ij^2`` summed over i < j, in row-major order."""
+    tmp = np.empty(e.shape[1:])
 
-    diag = [(gram(i, i) - 1.0) ** 2 for i in range(k)]
-    off = [gram(i, j) ** 2 for i in range(k) for j in range(i + 1, k)]
-    return np.sqrt(sum(diag[1:], diag[0]) + 2.0 * sum(off[1:], off[0]))
+    def squares(pairs, shift):  # sum of ((R^T R)_ij - shift)^2 over the pairs
+        total, term = np.empty_like(tmp), np.empty_like(tmp)
+        for index, (i, j) in enumerate(pairs):
+            gram = term if index else total  # columns i and j dotted
+            np.multiply(e[i], e[j], out=gram)
+            for r in range(1, k):
+                gram += np.multiply(e[n * r + i], e[n * r + j], out=tmp)
+            if shift:
+                gram -= shift
+            np.square(gram, out=gram)
+            if index:
+                total += gram
+        return total
+
+    out = squares([(i, i) for i in range(k)], 1.0)
+    off = squares([(i, j) for i in range(k) for j in range(i + 1, k)], 0.0)
+    off *= 2.0
+    out += off
+    return np.sqrt(out, out=out)
 
 
 def _cos_angle(e):
@@ -427,48 +450,55 @@ def _v_coefficient(theta):
     return out
 
 
-def _rotation(skew, w, theta2, a, b):
-    """``I + a W + b W^2`` with ``W^2 = w w^T - theta^2 I``, entry by entry."""
-    out = (w[:, None] * w[None, :]).reshape(9, -1)
-    out *= b
-    out += a * skew
-    out[_DIAG3] += 1.0 - b * theta2
-    return out
+def _rotation_rows(out, e, d):
+    """Rodrigues' formula ``I + a W + b W^2``, with ``W^2 = w w^T - theta^2 I``,
+    for the skew top-left 3x3 block W of the d x d entry rows ``e``, written
+    into the same block of ``out``.
+
+    Each ``w_i w_j b`` is formed once and mirrored, then ``a W_ij`` is
+    added to every entry and ``1 - b theta^2`` to the diagonal. Returns w
+    (views of its entry rows), theta^2, theta and b.
+    """
+    w = (e[2 * d + 1], e[2], e[d])  # A21, A02, A10
+    theta2 = _squared_norm(w)
+    theta = np.sqrt(theta2)
+    a, b = _rodrigues_coefficients(theta)
+    for i in range(3):
+        for j in range(i, 3):
+            row = out[d * i + j]
+            np.multiply(w[i], w[j], out=row)
+            row *= b
+            if j > i:
+                out[d * j + i] = row
+    tmp = np.empty_like(theta)
+    for i in range(3):
+        for j in range(3):
+            out[d * i + j] += np.multiply(a, e[d * i + j], out=tmp)
+    diag = b * theta2
+    np.subtract(1.0, diag, out=diag)
+    out[: 3 * d : d + 1] += diag
+    return w, theta2, theta, b
 
 
 def _rotation_exp(e):
     """Rodrigues' formula for exactly skew 3x3 matrices."""
-    w = e[_VEE3]
-    theta2 = _squared_norm(w)
-    a, b = _rodrigues_coefficients(np.sqrt(theta2))
-    return _rotation(e, w, theta2, a, b)
+    out = np.empty_like(e)
+    _rotation_rows(out, e, 3)
+    return out
 
 
 def _rigid_exp(e):
     """``[[R, V u], [0, 1]]`` for 4x4 ``[[W, u], [0, 0]]`` with W skew.
 
-    Reads w and u as views of their entry rows and writes each entry row of
-    the result in place, in the operation order of ``_rotation`` and of
+    R is ``_rotation_rows``. Reads u as views of its entry rows and writes
+    each translation entry row in place, in the operation order of
     ``u + b (w x u) + c (w (w . u) - theta^2 u)``.
     """
-    w = (e[9], e[2], e[4])    # A21, A02, A10
-    u = (e[3], e[7], e[11])
-    theta2 = _squared_norm(w)
-    theta = np.sqrt(theta2)
-    a, b = _rodrigues_coefficients(theta)
-    c = _v_coefficient(theta)
-    diag = b * theta2
-    np.subtract(1.0, diag, out=diag)
     out = np.empty_like(e)
+    w, theta2, theta, b = _rotation_rows(out, e, 4)
+    u = (e[3], e[7], e[11])
+    c = _v_coefficient(theta)
     tmp = np.empty_like(theta)
-    for i in range(3):
-        for j in range(3):
-            row = out[4 * i + j]
-            np.multiply(w[i], w[j], out=row)
-            row *= b
-            row += np.multiply(a, e[4 * i + j], out=tmp)
-            if i == j:
-                row += diag
     w_dot_u = w[0] * u[0]
     w_dot_u += np.multiply(w[1], u[1], out=tmp)
     w_dot_u += np.multiply(w[2], u[2], out=tmp)
@@ -528,7 +558,7 @@ def _n3_exp(e):
     """``I + A + A^2/2`` for 3x3 ``[[0, x, z], [0, 0, y], 0]``, as ``A^3 = 0``."""
     out = e.copy()
     out[2] += 0.5 * (e[1] * e[5])
-    out[_DIAG3] = 1.0
+    out[::4] = 1.0
     return out
 
 
@@ -563,10 +593,16 @@ def _sl2r_exp(e):
 
 
 def _rotation_log(e):
-    """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2."""
-    s = 0.5 * (e - e[_TRANSPOSE3])
-    theta = np.arctan2(np.sqrt(_squared_norm(s[_VEE3])), _cos_angle(e))
-    return s / _sinc(theta / np.pi)
+    """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2,
+    each entry of S the difference of two entry rows."""
+    out = np.empty_like(e)
+    for i in range(3):
+        for j in range(3):
+            np.subtract(e[3 * i + j], e[3 * j + i], out=out[3 * i + j])
+    out *= 0.5
+    theta = np.arctan2(np.sqrt(_squared_norm((out[7], out[2], out[3]))), _cos_angle(e))
+    out /= _sinc(theta / np.pi)
+    return out
 
 
 def _rowwise(kernel, flat):
@@ -599,10 +635,13 @@ def _sl2r_log(flat):
     return generic_log(flat)
 
 
-def _cofactor(e, d, i, j):
-    """Signed (i, j) cofactor of the top-left 3x3 block of d x d entry rows."""
+def _cofactor(e, d, i, j, out, tmp):
+    """Signed (i, j) cofactor of the top-left 3x3 block of d x d entry rows,
+    into ``out``, with ``tmp`` as scratch."""
     i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-    return e[d * i1 + j1] * e[d * i2 + j2] - e[d * i1 + j2] * e[d * i2 + j1]
+    out = np.multiply(e[d * i1 + j1], e[d * i2 + j2], out=out)
+    out -= np.multiply(e[d * i1 + j2], e[d * i2 + j1], out=tmp)
+    return out
 
 
 def _rotation_defect(e, d, k):
@@ -610,9 +649,14 @@ def _rotation_defect(e, d, k):
     if k == 2:
         det = e[0] * e[d + 1] - e[1] * e[d]
     else:
-        det = e[0] * _cofactor(e, d, 0, 0) + e[1] * _cofactor(e, d, 0, 1)
-        det += e[2] * _cofactor(e, d, 0, 2)
-    return _orthogonality_defect(e, d, k) + np.abs(det - 1.0)
+        cof, tmp = np.empty(e.shape[1:]), np.empty(e.shape[1:])
+        det = e[0] * _cofactor(e, d, 0, 0, cof, tmp)
+        for j in (1, 2):
+            det += np.multiply(e[j], _cofactor(e, d, 0, j, cof, tmp), out=cof)
+    det -= 1.0
+    out = _orthogonality_defect(e, d, k)
+    out += np.abs(det, out=det)
+    return out
 
 
 def _rigid_defect(e, d):
@@ -703,7 +747,12 @@ def _so3_adjoint(e):
     ClosureError cannot fire on finite so3 input, and skipping the
     projection drops no check. The membership gate still runs first.
     """
-    return np.stack([_cofactor(e, 3, i, j) for i in range(3) for j in range(3)])
+    out = np.empty_like(e)
+    tmp = np.empty(e.shape[1:])
+    for i in range(3):
+        for j in range(3):
+            _cofactor(e, 3, i, j, out[3 * i + j], tmp)
+    return out
 
 
 # One row per group, in catalog order: (basis builder, lambda^2-weighted

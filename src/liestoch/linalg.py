@@ -11,12 +11,13 @@ no matter how a batch is chunked. That property is what lets
 passes of ``explog``, ``calculus`` and ``campbell`` run over the contiguous
 slabs of ``slabs``, without changing a bit.
 
-``mat_exp`` and ``mat_log`` check a stack and run the kernel that the
-caller passes from a group's catalog row (``GroupSpec.exp`` or
-``GroupSpec.log``). Nothing here knows a group: the row kernels and their
-entry-row helpers live in ``groups``. The one generic kernel here,
-``generic_log`` (inverse scaling-and-squaring), is the log of the rows
-that have no closed form for it.
+``mat_exp`` and ``mat_log`` check a stack and run the kernel that the caller
+passes from a group's catalog row (``GroupSpec.exp`` or ``GroupSpec.log``) on
+it as it lies: the view of entry rows that ``groups.to_matrix_coords`` returns
+reaches the exp kernel uncopied, and no kernel writes into its input. Nothing
+here knows a group: the row kernels and their entry-row helpers live in
+``groups``. The one generic kernel here, ``generic_log`` (inverse
+scaling-and-squaring), is the log of the rows that have no closed form for it.
 
 Matrices are plain float64 numpy arrays; higher-level modules enforce the
 "entries finite" contract by calling these kernels.
@@ -207,6 +208,9 @@ def mat_exp(a, kernel):
 
     The kernel maps an (m, d, d) stack of that group's algebra elements to
     group elements, and the caller vouches that ``a`` lies in that algebra.
+    The stack is ``a`` reshaped, a view of it wherever numpy can make one
+    (``to_matrix_coords`` output): the kernel reads it and writes nothing
+    into it.
     It runs with numpy's overflow warnings off: a non-finite result raises
     ``ExpOverflowError`` instead.
     """

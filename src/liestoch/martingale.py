@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import ConnectionFunction
-from .errors import DimensionError, PowerError
+from .errors import DimensionError, NonFiniteError, PowerError
 from .explog import development_logarithm, ito_logarithm
 from .paths import Ensemble, TimeGrid, brownian_ensemble, expect
 
@@ -103,14 +103,21 @@ def drift_test(ensemble: Ensemble, buckets=20, z_band=DEFAULT_Z_BAND,
     Constant cells (zero variance, zero mean) count as z = 0. Means are
     reduced with numpy's pairwise summation over the fixed replica order,
     so verdicts do not depend on how replicas were produced or scheduled.
+    Increments too large for their mean or standard error to stay finite
+    (the squares overflow from about 1e154) raise NonFiniteError, without
+    numpy's warnings.
     """
     expect(ensemble, group_valued=False)
     r = ensemble.replicas
     width = _bucket_width(ensemble.grid.steps, buckets, r)
     marks = ensemble.values[:, ::width]           # (R, buckets+1, n), a view
     inc = np.diff(marks, axis=1)                  # (R, buckets, n)
-    mean = inc.mean(axis=0)
-    stderr = inc.std(axis=0, ddof=1) / np.sqrt(r)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean = inc.mean(axis=0)
+        stderr = inc.std(axis=0, ddof=1) / np.sqrt(r)
+    if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
+        raise NonFiniteError(f"{ensemble.group.name}: a bucket's mean or standard error "
+                             "overflowed; the increments are too large to test")
     z = np.zeros_like(mean)
     nonzero = stderr > 0
     z[nonzero] = mean[nonzero] / stderr[nonzero]

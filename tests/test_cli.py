@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -644,6 +645,24 @@ def test_a_non_finite_translation_is_a_numerical_failure(command, group, drift, 
     assert capsys.readouterr().err == (
         f"numerical failure: {group}: integrator drifted off the group "
         "(membership defect nan > 1.0e-06); use a smaller dt\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_martingale_test_refuses_increments_too_large_to_test(tmp_path, capsys):
+    # finite steps that the develop carries and the gate passes, but whose
+    # bucket means overflow: the drift test refuses them without numpy's
+    # warnings instead of reporting NaN z-scores with exit 0
+    out = tmp_path / "x.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("martingale-test", "--group", "se3", "--connection", "biinvariant",
+                       "--driver", "drift", "--drift", "0,0,0,1.5e308,0,0", "--dt", "0.01",
+                       "--steps", "100", "--replicas", "100", "--buckets", "5", "--seed", "1",
+                       "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: se3: a bucket's mean or standard error overflowed; "
+        "the increments are too large to test\n")
     assert list(tmp_path.iterdir()) == []
 
 

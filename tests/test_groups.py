@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liestoch import groups
 from liestoch.errors import (
     ClosureError,
     DimensionError,
@@ -481,3 +482,153 @@ def test_rigid_exp_keeps_the_bottom_row_exact(turn, shift):
     assert not np.signbit(exps[:, 3]).any()
     prods = exps[:, None] @ exps[None, :]
     assert (prods[..., 3, :] == [0.0, 0.0, 0.0, 1.0]).all()
+
+
+# Bitwise oracles for the so3 entry-row kernels: each as it was before it
+# read and wrote entry rows without layout round trips (Rodrigues' formula
+# by 2-D broadcasts and a fancy-indexed diagonal, the log through the
+# transposed entry rows, the defect by lists of Gram terms).
+_TRANSPOSE3 = np.arange(9).reshape(3, 3).T.ravel()  # entry row of (j, i)
+_VEE3 = [7, 2, 3]                                     # A21, A02, A10
+
+
+def _oracle_rotation_exp(e):
+    w = e[_VEE3]
+    theta2 = w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
+    a, b = groups._rodrigues_coefficients(np.sqrt(theta2))
+    out = (w[:, None] * w[None, :]).reshape(9, -1)
+    out *= b
+    out += a * e
+    out[[0, 4, 8]] += 1.0 - b * theta2
+    return out
+
+
+def _oracle_rotation_log(e):
+    s = 0.5 * (e - e[_TRANSPOSE3])
+    w = s[_VEE3]
+    cos = 0.5 * (e[0] + e[4] + e[8] - 1.0)
+    theta = np.arctan2(np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2]), cos)
+    return s / groups._sinc(theta / np.pi)
+
+
+def _oracle_orthogonality_defect(e, n=3, k=3):
+    def gram(i, j):
+        out = e[i] * e[j]
+        for r in range(1, k):
+            out += e[n * r + i] * e[n * r + j]
+        return out
+
+    diag = [(gram(i, i) - 1.0) ** 2 for i in range(k)]
+    off = [gram(i, j) ** 2 for i in range(k) for j in range(i + 1, k)]
+    return np.sqrt(sum(diag[1:], diag[0]) + 2.0 * sum(off[1:], off[0]))
+
+
+def _oracle_rotation_defect(e):
+    def cofactor(j):
+        j1, j2 = (j + 1) % 3, (j + 2) % 3
+        return e[3 + j1] * e[6 + j2] - e[3 + j2] * e[6 + j1]
+
+    det = e[0] * cofactor(0) + e[1] * cofactor(1)
+    det += e[2] * cofactor(2)
+    return _oracle_orthogonality_defect(e) + np.abs(det - 1.0)
+
+
+ORACLE_ANGLES = (0.0, 1e-300, 1e-9, 0.3, np.pi / 2 - 1e-9, np.pi / 2 + 1e-9, np.pi - 1e-6, 3.0)
+
+
+def _oracle_coordinates(rng):
+    """so3 coordinates: 64 random axes at each of ``ORACLE_ANGLES``, then
+    signed zeros, then rows with a NaN or an infinite coordinate."""
+    axes = rng.standard_normal((len(ORACLE_ANGLES), 64, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    coords = (np.array(ORACLE_ANGLES)[:, None, None] * axes).reshape(-1, 3)
+    signed = _signed_zeros(rng, 0.5 * rng.standard_normal((200, 3)))
+    signed[:8] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.3, -0.0, 0.0], [-0.0, 0.3, -0.0],
+                  [0.0, -0.0, -3.0], [-1e-300, 0.0, -0.0], [2.0, -0.0, 2.0], [-0.0, 3.0, 0.0]]
+    bad = rng.standard_normal((3 * 3 * 2, 3))
+    for row, (value, k) in enumerate((v, k) for v in (np.nan, np.inf, -np.inf)
+                                     for k in range(3) for _ in range(2)):
+        bad[row, k] = value
+    return np.concatenate([coords, signed, bad])
+
+
+def _non_finite_rows(rng, e):
+    """``e`` with NaN, inf or -inf put in one entry row of some matrices."""
+    e = e.copy()
+    for value in (np.nan, np.inf, -np.inf):
+        for p in range(len(e)):
+            e[p, rng.integers(0, e.shape[1], 3)] = value
+    return e
+
+
+def test_so3_entry_row_kernels_match_their_oracles_bit_for_bit():
+    rng = np.random.default_rng(2027)
+    spec = get_group("so3")
+    algebra = to_matrix_coords(spec, _oracle_coordinates(rng))
+    e = groups._entries(algebra)
+    with np.errstate(all="ignore"):
+        rotations = _oracle_rotation_exp(e)
+        assert groups._rotation_exp(e).tobytes() == rotations.tobytes()
+        # the mirrored pair (+0.0 below, -0.0 above the diagonal) keeps its
+        # signs, as (M - M^T)/2 gives them
+        mirrored = np.eye(3)
+        mirrored[1, 2] = -0.0
+        logs_of = np.concatenate([rotations, _non_finite_rows(rng, rotations),
+                                  groups._entries(mirrored[None])], axis=1)
+        assert groups._rotation_log(logs_of).tobytes() == _oracle_rotation_log(logs_of).tobytes()
+        noisy = rotations + 1e-9 * rng.standard_normal(rotations.shape)
+        for g in (rotations, noisy, _non_finite_rows(rng, noisy)):
+            assert spec.defect(g).tobytes() == _oracle_rotation_defect(g).tobytes()
+    finite = np.isfinite(algebra).all(axis=(1, 2))
+    stack = mat_exp(algebra[finite], spec.exp)
+    assert stack.tobytes() == groups._stack(rotations[:, finite], 3).tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (4, 3), (3, 2)])
+def test_orthogonality_defect_matches_its_oracle_bit_for_bit(n, k):
+    rng = np.random.default_rng(n + 10 * k)
+    e = rng.standard_normal((n * n, 500))
+    e[:, :100] = 0.0
+    e[: n * n : n + 1, :100] = 1.0  # identities, then roundoff away from them
+    e[:, 100:200] = e[:, :100] + 1e-12 * rng.standard_normal((n * n, 100))
+    e = np.concatenate([e, _non_finite_rows(rng, e)], axis=1)
+    with np.errstate(all="ignore"):
+        got = groups._orthogonality_defect(e, n, k)
+        assert got.tobytes() == _oracle_orthogonality_defect(e, n, k).tobytes()
+
+
+def test_se3_rotation_block_is_the_so3_oracle_bit_for_bit():
+    # se3's exp writes its rotation block with so3's Rodrigues writer
+    rng = np.random.default_rng(41)
+    rotation = _oracle_coordinates(rng)
+    coords = np.concatenate([rotation, rng.standard_normal(rotation.shape)], axis=1)
+    with np.errstate(all="ignore"):
+        block = groups._rigid_exp(groups._entries(to_matrix_coords(get_group("se3"), coords)))
+        want = _oracle_rotation_exp(groups._entries(to_matrix_coords(get_group("so3"),
+                                                                     rotation)))
+    assert block[[0, 1, 2, 4, 5, 6, 8, 9, 10]].tobytes() == want.tobytes()
+
+
+def _row_backed(stack):
+    """The same matrices as a view of their entry rows, which
+    ``groups._entries`` hands to a kernel without a copy."""
+    m, d = len(stack), stack.shape[-1]
+    rows = np.ascontiguousarray(stack.reshape(m, d * d).T)
+    return np.moveaxis(rows.reshape(d, d, m), (0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_catalog_kernels_leave_their_input_unchanged(name):
+    spec = get_group(name)
+    coords = 0.3 * np.random.default_rng(31).standard_normal((64, spec.algebra_dim))
+    algebra = to_matrix_coords(spec, coords)
+    members = _row_backed(mat_exp(algebra, spec.exp))
+    for stack in (algebra, members):  # the kernels read them in place
+        assert np.shares_memory(groups._entries(stack), stack)
+    adjoint = spec.adjoint or (lambda g: adjoint_matrices(spec, g))
+    kernels = ((spec.exp, algebra), (lambda g: spec.defect(groups._entries(g)), members),
+               (adjoint, members), (spec.log, members))
+    for kernel, stack in kernels:
+        before = stack.tobytes()
+        kernel(stack)
+        assert stack.tobytes() == before

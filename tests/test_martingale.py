@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from liestoch.errors import (
     ExpOverflowError,
     IntegratorDriftError,
     LieStochError,
+    NonFiniteError,
     PowerError,
 )
 from liestoch.explog import (
@@ -73,6 +75,19 @@ def test_drift_test_power_and_bucket_errors():
     for buckets in (0, -5):
         with pytest.raises(ValueError, match="positive integer"):
             drift_test(ens, buckets=buckets)
+
+
+@pytest.mark.parametrize("size", [1e155, 1e307])
+def test_drift_test_refuses_cells_that_overflow(size):
+    # at 1e155 only the squares of the standard error overflow; at 1e307
+    # the replica sum of the mean does too
+    grid = TimeGrid(1.0, 10)
+    values = np.cumsum(np.full((100, 11, 3), size / 10), axis=1)
+    values[::2] *= 0.5  # not constant cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match="so3: a bucket's mean or standard error"):
+            drift_test(Ensemble(SO3, grid, values), buckets=5)
 
 
 def test_drift_test_null_calibration():

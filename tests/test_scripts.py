@@ -238,3 +238,77 @@ def test_bench_pairs_positive_control_records_its_own_workload(tmp_path, monkeyp
     record = json.loads(out.read_text())
     assert {r["workload"] for r in record["runs"]} == {bench.POSITIVE_CONTROL}
     assert record["summary"][bench.POSITIVE_CONTROL]["pairs"] == 2
+
+
+def test_battery_scales_each_criterion_on_canned_lines(tmp_path, monkeypatch):
+    bench = _load_script("bench_pairs")
+    run = bench.benchmark_run_module()
+    lines = [
+        {"number": 5, "name": "criterion_martingale_positive", "raw_s": 20.0,
+         "reference_s": [0.03, 0.05], "passed": True},
+        {"number": 7, "name": "criterion_product_of_martingales", "raw_s": 4.0,
+         "reference_s": [0.02, 0.02], "passed": False},
+    ]
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        calls.append((argv, cwd, env))
+        stdout = "".join(json.dumps(line) + "\n" for line in lines)
+        return SimpleNamespace(returncode=0, stderr="", stdout="a criterion's print\n" + stdout)
+
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=fake_run))
+    tree = tmp_path / "change"
+    code, info, result = bench.run_battery(tree, 3, run)
+    argv, cwd, env = calls[0]
+    assert argv[1:] == ["-c", bench.BATTERY_SNIPPET, str(tree / "benchmark")]
+    assert cwd == tree and env["PYTHONPATH"] == str(tree / "src")
+    assert all(env[var] == "1" for var in run.THREAD_VARS)
+    # 20 s against a reference at 0.04 s on average, for 0.02 s nominal;
+    # 4 s at the nominal speed
+    assert code == 0 and info == {"criteria": lines}
+    assert result["attempted"] == 2 and result["failed"] == 1 and not result["correct"]
+    assert result["metrics"] == {
+        "wall_s": {"value": 14.0, "unit": "s"},
+        "c5_martingale_positive_s": {"value": 10.0, "unit": "s"},
+        "c7_product_of_martingales_s": {"value": 4.0, "unit": "s"},
+    }
+
+    # the summary reports every criterion, held to wall_s's bound
+    spec = {"end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]}
+    runs = [{"workload": bench.BATTERY, "pair": pair, "side": side, "result": result}
+            for pair in range(2) for side in bench.SIDES]
+    runs[1] = dict(runs[1], result={**result, "metrics": {
+        name: {"value": 0.5 * value["value"], "unit": "s"}
+        for name, value in result["metrics"].items()}})
+    summary = bench.summarize(runs, spec)[bench.BATTERY]
+    assert list(summary["metrics"]) == [
+        "wall_s", "c5_martingale_positive_s", "c7_product_of_martingales_s"]
+    criterion = summary["metrics"]["c5_martingale_positive_s"]
+    assert criterion["bound"] == 0.25 and criterion["unit"] == "s"
+    assert criterion["change_wins"] == 1 and criterion["median_pair_ratio"] == 0.75
+
+    # a battery that does not exit 0 is a failed side
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(
+        run=lambda *a, **k: SimpleNamespace(returncode=1, stderr="", stdout="")))
+    assert bench.run_battery(tree, 3, run) == (1, None, None)
+
+
+def test_bench_pairs_battery_records_its_own_workload(tmp_path, monkeypatch):
+    bench, repo = _bench_repo(tmp_path, monkeypatch)
+    fake = SimpleNamespace(pin_threads=lambda: None, Reference=lambda: "ref")
+    monkeypatch.setattr(bench, "benchmark_run_module", lambda: fake)
+    sides = []
+
+    def run_battery(tree, seed, bench):
+        sides.append((Path(tree).name, seed))
+        return 0, {}, _bench_run(0, "parent", 1.0, 1.0)["result"]
+
+    monkeypatch.setattr(bench, "run_battery", run_battery)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--battery", "--pairs", "2", "--seed", "3", "--out", str(out)]) == 0
+    assert sides == [("parent", 3), ("change", 3), ("change", 4), ("parent", 4)]
+    record = json.loads(out.read_text())
+    assert record["summary"][bench.BATTERY]["pairs"] == 2
