@@ -71,21 +71,20 @@ POSITIVE_CONTROL_ARGV = (
 CLI_SNIPPET = "import sys; from liestoch.cli import main; sys.exit(main())"
 BATTERY = "battery"
 # argv: the tree's benchmark/ directory. Prints one JSON line per criterion,
-# named as ``acceptance`` names it (its timing wrapper hides the name).
+# named by its function's ``__name__``.
 BATTERY_SNIPPET = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 from run import Reference
 from liestoch import acceptance
 reference = Reference()
-names = {id(value): name for name, value in vars(acceptance).items()}
 for number, fn in enumerate(acceptance.ALL_CRITERIA, 1):
     before = sorted(reference.seconds() for _ in range(3))[1]
     start = time.perf_counter()
     passed = bool(fn().passed)
     wall = time.perf_counter() - start
     after = sorted(reference.seconds() for _ in range(3))[1]
-    print(json.dumps({"number": number, "name": names[id(fn)], "raw_s": wall,
+    print(json.dumps({"number": number, "name": fn.__name__, "raw_s": wall,
                       "reference_s": [before, after], "passed": passed}), flush=True)
 """
 

@@ -52,7 +52,7 @@ from .errors import (
 from .explog import check_drift, ito_exponential, ito_logarithm
 from .groups import adjoint_matrices, group_inverse, to_matrix_coords
 from .linalg import frobenius_dist, mat_exp, slabs
-from .paths import Ensemble, TimeGrid, brownian_ensemble, expect, null_qv_check
+from .paths import Ensemble, TimeGrid, brownian_ensemble, expect, null_qv_check, rung_steps
 
 AD_RULES = ("ito", "midpoint")
 
@@ -232,21 +232,18 @@ class CHReport:
 def _ladder(kind, group, alpha, dts, replicas, base_seed, rule, significance):
     if replicas < 2:  # each rung reports a standard error
         raise PowerError(f"need at least 2 replicas for a standard error, got {replicas}")
+    counts = [rung_steps(HORIZON, dt) for dt in dts]  # checks every rung before any runs
     means, maxes, ses = [], [], []
-    for idx, dt in enumerate(dts):
-        grid = TimeGrid(HORIZON, int(round(HORIZON / dt)))
+    for idx, steps in enumerate(counts):
+        grid = TimeGrid(HORIZON, steps)
         # disjoint seed blocks per rung and per side of the pair
         m_ens = brownian_ensemble(group, grid, base_seed + 2 * idx, replicas)
         n_ens = brownian_ensemble(group, grid, base_seed + 2 * idx + 1, replicas)
         if kind == "exponential-identity":
-            res = ch_residual(
-                m_ens, n_ens, alpha, rule=rule, significance=significance
-            )
+            res = ch_residual(m_ens, n_ens, alpha, rule=rule, significance=significance)
         else:
             x, y = _develop_pair(m_ens, n_ens, alpha, summed=False)
-            res = log_product_residual(
-                x, y, alpha, rule=rule, significance=significance
-            )
+            res = log_product_residual(x, y, alpha, rule=rule, significance=significance)
         terminal = res[:, -1]
         means.append(float(np.mean(terminal)))
         maxes.append(float(np.max(terminal)))

@@ -44,7 +44,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -60,6 +60,7 @@ from .paths import (
     dump_algebra_csv,
     dump_group_csv,
     normal_quantile,
+    rung_steps,
     write_table,
 )
 
@@ -76,34 +77,53 @@ class UsageError(Exception):
     pass
 
 
+def _confidence_level(text):
+    """``--significance``'s type: a number in (0, 1). Anything else is a
+    UsageError, which argparse lets through (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise UsageError(f"--significance must be a confidence level in (0, 1), got {text!r}")
+    return value
+
+
+def _flag(default, flag, **keywords):
+    """A config field of ``default`` declaring its ``flag``, of the field's
+    annotation as type; ``keywords`` (choices, help, type) go to argparse."""
+    return field(default=default, metadata={"flag": flag, "keywords": keywords})
+
+
 @dataclass
 class ExperimentConfig:
-    """Flat, serializable description of one run: a field per flag of
-    ``_FLAGS`` but ``--config``, and the subcommand."""
+    """Flat, serializable description of one run: the subcommand, and a
+    field per flag but ``--config``, each declaring its flag (``_flag``)."""
 
     command: str
-    group: str = "se3"
-    connection: str = "levicivita"
-    lam: float = 1.0
-    dt: float = 1e-3
-    steps: int = 1000
-    replicas: int = 64
-    seed: int = 0
-    dts: str = "4e-3,2e-3,1e-3"
-    driver: str = "bm"
-    scheme: str = "ito"
-    rule: str = ""
-    cov: str = ""
-    drift: str = ""
-    buckets: int = 20
-    significance: float = 0.0
-    workers: int = 1
-    out: str = ""
-    fmt: str = "csv"
+    group: str = _flag("se3", "--group")
+    connection: str = _flag("levicivita", "--connection", choices=["biinvariant", "levicivita"])
+    lam: float = _flag(1.0, "--lambda")
+    dt: float = _flag(1e-3, "--dt")
+    steps: int = _flag(1000, "--steps")
+    replicas: int = _flag(64, "--replicas")
+    seed: int = _flag(0, "--seed")
+    dts: str = _flag("4e-3,2e-3,1e-3", "--dts", help="comma list of step sizes")
+    driver: str = _flag("bm", "--driver", choices=["bm", "drift"])
+    scheme: str = _flag("ito", "--scheme", choices=["ito", "strat"])
+    rule: str = _flag("", "--rule", choices=["ito", "midpoint"])
+    cov: str = _flag("", "--cov", help="covariance CSV file")
+    drift: str = _flag("", "--drift", help="comma list of drift components")
+    buckets: int = _flag(20, "--buckets")
+    # 0.0 marks the flag unset: the default z band
+    significance: float = _flag(0.0, "--significance", type=_confidence_level)
+    workers: int = _flag(1, "--workers", help="at least 1; no effect on output or scheduling")
+    out: str = _flag("", "--out")
+    fmt: str = _flag("csv", "--format", choices=["csv", "json"])
 
     def dt_ladder(self, horizon):
-        """The ``--dts`` rungs, each a positive step that divides ``horizon``,
-        so every rung runs to the same terminal time."""
+        """The ``--dts`` rungs, each a positive step that divides ``horizon``
+        (``paths.rung_steps``), so every rung runs to the same terminal time."""
         try:
             ladder = tuple(float(tok) for tok in self.dts.split(",") if tok.strip())
         except ValueError as exc:
@@ -111,9 +131,10 @@ class ExperimentConfig:
         if not ladder:
             raise UsageError(f"--dts needs positive entries, got {self.dts!r}")
         for dt in ladder:
-            _positive(dt, "--dts entry")
-            if abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon:
-                raise UsageError(f"--dts rung {dt!r} does not divide the horizon {horizon!r}")
+            try:
+                rung_steps(horizon, dt)
+            except ValueError as exc:
+                raise UsageError(f"--dts {exc}") from None
         return ladder
 
     def grid(self):
@@ -174,14 +195,6 @@ def _parse_drift(config, spec):
     return vec
 
 
-def _z_band(config):
-    if config.significance == 0.0:  # unset
-        return martingale.DEFAULT_Z_BAND
-    if not 0.0 < config.significance < 1.0:
-        raise UsageError("--significance must be a confidence level in (0, 1)")
-    return normal_quantile(1.0 - (1.0 - config.significance) / 2.0)
-
-
 def _driver(config, spec):
     """The grid, covariance and drift of the driver, every flag checked.
 
@@ -216,17 +229,6 @@ def _check_draw(config, min_replicas=1):
         raise UsageError("--seed must be a non-negative integer")
 
 
-def _solve(config):
-    """The developed group ensemble of ``exp`` and ``log``, and its
-    connection. The driver ensemble is dropped on return, before any
-    readback runs."""
-    spec, alpha = _connection(config)
-    ensemble = _build_ensemble(config, spec)
-    if config.scheme == "ito":
-        return explog.ito_exponential(ensemble, alpha), alpha
-    return explog.strat_exponential(ensemble), alpha
-
-
 def _json(payload):
     """A writer of ``payload`` as indented JSON with sorted keys."""
     def write(fh):
@@ -250,14 +252,17 @@ def _write(config, write, *siblings):
 
 
 def _cmd_exp(config):
-    solved, _ = _solve(config)
+    spec, alpha = _connection(config)
+    ensemble = _build_ensemble(config, spec)
+    solved = (explog.ito_exponential(ensemble, alpha) if config.scheme == "ito"
+              else explog.strat_exponential(ensemble))
     _write(config, partial(dump_group_csv, solved))
     return EXIT_OK
 
 
 def _cmd_log(config):
-    solved, alpha = _solve(config)
-    logs = explog.ito_logarithm(solved, alpha)
+    spec, alpha = _connection(config)
+    logs = explog.development_logarithm(_build_ensemble(config, spec), alpha, config.scheme)
     _write(config, partial(dump_algebra_csv, logs))
     return EXIT_OK
 
@@ -274,12 +279,11 @@ def _cmd_convergence(config):
     spec, alpha = _connection(config)
     _check_draw(config, min_replicas=2)  # each rung reports a standard error
     horizon = config.grid().horizon
-    rungs = [replace(config, dt=dt, steps=round(horizon / dt))
-             for dt in config.dt_ladder(horizon)]
     rows = []
-    for sub in rungs:
+    for dt in config.dt_ladder(horizon):
+        sub = replace(config, dt=dt, steps=rung_steps(horizon, dt))
         err = explog.roundtrip_errors(_build_ensemble(sub, spec), alpha)
-        rows.append((sub.dt, np.mean(err), np.std(err, ddof=1) / np.sqrt(len(err))))
+        rows.append((dt, np.mean(err), np.std(err, ddof=1) / np.sqrt(len(err))))
     _write(config, partial(write_table, header=["dt", "mean_terminal_error", "stderr"],
                            rows=rows))
     return EXIT_OK
@@ -312,9 +316,10 @@ def _cmd_martingale_test(config):
         raise UsageError(f"--buckets must be a positive integer, got {config.buckets}")
     if config.steps % config.buckets != 0:
         raise UsageError(f"--buckets {config.buckets} must divide --steps {config.steps}")
-    z_band = _z_band(config)
     spec, alpha = _connection(config)
     grid, covariance, drift = _driver(config, spec)
+    level = config.significance  # 0.0: unset
+    z_band = normal_quantile(1.0 - (1.0 - level) / 2.0) if level else martingale.DEFAULT_Z_BAND
     report = martingale.martingale_test(
         spec, alpha, grid, config.seed, config.replicas, scheme=config.scheme,
         covariance=covariance, drift=drift, buckets=config.buckets, z_band=z_band)
@@ -357,29 +362,13 @@ def _cmd_regress(config):
     return EXIT_OK if not failed else EXIT_VERIFICATION_FAILED
 
 
-# Every flag by config field: (flag, argparse keywords). A config file's
-# ``key=value`` line is parsed as the token ``flag=value``.
+# Every flag by config field: (flag, argparse keywords), each field's own
+# and ``--config``. A config file's ``key=value`` line is the token ``flag=value``.
+_TYPES = {"int": int, "float": float, "str": str}
 _FLAGS = {
     "config": ("--config", {"help": "flat key=value config file"}),
-    "group": ("--group", {}),
-    "connection": ("--connection", {"choices": ["biinvariant", "levicivita"]}),
-    "lam": ("--lambda", {"type": float}),
-    "dt": ("--dt", {"type": float}),
-    "steps": ("--steps", {"type": int}),
-    "replicas": ("--replicas", {"type": int}),
-    "seed": ("--seed", {"type": int}),
-    "dts": ("--dts", {"help": "comma list of step sizes"}),
-    "driver": ("--driver", {"choices": ["bm", "drift"]}),
-    "scheme": ("--scheme", {"choices": ["ito", "strat"]}),
-    "rule": ("--rule", {"choices": ["ito", "midpoint"]}),
-    "cov": ("--cov", {"help": "covariance CSV file"}),
-    "drift": ("--drift", {"help": "comma list of drift components"}),
-    "buckets": ("--buckets", {"type": int}),
-    "significance": ("--significance", {"type": float}),
-    "workers": ("--workers", {"type": int,
-                              "help": "at least 1; no effect on output or scheduling"}),
-    "out": ("--out", {}),
-    "fmt": ("--format", {"choices": ["csv", "json"]}),
+    **{f.name: (f.metadata["flag"], {"type": _TYPES[f.type], **f.metadata["keywords"]})
+       for f in fields(ExperimentConfig) if f.name != "command"},
 }
 
 # Flags of every command that simulates a driver ensemble (_build_ensemble).
@@ -414,11 +403,14 @@ def _command_parser(command):
 
 def _parse(parser, tokens, source=""):
     """``parser``'s namespace of ``tokens``. A value its flag refuses exits 2
-    (argparse's exit), the message led by ``source``."""
+    (argparse's exit, or a UsageError from the flag's own type), the
+    message led by ``source``."""
     try:
         return parser.parse_args(tokens)
     except argparse.ArgumentError as exc:
         parser.error(f"{source}{exc}")
+    except UsageError as exc:
+        raise UsageError(f"{source}{exc}") from None
 
 
 def _command(argv):

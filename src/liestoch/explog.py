@@ -283,8 +283,8 @@ def development_logarithm(m, alpha: ConnectionFunction, scheme="ito"):
 
 def roundtrip_errors(m, alpha: ConnectionFunction):
     """Terminal round-trip error ``|log(exp(M)) - M|`` of the Ito pair, one
-    per replica."""
-    back = ito_logarithm(ito_exponential(m, alpha), alpha)
+    per replica, the log read from the steps (``development_logarithm``)."""
+    back = development_logarithm(m, alpha)
     return np.linalg.norm(back.values[:, -1] - m.values[:, -1], axis=-1)
 
 

@@ -592,15 +592,15 @@ def _sl2r_exp(e):
     return out
 
 
-def _rotation_log(e):
-    """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2,
-    each entry of S the difference of two entry rows."""
+def _rotation_log(e, cos):
+    """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2
+    of cosines ``cos``, each entry of S the difference of two entry rows."""
     out = np.empty_like(e)
     for i in range(3):
         for j in range(3):
             np.subtract(e[3 * i + j], e[3 * j + i], out=out[3 * i + j])
     out *= 0.5
-    theta = np.arctan2(np.sqrt(_squared_norm((out[7], out[2], out[3]))), _cos_angle(e))
+    theta = np.arctan2(np.sqrt(_squared_norm((out[7], out[2], out[3]))), cos)
     out /= _sinc(theta / np.pi)
     return out
 
@@ -615,11 +615,12 @@ def _so3_log(flat):
     below pi/2, ``linalg.generic_log`` on the other matrices, each matrix
     on its own: a batch that mixes them gives each its result alone."""
     e = _entries(flat)
-    take = (_orthogonality_defect(e) <= _ROTATION_LOG_GATE) & (_cos_angle(e) > 0.0)
+    cos = _cos_angle(e)
+    take = (_orthogonality_defect(e) <= _ROTATION_LOG_GATE) & (cos > 0.0)
     if take.all():
-        return _stack(_rotation_log(e), 3)
+        return _stack(_rotation_log(e, cos), 3)
     out = np.empty_like(flat)
-    out[take] = _stack(_rotation_log(e[:, take]), 3)
+    out[take] = _stack(_rotation_log(e[:, take], cos[take]), 3)
     out[~take] = generic_log(flat[~take])
     return out
 

@@ -77,9 +77,6 @@ class DriftReport:
     def fraction_within(self):
         return self.cells_within / self.z.size
 
-    def __bool__(self):
-        return self.passed
-
 
 def _bucket_width(steps, buckets, replicas):
     """The steps in each of ``buckets`` equal time windows; refuses a bucket

@@ -52,6 +52,15 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
+def rung_steps(horizon, dt):
+    """The step count of a ladder rung of step ``dt`` to ``horizon``: ValueError
+    unless ``dt`` > 0 divides ``horizon`` to 1e-9 relative, as a rung must."""
+    steps = round(horizon / dt) if dt > 0 else 0
+    if not abs(steps * dt - horizon) <= 1e-9 * horizon:  # NaN fails
+        raise ValueError(f"rung {dt!r} is not a positive step dividing the horizon {horizon!r}")
+    return steps
+
+
 def _check_values(values, expected_shape, what):
     values = np.asarray(values, dtype=np.float64)
     if values.shape != expected_shape:
@@ -336,9 +345,6 @@ class NullQVResult:
     band: np.ndarray            # per-cell acceptance band
     cells: int
     worst_ratio: float          # max |terminal| / band
-
-    def __bool__(self):
-        return self.passed
 
 
 def null_qv_check(p, q, significance=0.99) -> NullQVResult:

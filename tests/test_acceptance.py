@@ -21,6 +21,14 @@ def _run(fn, *args):
     return result
 
 
+def test_criteria_keep_their_names():
+    # the timing wrapper keeps each criterion's name, which
+    # scripts/bench_pairs.py's battery metrics are named by
+    for fn in acceptance.ALL_CRITERIA:
+        assert fn.__name__.startswith("criterion_")
+        assert getattr(acceptance, fn.__name__) is fn
+
+
 def test_criterion_1_u_oracle_regression():
     result = _run(acceptance.criterion_u_regression)
     assert result.details["se3_max_abs_diff"] < 1e-10

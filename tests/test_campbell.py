@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,21 @@ def test_ladders_refuse_fewer_than_two_replicas(monkeypatch, spec):
         for replicas in (1, 0):
             with pytest.raises(PowerError, match=f"at least 2 replicas.*got {replicas}"):
                 ladder(spec, alpha, dts=(0.02, 0.01), replicas=replicas)
+
+
+@pytest.mark.parametrize("dts", [(0.3,), (0.02, 0.03), (3.0,)])
+def test_ladders_refuse_a_rung_that_does_not_divide_the_horizon(monkeypatch, dts):
+    # 0.3 ran round(1 / 0.3) = 3 steps, i.e. dt = 1/3, and reported 0.3;
+    # 3.0 rounded to 0 steps and died in TimeGrid. Every rung is checked
+    # before any runs.
+    monkeypatch.setattr(campbell, "brownian_ensemble",
+                        lambda *a, **k: pytest.fail("the driver was drawn"))
+    alpha = alpha_biinvariant(SO3)
+    bad = dts[-1]
+    for ladder in (ch_ladder, log_product_ladder):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"rung {bad!r} is not a positive step dividing")):
+            ladder(SO3, alpha, dts=dts, replicas=4)
 
 
 def _jump(ens, size, replica=1, step=10):

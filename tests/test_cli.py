@@ -84,11 +84,14 @@ def test_config_kv_errors(tmp_path, capsys):
     assert "argument --steps: invalid int value: 'abc'" in capsys.readouterr().err
 
 
-def test_every_config_key_is_a_flag():
-    # a field without a flag could not be set from a file
-    assert set(_FLAGS) - {"config"} == {f.name for f in fields(ExperimentConfig)} - {"command"}
+def test_every_command_flag_is_a_config_field():
+    # each field declares its own flag, its annotation the argparse type;
+    # a command can only read flags that set a field
+    assert _FLAGS["lam"] == ("--lambda", {"type": float})
+    assert _FLAGS["significance"][1]["type"] is cli._confidence_level
+    names = {f.name for f in fields(ExperimentConfig)} - {"command"}
     for _, flags in _COMMANDS.values():
-        assert set(flags) <= set(_FLAGS)
+        assert set(flags) - {"config"} <= names
 
 
 def test_config_file_with_cli_override(tmp_path):
@@ -864,7 +867,9 @@ def test_config_file_command_must_match_the_subcommand(named, expected, tmp_path
         assert manifest["config"]["command"] == "exp"
 
 
-@pytest.mark.parametrize("significance", ["-0.5", "-1e-300", "1", "nan"])
+# 0 is the unset marker: given, it ran at the default band, and the
+# manifest could not tell it from an unset flag
+@pytest.mark.parametrize("significance", ["-0.5", "-1e-300", "1", "nan", "0", "-0.0", "abc"])
 def test_significance_outside_the_unit_interval_is_refused(significance, tmp_path):
     code, out = _so3_run("martingale-test", tmp_path, "x.json",
                          f"--significance={significance}")
@@ -873,11 +878,62 @@ def test_significance_outside_the_unit_interval_is_refused(significance, tmp_pat
 
 
 def test_unset_significance_is_the_default_band(tmp_path):
-    code, out = _so3_run("martingale-test", tmp_path, "x.json", "--significance", "0")
+    code, out = _so3_run("martingale-test", tmp_path, "x.json")
     assert code == EXIT_OK
     assert json.loads(out.read_text())["z_band"] == 4.0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["config"]["significance"] == 0.0
+
+
+def test_a_config_file_significance_refusal_names_the_file(tmp_path, monkeypatch, capsys):
+    # refused by the flag's own type, as the file's tokens are parsed
+    monkeypatch.setattr("liestoch.martingale.brownian_ensemble",
+                        lambda *a, **k: pytest.fail("the driver was drawn"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("significance=0\n")
+    code, out = _so3_run("martingale-test", tmp_path, "x.json", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: config file {str(cfg)!r}: --significance must be a confidence "
+        "level in (0, 1), got '0'\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def _never_develop(monkeypatch):
+    """Make building group values (``explog._develop``) fail the test."""
+    def never(spec, steps):
+        raise AssertionError("group values were built")
+
+    monkeypatch.setattr(explog, "_develop", never)
+
+
+def _develop_then_log(m, alpha, scheme="ito"):
+    """The logarithm of the developed group values, ``log(exp(M))``."""
+    x = explog.ito_exponential(m, alpha) if scheme == "ito" else explog.strat_exponential(m)
+    return explog.ito_logarithm(x, alpha)
+
+
+@pytest.mark.parametrize("scheme", ["ito", "strat"])
+@pytest.mark.parametrize("group", ["so3", "se3", "sl2r"])
+def test_log_reads_its_steps_without_group_values(group, scheme, tmp_path, monkeypatch):
+    argv = ["log", "--group", group, "--dt", "0.01", "--steps", "40", "--replicas", "5",
+            "--seed", "11", "--scheme", scheme]
+    with monkeypatch.context() as patch:
+        patch.setattr(explog, "development_logarithm", _develop_then_log)
+        assert run_cli(*argv, "--out", str(tmp_path / "want.csv")) == EXIT_OK
+    _never_develop(monkeypatch)
+    assert run_cli(*argv, "--out", str(tmp_path / "got.csv")) == EXIT_OK
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_readbacks_keep_their_pinned_bytes_without_group_values(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _never_develop(monkeypatch)
+    for name, argv in _pinned_runs():
+        if name.split("-")[0] in ("log", "roundtrip", "convergence"):
+            assert main([*argv, "--out", name]) == EXIT_OK, name
+            digest = hashlib.sha256(Path(name).read_bytes()).hexdigest()
+            assert digest == _PINNED_DIGESTS[name], name
 
 
 _PIN_GROUPS = {"so3": 3, "se2": 3, "se3": 6, "e11": 3, "n3": 3, "sl2r": 3}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liestoch import explog
 from liestoch.calculus import increments_from_values
 from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_for
 from liestoch.errors import DimensionError, IntegratorDriftError, MembershipError
@@ -263,3 +264,18 @@ def test_roundtrip_errors_per_replica():
     assert np.array_equal(roundtrip_errors(one, alpha), err[2:3])
     # a quadratic-free connection reads the driver back to rounding
     assert np.max(roundtrip_errors(ens, alpha_biinvariant(SE3))) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["so3", "se3", "e11"])
+def test_roundtrip_errors_build_no_group_values(monkeypatch, name):
+    spec = get_group(name)
+    alpha = alpha_levi_civita(metric_for(name, 2.0))
+    ens = brownian_ensemble(spec, TimeGrid(1.0, 200), 6, 7)
+    back = ito_logarithm(ito_exponential(ens, alpha), alpha)
+    want = np.linalg.norm(back.values[:, -1] - ens.values[:, -1], axis=-1)
+
+    def never(spec, steps):
+        raise AssertionError("group values were built")
+
+    monkeypatch.setattr(explog, "_develop", never)
+    assert roundtrip_errors(ens, alpha).tobytes() == want.tobytes()

@@ -26,6 +26,7 @@ from liestoch.paths import (
     normal_quantile,
     null_qv_check,
     quadratic_covariation,
+    rung_steps,
     write_table,
 )
 from liestoch.paths import _csv_lines
@@ -44,6 +45,15 @@ def test_time_grid():
     for horizon in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(horizon, 5)
+
+
+def test_rung_steps():
+    assert [rung_steps(1.0, dt) for dt in (4e-3, 2e-3, 1e-3, 0.02, 1.0)] == [
+        250, 500, 1000, 50, 1]
+    assert rung_steps(0.1, 0.01) == 10  # 0.1 / 0.01 is 10 to rounding
+    for dt in (0.3, 0.03, 3.0, 0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dividing the horizon 1.0"):
+            rung_steps(1.0, dt)
 
 
 def test_normal_quantile():
