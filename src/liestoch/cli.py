@@ -32,9 +32,10 @@ its flag's type and choices and a command-line flag overrides it. A file
 may set only the keys of the command's own flags and ``command``, which
 must name the subcommand; a file value its flag refuses exits 2 naming
 the file. Every command but ``u-table`` and ``regress`` refuses a missing
-``--out``, and every command an ``--out`` it cannot write, before any
-work. Exit codes: 0 success, 1 failed verification, 2 usage error, 3
-violated precondition/hypothesis, 4 numerical failure.
+``--out``, and every command an ``--out`` it cannot write or a draw past
+``MAX_DRAW_VALUES``, before any work. Exit codes: 0 success, 1 failed
+verification, 2 usage error, 3 violated precondition/hypothesis, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -51,7 +52,13 @@ import numpy as np
 
 from . import acceptance, campbell, explog, martingale
 from .connections import alpha_biinvariant, alpha_levi_civita, metric_for, u_from_metric
-from .errors import HypothesisError, LieStochError, PowerError, UnsupportedGroupError
+from .errors import (
+    HypothesisError,
+    LieStochError,
+    MetricError,
+    PowerError,
+    UnsupportedGroupError,
+)
 from .groups import get_group
 from .linalg import spd_cholesky
 from .paths import (
@@ -71,6 +78,12 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
+
+# The most driver values a command may draw for one ensemble or ladder rung,
+# replicas x (steps + 1) x n coordinates: 2**30 doubles, 8 GiB. A larger
+# draw exits 2 before any work. A draw holds at least 6 values a replica, so
+# this also refuses any --replicas past 2**32, the driver's seeding range.
+MAX_DRAW_VALUES = 2**30
 
 
 class UsageError(Exception):
@@ -121,20 +134,26 @@ class ExperimentConfig:
     out: str = _flag("", "--out")
     fmt: str = _flag("csv", "--format", choices=["csv", "json"])
 
-    def dt_ladder(self, horizon):
+    def dt_ladder(self, horizon, n, ensembles=1):
         """The ``--dts`` rungs, each a positive step that divides ``horizon``
-        (``paths.rung_steps``), so every rung runs to the same terminal time."""
+        (``paths.rung_steps``), so every rung runs to the same terminal time,
+        and each a draw of ``ensembles`` times ``--replicas`` replicas of
+        ``n`` coordinates within ``MAX_DRAW_VALUES``, all checked before any
+        rung runs."""
+        tokens = self.dts.split(",")
+        if not all(tok.strip() for tok in tokens):
+            raise UsageError(f"--dts has an empty entry: {self.dts!r}")
         try:
-            ladder = tuple(float(tok) for tok in self.dts.split(",") if tok.strip())
+            ladder = tuple(float(tok) for tok in tokens)
         except ValueError as exc:
             raise UsageError(f"bad --dts list: {self.dts!r}") from exc
-        if not ladder:
-            raise UsageError(f"--dts needs positive entries, got {self.dts!r}")
         for dt in ladder:
             try:
-                rung_steps(horizon, dt)
+                steps = rung_steps(horizon, dt)
             except ValueError as exc:
                 raise UsageError(f"--dts {exc}") from None
+            _check_size(ensembles * self.replicas, steps, n,
+                        f"--dts rung {dt!r} with --replicas {self.replicas}")
         return ladder
 
     def grid(self):
@@ -153,6 +172,23 @@ def _positive(value, flag):
         raise UsageError(f"{flag} must be a positive finite number, got {value!r}")
 
 
+def _check_size(replicas, steps, n, what):
+    """Refuse a draw of ``replicas`` x (``steps`` + 1) x ``n`` values past
+    ``MAX_DRAW_VALUES``; ``what`` names the flags that set it."""
+    if replicas * (steps + 1) * n > MAX_DRAW_VALUES:
+        raise UsageError(f"{what}: the draw would hold more than {MAX_DRAW_VALUES} values "
+                         "(replicas x (steps + 1) x coordinates)")
+
+
+def _metric(config, spec):
+    """The catalog metric that ``--lambda`` weights; a square past double
+    range is a usage error."""
+    try:
+        return metric_for(spec, config.lam)
+    except MetricError as exc:
+        raise UsageError(f"--lambda: {exc}") from None
+
+
 def _connection(config):
     spec = get_group(config.group)
     _positive(config.lam, "--lambda")
@@ -161,7 +197,7 @@ def _connection(config):
             raise UsageError(f"--lambda weights the levicivita metric; the biinvariant "
                              f"connection has none, got {config.lam!r}")
         return spec, alpha_biinvariant(spec)
-    return spec, alpha_levi_civita(metric_for(spec, config.lam))
+    return spec, alpha_levi_civita(_metric(config, spec))
 
 
 def _load_covariance(config, spec):
@@ -209,6 +245,8 @@ def _driver(config, spec):
     if config.cov and config.driver == "drift":
         raise UsageError("--cov applies to --driver bm; the drift driver has unit diffusion")
     grid = config.grid()
+    _check_size(config.replicas, grid.steps, spec.algebra_dim,
+                f"--replicas {config.replicas} over --steps {config.steps}")
     covariance = _load_covariance(config, spec)
     drift = _parse_drift(config, spec) if config.driver == "drift" else None
     return grid, covariance, drift
@@ -280,7 +318,7 @@ def _cmd_convergence(config):
     _check_draw(config, min_replicas=2)  # each rung reports a standard error
     horizon = config.grid().horizon
     rows = []
-    for dt in config.dt_ladder(horizon):
+    for dt in config.dt_ladder(horizon, spec.algebra_dim):
         sub = replace(config, dt=dt, steps=rung_steps(horizon, dt))
         err = explog.roundtrip_errors(_build_ensemble(sub, spec), alpha)
         rows.append((dt, np.mean(err), np.std(err, ddof=1) / np.sqrt(len(err))))
@@ -292,7 +330,8 @@ def _cmd_convergence(config):
 def _cmd_campbell(config):
     spec, alpha = _connection(config)
     _check_draw(config, min_replicas=2)  # each rung reports a standard error
-    dts = config.dt_ladder(campbell.HORIZON)
+    # a rung develops its two ensembles as one of twice the replicas
+    dts = config.dt_ladder(campbell.HORIZON, spec.algebra_dim, ensembles=2)
     reports = [
         campbell.ch_ladder(spec, alpha, dts=dts, replicas=config.replicas,
                            base_seed=config.seed, rule=config.rule or "midpoint"),
@@ -339,7 +378,7 @@ def _cmd_martingale_test(config):
 def _cmd_u_table(config):
     spec = get_group(config.group)
     _positive(config.lam, "--lambda")
-    u = u_from_metric(metric_for(spec, config.lam)).coeffs
+    u = u_from_metric(_metric(config, spec)).coeffs
     n = spec.algebra_dim
     write = partial(write_table, header=["i", "j"] + [f"c{k+1}" for k in range(n)],
                     rows=[(i + 1, j + 1, *u[:, i, j]) for i in range(n) for j in range(n)])

@@ -22,6 +22,7 @@ flagging disagreements instead of patching them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,8 +98,14 @@ def metric_for(group, lam=1.0) -> MetricSpec:
     spec = group if isinstance(group, GroupSpec) else get_group(group)
     if lam <= 0:
         raise MetricError("lam must be positive")
+    try:
+        weight = float(lam) ** 2
+    except OverflowError:
+        weight = math.inf
+    if not weight < math.inf:  # NaN and inf too
+        raise MetricError(f"lam {lam!r} has no finite square to weight the metric")
     diag = np.ones(spec.algebra_dim)
-    diag[list(spec.lam_weighted)] = lam**2
+    diag[list(spec.lam_weighted)] = weight
     return MetricSpec(spec, np.diag(diag), lam)
 
 

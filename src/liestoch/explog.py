@@ -30,7 +30,10 @@ only outputs are ever full size. The develop's product recursion runs over
 the tiles of ``linalg.tiles`` in step-major order, and the membership gate
 runs on each finished tile while it is in cache; the passes that treat
 each step on its own (both Ito corrections, the logarithms' increments)
-run over the contiguous replica slabs of ``linalg.slabs``.
+run over the contiguous replica slabs of ``linalg.slabs``. A tile's product
+is the row's tile product where its catalog entry names one (n3, e11 and
+se2: a few running sums along the tile's steps, by Chen's relation), and
+otherwise one stacked matmul per step (so3, se3 and sl2r).
 ``development_logarithm`` drives the same gate with no output: the
 compensated logarithm of a development, read from its steps, with no group
 values kept. Where the row's catalog entry names a gate block (se3: so3),
@@ -57,13 +60,17 @@ def _product_tiles(spec, steps, owner=None):
 
     Tile by tile (``linalg.tiles``), in step-major order: a tile's steps
     are exponentiated as a (cols, rows) stack, and the product recursion
-    runs in one contiguous (cols+1, rows, d, d) scratch, one stacked matmul
-    per step, allocated once per call. Each finished tile's membership
-    defects are taken while it is in cache, the worst over all tiles is
-    kept (NaN propagates), and once the last tile is out the gate raises as
-    ``check_drift`` would on the full values: its message and worst defect
-    do not depend on the tiling. The message names ``owner``, ``spec`` by
-    default: the row whose develop is gated through ``spec``'s block.
+    runs in one contiguous (cols+1, rows, d, d) scratch, allocated once per
+    call: by the row's tile product (``GroupSpec.product``), which fills
+    the tile in a few calls from the carry, the exponentials and the step
+    coordinates, and carries its own state to the replica block's next
+    tile (se2: its running angle), or else by one stacked matmul per step.
+    Each finished tile's membership defects are taken while it is in cache,
+    the worst over all tiles is kept (NaN propagates), and once the last
+    tile is out the gate raises as ``check_drift`` would on the full
+    values: its message and worst defect do not depend on the tiling. The
+    message names ``owner``, ``spec`` by default: the row whose develop is
+    gated through ``spec``'s block.
     """
     replicas, count, n = steps.shape
     d = spec.matrix_dim
@@ -84,8 +91,11 @@ def _product_tiles(spec, steps, owner=None):
         # an overflowing product turns into inf or NaN, which the membership
         # gate reports as a numerical failure; numpy need not warn first
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(cols):
-                np.matmul(prod[j], exps[j], out=prod[j + 1])
+            if spec.product is None:
+                for j in range(cols):
+                    np.matmul(prod[j], exps[j], out=prod[j + 1])
+            else:
+                state = spec.product(prod, exps, coords, None if k.start == 0 else state)
         del exps  # not live while the next tile's are made
         worst = np.maximum(worst, np.max(membership_defect(spec, prod[1:])))
         yield r, k, prod[1:]
@@ -123,7 +133,8 @@ def _gate_develop(spec, steps):
     plus the distance of the bottom row from ``e_d``, and the bottom row
     stays exact while the translations are finite, so the worst defect is
     the same too. Any other steps, and any other row, take the full gated
-    product recursion.
+    product recursion, which on n3, e11 and se2 is their tile product: a
+    few calls a tile, not one a step.
     """
     if spec.gate_block is not None and _translations_stay_finite(steps):
         block, k = spec.gate_block

@@ -39,7 +39,10 @@ Sola, Deray and Atchuthan, arXiv:1812.01537), ``diag(e^h, e^-h)`` with
 there (n3), and ``C I + S A`` by Cayley-Hamilton (sl2r). so3 also has the
 cofactor adjoint and the rotation log, which hands each matrix past pi/2
 or off orthogonality to the generic log, and sl2r a log that refuses a
-trace below -2. ``check_membership`` is the one membership gate.
+trace below -2. The solvable rows n3, e11 and se2 name a tile product, the
+develop's product of step exponentials by running sums along the steps
+(Chen's relation); the other rows develop by one stacked matmul a step.
+``check_membership`` is the one membership gate.
 """
 
 from __future__ import annotations
@@ -109,7 +112,14 @@ class GroupSpec:
     develop of the first ``k`` coordinates is bit for bit the block of this
     row's develop, with the same worst defect. The other coordinates are
     translations, which the rotations carry without stretching
-    (``explog._gate_develop``).
+    (``explog._gate_develop``). ``product`` is None for the develop's
+    stacked-matmul loop, or the row's tile product
+    ``product(prod, exps, coords, state)``: it fills ``prod[1:]`` of a
+    tile's (cols+1, rows, d, d) step-major products from the carry
+    ``prod[0]``, the (cols, rows, d, d) step exponentials and the
+    (cols, rows, n) step coordinates, and returns the state the replica
+    block's next tile takes (None on a block's first tile): se2's running
+    angle, None for n3 and e11 (``explog._product_tiles``).
     """
 
     name: str
@@ -126,6 +136,7 @@ class GroupSpec:
     exp: Callable = field(repr=False, compare=False)
     log: Callable = field(repr=False, compare=False)
     gate_block: tuple | None = field(repr=False, compare=False)
+    product: Callable | None = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -205,7 +216,7 @@ def get_group(name) -> GroupSpec:
 
 @lru_cache(maxsize=None)
 def _build_group(key) -> GroupSpec:
-    build, lam_weighted, defect, inverse, adjoint, exp, log, gate_block = _CATALOG[key]
+    build, lam_weighted, defect, inverse, adjoint, exp, log, gate_block, product = _CATALOG[key]
     basis = build()
     n, d, _ = basis.shape
     vec = basis.reshape(n, d * d)
@@ -224,7 +235,7 @@ def _build_group(key) -> GroupSpec:
         name=key, matrix_dim=d, algebra_dim=n, basis=basis, _projector=projector,
         _embedding=_nonzero_terms(vec), _projection=_nonzero_terms(projector),
         lam_weighted=lam_weighted, defect=defect, inverse=inverse, adjoint=adjoint,
-        exp=exp, log=log,
+        exp=exp, log=log, product=product,
         gate_block=None if gate_block is None else (_build_group(gate_block[0]),
                                                     gate_block[1]),
     )
@@ -562,6 +573,78 @@ def _n3_exp(e):
     return out
 
 
+# The tile products of the solvable rows: each fills ``prod[1:]`` of a tile's
+# (cols+1, rows, d, d) step-major products from the carry ``prod[0]`` and the
+# tile's (cols, rows, d, d) step exponentials, by running sums along the step
+# axis (Chen's relation). It starts from a copy of the exponentials, whose
+# fixed entries (the unit diagonal, zeros, the bottom row) are the product's,
+# and overwrites the entries the product moves. A running sum adds in step
+# order from the carry (``_running``), so the result does not depend on the
+# tiling.
+
+_FEW_STEPS = 12  # up to this many steps a tile, a running sum is a call per step
+
+
+def _running(op, a):
+    """``op.accumulate(a, axis=0)`` in place: ``a[j] = op(a[j-1], a[j])``,
+    step after step. numpy accumulates each column on its own, which costs
+    more than a call per step when a tile has few steps and many replicas;
+    either way the operations and their order are the same."""
+    if len(a) > _FEW_STEPS:
+        op.accumulate(a, axis=0, out=a)
+        return
+    for j in range(1, len(a)):
+        op(a[j - 1], a[j], out=a[j])
+
+
+def _n3_product(prod, exps, coords, carry):
+    """``X01`` and ``X12`` are running sums of the steps' entries, and ``X02``
+    the running sum of ``E02_k + X01_{k-1} E12_k``: the stacked matmul's
+    unfused sums."""
+    np.copyto(prod[1:], exps)
+    _running(np.add, prod[:, :, 0, 1])
+    _running(np.add, prod[:, :, 1, 2])
+    prod[1:, :, 0, 2] += prod[:-1, :, 0, 1] * exps[:, :, 1, 2]
+    _running(np.add, prod[:, :, 0, 2])
+
+
+def _e11_product(prod, exps, coords, carry):
+    """The diagonal is a running product, and each translation the running
+    sum of ``P_{k-1} E_k``, P the diagonal entry of its row: the stacked
+    matmul's products and sums, bit for bit."""
+    np.copyto(prod[1:], exps)
+    for i in (0, 1):
+        _running(np.multiply, prod[:, :, i, i])
+        prod[1:, :, i, 2] *= prod[:-1, :, i, i]
+        _running(np.add, prod[:, :, i, 2])
+
+
+def _se2_product(prod, exps, coords, angle):
+    """The rotation by the running angle, and the translation the running
+    sum of ``R_{k-1} t_k``, t_k the step's translation column.
+
+    The angle is the running sum of the steps' angles, ``coords[..., 0]``,
+    from ``angle``, where the previous tile of the replica block ended (None
+    on its first tile: 0); returns where this tile ends. It is carried
+    exactly: one read back from the carry's rotation would move bits at
+    tile edges."""
+    theta = np.empty((len(coords) + 1, coords.shape[1]))
+    theta[0] = 0.0 if angle is None else angle
+    theta[1:] = coords[..., 0]
+    _running(np.add, theta)
+    np.copyto(prod[1:], exps)
+    np.cos(theta[1:], out=prod[1:, :, 0, 0])
+    np.sin(theta[1:], out=prod[1:, :, 1, 0])
+    prod[1:, :, 1, 1] = prod[1:, :, 0, 0]
+    np.negative(prod[1:, :, 1, 0], out=prod[1:, :, 0, 1])
+    for i in (0, 1):
+        moved = prod[1:, :, i, 2]
+        np.multiply(prod[:-1, :, i, 0], exps[:, :, 0, 2], out=moved)
+        moved += prod[:-1, :, i, 1] * exps[:, :, 1, 2]
+        _running(np.add, prod[:, :, i, 2])
+    return theta[-1]
+
+
 def _sl2r_coefficients(s2):
     """C and S with ``exp A = C I + S A`` for A in sl(2,R) and s^2 = -det A:
     ``cosh s`` and ``sinh(s)/s`` for s^2 > 0, ``cos t`` and ``sin(t)/t``
@@ -757,23 +840,24 @@ def _so3_adjoint(e):
 
 
 # One row per group, in catalog order: (basis builder, lambda^2-weighted
-# basis directions, defect, inverse, adjoint, exp, log, gate block), adjoint
-# None for the generic path; the gate block names a rotation row and how
-# many leading coordinates it develops, or is None; see ``GroupSpec``.
+# basis directions, defect, inverse, adjoint, exp, log, gate block, tile
+# product), adjoint None for the generic path; the gate block names a
+# rotation row and how many leading coordinates it develops, or is None; the
+# tile product is None for the stacked-matmul loop; see ``GroupSpec``.
 _CATALOG = {
     "so3": (_so3_basis, (), partial(_rotation_defect, d=3, k=3), _so3_inverse,
             partial(_rowwise, _so3_adjoint), partial(_rowwise, _rotation_exp), _so3_log,
-            None),
+            None, None),
     "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None,
-            partial(_rowwise, _se2_exp), generic_log, None),
+            partial(_rowwise, _se2_exp), generic_log, None, _se2_product),
     "se3": (_se3_basis, (3, 4, 5), partial(_rigid_defect, d=4), _rigid_inverse, None,
-            partial(_rowwise, _rigid_exp), generic_log, ("so3", 3)),
+            partial(_rowwise, _rigid_exp), generic_log, ("so3", 3), None),
     "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None,
-            partial(_rowwise, _e11_exp), generic_log, None),
+            partial(_rowwise, _e11_exp), generic_log, None, _e11_product),
     "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None, partial(_rowwise, _n3_exp),
-           generic_log, None),
+           generic_log, None, _n3_product),
     "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None,
-             partial(_rowwise, _sl2r_exp), _sl2r_log, None),
+             partial(_rowwise, _sl2r_exp), _sl2r_log, None, None),
 }
 
 GROUP_NAMES = tuple(_CATALOG)

@@ -55,7 +55,11 @@ class TimeGrid:
 def rung_steps(horizon, dt):
     """The step count of a ladder rung of step ``dt`` to ``horizon``: ValueError
     unless ``dt`` > 0 divides ``horizon`` to 1e-9 relative, as a rung must."""
-    steps = round(horizon / dt) if dt > 0 else 0
+    ratio = horizon / dt if dt > 0 else 0.0
+    if not isfinite(ratio):
+        raise ValueError(f"rung {dt!r} is too small a step for the horizon {horizon!r}: "
+                         "its step count is past double range")
+    steps = round(ratio)
     if not abs(steps * dt - horizon) <= 1e-9 * horizon:  # NaN fails
         raise ValueError(f"rung {dt!r} is not a positive step dividing the horizon {horizon!r}")
     return steps

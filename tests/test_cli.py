@@ -612,6 +612,58 @@ def test_biinvariant_connection_refuses_a_lambda(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+_CAMPBELL = ["campbell", "--group", "so3", "--replicas", "4", "--seed", "1"]
+_HUGE = str(2**64)
+
+
+# Inputs that ended in a traceback, or ran while skipping part of the
+# input, each with the text its refusal names. Every size here is refused
+# before anything is allocated.
+_REFUSALS = [
+    # a lambda whose square overflows, on every command with a metric
+    *[([command, *_RUN, "--lambda", "1e300"], "--lambda")
+      for command in ("exp", "log", "roundtrip", "convergence")],
+    (["martingale-test", *_RUN, "--replicas", "100", "--buckets", "5", "--lambda", "1e300"],
+     "--lambda"),
+    ([*_CAMPBELL, "--dts", "0.5", "--lambda", "1e300"], "--lambda"),
+    (["u-table", "--group", "se3", "--lambda", "1e160"], "--lambda"),
+    # replicas past the driver's seeding range
+    (["exp", *_RUN, "--replicas", str(2**32 + 1)], "--replicas"),
+    (["roundtrip", *_RUN, "--replicas", str(2**32 + 1)], "--replicas"),
+    (["martingale-test", *_RUN, "--buckets", "5", "--replicas", _HUGE], "--replicas"),
+    # step counts past any array
+    (["exp", *_RUN, "--steps", _HUGE], "--steps"),
+    (["log", *_RUN, "--steps", _HUGE], "--steps"),
+    (["convergence", *_RUN, "--dts", "1e-300"], "--dts rung 1e-300"),
+    (["convergence", *_RUN, "--dts", "1e-320"], "--dts rung 1e-320"),
+    (["convergence", *_RUN, "--dt", "1e300", "--dts", "0.5"], "--dts rung 0.5"),
+    ([*_CAMPBELL, "--dts", "1e-300"], "--dts rung 1e-300"),
+    ([*_CAMPBELL, "--dts", "1e-320"], "--dts rung 1e-320"),
+    # a ladder with an empty entry
+    (["convergence", *_RUN, "--dts", "0.02,,0.01"], "--dts has an empty entry"),
+    ([*_CAMPBELL, "--dts", "0.5,"], "--dts has an empty entry"),
+]
+
+
+@pytest.mark.parametrize("argv, names", _REFUSALS,
+                         ids=[f"{argv[0]} {argv[-2]}={argv[-1]}" for argv, _ in _REFUSALS])
+def test_inputs_past_the_ranges_are_refused_before_any_draw(argv, names, tmp_path, monkeypatch,
+                                                            capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the run drew a driver")
+
+    monkeypatch.setattr(cli, "brownian_ensemble", never)
+    monkeypatch.setattr(cli.martingale, "brownian_ensemble", never)
+    monkeypatch.setattr(cli.campbell, "brownian_ensemble", never)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the row
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and names in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_driver_leaving_double_range_is_a_numerical_failure(tmp_path, capsys):
     # the running sum of a 1e308 drift overflows on the second step; no
     # np.errstate shield, so a numpy warning on the way fails the test
@@ -986,8 +1038,12 @@ def _output_digests(directory):
     return digests
 
 
-# Taken with numpy 2.4.6 (Python 3.11.7); the CSV and JSON floats are
-# shortest round-trip reprs, so another numpy may change a digest.
+# Taken with numpy 2.4.6 (Python 3.11.7) on scipy-openblas 0.3.31 (its
+# Haswell kernel); the CSV and JSON floats are shortest round-trip reprs, so
+# another numpy may change a digest. so3, se3 and sl2r develop by a stacked
+# matmul per step, whose sums a BLAS build may or may not fuse into
+# multiply-adds, so another build may change their digests too; n3, e11 and
+# se2 develop by numpy's running sums, which no BLAS build touches.
 _PINNED_DIGESTS = {
     "exp-bm-so3":
         "1766ea9dd3e36ebf364ea8c815eba8b2f1275e5ef0d0449079335b4cbd0f7f9c",
@@ -1046,15 +1102,15 @@ _PINNED_DIGESTS = {
     "campbell-json-so3.manifest.json":
         "40ff79e3afd113d65fd3493652679b2b6e258e754324ff7059fd511458f4ab0c",
     "exp-bm-se2":
-        "8f8b8a20c35a52641892a4576b3a5650f3d5dab26d7fed27b5a4ed1c1cc1d56e",
+        "54b86dc0344b01f06e45a34529a313534b664da4f9809db00b93fe1989c0f0e7",
     "exp-bm-se2.manifest.json":
         "308f8c8fac7545aed5f4fc5265bbacf912e10b1ebe97b54091b7e2e9f1fb2524",
     "exp-drift-se2":
-        "8f8b8a20c35a52641892a4576b3a5650f3d5dab26d7fed27b5a4ed1c1cc1d56e",
+        "54b86dc0344b01f06e45a34529a313534b664da4f9809db00b93fe1989c0f0e7",
     "exp-drift-se2.manifest.json":
         "15971b4aaeea51493cead39871069aa5b21222aee448895183165bd5c1a5f353",
     "exp-drifted-se2":
-        "26a919416431511cad9ea40ca96177b1ddc9e34877516821673d9a693ef15bde",
+        "1440abd6d140c9945fd2fc0280b0ccdaebc8ad6485f64c3555242f1f4e25dbc7",
     "exp-drifted-se2.manifest.json":
         "befb42477ae0ab5ad6ddc6deb529300f0eb42c8d9395e69effd0e91c0d3f4393",
     "log-se2":
@@ -1094,11 +1150,11 @@ _PINNED_DIGESTS = {
     "convergence-se2.manifest.json":
         "ac5db7e07118edb4c14ccaf7509f03216945f9078e41606fd934bc0232f3744a",
     "campbell-csv-se2":
-        "f17729d38773fae44d89d1c85e0a458f55babdf68bc95048c39a59e9da869395",
+        "c741c02a33a9a2b856b537c3d76c2ad40571e2559085d891db52cc549ff7c78b",
     "campbell-csv-se2.manifest.json":
         "252f667a52e70f3e41d4df814a923ad56efcaa52e4c9768c05c1c161eacaca70",
     "campbell-json-se2":
-        "09d92dc37684a9bb4c0f55e7123205ba262587f5a226cd044842d84a4aa8ac09",
+        "ceb91f42cf0fe025c60094ae91a4621e454b46ed9d89bf67540a47c3d9247aad",
     "campbell-json-se2.manifest.json":
         "dba150e734a746e906b0e375e5b0b809dba06feee8c999972f3b3b88a61ec11c",
     "exp-bm-se3":
@@ -1214,15 +1270,15 @@ _PINNED_DIGESTS = {
     "campbell-json-e11.manifest.json":
         "b956bf07d118a961b30823c69afece631d6ba45d123dee9821d39cb20dee4bb9",
     "exp-bm-n3":
-        "b89779f78b5e89d4ee15681b44be0f07876d572629a3ba3950e3b469e748fb1f",
+        "a092a629f562c081c3b980313ffc189185f3d2e6191ea8de6cf5dda9b56fcd4b",
     "exp-bm-n3.manifest.json":
         "b369a9b2fe8f8b3d00ffae94d5026055ea8e1ddff9941b6ce85ec07ad82d991e",
     "exp-drift-n3":
-        "b89779f78b5e89d4ee15681b44be0f07876d572629a3ba3950e3b469e748fb1f",
+        "a092a629f562c081c3b980313ffc189185f3d2e6191ea8de6cf5dda9b56fcd4b",
     "exp-drift-n3.manifest.json":
         "0ed8972da17cd2cdf6c54aa6839fb8a312c5dd0e5e7f0456ed7281a9b0b2179f",
     "exp-drifted-n3":
-        "58df5ba233ff859523f6d237049bb7144ef0bf20b694f39e68bb7be7b9cc3183",
+        "5543a908dcd8e33ed5a2a0e26441a427a704489b7c04d27c66e5bf464961876c",
     "exp-drifted-n3.manifest.json":
         "b29dc25e21d907931e9fe7f994cef700d07a24f5347511e2a8a9197049437647",
     "log-n3":
@@ -1262,11 +1318,11 @@ _PINNED_DIGESTS = {
     "convergence-n3.manifest.json":
         "a06c15ca1a2a47ad738f3b9114bb14f5c3a5c40c9e8f4713bf2ddc105e28e0ae",
     "campbell-csv-n3":
-        "cffca800b36cae3e5a649d9ad1f19596b27ed1c235e63ab57e77c4b55b171f93",
+        "08efacecf40f00e67d1c75fad8e22fbf8d95f7a9686cd02115378c679399d50f",
     "campbell-csv-n3.manifest.json":
         "89ad2ad47c5966dbf4b2fdf611207c525909f8b0f2ff084f9f4394d751552218",
     "campbell-json-n3":
-        "6459a959ba2631beb898fee7a166c357354c3c83da131d60952071510e3409ea",
+        "bba484bcfec28248f4b4cb11d97be4e93876cb98c5dd5840f8e826872b37dd12",
     "campbell-json-n3.manifest.json":
         "c96298b3d95477c49b493be56de095048e5e381b6d33222b71134caab7300ebb",
     "exp-bm-sl2r":

@@ -38,6 +38,13 @@ def test_metric_spec_validation():
         metric_for("so3", 0.0)
 
 
+@pytest.mark.parametrize("lam", [1e160, 1e300, np.float64(1e300), np.inf, np.nan])
+def test_a_lambda_without_a_finite_square_is_a_metric_error(lam):
+    # 1e160 and 1e300 ended in an OverflowError from lam**2
+    with pytest.raises(MetricError, match="finite square"):
+        metric_for("se3", lam)
+
+
 def test_u_defining_identity_all_groups():
     # 2 <U(ei, ej), ek> = <ei, [ek, ej]> + <[ek, ei], ej> at every triple
     for name in GROUP_NAMES:

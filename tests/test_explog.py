@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from liestoch import explog
+from liestoch import explog, linalg
 from liestoch.calculus import increments_from_values
 from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_for
 from liestoch.errors import DimensionError, IntegratorDriftError, MembershipError
@@ -279,3 +281,36 @@ def test_roundtrip_errors_build_no_group_values(monkeypatch, name):
 
     monkeypatch.setattr(explog, "_develop", never)
     assert roundtrip_errors(ens, alpha).tobytes() == want.tobytes()
+
+
+def _matmul_develop(spec, steps):
+    """The develop by the stacked-matmul loop, one ``np.matmul`` a step: the
+    oracle of a row's tile product, run on the row without one."""
+    return explog._develop(replace(spec, product=None), steps)
+
+
+# At a chunk of 7 or 64 matrices these shapes tile into blocks of steps and
+# of replicas with remainders, one step a tile included; at 4096 each is one
+# tile. A tile of up to 12 steps takes ``groups._running``'s call per step,
+# a longer one numpy's accumulate.
+@pytest.mark.parametrize("name", ["n3", "e11", "se2"])
+@pytest.mark.parametrize("replicas, steps", [(3, 50), (10, 40), (100, 9)])
+def test_tile_products_match_the_matmul_develop(name, replicas, steps, monkeypatch):
+    spec = get_group(name)
+    assert spec.product is not None
+    drift = np.linspace(0.5, -0.5, spec.algebra_dim)
+    m = brownian_ensemble(spec, TimeGrid(0.1 * steps, steps), 19, replicas, drift=drift)
+    dm = np.diff(m.values, axis=1)
+    oracle = _matmul_develop(spec, dm)
+    runs = {}
+    for chunk in (7, 64, 4096):
+        monkeypatch.setattr(linalg, "_ROW_CHUNK", chunk)
+        runs[chunk] = explog._develop(spec, dm)
+    # no bit moves with the tiling: se2 carries its running angle exactly
+    for chunk in (7, 64):
+        assert runs[chunk].tobytes() == runs[4096].tobytes(), chunk
+    if name == "e11":  # the matmul's products and sums, in its order
+        assert runs[4096].tobytes() == oracle.tobytes()
+    else:  # n3's sums unfused, se2's rotations by the running angle
+        bound = steps * np.finfo(float).eps * max(1.0, np.max(np.abs(oracle)))
+        assert np.max(np.abs(runs[4096] - oracle)) <= bound

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from liestoch.calculus import increments_from_values, mc_increments
+from liestoch.cli import main
 from liestoch.campbell import ad_integral, ch_residual, log_product_residual, product_path
 from liestoch.connections import alpha_biinvariant, alpha_levi_civita, metric_for
 from liestoch.explog import (
@@ -233,3 +234,20 @@ def test_readback_switches_log_branch_within_one_tile():
     _assert_path_matches_replicas(mc_increments, bare, what="readback", replicas=range(2))
     # below pi the principal log is the step itself, on either branch
     assert np.max(np.abs(increments_from_values(SO3, x.values) - steps)) < 1e-12
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_exp_of_fewer_replicas_is_a_prefix_across_tile_columns(name, tmp_path):
+    # one replica develops in tiles of 4096 steps and eight in tiles of 512,
+    # so replica 0 crosses its tile edges at other steps in the two runs
+    n = get_group(name).algebra_dim
+    drift = ",".join(repr(0.5 - 0.25 * i) for i in range(n))
+    lines = {}
+    for replicas in (1, 8):
+        out = tmp_path / f"x{replicas}.csv"
+        assert main(["exp", "--group", name, "--dt", "1e-3", "--steps", "5000",
+                     "--replicas", str(replicas), "--seed", "5", "--driver", "drift",
+                     "--drift", drift, "--out", str(out)]) == 0
+        lines[replicas] = out.read_bytes().split(b"\r\n")
+    one = lines[1][:-1]  # the text ends in a line break
+    assert len(one) == 5002 and lines[8][: len(one)] == one
