@@ -79,11 +79,14 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
-# The most driver values a command may draw for one ensemble or ladder rung,
-# replicas x (steps + 1) x n coordinates: 2**30 doubles, 8 GiB. A larger
-# draw exits 2 before any work. A draw holds at least 6 values a replica, so
-# this also refuses any --replicas past 2**32, the driver's seeding range.
+# The most values a command may hold for one draw: replicas x (steps + 1)
+# x n driver coordinates for an ensemble or ladder rung, and for
+# martingale-test, which streams its draw, one chunk's and the bucket marks
+# of all replicas. 2**30 doubles, 8 GiB. A larger draw exits 2 before any
+# work.
 MAX_DRAW_VALUES = 2**30
+# Replica indices seed the driver's streams, one spawn-key word each.
+MAX_REPLICAS = 2**32
 
 
 class UsageError(Exception):
@@ -152,8 +155,9 @@ class ExperimentConfig:
                 steps = rung_steps(horizon, dt)
             except ValueError as exc:
                 raise UsageError(f"--dts {exc}") from None
-            _check_size(ensembles * self.replicas, steps, n,
-                        f"--dts rung {dt!r} with --replicas {self.replicas}")
+            _check_size(ensembles * self.replicas, steps + 1, n,
+                        f"--dts rung {dt!r} with --replicas {self.replicas}: the draw "
+                        "(replicas x (steps + 1) x coordinates)")
         return ladder
 
     def grid(self):
@@ -172,12 +176,11 @@ def _positive(value, flag):
         raise UsageError(f"{flag} must be a positive finite number, got {value!r}")
 
 
-def _check_size(replicas, steps, n, what):
-    """Refuse a draw of ``replicas`` x (``steps`` + 1) x ``n`` values past
-    ``MAX_DRAW_VALUES``; ``what`` names the flags that set it."""
-    if replicas * (steps + 1) * n > MAX_DRAW_VALUES:
-        raise UsageError(f"{what}: the draw would hold more than {MAX_DRAW_VALUES} values "
-                         "(replicas x (steps + 1) x coordinates)")
+def _check_size(replicas, points, n, what):
+    """Refuse to hold ``replicas`` x ``points`` x ``n`` values past
+    ``MAX_DRAW_VALUES``; ``what`` names the flags that set them and how."""
+    if replicas * points * n > MAX_DRAW_VALUES:
+        raise UsageError(f"{what} would hold more than {MAX_DRAW_VALUES} values")
 
 
 def _metric(config, spec):
@@ -235,7 +238,8 @@ def _driver(config, spec):
     """The grid, covariance and drift of the driver, every flag checked.
 
     ``--cov`` shapes the ``bm`` driver and ``--drift`` the ``drift`` driver;
-    a flag the chosen driver would ignore is a usage error.
+    a flag the chosen driver would ignore is a usage error. The caller
+    checks what its draw holds against ``MAX_DRAW_VALUES``.
     """
     _check_draw(config)
     if config.workers < 1:
@@ -245,8 +249,6 @@ def _driver(config, spec):
     if config.cov and config.driver == "drift":
         raise UsageError("--cov applies to --driver bm; the drift driver has unit diffusion")
     grid = config.grid()
-    _check_size(config.replicas, grid.steps, spec.algebra_dim,
-                f"--replicas {config.replicas} over --steps {config.steps}")
     covariance = _load_covariance(config, spec)
     drift = _parse_drift(config, spec) if config.driver == "drift" else None
     return grid, covariance, drift
@@ -255,6 +257,9 @@ def _driver(config, spec):
 def _build_ensemble(config, spec):
     """The driver ensemble, drawn in one call."""
     grid, covariance, drift = _driver(config, spec)
+    _check_size(config.replicas, grid.steps + 1, spec.algebra_dim,
+                f"--replicas {config.replicas} over --steps {config.steps}: the draw "
+                "(replicas x (steps + 1) x coordinates)")
     return brownian_ensemble(spec, grid, config.seed, config.replicas,
                              covariance=covariance, drift=drift)
 
@@ -263,6 +268,9 @@ def _check_draw(config, min_replicas=1):
     """The replica count and seed of a seeded driver draw."""
     if config.replicas < min_replicas:
         raise UsageError(f"--replicas must be at least {min_replicas}")
+    if config.replicas > MAX_REPLICAS:
+        raise UsageError(f"--replicas must be at most 2**32, the driver's seeding range, "
+                         f"got {config.replicas}")
     if config.seed < 0:
         raise UsageError("--seed must be a non-negative integer")
 
@@ -357,6 +365,14 @@ def _cmd_martingale_test(config):
         raise UsageError(f"--buckets {config.buckets} must divide --steps {config.steps}")
     spec, alpha = _connection(config)
     grid, covariance, drift = _driver(config, spec)
+    # the draw is streamed: one chunk of replicas and every replica's marks
+    rows = martingale.chunk_rows(grid.steps, config.replicas)
+    _check_size(rows, grid.steps + 1, spec.algebra_dim,
+                f"--steps {config.steps}: a chunk of {rows} replicas "
+                "(replicas x (steps + 1) x coordinates)")
+    _check_size(config.replicas, config.buckets + 1, spec.algebra_dim,
+                f"--replicas {config.replicas} over --buckets {config.buckets}: the marks "
+                "(replicas x (buckets + 1) x coordinates)")
     level = config.significance  # 0.0: unset
     z_band = normal_quantile(1.0 - (1.0 - level) / 2.0) if level else martingale.DEFAULT_Z_BAND
     report = martingale.martingale_test(

@@ -582,7 +582,13 @@ def _n3_exp(e):
 # order from the carry (``_running``), so the result does not depend on the
 # tiling.
 
-_FEW_STEPS = 12  # up to this many steps a tile, a running sum is a call per step
+# Up to this many steps a tile, a running sum is a call per step. Both paths
+# of the whole kernel on full tiles of 4096 // cols replicas (numpy 2.4, one
+# thread, best of 7 x 200), loop against accumulate in us, n3 / e11: 1 step
+# 43/185 and 55/248, 2 steps 47/137 and 59/179, 4 steps 52/93 and 66/126,
+# 8 steps 62/79 and 79/103, 12 steps 72/72 and 92/98, 13 steps 75/71 and
+# 96/92, 16 steps 81/70 and 104/91: they cross at 12 to 13 steps.
+_FEW_STEPS = 12
 
 
 def _running(op, a):

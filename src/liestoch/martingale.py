@@ -145,6 +145,13 @@ def martingale_verdict(ensemble: Ensemble, alpha: ConnectionFunction, buckets=20
     return drift_test(comp, buckets=buckets, z_band=z_band, connection_label=alpha.label)
 
 
+def chunk_rows(steps, replicas):
+    """The replicas of each chunk ``martingale_test`` draws at once over
+    ``steps`` steps: ``max(_MIN_CHUNK_ROWS, _CHUNK_STEPS // steps)``, at
+    most ``replicas``."""
+    return min(replicas, max(_MIN_CHUNK_ROWS, _CHUNK_STEPS // steps))
+
+
 def martingale_test(spec, alpha: ConnectionFunction, grid, seed, replicas, scheme="ito",
                     covariance=None, drift=None, buckets=20,
                     z_band=DEFAULT_Z_BAND) -> DriftReport:
@@ -153,10 +160,10 @@ def martingale_test(spec, alpha: ConnectionFunction, grid, seed, replicas, schem
     covariance, drift)``, streamed over replica chunks.
 
     The bucket and power checks run before any draw. Then each chunk of
-    ``max(_MIN_CHUNK_ROWS, _CHUNK_STEPS // steps)`` replicas, in replica
-    order, is drawn (``brownian_ensemble``'s ``first_replica``), developed
-    and gated tile by tile without keeping group values, and read back from
-    its steps (``explog.development_logarithm``); only its
+    ``chunk_rows(steps, replicas)`` replicas, in replica order, is drawn
+    (``brownian_ensemble``'s ``first_replica``), developed and gated tile
+    by tile without keeping group values, and read back from its steps
+    (``explog.development_logarithm``); only its
     (rows, buckets+1, n) bucket marks are kept, so memory is
     O(replicas x buckets x n) plus one chunk's algebra coordinates.
     Every stage treats each replica on its own, and ``drift_test`` reduces
@@ -168,7 +175,7 @@ def martingale_test(spec, alpha: ConnectionFunction, grid, seed, replicas, schem
         raise ValueError(f"scheme must be 'ito' or 'strat', got {scheme!r}")
     width = _bucket_width(grid.steps, buckets, replicas)
     marks = np.empty((replicas, buckets + 1, spec.algebra_dim))
-    rows = max(_MIN_CHUNK_ROWS, _CHUNK_STEPS // grid.steps)
+    rows = chunk_rows(grid.steps, replicas)
     for start in range(0, replicas, rows):
         driver = brownian_ensemble(spec, grid, seed, min(rows, replicas - start),
                                    covariance=covariance, drift=drift, first_replica=start)

@@ -8,6 +8,7 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from liestoch.cli import (
 )
 from liestoch.connections import REGRESSION_LAMBDAS, metric_for, u_from_metric
 from liestoch.errors import IntegratorDriftError
+from liestoch.groups import get_group
 
 
 def run_cli(*argv):
@@ -631,6 +633,10 @@ _REFUSALS = [
     (["exp", *_RUN, "--replicas", str(2**32 + 1)], "--replicas"),
     (["roundtrip", *_RUN, "--replicas", str(2**32 + 1)], "--replicas"),
     (["martingale-test", *_RUN, "--buckets", "5", "--replicas", _HUGE], "--replicas"),
+    # a streamed martingale-test past the ceiling in one chunk or in its marks
+    (["martingale-test", *_RUN, "--replicas", "100", "--buckets", "4", "--steps", _HUGE],
+     "a chunk of 32 replicas"),
+    (["martingale-test", *_RUN, "--buckets", "10", "--replicas", str(2**32)], "the marks"),
     # step counts past any array
     (["exp", *_RUN, "--steps", _HUGE], "--steps"),
     (["log", *_RUN, "--steps", _HUGE], "--steps"),
@@ -662,6 +668,29 @@ def test_inputs_past_the_ranges_are_refused_before_any_draw(argv, names, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and names in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# martingale-test streams its draw: what it holds is one chunk of replicas
+# and every replica's bucket marks, each within the ceiling, though the
+# whole ensemble is not (se3: 1.2e9 values at 200000 x 1000, so3: 3e9 at
+# 10^4 x 10^5).
+@pytest.mark.parametrize("group, replicas, steps", [("se3", 200000, 1000),
+                                                    ("so3", 10**4, 10**5)])
+def test_a_streamable_martingale_test_past_the_ceiling_is_accepted(group, replicas, steps,
+                                                                   tmp_path, monkeypatch):
+    assert replicas * (steps + 1) * get_group(group).algebra_dim > cli.MAX_DRAW_VALUES
+    calls = []
+
+    def stub(spec, alpha, grid, seed, replicas, **kwargs):
+        calls.append((grid.steps, replicas))
+        zeros = np.zeros((kwargs["buckets"], spec.algebra_dim))
+        return SimpleNamespace(mean=zeros, stderr=zeros, z=zeros, max_abs_z=0.0, passed=True)
+
+    monkeypatch.setattr(cli.martingale, "martingale_test", stub)
+    assert run_cli("martingale-test", "--group", group, "--dt", "1e-4", "--steps", str(steps),
+                   "--replicas", str(replicas), "--buckets", "20",
+                   "--out", str(tmp_path / "m.json")) == 0
+    assert calls == [(steps, replicas)]
 
 
 def test_driver_leaving_double_range_is_a_numerical_failure(tmp_path, capsys):

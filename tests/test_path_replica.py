@@ -236,18 +236,21 @@ def test_readback_switches_log_branch_within_one_tile():
     assert np.max(np.abs(increments_from_values(SO3, x.values) - steps)) < 1e-12
 
 
+# One replica develops in tiles of up to 4096 steps, eight in tiles of 512
+# and 4096 in tiles of one step, so replica 0 crosses its tile edges at
+# other steps in the two runs.
+@pytest.mark.parametrize("replicas, steps", [(8, 5000), (4096, 3)])
 @pytest.mark.parametrize("name", GROUP_NAMES)
-def test_exp_of_fewer_replicas_is_a_prefix_across_tile_columns(name, tmp_path):
-    # one replica develops in tiles of 4096 steps and eight in tiles of 512,
-    # so replica 0 crosses its tile edges at other steps in the two runs
+def test_exp_of_fewer_replicas_is_a_prefix_across_tile_columns(name, replicas, steps,
+                                                               tmp_path):
     n = get_group(name).algebra_dim
     drift = ",".join(repr(0.5 - 0.25 * i) for i in range(n))
     lines = {}
-    for replicas in (1, 8):
-        out = tmp_path / f"x{replicas}.csv"
-        assert main(["exp", "--group", name, "--dt", "1e-3", "--steps", "5000",
-                     "--replicas", str(replicas), "--seed", "5", "--driver", "drift",
+    for count in (1, replicas):
+        out = tmp_path / f"x{count}.csv"
+        assert main(["exp", "--group", name, "--dt", "1e-3", "--steps", str(steps),
+                     "--replicas", str(count), "--seed", "5", "--driver", "drift",
                      "--drift", drift, "--out", str(out)]) == 0
-        lines[replicas] = out.read_bytes().split(b"\r\n")
+        lines[count] = out.read_bytes().split(b"\r\n")
     one = lines[1][:-1]  # the text ends in a line break
-    assert len(one) == 5002 and lines[8][: len(one)] == one
+    assert len(one) == steps + 2 and lines[replicas][: len(one)] == one
