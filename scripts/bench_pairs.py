@@ -25,7 +25,8 @@ covers all of them and the record's other keys are kept.
 ``--positive-control`` adds the workload ``positive-control``: one
 fresh-process ``liestoch martingale-test`` per side at the shape of the
 battery's positive control (se3, Levi-Civita at lambda 1, 10^4 replicas by
-100 steps, 20 buckets), with BLAS on one thread. Its ``wall_s`` is the
+100 steps, 20 buckets, ``--workers 2``: its producer process beside the
+calling one), with BLAS on one thread. Its ``wall_s`` is the
 process's wall time, interpreter start included, scaled to a fixed machine
 speed by ``benchmark/run.py``'s reference kernel timed right before and
 after (the median of three timings each), as the benchmark scales its
@@ -66,7 +67,7 @@ POSITIVE_CONTROL = "positive-control"
 POSITIVE_CONTROL_ARGV = (
     "martingale-test", "--group", "se3", "--connection", "levicivita", "--lambda", "1",
     "--scheme", "ito", "--driver", "bm", "--dt", "0.01", "--steps", "100",
-    "--replicas", "10000", "--buckets", "20",
+    "--replicas", "10000", "--buckets", "20", "--workers", "2",
 )
 CLI_SNIPPET = "import sys; from liestoch.cli import main; sys.exit(main())"
 BATTERY = "battery"

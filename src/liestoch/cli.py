@@ -18,8 +18,13 @@ covariance plus the constant ``--drift``.
 Every output file gets a ``<name>.manifest.json`` sibling echoing the fully
 resolved configuration (schema 1). Same config + seed produces byte
 identical output: replica r draws from its own stream, derived from the
-seed and r. ``--workers`` must be at least 1 and has no effect on output or
-scheduling; it stays accepted so existing configs and manifests still run.
+seed and r. ``--workers`` must be at least 1. On ``martingale-test``, 2 or
+more runs the streamed verdict as a two-process pipeline (a forked
+producer draws each chunk of replicas while this process develops and
+reads back the one before; ``martingale.martingale_test``), two processes
+at most whatever the number, with the serial run's bytes and errors.
+Every other command ignores it, so existing configs and manifests still
+run.
 
 Each run builds one argparse parser, holding only the invoked subcommand's
 flags, so each subcommand accepts only the flags it reads and exits 2 on
@@ -81,9 +86,9 @@ EXIT_NUMERICAL = 4
 
 # The most values a command may hold for one draw: replicas x (steps + 1)
 # x n driver coordinates for an ensemble or ladder rung, and for
-# martingale-test, which streams its draw, one chunk's and the bucket marks
-# of all replicas. 2**30 doubles, 8 GiB. A larger draw exits 2 before any
-# work.
+# martingale-test, which streams its draw, the chunks it holds at once
+# (one, or four when --workers pipelines it) and the bucket marks of all
+# replicas. 2**30 doubles, 8 GiB. A larger draw exits 2 before any work.
 MAX_DRAW_VALUES = 2**30
 # Replica indices seed the driver's streams, one spawn-key word each.
 MAX_REPLICAS = 2**32
@@ -133,7 +138,9 @@ class ExperimentConfig:
     buckets: int = _flag(20, "--buckets")
     # 0.0 marks the flag unset: the default z band
     significance: float = _flag(0.0, "--significance", type=_confidence_level)
-    workers: int = _flag(1, "--workers", help="at least 1; no effect on output or scheduling")
+    workers: int = _flag(1, "--workers", help="at least 1; martingale-test with 2 or more "
+                         "draws its chunks in a second process, same output; other "
+                         "commands ignore it")
     out: str = _flag("", "--out")
     fmt: str = _flag("csv", "--format", choices=["csv", "json"])
 
@@ -365,11 +372,15 @@ def _cmd_martingale_test(config):
         raise UsageError(f"--buckets {config.buckets} must divide --steps {config.steps}")
     spec, alpha = _connection(config)
     grid, covariance, drift = _driver(config, spec)
-    # the draw is streamed: one chunk of replicas and every replica's marks
+    # the draw is streamed: the chunks of replicas it holds at once (one,
+    # or the pipeline's four) and every replica's marks
     rows = martingale.chunk_rows(grid.steps, config.replicas)
-    _check_size(rows, grid.steps + 1, spec.algebra_dim,
-                f"--steps {config.steps}: a chunk of {rows} replicas "
-                "(replicas x (steps + 1) x coordinates)")
+    held = martingale.chunks_held(grid.steps, config.replicas, config.workers)
+    what = (f"--steps {config.steps}: a chunk of {rows} replicas" if held == 1 else
+            f"--steps {config.steps} with --workers {config.workers}: {held} chunks of {rows} "
+            "replicas, the pipeline's two ring slots, the chunk drawn and the one read back")
+    _check_size(held * rows, grid.steps + 1, spec.algebra_dim,
+                f"{what} (replicas x (steps + 1) x coordinates)")
     _check_size(config.replicas, config.buckets + 1, spec.algebra_dim,
                 f"--replicas {config.replicas} over --buckets {config.buckets}: the marks "
                 "(replicas x (buckets + 1) x coordinates)")
@@ -377,7 +388,8 @@ def _cmd_martingale_test(config):
     z_band = normal_quantile(1.0 - (1.0 - level) / 2.0) if level else martingale.DEFAULT_Z_BAND
     report = martingale.martingale_test(
         spec, alpha, grid, config.seed, config.replicas, scheme=config.scheme,
-        covariance=covariance, drift=drift, buckets=config.buckets, z_band=z_band)
+        covariance=covariance, drift=drift, buckets=config.buckets, z_band=z_band,
+        workers=config.workers)
     summary = {key: value for key, value in vars(report).items()
                if not isinstance(value, np.ndarray)}
     zscores = partial(write_table, header=["bucket", "component", "mean", "stderr", "z"], rows=[

@@ -36,9 +36,12 @@ se2: a few running sums along the tile's steps, by Chen's relation), and
 otherwise one stacked matmul per step (so3, se3 and sl2r).
 ``development_logarithm`` drives the same gate with no output: the
 compensated logarithm of a development, read from its steps, with no group
-values kept. Where the row's catalog entry names a gate block (se3: so3),
-that gate develops only the rotation block, which is all the row's defect
-reads while the translations stay finite (``_gate_develop``).
+values kept. Its two halves are public, so that a caller can run them
+apart (``martingale.martingale_test`` does, in two processes):
+``injected_steps`` of a driver, and ``step_logarithm``, the gated
+logarithm of given steps. Where the row's catalog entry names a gate block
+(se3: so3), that gate develops only the rotation block, which is all the
+row's defect reads while the translations stay finite (``_gate_develop``).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .connections import ConnectionFunction
 from .errors import ExpOverflowError, GroupMismatchError, IntegratorDriftError
 from .groups import check_membership, membership_defect, to_matrix_coords
 from .linalg import bilinear, mat_exp, slabs, tiles
-from .paths import expect
+from .paths import Ensemble, expect
 
 
 def _product_tiles(spec, steps, owner=None):
@@ -195,10 +198,10 @@ def _ito_correction(spec, alpha):
     return lambda v: -0.5 * bilinear(alpha_sym, v, v)
 
 
-def _logarithm(x, dl, correction=None):
-    """Cumulative sum of the log increments ``dl`` of ``x`` (starts at 0),
-    each less ``correction(dl)`` when one is given, slab by slab
-    (``linalg.slabs``)."""
+def _logarithm(spec, grid, dl, correction=None):
+    """Ensemble on ``spec`` and ``grid`` of the cumulative sum of the log
+    increments ``dl`` (starts at 0), each less ``correction(dl)`` when one
+    is given, slab by slab (``linalg.slabs``)."""
     replicas, count, n = dl.shape
     out = np.zeros((replicas, count + 1, n))
     steps = out[:, 1:]
@@ -208,7 +211,7 @@ def _logarithm(x, dl, correction=None):
             np.subtract(v, correction(v), out=steps[slab])
         dl = steps
     np.cumsum(dl, axis=1, out=steps)
-    return x.with_values(out)
+    return Ensemble(spec, grid, out)
 
 
 def _developed(ens, steps):
@@ -229,7 +232,8 @@ def strat_exponential(m):
 
 def strat_logarithm(x):
     """Cumulative left-trivialized increments of a group ensemble (starts at 0)."""
-    return _logarithm(x, mc_increments(x))
+    dl = mc_increments(x)  # refuses a wrong kind before x.group is read
+    return _logarithm(x.group, x.grid, dl)
 
 
 def ito_exponential(m, alpha: ConnectionFunction):
@@ -271,25 +275,46 @@ def ito_logarithm(x, alpha: ConnectionFunction):
     running alpha-quadratic sum.
     """
     dl = mc_increments(x)
-    return _logarithm(x, dl, _ito_correction(x.group, alpha))
+    return _logarithm(x.group, x.grid, dl, _ito_correction(x.group, alpha))
 
 
-def development_logarithm(m, alpha: ConnectionFunction, scheme="ito"):
-    """``ito_logarithm`` of the ``scheme`` ("ito" or "strat") development of
-    a driving algebra ensemble, keeping no group values.
-
-    Bit for bit ``ito_logarithm(ito_exponential(m, alpha), alpha)`` (or of
-    ``strat_exponential(m)``), and gated as they are: the steps run through
-    the develop's gate (``_gate_develop``), which drops each tile once it
-    is gated, and the logarithm is read from the steps themselves.
-    """
+def injected_steps(m, alpha: ConnectionFunction, scheme="ito"):
+    """The (R, K, n) steps that the ``scheme`` ("ito" or "strat")
+    development of a driving algebra ensemble injects: ``dM - 1/2
+    alpha(dM,dM)`` (``ito_exponential``'s, an overflow raising
+    ExpOverflowError) or the plain driver increments
+    (``strat_exponential``'s). ``alpha`` is checked against the group
+    either way, since the logarithm of the steps reads it."""
     expect(m, group_valued=False)
     if scheme not in ("ito", "strat"):
         raise ValueError(f"scheme must be 'ito' or 'strat', got {scheme!r}")
     correction = _ito_correction(m.group, alpha)
-    steps = _ito_steps(m, correction) if scheme == "ito" else np.diff(m.values, axis=-2)
-    _gate_develop(m.group, steps)
-    return _logarithm(m, steps, correction)
+    return _ito_steps(m, correction) if scheme == "ito" else np.diff(m.values, axis=-2)
+
+
+def step_logarithm(spec, grid, steps, alpha: ConnectionFunction):
+    """Compensated logarithm, an algebra ensemble on ``spec`` and ``grid``,
+    of the development of the (R, K, n) ``steps``, keeping no group values.
+
+    The steps run through the develop's gate first (``_gate_develop``,
+    which drops each tile once it is gated), so this raises exactly when
+    the develop would; then the logarithm is read from the steps
+    themselves. ``steps`` is only read.
+    """
+    correction = _ito_correction(spec, alpha)
+    _gate_develop(spec, steps)
+    return _logarithm(spec, grid, steps, correction)
+
+
+def development_logarithm(m, alpha: ConnectionFunction, scheme="ito"):
+    """``ito_logarithm`` of the ``scheme`` ("ito" or "strat") development of
+    a driving algebra ensemble, keeping no group values:
+    ``step_logarithm`` of its ``injected_steps``.
+
+    Bit for bit ``ito_logarithm(ito_exponential(m, alpha), alpha)`` (or of
+    ``strat_exponential(m)``), and gated as they are.
+    """
+    return step_logarithm(m.group, m.grid, injected_steps(m, alpha, scheme), alpha)
 
 
 def roundtrip_errors(m, alpha: ConnectionFunction):

@@ -69,7 +69,6 @@ from .linalg import (
     frobenius_norm,
     generic_log,
     map_stacked,
-    mat_exp,
 )
 
 # Maximum membership defect tolerated for matrices claiming to be group
@@ -941,8 +940,3 @@ def adjoint_matrices(spec, g):
         ) from exc
     # out[..., k, j], contiguous: einsum rounds a transposed view differently
     return np.ascontiguousarray(np.swapaxes(coords, -1, -2))
-
-
-def random_group_element(spec, rng):
-    """exp of a random small algebra element (always a member)."""
-    return mat_exp(to_matrix_coords(spec, 0.5 * rng.standard_normal(spec.algebra_dim)), spec.exp)

@@ -9,10 +9,13 @@ the ensemble mean increment is zero. ``martingale_test`` runs that
 verdict on a Brownian driver it draws and develops itself, streamed over
 replica chunks so that only the bucket marks are ever full size. A chunk's
 develop is gated tile by tile and keeps no group values: the compensated
-logarithm is read from the injected steps
-(``explog.development_logarithm``). The verdict is thus a function of the
-driver and ``explog._ito_correction`` alone; the develop, which on se3
-gates only its so3 rotation block, can change it only by raising.
+logarithm is read from the injected steps (``explog.injected_steps``, then
+``explog.step_logarithm``). The verdict is thus a function of the driver
+and ``explog._ito_correction`` alone; the develop, which on se3 gates only
+its so3 rotation block, can change it only by raising. With ``workers`` of
+2 or more, a forked producer process draws each chunk and takes its
+injected steps while the calling process gates and reads back the one
+before, byte for byte the serial run.
 
 The decision rule: a cell fails when its mean is more than
 ``z_band = 4`` standard errors from zero, and the ensemble verdict is
@@ -26,13 +29,19 @@ checked through its second moment by
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connections import ConnectionFunction
 from .errors import DimensionError, NonFiniteError, PowerError
-from .explog import development_logarithm, ito_logarithm
+from .explog import injected_steps, ito_logarithm, step_logarithm
 from .paths import Ensemble, TimeGrid, brownian_ensemble, expect
 
 DEFAULT_Z_BAND = 4.0
@@ -47,6 +56,12 @@ MIN_REPLICAS = 100
 # chunks of 1 replica took 4.4 s, of 4 1.2 s and of 32 or 128 0.7 s.
 _CHUNK_STEPS = 2**15
 _MIN_CHUNK_ROWS = 32
+
+# The chunks a pipelined ``martingale_test`` holds at once: the ring's two
+# slots, the chunk the producer is drawing and the chunk being read back.
+PIPELINE_CHUNKS = 4
+# From Python 3.12, os.fork warns in a process with other OS threads.
+_FORK_WARNS_WITH_THREADS = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True)
@@ -152,35 +167,171 @@ def chunk_rows(steps, replicas):
     return min(replicas, max(_MIN_CHUNK_ROWS, _CHUNK_STEPS // steps))
 
 
+def chunks_held(steps, replicas, workers):
+    """The chunks of ``chunk_rows(steps, replicas)`` replicas that
+    ``martingale_test`` may hold at once: ``PIPELINE_CHUNKS`` when its
+    ``workers`` may run it as a pipeline (at least 2 workers, at least 2
+    chunks), else 1. It does not ask the host, so a size check built on it
+    accepts or refuses a run alike on every host."""
+    if workers >= 2 and replicas > chunk_rows(steps, replicas):
+        return PIPELINE_CHUNKS
+    return 1
+
+
 def martingale_test(spec, alpha: ConnectionFunction, grid, seed, replicas, scheme="ito",
                     covariance=None, drift=None, buckets=20,
-                    z_band=DEFAULT_Z_BAND) -> DriftReport:
+                    z_band=DEFAULT_Z_BAND, workers=1) -> DriftReport:
     """``martingale_verdict`` of the ``scheme`` ("ito" or "strat")
     development of ``brownian_ensemble(spec, grid, seed, replicas,
     covariance, drift)``, streamed over replica chunks.
 
     The bucket and power checks run before any draw. Then each chunk of
     ``chunk_rows(steps, replicas)`` replicas, in replica order, is drawn
-    (``brownian_ensemble``'s ``first_replica``), developed and gated tile
-    by tile without keeping group values, and read back from its steps
-    (``explog.development_logarithm``); only its
-    (rows, buckets+1, n) bucket marks are kept, so memory is
-    O(replicas x buckets x n) plus one chunk's algebra coordinates.
-    Every stage treats each replica on its own, and ``drift_test`` reduces
-    the stacked marks once, so the report is bit for bit that of the
-    unstreamed verdict. A numerical failure in any chunk raises, the gate's
-    message naming that chunk's worst defect.
+    (``brownian_ensemble``'s ``first_replica``), its injected steps taken
+    (``explog.injected_steps``), developed and gated tile by tile without
+    keeping group values, and read back from its steps
+    (``explog.step_logarithm``); only its (rows, buckets+1, n) bucket marks
+    are kept, so memory is O(replicas x buckets x n) plus one chunk's
+    algebra coordinates. Every stage treats each replica on its own, and
+    ``drift_test`` reduces the stacked marks once, so the report is bit for
+    bit that of the unstreamed verdict. A numerical failure in any chunk
+    raises, the gate's message naming that chunk's worst defect.
+
+    With ``workers`` of 2 or more and at least two chunks, the chunks run
+    through a two-process pipeline (``_pipeline``): a forked producer draws
+    each chunk and takes its injected steps, while this process gates,
+    reads back and keeps the marks, so every ``linalg.mat_exp`` call stays
+    here. The pipeline holds ``PIPELINE_CHUNKS`` chunks at once, and its
+    report and its errors are those of the serial run. It runs in this
+    process alone where ``os.fork`` is missing or fails, where the process
+    may run on one CPU only, and from Python 3.12 where the process has
+    other OS threads (a BLAS pool, say), since ``os.fork`` then warns.
     """
     if scheme not in ("ito", "strat"):
         raise ValueError(f"scheme must be 'ito' or 'strat', got {scheme!r}")
     width = _bucket_width(grid.steps, buckets, replicas)
     marks = np.empty((replicas, buckets + 1, spec.algebra_dim))
     rows = chunk_rows(grid.steps, replicas)
-    for start in range(0, replicas, rows):
+    starts = range(0, replicas, rows)
+
+    def produce(start):
         driver = brownian_ensemble(spec, grid, seed, min(rows, replicas - start),
                                    covariance=covariance, drift=drift, first_replica=start)
-        comp = development_logarithm(driver, alpha, scheme)
+        return injected_steps(driver, alpha, scheme)
+
+    def consume(start, steps):
+        comp = step_logarithm(spec, grid, steps, alpha)
         marks[start : start + rows] = comp.values[:, ::width]
-        del driver, comp  # not live while the next chunk is drawn
+
+    done = 0
+    if chunks_held(grid.steps, replicas, workers) > 1 and _may_fork():
+        done = _pipeline(produce, consume, starts, (grid.steps, spec.algebra_dim))
+    for start in starts[done:]:
+        consume(start, produce(start))
     bucketed = Ensemble(spec, TimeGrid(grid.horizon, buckets), marks)
     return drift_test(bucketed, buckets=buckets, z_band=z_band, connection_label=alpha.label)
+
+
+def _may_fork():
+    """Whether a forked producer can run beside this process: ``os.fork``
+    exists, the process may run on two CPUs or more, and the fork would not
+    warn (from Python 3.12, ``os.fork`` warns in a process with other OS
+    threads)."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus >= 2 and (not _FORK_WARNS_WITH_THREADS or _os_threads() == 1)
+
+
+def _os_threads():
+    """The OS threads of this process, Python's own where the OS does not
+    list them."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _pipeline(produce, consume, starts, tail):
+    """Run ``consume(start, produce(start))`` for the chunk starts of
+    ``starts`` in order, ``produce`` in a forked producer process and
+    ``consume`` here, as far as the producer goes; returns the number of
+    chunks consumed, for the caller to run the rest itself.
+
+    ``starts`` is ``range(0, replicas, rows)``, and ``produce(start)``
+    returns a chunk's (rows, ``*tail``) float array, the last chunk's rows
+    those left over. The producer writes each chunk into one of the two
+    slots of a shared anonymous ``mmap`` ring, the slots taken in turn, and
+    sends a byte down the ready pipe; before it reuses a slot it waits for
+    a byte up the free pipe, which this process sends once ``consume`` has
+    read the slot's chunk in place and returned. A producer whose
+    ``produce`` raises, or that dies, stops there and closes the ready
+    pipe: the chunk it did not hand over is then the caller's to run, so
+    its error is raised in this process, class, message and traceback, in
+    the serial run's order. A ``fork`` that fails returns 0. The producer
+    always ends in ``os._exit``; this process kills and reaps it before it
+    returns or raises.
+    """
+    slot_bytes = -(-starts.step * math.prod(tail) * 8 // mmap.PAGESIZE) * mmap.PAGESIZE
+    ring = mmap.mmap(-1, 2 * slot_bytes)
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:  # the producer
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            _produce_chunks(produce, starts, ring, slot_bytes, ready_w, free_r)
+        finally:
+            os._exit(0)
+    os.close(ready_w)
+    os.close(free_r)
+    done = 0
+    try:
+        while pid is not None and done < len(starts) and os.read(ready_r, 1):
+            start = starts[done]
+            steps = _slot_view(ring, done, slot_bytes,
+                               (min(starts.step, starts.stop - start), *tail))
+            consume(start, steps)
+            del steps
+            done += 1
+            if done + 1 < len(starts):  # the producer will reuse the slot
+                try:
+                    os.write(free_w, b"\x01")
+                except BrokenPipeError:  # the producer is gone; the next read says so
+                    pass
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    ring.close()  # every view is gone; on an error the traceback's views keep it mapped
+    return done
+
+
+def _produce_chunks(produce, starts, ring, slot_bytes, ready, free):
+    """The producer of ``_pipeline``: each chunk into its slot, in order,
+    and a byte down ``ready`` for it. It returns at the first chunk whose
+    ``produce`` raises, or when ``free`` or ``ready`` is closed."""
+    for i, start in enumerate(starts):
+        try:
+            steps = produce(start)
+        except Exception:  # the caller runs this chunk again and raises its error
+            return
+        if i >= 2 and not os.read(free, 1):
+            return
+        np.copyto(_slot_view(ring, i, slot_bytes, steps.shape), steps)
+        del steps
+        os.write(ready, b"\x01")
+
+
+def _slot_view(ring, chunk, slot_bytes, shape):
+    """The ``shape`` float array at the start of ``chunk``'s slot of the
+    ring, a view into it."""
+    return np.frombuffer(ring, count=math.prod(shape),
+                         offset=(chunk % 2) * slot_bytes).reshape(shape)

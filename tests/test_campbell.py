@@ -21,9 +21,10 @@ from liestoch.errors import (
     PowerError,
 )
 from liestoch.explog import ito_exponential, strat_exponential
-from liestoch.groups import adjoint_matrices, get_group, random_group_element
+from liestoch.groups import adjoint_matrices, get_group
 from liestoch.linalg import frobenius_dist, mat_exp
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
+from test_groups import random_group_element
 
 SO3 = get_group("so3")
 SE3 = get_group("se3")

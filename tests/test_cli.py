@@ -28,8 +28,9 @@ from liestoch.cli import (
     main,
 )
 from liestoch.connections import REGRESSION_LAMBDAS, metric_for, u_from_metric
-from liestoch.errors import IntegratorDriftError
+from liestoch.errors import IntegratorDriftError, NonFiniteError
 from liestoch.groups import get_group
+from test_martingale import assert_no_child_left, count_forks
 
 
 def run_cli(*argv):
@@ -259,18 +260,99 @@ def test_u_table_stdout(capsys):
     assert len(lines) == 1 + 9
 
 
-def test_martingale_report_invariant_across_workers(tmp_path):
+# 100 replicas at 1000 steps: chunks of 32 replicas, the last of 4, so
+# --workers 2 and 7 run the two-process pipeline over four chunks
+_PIPELINED = ["--dt", "0.001", "--steps", "1000", "--replicas", "100", "--buckets", "10",
+              "--seed", "17"]
+
+
+def test_martingale_report_invariant_across_workers(tmp_path, monkeypatch):
     # drift verdicts must not depend on how replicas were produced
-    args = ["martingale-test", "--group", "so3", "--connection", "biinvariant",
-            "--dt", "0.01", "--steps", "100", "--replicas", "150", "--seed", "17",
-            "--buckets", "10"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli(*args, "--workers", "1", "--out", str(a)) == 0
-    assert run_cli(*args, "--workers", "3", "--out", str(b)) == 0
-    assert a.read_bytes() == b.read_bytes()
-    za = (tmp_path / "a.json.zscores.csv").read_bytes()
-    zb = (tmp_path / "b.json.zscores.csv").read_bytes()
-    assert za == zb
+    cov = tmp_path / "cov.csv"
+    np.savetxt(cov, NEGATIVE_CONTROL_COV, delimiter=",")
+    cases = [
+        ("so3", "biinvariant", "ito"), ("so3", "levicivita", "strat"),
+        ("se3", "levicivita", "ito"), ("se3", "levicivita", "strat", "--cov", str(cov)),
+        ("sl2r", "levicivita", "ito"), ("n3", "levicivita", "strat"),
+        ("n3", "levicivita", "ito", "--driver", "drift", "--drift", "0.5,0,-0.25"),
+    ]
+    forks = count_forks(monkeypatch)
+    for group, connection, scheme, *extra in cases:
+        args = ["martingale-test", "--group", group, "--connection", connection,
+                "--scheme", scheme, *_PIPELINED, *extra]
+        outputs = set()
+        for workers in ("1", "2", "7"):
+            out = tmp_path / f"w{workers}.json"
+            assert run_cli(*args, "--workers", workers, "--out", str(out)) == 0
+            assert_no_child_left()
+            outputs.add((out.read_bytes(), Path(f"{out}.zscores.csv").read_bytes()))
+        assert len(outputs) == 1, (group, scheme, extra)
+    # each pipelined run forked one producer, where the host lets it
+    assert len(forks) == (2 * len(cases) if cli.martingale._may_fork() else 0)
+
+
+def _huge_step_in_chunk(monkeypatch, chunk):
+    """Make the driver of the 32-replica ``chunk`` jump by 1e200 at one
+    step, so that its Ito-corrected steps overflow."""
+    draw = cli.martingale.brownian_ensemble
+
+    def jumps(*args, first_replica=0, **kwargs):
+        driver = draw(*args, first_replica=first_replica, **kwargs)
+        if first_replica == 32 * chunk:
+            driver.values[5, 700:] += 1e200
+        return driver
+
+    monkeypatch.setattr(cli.martingale, "brownian_ensemble", jumps)
+
+
+def _failing_draw_in_chunk(monkeypatch, chunk):
+    draw = cli.martingale.brownian_ensemble
+
+    def fails(*args, first_replica=0, **kwargs):
+        if first_replica == 32 * chunk:
+            raise NonFiniteError("se3: the driver left double range; the drift or the "
+                                 "horizon is too large")
+        return draw(*args, first_replica=first_replica, **kwargs)
+
+    monkeypatch.setattr(cli.martingale, "brownian_ensemble", fails)
+
+
+def _leaky_gate(monkeypatch):
+    """Every exponential's rotation block leaves the group by a relative
+    1e-5, so the gate refuses chunk 0."""
+    exp = explog.mat_exp
+
+    def leaky(a, kernel):
+        out = exp(a, kernel)
+        out[..., :3, :3] *= 1 + 1e-5
+        return out
+
+    monkeypatch.setattr(explog, "mat_exp", leaky)
+
+
+@pytest.mark.parametrize("failures, message", [
+    # the producer's stages: the driver of chunk 2, the steps of chunk 1
+    ([(_failing_draw_in_chunk, 2)], "se3: the driver left double range"),
+    ([(_huge_step_in_chunk, 1)], "se3: an Ito-corrected step overflowed"),
+    # the caller's gate at chunk 0 comes before the producer's chunk 1
+    ([(_huge_step_in_chunk, 1), (_leaky_gate,)], "se3: integrator drifted off the group"),
+], ids=["draw", "steps", "gate"])
+def test_martingale_test_errors_do_not_depend_on_workers(failures, message, tmp_path,
+                                                         monkeypatch, capsys):
+    for patch, *chunk in failures:
+        patch(monkeypatch, *chunk)
+    forks = count_forks(monkeypatch)
+    args = ["martingale-test", "--group", "se3", "--connection", "levicivita", *_PIPELINED]
+    results = set()
+    for workers in ("1", "2", "7"):
+        code = run_cli(*args, "--workers", workers, "--out", str(tmp_path / "m.json"))
+        assert_no_child_left()
+        results.add((code, capsys.readouterr().err))
+    assert len(results) == 1
+    [(code, err)] = results
+    assert code == EXIT_NUMERICAL and err.startswith(f"numerical failure: {message}")
+    assert list(tmp_path.iterdir()) == []
+    assert len(forks) == (2 if cli.martingale._may_fork() else 0)
 
 
 def test_campbell_command_json(tmp_path):
@@ -616,6 +698,10 @@ def test_biinvariant_connection_refuses_a_lambda(argv, tmp_path, capsys):
 
 _CAMPBELL = ["campbell", "--group", "so3", "--replicas", "4", "--seed", "1"]
 _HUGE = str(2**64)
+# so3 at 3 * 10**6 steps: a chunk of 32 replicas holds 2.9e8 values, within
+# the ceiling, and the pipeline's four chunks 1.15e9, past it
+_FOUR_CHUNKS = ["martingale-test", *_RUN, "--replicas", "100", "--buckets", "4",
+                "--steps", "3000000"]
 
 
 # Inputs that ended in a traceback, or ran while skipping part of the
@@ -637,6 +723,9 @@ _REFUSALS = [
     (["martingale-test", *_RUN, "--replicas", "100", "--buckets", "4", "--steps", _HUGE],
      "a chunk of 32 replicas"),
     (["martingale-test", *_RUN, "--buckets", "10", "--replicas", str(2**32)], "the marks"),
+    # a pipelined one past it in the four chunks it holds, one chunk not
+    ([*_FOUR_CHUNKS, "--workers", "2"], "--workers 2: 4 chunks of 32 replicas"),
+    ([*_FOUR_CHUNKS, "--workers", _HUGE], f"--workers {_HUGE}: 4 chunks of 32 replicas"),
     # step counts past any array
     (["exp", *_RUN, "--steps", _HUGE], "--steps"),
     (["log", *_RUN, "--steps", _HUGE], "--steps"),
@@ -691,6 +780,20 @@ def test_a_streamable_martingale_test_past_the_ceiling_is_accepted(group, replic
                    "--replicas", str(replicas), "--buckets", "20",
                    "--out", str(tmp_path / "m.json")) == 0
     assert calls == [(steps, replicas)]
+
+
+def test_one_worker_holds_one_chunk_of_a_run_the_pipeline_count_refuses(tmp_path,
+                                                                        monkeypatch):
+    workers = []
+
+    def stub(spec, alpha, grid, seed, replicas, **kwargs):
+        workers.append(kwargs["workers"])
+        zeros = np.zeros((kwargs["buckets"], spec.algebra_dim))
+        return SimpleNamespace(mean=zeros, stderr=zeros, z=zeros, max_abs_z=0.0, passed=True)
+
+    monkeypatch.setattr(cli.martingale, "martingale_test", stub)
+    assert run_cli(*_FOUR_CHUNKS, "--workers", "1", "--out", str(tmp_path / "m.json")) == 0
+    assert workers == [1]
 
 
 def test_driver_leaving_double_range_is_a_numerical_failure(tmp_path, capsys):

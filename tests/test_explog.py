@@ -21,11 +21,11 @@ from liestoch.groups import (
     adjoint_matrices,
     get_group,
     membership_defect,
-    random_group_element,
     to_matrix_coords,
 )
 from liestoch.linalg import frobenius_dist, mat_exp
 from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
+from test_groups import random_group_element
 
 SO3 = get_group("so3")
 SE3 = get_group("se3")

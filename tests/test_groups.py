@@ -20,7 +20,6 @@ from liestoch.groups import (
     get_group,
     group_inverse,
     membership_defect,
-    random_group_element,
     structure_constants,
     to_matrix_coords,
 )
@@ -29,6 +28,11 @@ from test_linalg import assert_split_invariant
 
 RNG = np.random.default_rng(42)
 KERNEL_RNG = np.random.default_rng(20261019)  # kernel-table cases; leaves RNG's stream alone
+
+
+def random_group_element(spec, rng):
+    """exp of a random small algebra element (always a member)."""
+    return mat_exp(to_matrix_coords(spec, 0.5 * rng.standard_normal(spec.algebra_dim)), spec.exp)
 
 
 def test_group_lookup_case_insensitive_and_unknown():

@@ -1,4 +1,7 @@
 import contextlib
+import errno
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -275,6 +278,108 @@ def test_streamed_verdict_keeps_ito_equal_to_strat_for_a_biinvariant_connection(
     _assert_same_report(ito, strat)
 
 
+# 100 replicas at 1000 steps: chunks of 32 replicas, the last of 4, so
+# that workers=2 runs the two-process pipeline over four chunks.
+PIPE_GRID = TimeGrid(1.0, 1000)
+
+
+def count_forks(monkeypatch):
+    """The os.fork calls of this process, counted while they still fork."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _parent_draws(monkeypatch):
+    """The first replica of each chunk this process draws itself."""
+    parent, draws, draw = os.getpid(), [], martingale.brownian_ensemble
+
+    def spy(*args, first_replica=0, **kwargs):
+        if os.getpid() == parent:
+            draws.append(first_replica)
+        return draw(*args, first_replica=first_replica, **kwargs)
+
+    monkeypatch.setattr(martingale, "brownian_ensemble", spy)
+    return draws
+
+
+@pytest.mark.parametrize("scheme", ["ito", "strat"])
+def test_pipelined_verdict_is_the_serial_verdict_bit_for_bit(monkeypatch, scheme):
+    alpha = alpha_levi_civita(metric_for(SE3, 1.0))
+    want = martingale_test(SE3, alpha, PIPE_GRID, 8, 100, scheme=scheme, buckets=10)
+    draws, forks, fds = _parent_draws(monkeypatch), count_forks(monkeypatch), _open_fds()
+    got = martingale_test(SE3, alpha, PIPE_GRID, 8, 100, scheme=scheme, buckets=10, workers=2)
+    _assert_same_report(got, want)
+    assert_no_child_left()
+    assert _open_fds() == fds
+    if martingale._may_fork():  # every chunk drawn in the producer
+        assert forks == [1] and draws == []
+
+
+def test_a_producer_that_dies_leaves_its_chunks_to_the_caller(monkeypatch):
+    alpha = alpha_levi_civita(metric_for(SE3, 1.0))
+    want = martingale_test(SE3, alpha, PIPE_GRID, 8, 100, buckets=10)
+    parent = os.getpid()
+
+    def dies_at_chunk_2(*args, first_replica=0, **kwargs):
+        if os.getpid() != parent and first_replica == 64:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return brownian_ensemble(*args, first_replica=first_replica, **kwargs)
+
+    monkeypatch.setattr(martingale, "brownian_ensemble", dies_at_chunk_2)
+    draws = _parent_draws(monkeypatch)
+    got = martingale_test(SE3, alpha, PIPE_GRID, 8, 100, buckets=10, workers=2)
+    _assert_same_report(got, want)
+    assert_no_child_left()
+    if martingale._may_fork():
+        assert draws == [64, 96]
+
+
+def _fork_fails():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+# Each case and the forks it tries: every one runs the serial path
+@pytest.mark.parametrize("case, tried", [
+    ({"workers": 1}, 0),
+    ({"grid": TimeGrid(1.0, 100)}, 0),  # one chunk of 100 replicas
+    ({"patch": (os, "sched_getaffinity", lambda pid: {0})}, 0),
+    ({"patch": (os, "fork", _fork_fails)}, 1),
+    ({"patch": (martingale, "_FORK_WARNS_WITH_THREADS", True), "threads": 2}, 0),
+])
+def test_the_serial_path_runs_where_the_pipeline_cannot(monkeypatch, case, tried):
+    alpha = alpha_levi_civita(metric_for(SO3, 1.0))
+    grid = case.get("grid", PIPE_GRID)
+    want = martingale_test(SO3, alpha, grid, 3, 100, buckets=10)
+    if "patch" in case:
+        monkeypatch.setattr(*case["patch"])
+    forks, fds = count_forks(monkeypatch), _open_fds()
+    monkeypatch.setattr(martingale, "_os_threads", lambda: case.get("threads", 1))
+    got = martingale_test(SO3, alpha, grid, 3, 100, buckets=10, workers=case.get("workers", 2))
+    _assert_same_report(got, want)
+    assert_no_child_left()
+    assert _open_fds() == fds
+    assert len(forks) == tried
+
+
+def test_from_python_3_12_a_process_with_one_thread_still_forks(monkeypatch):
+    monkeypatch.setattr(martingale, "_FORK_WARNS_WITH_THREADS", True)
+    monkeypatch.setattr(martingale, "_os_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert martingale._may_fork()
+    monkeypatch.setattr(martingale, "_os_threads", lambda: 3)
+    assert not martingale._may_fork()
+
+
 # The develop gates each product tile as it is made. At 120 se3 replicas a
 # tile is 34 steps, so 100 steps take three tiles, and martingale_test
 # draws one chunk: both paths develop the same tiles.
@@ -318,6 +423,19 @@ def test_drift_gate_names_the_worst_defect_over_all_tiles(monkeypatch):
     kept, streamed = _gate_messages(alpha)
     assert kept == streamed == messages["all"] != messages["first tile"]
     assert kept.startswith("se3: integrator drifted off the group (membership defect ")
+    # over several chunks the verdict stops at the first chunk the gate
+    # refuses, chunk 0 here, with that chunk's worst defect over its tiles,
+    # whatever the workers: the gate runs in the calling process
+    with monkeypatch.context() as ungated:
+        ungated.setattr(explog, "_check_defect", lambda spec, defect: None)
+        values = ito_exponential(brownian_ensemble(SE3, PIPE_GRID, 5, 32), alpha).values
+    with pytest.raises(IntegratorDriftError) as first_chunk:
+        check_drift(SE3, values)
+    for workers in (1, 2):
+        with pytest.raises(IntegratorDriftError) as streamed:
+            martingale_test(SE3, alpha, PIPE_GRID, 5, 100, workers=workers)
+        assert_no_child_left()
+        assert str(streamed.value) == str(first_chunk.value)
 
 
 @pytest.mark.parametrize("scheme", ["ito", "strat"])

@@ -183,10 +183,10 @@ def test_positive_control_times_a_fresh_martingale_test_at_the_battery_shape(
     flags = dict(zip(argv[4::2], argv[5::2]))
     assert {k: flags[k] for k in ("--group", "--connection", "--lambda", "--scheme",
                                   "--driver", "--dt", "--steps", "--replicas", "--buckets",
-                                  "--seed")} == {
+                                  "--seed", "--workers")} == {
         "--group": "se3", "--connection": "levicivita", "--lambda": "1", "--scheme": "ito",
         "--driver": "bm", "--dt": "0.01", "--steps": "100", "--replicas": "10000",
-        "--buckets": "20", "--seed": "7"}
+        "--buckets": "20", "--seed": "7", "--workers": "2"}
     assert cwd == tree and env["PYTHONPATH"] == str(tree / "src")
     assert all(env[var] == "1" for var in run.THREAD_VARS)
     # a run that does not exit 0 is a failed side, not a time
