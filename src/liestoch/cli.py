@@ -19,7 +19,8 @@ Every output file gets a ``<name>.manifest.json`` sibling echoing the fully
 resolved configuration (schema 1). Same config + seed produces byte
 identical output: replica r draws from its own stream, derived from the
 seed and r. ``--workers`` must be at least 1. On ``martingale-test``, 2 or
-more runs the streamed verdict as a two-process pipeline (a forked
+more runs the streamed verdict, from ``martingale.PIPELINE_MIN_CHUNKS``
+chunks of replicas, as a two-process pipeline (a forked
 producer draws each chunk of replicas while this process develops and
 reads back the one before; ``martingale.martingale_test``), two processes
 at most whatever the number, with the serial run's bytes and errors.
@@ -139,8 +140,9 @@ class ExperimentConfig:
     # 0.0 marks the flag unset: the default z band
     significance: float = _flag(0.0, "--significance", type=_confidence_level)
     workers: int = _flag(1, "--workers", help="at least 1; martingale-test with 2 or more "
-                         "draws its chunks in a second process, same output; other "
-                         "commands ignore it")
+                         "draws its chunks in a second process from "
+                         f"{martingale.PIPELINE_MIN_CHUNKS} chunks of replicas, same "
+                         "output; other commands ignore it")
     out: str = _flag("", "--out")
     fmt: str = _flag("csv", "--format", choices=["csv", "json"])
 

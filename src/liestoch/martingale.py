@@ -34,7 +34,6 @@ import mmap
 import os
 import signal
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,20 @@ _MIN_CHUNK_ROWS = 32
 # The chunks a pipelined ``martingale_test`` holds at once: the ring's two
 # slots, the chunk the producer is drawing and the chunk being read back.
 PIPELINE_CHUNKS = 4
+# The pipeline runs from this many chunks' worth of replicas: a pipeline
+# call costs about 8 ms more than the serial run (fork, ring faults, reap;
+# measured with empty stages), and it saves about the producer's share of
+# each chunk after the first. Pipeline over serial wall time, in process,
+# medians of 9 to 21 alternating calls on a 2-CPU host, at 100 steps
+# (chunks of 327 replicas):
+#   chunks   so3          se3          sl2r         n3
+#   2        1.03         1.08         1.15         1.12
+#   3        1.00         0.90-0.95    0.94         1.02
+#   4        0.86-1.00    0.77-0.82    0.91-1.02    0.86-0.87
+#   5        0.85-0.91    0.74-0.79    0.86         0.89
+# and at 5 chunks se2 0.85, e11 0.95, se3 at 1000 steps 0.98, so3 at 20
+# steps 0.93. Below it the fixed cost loses or only ties.
+PIPELINE_MIN_CHUNKS = 5
 # From Python 3.12, os.fork warns in a process with other OS threads.
 _FORK_WARNS_WITH_THREADS = sys.version_info >= (3, 12)
 
@@ -170,10 +183,11 @@ def chunk_rows(steps, replicas):
 def chunks_held(steps, replicas, workers):
     """The chunks of ``chunk_rows(steps, replicas)`` replicas that
     ``martingale_test`` may hold at once: ``PIPELINE_CHUNKS`` when its
-    ``workers`` may run it as a pipeline (at least 2 workers, at least 2
-    chunks), else 1. It does not ask the host, so a size check built on it
-    accepts or refuses a run alike on every host."""
-    if workers >= 2 and replicas > chunk_rows(steps, replicas):
+    ``workers`` may run it as a pipeline (at least 2 workers, and replicas
+    for at least ``PIPELINE_MIN_CHUNKS`` whole chunks), else 1. It does not
+    ask the host, so a size check built on it accepts or refuses a run alike
+    on every host."""
+    if workers >= 2 and replicas >= PIPELINE_MIN_CHUNKS * chunk_rows(steps, replicas):
         return PIPELINE_CHUNKS
     return 1
 
@@ -197,15 +211,17 @@ def martingale_test(spec, alpha: ConnectionFunction, grid, seed, replicas, schem
     bit that of the unstreamed verdict. A numerical failure in any chunk
     raises, the gate's message naming that chunk's worst defect.
 
-    With ``workers`` of 2 or more and at least two chunks, the chunks run
-    through a two-process pipeline (``_pipeline``): a forked producer draws
-    each chunk and takes its injected steps, while this process gates,
-    reads back and keeps the marks, so every ``linalg.mat_exp`` call stays
-    here. The pipeline holds ``PIPELINE_CHUNKS`` chunks at once, and its
+    With ``workers`` of 2 or more and replicas for at least
+    ``PIPELINE_MIN_CHUNKS`` whole chunks (below that the pipeline's fixed
+    cost does not pay), the chunks run through a two-process pipeline
+    (``_pipeline``): a forked producer draws each chunk and takes its
+    injected steps, while this process gates, reads back and keeps the
+    marks, so every ``linalg.mat_exp`` call stays here. The pipeline holds ``PIPELINE_CHUNKS`` chunks at once, and its
     report and its errors are those of the serial run. It runs in this
     process alone where ``os.fork`` is missing or fails, where the process
     may run on one CPU only, and from Python 3.12 where the process has
-    other OS threads (a BLAS pool, say), since ``os.fork`` then warns.
+    other OS threads (a BLAS pool, say), or where it cannot count them,
+    since ``os.fork`` then warns.
     """
     if scheme not in ("ito", "strat"):
         raise ValueError(f"scheme must be 'ito' or 'strat', got {scheme!r}")
@@ -245,12 +261,13 @@ def _may_fork():
 
 
 def _os_threads():
-    """The OS threads of this process, Python's own where the OS does not
-    list them."""
+    """The OS threads of this process; 2 where the OS does not list them,
+    since Python's own count misses a BLAS pool, so that from Python 3.12 a
+    process whose threads are unknown does not fork."""
     try:
         return len(os.listdir("/proc/self/task"))
     except OSError:
-        return threading.active_count()
+        return 2
 
 
 def _pipeline(produce, consume, starts, tail):

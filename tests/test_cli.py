@@ -260,9 +260,9 @@ def test_u_table_stdout(capsys):
     assert len(lines) == 1 + 9
 
 
-# 100 replicas at 1000 steps: chunks of 32 replicas, the last of 4, so
-# --workers 2 and 7 run the two-process pipeline over four chunks
-_PIPELINED = ["--dt", "0.001", "--steps", "1000", "--replicas", "100", "--buckets", "10",
+# 170 replicas at 1000 steps: chunks of 32 replicas, the last of 10, so
+# --workers 2 and 7 run the two-process pipeline over six chunks
+_PIPELINED = ["--dt", "0.001", "--steps", "1000", "--replicas", "170", "--buckets", "10",
               "--seed", "17"]
 
 
@@ -699,8 +699,9 @@ def test_biinvariant_connection_refuses_a_lambda(argv, tmp_path, capsys):
 _CAMPBELL = ["campbell", "--group", "so3", "--replicas", "4", "--seed", "1"]
 _HUGE = str(2**64)
 # so3 at 3 * 10**6 steps: a chunk of 32 replicas holds 2.9e8 values, within
-# the ceiling, and the pipeline's four chunks 1.15e9, past it
-_FOUR_CHUNKS = ["martingale-test", *_RUN, "--replicas", "100", "--buckets", "4",
+# the ceiling, and the pipeline's four chunks 1.15e9, past it; 160 replicas
+# make the five chunks from which --workers 2 pipelines
+_FOUR_CHUNKS = ["martingale-test", *_RUN, "--replicas", "160", "--buckets", "4",
                 "--steps", "3000000"]
 
 

@@ -278,9 +278,11 @@ def test_streamed_verdict_keeps_ito_equal_to_strat_for_a_biinvariant_connection(
     _assert_same_report(ito, strat)
 
 
-# 100 replicas at 1000 steps: chunks of 32 replicas, the last of 4, so
-# that workers=2 runs the two-process pipeline over four chunks.
+# 170 replicas at 1000 steps: chunks of 32 replicas, the last of 10, past
+# the PIPELINE_MIN_CHUNKS whole chunks from which workers=2 runs the
+# two-process pipeline.
 PIPE_GRID = TimeGrid(1.0, 1000)
+PIPE_REPLICAS = 170
 
 
 def count_forks(monkeypatch):
@@ -315,9 +317,9 @@ def _parent_draws(monkeypatch):
 @pytest.mark.parametrize("scheme", ["ito", "strat"])
 def test_pipelined_verdict_is_the_serial_verdict_bit_for_bit(monkeypatch, scheme):
     alpha = alpha_levi_civita(metric_for(SE3, 1.0))
-    want = martingale_test(SE3, alpha, PIPE_GRID, 8, 100, scheme=scheme, buckets=10)
+    want = martingale_test(SE3, alpha, PIPE_GRID, 8, PIPE_REPLICAS, scheme=scheme, buckets=10)
     draws, forks, fds = _parent_draws(monkeypatch), count_forks(monkeypatch), _open_fds()
-    got = martingale_test(SE3, alpha, PIPE_GRID, 8, 100, scheme=scheme, buckets=10, workers=2)
+    got = martingale_test(SE3, alpha, PIPE_GRID, 8, PIPE_REPLICAS, scheme=scheme, buckets=10, workers=2)
     _assert_same_report(got, want)
     assert_no_child_left()
     assert _open_fds() == fds
@@ -327,7 +329,7 @@ def test_pipelined_verdict_is_the_serial_verdict_bit_for_bit(monkeypatch, scheme
 
 def test_a_producer_that_dies_leaves_its_chunks_to_the_caller(monkeypatch):
     alpha = alpha_levi_civita(metric_for(SE3, 1.0))
-    want = martingale_test(SE3, alpha, PIPE_GRID, 8, 100, buckets=10)
+    want = martingale_test(SE3, alpha, PIPE_GRID, 8, PIPE_REPLICAS, buckets=10)
     parent = os.getpid()
 
     def dies_at_chunk_2(*args, first_replica=0, **kwargs):
@@ -337,34 +339,50 @@ def test_a_producer_that_dies_leaves_its_chunks_to_the_caller(monkeypatch):
 
     monkeypatch.setattr(martingale, "brownian_ensemble", dies_at_chunk_2)
     draws = _parent_draws(monkeypatch)
-    got = martingale_test(SE3, alpha, PIPE_GRID, 8, 100, buckets=10, workers=2)
+    got = martingale_test(SE3, alpha, PIPE_GRID, 8, PIPE_REPLICAS, buckets=10, workers=2)
     _assert_same_report(got, want)
     assert_no_child_left()
     if martingale._may_fork():
-        assert draws == [64, 96]
+        assert draws == [64, 96, 128, 160]
 
 
 def _fork_fails():
     raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
-# Each case and the forks it tries: every one runs the serial path
+def _no_task_list(path, listdir=os.listdir):
+    """os.listdir on a system with no /proc/self/task."""
+    if path == "/proc/self/task":
+        raise FileNotFoundError(errno.ENOENT, "No such file or directory", path)
+    return listdir(path)
+
+
+_WARNS = (martingale, "_FORK_WARNS_WITH_THREADS", True)
+
+
+# Each case and the forks it tries: every one runs the serial path. The
+# process's threads count as 1 unless the case says otherwise ("threads",
+# or None for the real count).
 @pytest.mark.parametrize("case, tried", [
     ({"workers": 1}, 0),
-    ({"grid": TimeGrid(1.0, 100)}, 0),  # one chunk of 100 replicas
-    ({"patch": (os, "sched_getaffinity", lambda pid: {0})}, 0),
-    ({"patch": (os, "fork", _fork_fails)}, 1),
-    ({"patch": (martingale, "_FORK_WARNS_WITH_THREADS", True), "threads": 2}, 0),
+    ({"grid": TimeGrid(1.0, 100), "replicas": 100}, 0),  # one chunk
+    ({"replicas": 4 * 32 + 31}, 0),  # five chunks, four of them whole
+    ({"patch": [(os, "sched_getaffinity", lambda pid: {0})]}, 0),
+    ({"patch": [(os, "fork", _fork_fails)]}, 1),
+    ({"patch": [_WARNS], "threads": 2}, 0),
+    ({"patch": [_WARNS, (os, "listdir", _no_task_list)], "threads": None}, 0),
 ])
 def test_the_serial_path_runs_where_the_pipeline_cannot(monkeypatch, case, tried):
     alpha = alpha_levi_civita(metric_for(SO3, 1.0))
-    grid = case.get("grid", PIPE_GRID)
-    want = martingale_test(SO3, alpha, grid, 3, 100, buckets=10)
-    if "patch" in case:
-        monkeypatch.setattr(*case["patch"])
+    grid, replicas = case.get("grid", PIPE_GRID), case.get("replicas", PIPE_REPLICAS)
+    want = martingale_test(SO3, alpha, grid, 3, replicas, buckets=10)
+    for patch in case.get("patch", []):
+        monkeypatch.setattr(*patch)
     forks, fds = count_forks(monkeypatch), _open_fds()
-    monkeypatch.setattr(martingale, "_os_threads", lambda: case.get("threads", 1))
-    got = martingale_test(SO3, alpha, grid, 3, 100, buckets=10, workers=case.get("workers", 2))
+    if case.get("threads", 1) is not None:
+        monkeypatch.setattr(martingale, "_os_threads", lambda: case.get("threads", 1))
+    got = martingale_test(SO3, alpha, grid, 3, replicas, buckets=10,
+                          workers=case.get("workers", 2))
     _assert_same_report(got, want)
     assert_no_child_left()
     assert _open_fds() == fds
@@ -378,6 +396,15 @@ def test_from_python_3_12_a_process_with_one_thread_still_forks(monkeypatch):
     assert martingale._may_fork()
     monkeypatch.setattr(martingale, "_os_threads", lambda: 3)
     assert not martingale._may_fork()
+
+
+def test_the_pipeline_starts_at_its_measured_chunk_count():
+    rows = martingale.chunk_rows(100, 10**6)  # 327 replicas
+    first = martingale.PIPELINE_MIN_CHUNKS * rows
+    assert martingale.chunks_held(100, first - 1, 2) == 1
+    assert martingale.chunks_held(100, first, 2) == martingale.PIPELINE_CHUNKS
+    assert martingale.chunks_held(100, first, 2**64) == martingale.PIPELINE_CHUNKS
+    assert martingale.chunks_held(100, 10**6, 1) == 1
 
 
 # The develop gates each product tile as it is made. At 120 se3 replicas a
@@ -433,7 +460,7 @@ def test_drift_gate_names_the_worst_defect_over_all_tiles(monkeypatch):
         check_drift(SE3, values)
     for workers in (1, 2):
         with pytest.raises(IntegratorDriftError) as streamed:
-            martingale_test(SE3, alpha, PIPE_GRID, 5, 100, workers=workers)
+            martingale_test(SE3, alpha, PIPE_GRID, 5, PIPE_REPLICAS, workers=workers)
         assert_no_child_left()
         assert str(streamed.value) == str(first_chunk.value)
 
