@@ -22,7 +22,6 @@ from .explog import (
     ito_logarithm,
     strat_exponential,
     strat_logarithm,
-    translate_initial,
 )
 from .groups import (
     GROUP_NAMES,

@@ -51,6 +51,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -216,8 +217,10 @@ def _load_covariance(config, spec):
     if not config.cov:
         return None
     try:
-        cov = np.loadtxt(config.cov, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # a file with no data
+            cov = np.loadtxt(config.cov, delimiter=",", ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise UsageError(f"cannot read --cov file {config.cov!r}: {exc}") from exc
     if not np.isfinite(cov).all():
         raise UsageError(f"--cov file {config.cov!r} has a non-finite entry")

@@ -322,17 +322,3 @@ def roundtrip_errors(m, alpha: ConnectionFunction):
     per replica, the log read from the steps (``development_logarithm``)."""
     back = development_logarithm(m, alpha)
     return np.linalg.norm(back.values[:, -1] - m.values[:, -1], axis=-1)
-
-
-def translate_initial(xi, x):
-    """Left-translate a group ensemble by a fixed group element.
-
-    The left-trivialized increments are unchanged, so every log-type
-    operator returns identical output for the translated ensemble.
-    """
-    expect(x, group_valued=True)
-    spec = x.group
-    xi = np.asarray(xi, dtype=np.float64)
-    check_membership(spec, membership_defect(spec, xi),
-                     message="translation element defect {defect:.3e} exceeds gate")
-    return x.with_values(xi @ x.values, step_logs=x.step_logs)

@@ -29,10 +29,11 @@ the basis directions that the catalog metric weights by lambda^2, and its
 kernels (defect, inverse, adjoint, exp and log), all carried by its
 ``GroupSpec``. ``membership_defect``, ``group_inverse`` and
 ``adjoint_matrices`` call the spec's kernels, and callers hand ``spec.exp``
-and ``spec.log`` to ``linalg.mat_exp`` and ``linalg.mat_log``, which run
-only the kernel they are given. An adjoint of None takes the generic path:
-conjugate and project. The se2, se3, e11 and n3 rows name
-``linalg.generic_log`` as their log. Every row has a closed-form exp: Rodrigues'
+and ``spec.log`` (or ``spec.readback``, the log in coordinates) to
+``linalg.mat_exp`` and ``linalg.mat_log``, which run only that kernel. An
+adjoint of None takes the generic path: conjugate and project. The se2,
+se3, e11 and n3 rows name ``linalg.generic_log`` as their log. Every row
+has a closed-form exp: Rodrigues'
 formula (so3), the rigid-motion exps with their V-matrices (se2 and se3;
 Sola, Deray and Atchuthan, arXiv:1812.01537), ``diag(e^h, e^-h)`` with
 ``expm1(h)/h`` translations (e11), the series ``I + A + A^2/2`` that ends
@@ -103,6 +104,9 @@ class GroupSpec:
     ``linalg.mat_log``, which run nothing else. No kernel writes into its
     input: the stack handed to ``exp`` is often ``to_matrix_coords``'s
     view of its entry rows, which the kernel reads in place.
+    ``readback`` maps members (m, d, d) to the (m, n) coordinates of their
+    log, ``from_matrix_coords`` of ``log`` bit for bit, by the kernel
+    ``_readback(spec, flat)`` where the row names one (so3).
     Precondition, not checked: the input of ``exp`` lies in the algebra
     (``to_matrix_coords`` output, say) and that of ``log`` in the group; off
     them the closed forms return wrong matrices. ``gate_block`` is None, or
@@ -136,6 +140,7 @@ class GroupSpec:
     log: Callable = field(repr=False, compare=False)
     gate_block: tuple | None = field(repr=False, compare=False)
     product: Callable | None = field(repr=False, compare=False)
+    _readback: Callable | None = field(repr=False, compare=False)
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -144,6 +149,12 @@ class GroupSpec:
     @property
     def identity(self):
         return np.eye(self.matrix_dim)
+
+    def readback(self, flat):
+        """The log of members in coordinates; see the class docstring."""
+        if self._readback is None:
+            return from_matrix_coords(self, self.log(flat))
+        return self._readback(self, flat)
 
     def __hash__(self):
         return hash(self.name)
@@ -215,7 +226,8 @@ def get_group(name) -> GroupSpec:
 
 @lru_cache(maxsize=None)
 def _build_group(key) -> GroupSpec:
-    build, lam_weighted, defect, inverse, adjoint, exp, log, gate_block, product = _CATALOG[key]
+    (build, lam_weighted, defect, inverse, adjoint, exp, log, gate_block, product,
+     readback) = _CATALOG[key]
     basis = build()
     n, d, _ = basis.shape
     vec = basis.reshape(n, d * d)
@@ -234,7 +246,7 @@ def _build_group(key) -> GroupSpec:
         name=key, matrix_dim=d, algebra_dim=n, basis=basis, _projector=projector,
         _embedding=_nonzero_terms(vec), _projection=_nonzero_terms(projector),
         lam_weighted=lam_weighted, defect=defect, inverse=inverse, adjoint=adjoint,
-        exp=exp, log=log, product=product,
+        exp=exp, log=log, product=product, _readback=readback,
         gate_block=None if gate_block is None else (_build_group(gate_block[0]),
                                                     gate_block[1]),
     )
@@ -354,6 +366,7 @@ def bracket_coords(spec, x, y):
 # the defect and adjoint kernels one cache-sized block at a time.
 
 _ROTATION_LOG_GATE = 1e-12  # ||M^T M - I||_F above this: generic log
+_ROTATION_VECTOR = (7, 2, 3)  # entries A21, A02, A10 of a skew 3x3 A
 _SERIES_ANGLE = 0.5         # below it (theta - sin theta)/theta^3 is a series
 # (-1)^k / (2k+3)!, k = 0..6: the first omitted term is below 2e-19 at 0.5
 _V_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
@@ -680,16 +693,28 @@ def _sl2r_exp(e):
     return out
 
 
-def _rotation_log(e, cos):
-    """``S / sinc(theta)`` with ``S = (M - M^T)/2``, for rotations below pi/2
-    of cosines ``cos``, each entry of S the difference of two entry rows."""
-    out = np.empty_like(e)
-    for i in range(3):
-        for j in range(3):
-            np.subtract(e[3 * i + j], e[3 * j + i], out=out[3 * i + j])
+def _rotation_log(e, cos, entries=range(9)):
+    """Entry rows ``entries`` of ``S / sinc(theta)``, ``S = (M - M^T)/2``, for
+    rotations below pi/2 of cosines ``cos``, each entry of S the difference of
+    two entry rows; ``entries`` holds the rotation vector, read for theta."""
+    out = np.empty((len(entries),) + cos.shape)
+    for row, p in zip(out, entries):
+        np.subtract(e[p], e[3 * (p % 3) + p // 3], out=row)
     out *= 0.5
-    theta = np.arctan2(np.sqrt(_squared_norm((out[7], out[2], out[3]))), cos)
+    w = [out[entries.index(p)] for p in _ROTATION_VECTOR]
+    theta = np.arctan2(np.sqrt(_squared_norm(w)), cos)
     out /= _sinc(theta / np.pi)
+    return out
+
+
+def _rotation_coords(e, cos):
+    """(m, 3) coordinates of ``_rotation_log``, its projection bit for bit:
+    ``(0.0 + A_p c_p) + A_q c_q`` with ``c_p = -c_q`` and A exactly skew is
+    ``(h + 0.0) + h``, h half the rotation vector's entry."""
+    h = _rotation_log(e, cos, _ROTATION_VECTOR).T
+    h *= 0.5
+    out = np.add(h, 0.0, order="C")
+    out += h
     return out
 
 
@@ -698,19 +723,32 @@ def _rowwise(kernel, flat):
     return _stack(kernel(_entries(flat)), flat.shape[-1])
 
 
-def _so3_log(flat):
-    """``_rotation_log`` on the rotations (orthogonal to 1e-12) by an angle
-    below pi/2, ``linalg.generic_log`` on the other matrices, each matrix
-    on its own: a batch that mixes them gives each its result alone."""
+def _so3_branches(flat, rotation, other):
+    """``rotation(e, cos)`` on the entry rows and cosines of the rotations
+    (orthogonal to 1e-12) by an angle below pi/2, ``other`` on the stack of
+    the other matrices: a batch that mixes them gives each its result alone."""
     e = _entries(flat)
     cos = _cos_angle(e)
     take = (_orthogonality_defect(e) <= _ROTATION_LOG_GATE) & (cos > 0.0)
     if take.all():
-        return _stack(_rotation_log(e, cos), 3)
-    out = np.empty_like(flat)
-    out[take] = _stack(_rotation_log(e[:, take], cos[take]), 3)
-    out[~take] = generic_log(flat[~take])
+        return rotation(e, cos)
+    near = rotation(e[:, take], cos[take])
+    out = np.empty((len(flat),) + near.shape[1:])
+    out[take] = near
+    out[~take] = other(flat[~take])
     return out
+
+
+_so3_log = partial(_so3_branches, rotation=lambda e, cos: _stack(_rotation_log(e, cos), 3),
+                   other=generic_log)
+
+
+def _so3_readback(spec, flat):
+    """``_rotation_coords``, or ``generic_log`` projected. The closed form
+    needs no residual check: its input is finite (``mat_log`` refuses others)
+    with theta below pi/2, so ``sinc(theta) >= 2/pi``, and A is exactly skew."""
+    return _so3_branches(flat, _rotation_coords,
+                         lambda m: from_matrix_coords(spec, generic_log(m)))
 
 
 def _sl2r_log(flat):
@@ -846,23 +884,23 @@ def _so3_adjoint(e):
 
 # One row per group, in catalog order: (basis builder, lambda^2-weighted
 # basis directions, defect, inverse, adjoint, exp, log, gate block, tile
-# product), adjoint None for the generic path; the gate block names a
-# rotation row and how many leading coordinates it develops, or is None; the
-# tile product is None for the stacked-matmul loop; see ``GroupSpec``.
+# product, readback); adjoint None for the generic path, the gate block a
+# rotation row and how many leading coordinates it develops, or None, tile
+# product None for the matmul loop, readback None for the projected log.
 _CATALOG = {
     "so3": (_so3_basis, (), partial(_rotation_defect, d=3, k=3), _so3_inverse,
             partial(_rowwise, _so3_adjoint), partial(_rowwise, _rotation_exp), _so3_log,
-            None, None),
+            None, None, _so3_readback),
     "se2": (_se2_basis, (1, 2), partial(_rigid_defect, d=3), _rigid_inverse, None,
-            partial(_rowwise, _se2_exp), generic_log, None, _se2_product),
+            partial(_rowwise, _se2_exp), generic_log, None, _se2_product, None),
     "se3": (_se3_basis, (3, 4, 5), partial(_rigid_defect, d=4), _rigid_inverse, None,
-            partial(_rowwise, _rigid_exp), generic_log, ("so3", 3), None),
+            partial(_rowwise, _rigid_exp), generic_log, ("so3", 3), None, None),
     "e11": (_e11_basis, (1, 2), _e11_defect, _e11_inverse, None,
-            partial(_rowwise, _e11_exp), generic_log, None, _e11_product),
+            partial(_rowwise, _e11_exp), generic_log, None, _e11_product, None),
     "n3": (_n3_basis, (1, 2), _n3_defect, _n3_inverse, None, partial(_rowwise, _n3_exp),
-           generic_log, None, _n3_product),
+           generic_log, None, _n3_product, None),
     "sl2r": (_sl2r_basis, (1, 2), _sl2r_defect, _sl2r_inverse, None,
-             partial(_rowwise, _sl2r_exp), _sl2r_log, None, None),
+             partial(_rowwise, _sl2r_exp), _sl2r_log, None, None, None),
 }
 
 GROUP_NAMES = tuple(_CATALOG)

@@ -226,11 +226,14 @@ def mat_exp(a, kernel):
 def mat_log(m, kernel):
     """Principal matrix logarithm of a stack by ``kernel``, a catalog row's
     log (``GroupSpec.log``), which maps an (m, d, d) stack of that group's
-    elements to algebra elements.
+    elements to algebra elements, or its readback (``GroupSpec.readback``),
+    which maps it to (m, n) coordinates. The result keeps the stack's leading
+    axes and the kernel's per-matrix shape, as ``map_stacked`` does.
     """
     m = _as_square(m, "mat_log")
     n = m.shape[-1]
-    return kernel(m.reshape(-1, n, n)).reshape(m.shape)
+    out = kernel(m.reshape(-1, n, n))
+    return out.reshape(m.shape[:-2] + out.shape[1:])
 
 
 def map_stacked(fn, stack):

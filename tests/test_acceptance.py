@@ -90,6 +90,23 @@ def test_criterion_5_martingale_positive_control():
     assert result.seconds < 300.0
 
 
+_ITO_STEPS = explog._ito_steps
+
+
+# Mutants of the injected Ito step dM - 1/2 alpha(dM, dM), each with the max
+# |z| it reads on criterion 5's first master seed. Dropped, the Ito
+# development is the Stratonovich one.
+@pytest.mark.parametrize("mutant", [
+    lambda m, correction: np.diff(m.values, axis=-2),                      # dropped: 19.5
+    lambda m, correction: _ITO_STEPS(m, lambda v: 2.0 * correction(v)),    # doubled: 19.9
+    lambda m, correction: _ITO_STEPS(m, lambda v: -correction(v)),         # flipped: 37.0
+], ids=["dropped", "doubled", "flipped"])
+def test_criterion_5_catches_a_wrong_ito_correction(mutant, monkeypatch):
+    monkeypatch.setattr(explog, "_ito_steps", mutant)
+    rep = acceptance._positive_control_verdict(acceptance.SEEDS["martingale"])
+    assert not rep.passed and rep.max_abs_z > 10.0
+
+
 def test_criterion_6_martingale_negative_control():
     result = _run(acceptance.criterion_martingale_negative)
     assert result.details["max_abs_z"] > 10.0

@@ -29,7 +29,7 @@ from liestoch.cli import (
 )
 from liestoch.connections import REGRESSION_LAMBDAS, metric_for, u_from_metric
 from liestoch.errors import IntegratorDriftError, NonFiniteError
-from liestoch.groups import get_group
+from liestoch.groups import GROUP_NAMES, get_group
 from test_martingale import assert_no_child_left, count_forks
 
 
@@ -758,6 +758,100 @@ def test_inputs_past_the_ranges_are_refused_before_any_draw(argv, names, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and names in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# The flag sweep: each command but regress on a tiny base, with each flag it
+# reads set to each edge value of its kind. Every size the values make
+# large is refused before any draw (the table above).
+_SWEEP_BASES = {
+    "exp": _RUN, "log": _RUN, "roundtrip": _RUN,
+    "convergence": [*_RUN, "--dts", "0.05,0.02"],
+    "campbell": [*_CAMPBELL[1:], "--dts", "0.5"],
+    "martingale-test": [*_RUN, "--replicas", "100", "--buckets", "5"],
+    "u-table": ["--group", "se3"],
+}
+_FLOATS = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e-320", "x"]
+_INTS = ["0", "-1", "1.5", _HUGE]
+_SWEEP_VALUES = {
+    "group": [*GROUP_NAMES, "x"],
+    "connection": ["biinvariant", "levicivita", "x"],
+    "lam": _FLOATS, "dt": _FLOATS, "significance": _FLOATS,
+    "steps": _INTS, "replicas": _INTS, "seed": _INTS, "buckets": _INTS, "workers": _INTS,
+    "dts": ["", ",", "0.5,,0.25", "0.05,", "x", "nan", "inf", "-0.05", "0", "1e-300",
+            "1e-320", "1e300", "0.03"],
+    "driver": ["bm", "drift", "x"],
+    "scheme": ["ito", "strat", "x"],
+    "rule": ["ito", "midpoint", "x"],
+    "fmt": ["csv", "json", "x"],
+}
+# --drift is read by the drift driver; these are its lists
+_SWEEP_DRIFTS = ["", "1,2", "x,0,0", "nan,0,0", "inf,0,0", "1e300,0,0", "1e-320,0,0", ",,"]
+# malformed --cov files (3 x 3 for so3) and --config files, by name
+_SWEEP_COVS = {
+    "empty": "", "text": "a,b,c\n", "small": "1,0\n0,1\n",
+    "nonfinite": "1,0,0\n0,nan,0\n0,0,1\n", "asymmetric": "1,0.5,0\n0,1,0\n0,0,1\n",
+    "indefinite": "-1,0,0\n0,1,0\n0,0,1\n", "huge": "1e300,0,0\n0,1e300,0\n0,0,1e300\n",
+}
+_SWEEP_CONFIGS = {
+    "garbage": "steps\n", "unknown": "colour=red\n", "refused": "steps=x\n",
+    "elsewhere": "command=regress\n",
+}
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def _sweep_cases(tmp_path):
+    """(command, argv tail) for every command, flag and edge value."""
+    files = {}
+    for name, text in {**_SWEEP_COVS, **_SWEEP_CONFIGS}.items():
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    missing = str(tmp_path / "missing.txt")
+    for command, base in _SWEEP_BASES.items():
+        for flag in _COMMANDS[command][1]:
+            if flag == "cov":
+                tails = [["--cov", missing]] + [["--cov", str(files[name])]
+                                                for name in _SWEEP_COVS]
+            elif flag == "drift":
+                tails = [["--driver", "drift", "--drift", v] for v in _SWEEP_DRIFTS]
+            elif flag == "config":
+                tails = [["--config", missing]] + [["--config", str(files[name])]
+                                                   for name in _SWEEP_CONFIGS]
+            elif flag == "out":
+                tails = [["--out", str(tmp_path)], ["--out", str(tmp_path / "no" / "x")],
+                         ["--out", ""]]
+            else:
+                tails = [[_FLAGS[flag][0], v] for v in _SWEEP_VALUES[flag]]
+            for tail in tails:
+                yield command, [*base, *tail]
+
+
+def test_every_flag_at_its_edge_values_ends_in_a_documented_exit(tmp_path, capsys):
+    """Each run exits 0, 2, 3 or 4 with no traceback and no numpy warning,
+    and an exit-0 run writes no NaN or inf."""
+    problems, codes = [], {}
+    for index, (command, tail) in enumerate(_sweep_cases(tmp_path)):
+        where = tmp_path / str(index)
+        where.mkdir()
+        argv = [command, "--out", str(where / "out.csv"), *tail]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the row
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001  every escape is a finding
+                code = repr(exc)
+        out, err = capsys.readouterr()
+        written = [out, *(path.read_text() for path in where.iterdir())]
+        if code not in (EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION, EXIT_NUMERICAL):
+            problems.append((argv, code))
+        elif "Traceback" in err:
+            problems.append((argv, err))
+        elif code == EXIT_OK and any(_NON_FINITE.search(text) for text in written):
+            problems.append((argv, "non-finite output"))
+        codes[code] = codes.get(code, 0) + 1
+    assert not problems, problems
+    assert sum(codes.values()) > 300 and codes[EXIT_OK] and codes[EXIT_USAGE], codes
 
 
 # martingale-test streams its draw: what it holds is one chunk of replicas

@@ -14,17 +14,17 @@ from liestoch.explog import (
     roundtrip_errors,
     strat_exponential,
     strat_logarithm,
-    translate_initial,
 )
 from liestoch.groups import (
     GROUP_NAMES,
     adjoint_matrices,
+    check_membership,
     get_group,
     membership_defect,
     to_matrix_coords,
 )
 from liestoch.linalg import frobenius_dist, mat_exp
-from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble
+from liestoch.paths import Ensemble, TimeGrid, brownian_ensemble, expect
 from test_groups import random_group_element
 
 SO3 = get_group("so3")
@@ -172,6 +172,20 @@ def test_compensator_identity_exact_per_step():
     rhs = strat_logarithm(x).values[0].copy()
     rhs[1:] += 0.5 * np.cumsum(quad, axis=0)
     assert np.max(np.abs(lhs.values[0] - rhs)) < 1e-14
+
+
+def translate_initial(xi, x):
+    """Left-translate a group ensemble by a fixed group element.
+
+    The left-trivialized increments are unchanged, so every log-type
+    operator returns identical output for the translated ensemble.
+    """
+    expect(x, group_valued=True)
+    spec = x.group
+    xi = np.asarray(xi, dtype=np.float64)
+    check_membership(spec, membership_defect(spec, xi),
+                     message="translation element defect {defect:.3e} exceeds gate")
+    return x.with_values(xi @ x.values, step_logs=x.step_logs)
 
 
 def test_translate_initial_identity_and_bitwise_invariance():

@@ -16,7 +16,6 @@ from liestoch.explog import (
     ito_logarithm,
     strat_exponential,
     strat_logarithm,
-    translate_initial,
 )
 from liestoch.groups import GROUP_NAMES, get_group, to_matrix_coords
 from liestoch.linalg import _ROW_CHUNK, mat_exp
@@ -27,6 +26,7 @@ from liestoch.paths import (
     dump_algebra_csv,
     dump_group_csv,
 )
+from test_explog import translate_initial
 from test_paths import _recipe
 
 REPLICAS = 3
